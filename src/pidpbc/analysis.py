@@ -15,10 +15,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mechanics import Array, MechanicalSystem, State, assemble_inertia
-from .passivity import (coupling_row_asymmetry, potential_integral_VN,
-                        schur_unactuated, storage_functions,
-                        velocity_outputs)
+from .mechanics import (Array, MechanicalSystem, State, _T, _block2x2, _points, _quad,
+                        assemble_inertia)
+from .passivity import (coupling_row_asymmetry, passive_outputs, potential_integral_VN,
+                        robust_storage, schur_unactuated, storage_functions)
 from .controller import Gains, wellposedness_matrix_K
 
 STATUS_PASS = "pass"
@@ -106,7 +106,7 @@ def check_assumptions(sys: MechanicalSystem, sample_box, n_samples: int = 400,
     report.checks["A2"] = AssumptionCheck(STATUS_PASS, note=structural)
     report.checks["A3"] = AssumptionCheck(STATUS_PASS, note=structural)
 
-    vu = np.array([sys.Vu(q) for q in qu_samples])
+    vu = sys.Vu(qu_samples)
     k = int(np.argmin(vu))
     report.checks["A4"] = AssumptionCheck(
         STATUS_SAMPLED, residual=float(vu[k]), witness=qu_samples[k],
@@ -118,7 +118,7 @@ def check_assumptions(sys: MechanicalSystem, sample_box, n_samples: int = 400,
         STATUS_NA, note="gain-dependent; use check_A7 with a gain set")
 
     # A6: symmetry of the coupling-row Jacobians
-    asym = np.array([coupling_row_asymmetry(sys, q) for q in qu_samples])
+    asym = coupling_row_asymmetry(sys, qu_samples)
     k = int(np.argmax(asym))
     if asym[k] <= 1e-6:
         report.checks["A6"] = AssumptionCheck(STATUS_SAMPLED, residual=float(asym[k]),
@@ -132,7 +132,7 @@ def check_assumptions(sys: MechanicalSystem, sample_box, n_samples: int = 400,
         report.checks["A8"] = AssumptionCheck(STATUS_NA, note="no affine data declared")
     else:
         s_a, c0 = sys.affine_Va
-        resid = np.array([abs(sys.Va(q) - float(s_a @ q) - c0) for q in qa_samples])
+        resid = np.abs(sys.Va(qa_samples) - np.einsum("i,...i->...", s_a, qa_samples) - c0)
         k = int(np.argmax(resid))
         status = STATUS_SAMPLED if resid[k] <= 1e-9 else STATUS_FAIL
         report.checks["A8"] = AssumptionCheck(status, residual=float(resid[k]),
@@ -140,15 +140,14 @@ def check_assumptions(sys: MechanicalSystem, sample_box, n_samples: int = 400,
 
     # A9: smallest singular value of the coupling block, plus an injectivity
     # screen on the unactuated potential gradient
-    sigmas = np.array([np.linalg.svd(sys.mau(q), compute_uv=False).min()
-                       for q in qu_samples])
+    sigmas = np.linalg.svd(sys.mau(qu_samples), compute_uv=False).min(axis=-1)
     k = int(np.argmin(sigmas))
     if sigmas.max() < 1e-9:
         report.checks["A9"] = AssumptionCheck(
             STATUS_FAIL, residual=float(sigmas.max()), witness=qu_samples[k],
             note=f"rank of the coupling block below {sys.s} at every sample")
     else:
-        grads = np.array([sys.gradVu(q) for q in qu_samples])
+        grads = sys.gradVu(qu_samples)
         note = f"worst coupling singular value {sigmas[k]:.3e}"
         status = STATUS_SAMPLED
         witness = qu_samples[k]
@@ -176,7 +175,7 @@ def scan_A5(sys: MechanicalSystem, gains: Gains, q_u_grid, *, det_tol: float = 1
     singularity inside the scanned range).
     """
     grid = np.atleast_2d(np.asarray(q_u_grid, dtype=float).reshape(-1, sys.s))
-    dets = np.array([np.linalg.det(wellposedness_matrix_K(sys, gains, q)) for q in grid])
+    dets = np.linalg.det(wellposedness_matrix_K(sys, gains, grid))
     k = int(np.argmin(np.abs(dets)))
     crossing = bool(np.any(np.sign(dets[:-1]) * np.sign(dets[1:]) < 0))
     ok = (not crossing) and abs(dets[k]) > det_tol
@@ -196,26 +195,30 @@ def desired_inertia_Md(sys: MechanicalSystem, gains: Gains, q_u: Array) -> Array
     """
     k_e, k_a, k_u = gains.k_e, gains.k_a, gains.k_u
     K_D = gains.K_D
+    q_u = _points(q_u, sys.s)
     mau = sys.mau(q_u)
+    mauT = _T(mau)
     muu_s = schur_unactuated(sys, q_u)
     maa_inv = sys.maa_inv
-    coup = mau.T @ maa_inv @ mau
+    coup = mauT @ maa_inv @ mau
     A = k_e * k_u * muu_s + k_e * k_a * coup \
-        + (k_a - k_u) ** 2 * mau.T @ maa_inv @ K_D @ maa_inv @ mau
-    off = k_e * k_a * mau.T + k_a * (k_a - k_u) * mau.T @ maa_inv @ K_D
-    Md = np.block([[0.5 * (A + A.T), off],
-                   [off.T, k_e * k_a * sys.maa + k_a ** 2 * K_D]])
-    return Md
+        + (k_a - k_u) ** 2 * mauT @ maa_inv @ K_D @ maa_inv @ mau
+    off = k_e * k_a * mauT + k_a * (k_a - k_u) * mauT @ maa_inv @ K_D
+    return _block2x2(0.5 * (A + _T(A)), off, _T(off), k_e * k_a * sys.maa + k_a ** 2 * K_D)
 
 
-def desired_potential_Vd(sys: MechanicalSystem, gains: Gains, q: Array) -> float:
+def _shaped_potential(sys: MechanicalSystem, gains: Gains, q_u: Array, q_a: Array,
+                      vn_star: Array):
+    v = gains.k_a * (q_a - gains.q_a_star) \
+        + (gains.k_a - gains.k_u) * (potential_integral_VN(sys, q_u) - vn_star)
+    return gains.k_e * gains.k_u * sys.Vu(q_u) + 0.5 * _quad(v, gains.K_I)
+
+
+def desired_potential_Vd(sys: MechanicalSystem, gains: Gains, q: Array):
     """Shaped potential with its critical point at the target position."""
-    q = np.asarray(q, dtype=float).reshape(sys.n)
-    q_u, q_a = q[: sys.s], q[sys.s:]
-    vn = potential_integral_VN(sys, q_u)
-    vn_star = potential_integral_VN(sys, gains.q_u_star)
-    v = gains.k_a * (q_a - gains.q_a_star) + (gains.k_a - gains.k_u) * (vn - vn_star)
-    return gains.k_e * gains.k_u * sys.Vu(q_u) + 0.5 * float(v @ (gains.K_I @ v))
+    q = _points(q, sys.n)
+    return _shaped_potential(sys, gains, q[..., : sys.s], q[..., sys.s:],
+                             potential_integral_VN(sys, gains.q_u_star))
 
 
 @dataclass(frozen=True)
@@ -232,26 +235,24 @@ class LyapunovData:
     def V_d(self, q: Array) -> float:
         return desired_potential_Vd(self.sys, self.gains, q)
 
-    def H_d_parts(self, q_u: Array, q_a: Array, qd: Array, vn: Optional[Array] = None) -> float:
-        g = self.gains
-        if vn is None:
-            vn = potential_integral_VN(self.sys, q_u)
-        v = g.k_a * (q_a - g.q_a_star) + (g.k_a - g.k_u) * (vn - self.vn_star)
-        Vd = g.k_e * g.k_u * self.sys.Vu(q_u) + 0.5 * float(v @ (g.K_I @ v))
-        Md = desired_inertia_Md(self.sys, g, q_u)
-        return 0.5 * float(qd @ (Md @ qd)) + Vd
+    def H_d(self, st: State):
+        """``qd^T M_d qd / 2 + V_d``."""
+        Md = desired_inertia_Md(self.sys, self.gains, st.q_u)
+        return 0.5 * _quad(st.qd, Md) \
+            + _shaped_potential(self.sys, self.gains, st.q_u, st.q_a, self.vn_star)
 
-    def H_d(self, st: State) -> float:
-        return self.H_d_parts(st.q_u, st.q_a, st.qd)
-
-    def U(self, st: State, z1: Array) -> float:
+    def U(self, st: State, z1: Array):
+        """Gain-weighted storage pair plus the derivative and integrator
+        squares; the pair is :func:`robust_storage` in ``robust_A8`` mode."""
         g = self.gains
-        z1 = np.asarray(z1, dtype=float).reshape(self.sys.m)
-        H_u, H_a, _ = storage_functions(self.sys, st)
-        y_u, y_a = velocity_outputs(self.sys, st)
-        y_d = g.k_a * y_a + g.k_u * y_u
-        return g.k_e * (g.k_a * H_a + g.k_u * H_u) \
-            + 0.5 * float(y_d @ (g.K_D @ y_d)) + 0.5 * float(z1 @ (g.K_I @ z1))
+        z1 = _points(z1, self.sys.m)
+        if g.mode == "robust_A8":
+            store_u, store_a = robust_storage(self.sys, st)
+        else:
+            store_u, store_a, _ = storage_functions(self.sys, st)
+        y_d = passive_outputs(self.sys, st, g).y_d
+        return g.k_e * (g.k_a * store_a + g.k_u * store_u) \
+            + 0.5 * _quad(y_d, g.K_D) + 0.5 * _quad(z1, g.K_I)
 
 
 def lyapunov_Hd_and_U(sys: MechanicalSystem, gains: Gains) -> LyapunovData:
@@ -311,8 +312,7 @@ def check_A7(sys: MechanicalSystem, gains: Gains, q_u_grid, *, grad_tol: float =
     """Gain admissibility: shaped inertia positive definite on the grid and
     shaped potential with a verified isolated minimum at the target."""
     grid = np.atleast_2d(np.asarray(q_u_grid, dtype=float).reshape(-1, sys.s))
-    profile = np.array([np.linalg.eigvalsh(desired_inertia_Md(sys, gains, q)).min()
-                        for q in grid])
+    profile = np.linalg.eigvalsh(desired_inertia_Md(sys, gains, grid)).min(axis=-1)
     Vd = lambda q: desired_potential_Vd(sys, gains, q)
     grad = fd_gradient(Vd, gains.q_star)
     hess = fd_hessian(Vd, gains.q_star)

@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .mechanics import Array, MechanicalSystem, State, coriolis_decomposition
+from .mechanics import (Array, MechanicalSystem, State, _T, _mv, _points, _solve,
+                        coriolis_decomposition)
 from .passivity import passive_outputs, potential_integral_VN, schur_unactuated
 
 MODES = ("cancel_Va", "robust_A8")
@@ -109,7 +110,7 @@ class Gains:
         if not self.sign_consistent:
             warnings.warn(
                 "sign(k_e), sign(k_a), sign(k_u) differ; the L2 disturbance "
-                "bound does not apply", GainSignWarning, stacklevel=2)
+                "bound does not apply", GainSignWarning, stacklevel=3)
 
     @property
     def sign_consistent(self) -> bool:
@@ -133,13 +134,14 @@ class Gains:
 
 @dataclass
 class ControllerState:
-    """Integrator state ``z1`` and, for the filtered law, filter state ``z2``."""
+    """Integrator state ``z1`` and, for the filtered law, filter state ``z2``
+    (one vector each, or batches with leading sample axes)."""
 
     z1: Array
     z2: Optional[Array] = None
 
     def __post_init__(self):
-        self.z1 = np.asarray(self.z1, dtype=float).reshape(-1)
+        self.z1 = _points(self.z1, -1)
         if self.z2 is not None:
             self.z2 = np.asarray(self.z2, dtype=float).reshape(self.z1.shape)
 
@@ -151,14 +153,14 @@ def wellposedness_matrix_K(sys: MechanicalSystem, gains: Gains, q_u: Array) -> A
          + k_u K_D maa^{-1} m_au (m_uu^s)^{-1} m_au^T maa^{-1}``.
     The law is well posed wherever this matrix is nonsingular.
     """
-    q_u = np.asarray(q_u, dtype=float).reshape(sys.s)
+    q_u = _points(q_u, sys.s)
     K = gains.k_e * np.eye(sys.m) + gains.k_a * gains.K_D @ sys.maa_inv
-    if np.any(gains.K_D):
-        mau = sys.mau(q_u)
-        muu_s = schur_unactuated(sys, q_u)
-        w = np.linalg.solve(muu_s, mau.T @ sys.maa_inv)
-        K = K + gains.k_u * gains.K_D @ sys.maa_inv @ mau @ w
-    return K
+    if not np.any(gains.K_D):
+        return np.broadcast_to(K, q_u.shape[:-1] + K.shape).copy()
+    mau = sys.mau(q_u)
+    muu_s = schur_unactuated(sys, q_u)
+    w = np.linalg.solve(muu_s, _T(mau) @ sys.maa_inv)
+    return K + gains.k_u * gains.K_D @ sys.maa_inv @ mau @ w
 
 
 def feedforward_S(sys: MechanicalSystem, gains: Gains, st: State) -> Array:
@@ -169,21 +171,22 @@ def feedforward_S(sys: MechanicalSystem, gains: Gains, st: State) -> Array:
     substitution and shows up as an extra constant piece.
     """
     if not np.any(gains.K_D):
-        return np.zeros(sys.m)
+        return np.zeros(st.qd_a.shape)
     mau = sys.mau(st.q_u)
+    mauT = _T(mau)
     muu_s = schur_unactuated(sys, st.q_u)
     cmu_qdu, dmu, act_row = coriolis_decomposition(sys, st)
-    inner = np.linalg.solve(muu_s, mau.T @ (sys.maa_inv @ act_row)
-                            - (cmu_qdu + dmu + sys.gradVu(st.q_u)))
-    bracket = sys.maa_inv @ (act_row + mau @ inner)
-    S = -gains.k_u * gains.K_D @ bracket
+    inner = _solve(muu_s, _mv(mauT, _mv(sys.maa_inv, act_row))
+                   - (cmu_qdu + dmu + sys.gradVu(st.q_u)))
+    bracket = _mv(sys.maa_inv, act_row + _mv(mau, inner))
+    S = -gains.k_u * _mv(gains.K_D, bracket)
     if gains.mode == "robust_A8":
         if sys.affine_Va is None:
             raise ValueError("robust_A8 mode requires affine actuated-potential data")
         s_a, _ = sys.affine_Va
-        w = np.linalg.solve(muu_s, mau.T @ (sys.maa_inv @ s_a))
+        w = _solve(muu_s, _mv(mauT, sys.maa_inv @ s_a))
         S = S - gains.k_a * gains.K_D @ (sys.maa_inv @ s_a) \
-              - gains.k_u * gains.K_D @ (sys.maa_inv @ (mau @ w))
+              - gains.k_u * _mv(gains.K_D, _mv(sys.maa_inv, _mv(mau, w)))
     return S
 
 
@@ -194,15 +197,17 @@ def exact_control(sys: MechanicalSystem, gains: Gains, st: State, cs: Controller
     Solves ``K(q_u) u = -K_P y_d - K_I z1 - S(q, qd)``.  Feeding the result
     back makes the PID differential equation hold exactly, including the
     derivative term.  Raises :class:`WellPosednessError` when ``|det K|``
-    falls below ``det_tol``.
+    falls below ``det_tol``; over a batch, at the sample with the smallest
+    ``|det K|``.
     """
     out = passive_outputs(sys, st, gains)
-    rhs = -(gains.K_P @ out.y_d) - gains.K_I @ cs.z1 - feedforward_S(sys, gains, st)
+    rhs = -_mv(gains.K_P, out.y_d) - _mv(gains.K_I, cs.z1) - feedforward_S(sys, gains, st)
     K = wellposedness_matrix_K(sys, gains, st.q_u)
-    det = float(np.linalg.det(K))
-    if abs(det) < det_tol:
-        raise WellPosednessError(st.q_u, det, t)
-    return np.linalg.solve(K, rhs)
+    det = np.linalg.det(K)
+    if np.any(np.abs(det) < det_tol):
+        k = np.unravel_index(np.argmin(np.abs(det)), det.shape)
+        raise WellPosednessError(st.q_u[k], det[k], t)
+    return _solve(K, rhs)
 
 
 def approx_control(sys: MechanicalSystem, gains: Gains, st: State,
@@ -214,16 +219,16 @@ def approx_control(sys: MechanicalSystem, gains: Gains, st: State,
     (y_d - z2)``; no matrix solve is involved.
     """
     out = passive_outputs(sys, st, gains)
-    z2 = cs.z2 if cs.z2 is not None else np.zeros(sys.m)
+    z2 = cs.z2 if cs.z2 is not None else np.zeros(out.y_d.shape)
     deriv = gains.filter_a * (out.y_d - z2)
-    u = -(gains.K_P @ out.y_d + gains.K_I @ cs.z1 + gains.K_D @ deriv) / gains.k_e
+    u = -(_mv(gains.K_P, out.y_d) + _mv(gains.K_I, cs.z1) + _mv(gains.K_D, deriv)) / gains.k_e
     return u, out.y_d, gains.filter_b * (out.y_d - z2)
 
 
 def pi_control(sys: MechanicalSystem, gains: Gains, st: State, cs: ControllerState) -> Array:
     """PI-only law (derivative gain ignored)."""
     out = passive_outputs(sys, st, gains)
-    return -(gains.K_P @ out.y_d + gains.K_I @ cs.z1) / gains.k_e
+    return -(_mv(gains.K_P, out.y_d) + _mv(gains.K_I, cs.z1)) / gains.k_e
 
 
 def integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array,
@@ -272,7 +277,7 @@ def robust_integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array,
 def closed_form_z1(sys: MechanicalSystem, gains: Gains, st: State, kappa: Array) -> Array:
     """Integrator value as a position function:
     ``k_a q_a + (k_a - k_u) V_N(q_u) + kappa``."""
-    kappa = np.asarray(kappa, dtype=float).reshape(sys.m)
+    kappa = _points(kappa, sys.m)
     vn = potential_integral_VN(sys, st.q_u)
     return gains.k_a * st.q_a + (gains.k_a - gains.k_u) * vn + kappa
 
@@ -284,9 +289,9 @@ def plant_input(sys: MechanicalSystem, gains: Gains, u: Array, q_a: Array) -> Ar
     passes the output through unchanged (and requires the affine potential
     data to be present, since that is what its storage analysis rests on).
     """
-    u = np.asarray(u, dtype=float).reshape(sys.m)
+    u = _points(u, sys.m)
     if gains.mode == "cancel_Va":
-        return u + sys.gradVa(np.asarray(q_a, dtype=float))
+        return u + sys.gradVa(_points(q_a, sys.m))
     if sys.affine_Va is None:
         raise ValueError("robust_A8 mode requires affine actuated-potential data")
     return u.copy()

@@ -6,10 +6,18 @@ depends only on the unactuated coordinates ``q_u`` with a constant actuated
 block ``m_aa``, and a potential energy that separates as
 ``V(q) = V_u(q_u) + V_a(q_a)``.  Coordinates are ordered unactuated first,
 so ``q = [q_u; q_a]``.
+
+``State``, the plant accessors, the inertia derivatives, ``assemble_inertia``
+and ``coriolis_decomposition`` take one point or a batch with leading sample
+axes and keep those axes in their results, as do the passivity, controller
+and analysis functions that build a trace.  Plant callbacks see one point at
+a time; :func:`_per_point` loops them over a batch.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -31,6 +39,92 @@ class SingularInertiaError(DynamicsError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+
+def _T(a: Array) -> Array:
+    """Transpose of the last two axes."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _mv(a: Array, x: Array) -> Array:
+    """Matrix-vector product over leading axes."""
+    return np.einsum("...ij,...j->...i", a, x)
+
+
+def _quad(x: Array, a: Array) -> Array:
+    """Quadratic form ``x^T a x`` over leading axes."""
+    return np.einsum("...i,...ij,...j->...", x, a, x)
+
+
+def _solve(a: Array, b: Array) -> Array:
+    """Solution of ``a x = b`` for vectors ``b`` over leading axes."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+def _block2x2(tl: Array, tr: Array, bl: Array, br: Array) -> Array:
+    """``[[tl, tr], [bl, br]]`` over the leading axes of ``tl``."""
+    s, m = tl.shape[-1], br.shape[-1]
+    out = np.empty(tl.shape[:-2] + (s + m, s + m))
+    out[..., :s, :s] = tl
+    out[..., :s, s:] = tr
+    out[..., s:, :s] = bl
+    out[..., s:, s:] = br
+    return out
+
+
+def _points(x, k: int) -> Array:
+    """``x`` as float coordinates: one point of shape ``(k,)`` (anything with
+    ``k`` entries; ``k = -1`` flattens), or a batch of shape ``(..., k)``."""
+    x = np.asarray(x, dtype=float)
+    return x.reshape(k) if x.ndim <= 1 else x
+
+
+_shared: ContextVar = ContextVar("pidpbc_shared_samples", default=None)
+
+
+@contextmanager
+def shared_samples(*batches: Array):
+    """Inside the block, each plant callback and coupling potential runs once
+    over each of ``batches`` (the array objects themselves, which must not
+    change); later calls get the stored, read-only result."""
+    token = _shared.set(({id(b): b for b in batches}, {}))
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _reuse(key, q: Array, compute: Callable[[], Array]) -> Array:
+    """``compute()``, stored under ``key`` while ``q`` is a shared batch."""
+    shared = _shared.get()
+    if shared is None or shared[0].get(id(q)) is not q:
+        return compute()
+    results = shared[1]
+    out = results.get((key, id(q)))
+    if out is None:
+        out = results[(key, id(q))] = compute()
+        out.flags.writeable = False
+    return out
+
+
+def _per_point(fn: Callable[[Array], Array], q: Array, shape: tuple) -> Array:
+    """Per-point plant callback ``fn`` at ``q`` of shape ``(k,)`` or ``(..., k)``,
+    each result reshaped to ``shape``; batches are looped point by point."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim <= 1:
+        return np.asarray(fn(q), dtype=float).reshape(shape)
+
+    def loop():
+        points = q.reshape(-1, q.shape[-1])
+        out = np.empty((len(points),) + shape)
+        # stacking block by block bounds the temporary list of results
+        for i in range(0, len(points), 1024):
+            block = points[i:i + 1024]
+            out[i:i + 1024] = np.array([fn(p) for p in block], dtype=float).reshape(
+                (len(block),) + shape)
+        return out.reshape(q.shape[:-1] + shape)
+
+    return _reuse(fn, q, loop)
 
 
 def _as_spd(mat, name: str) -> Array:
@@ -110,28 +204,28 @@ class MechanicalSystem:
         return self.s + self.m
 
     def muu(self, q_u: Array) -> Array:
-        return np.atleast_2d(np.asarray(self.muu_fn(np.asarray(q_u, dtype=float)), dtype=float))
+        return _per_point(self.muu_fn, q_u, (self.s, self.s))
 
     def mau(self, q_u: Array) -> Array:
-        out = np.asarray(self.mau_fn(np.asarray(q_u, dtype=float)), dtype=float)
-        return out.reshape(self.m, self.s)
+        return _per_point(self.mau_fn, q_u, (self.m, self.s))
 
-    def Vu(self, q_u: Array) -> float:
-        return float(self.Vu_fn(np.asarray(q_u, dtype=float)))
+    def Vu(self, q_u: Array):
+        return _per_point(self.Vu_fn, q_u, ())[()]
 
     def gradVu(self, q_u: Array) -> Array:
-        return np.asarray(self.gradVu_fn(np.asarray(q_u, dtype=float)), dtype=float).reshape(self.s)
+        return _per_point(self.gradVu_fn, q_u, (self.s,))
 
-    def Va(self, q_a: Array) -> float:
-        return float(self.Va_fn(np.asarray(q_a, dtype=float)))
+    def Va(self, q_a: Array):
+        return _per_point(self.Va_fn, q_a, ())[()]
 
     def gradVa(self, q_a: Array) -> Array:
-        return np.asarray(self.gradVa_fn(np.asarray(q_a, dtype=float)), dtype=float).reshape(self.m)
+        return _per_point(self.gradVa_fn, q_a, (self.m,))
 
 
 @dataclass(frozen=True)
 class State:
-    """Generalized position/velocity split into unactuated/actuated parts."""
+    """Generalized position/velocity split into unactuated/actuated parts;
+    each part is one vector, or a batch with the same leading axes in all four."""
 
     q_u: Array
     q_a: Array
@@ -140,26 +234,26 @@ class State:
 
     def __post_init__(self):
         for name in ("q_u", "q_a", "qd_u", "qd_a"):
-            vec = np.asarray(getattr(self, name), dtype=float).reshape(-1)
+            vec = _points(getattr(self, name), -1)
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"{name} has non-finite entries")
             object.__setattr__(self, name, vec)
-        if self.q_u.shape != self.qd_u.shape or self.q_a.shape != self.qd_a.shape:
+        if self.q_u.shape != self.qd_u.shape or self.q_a.shape != self.qd_a.shape \
+                or self.q_u.shape[:-1] != self.q_a.shape[:-1]:
             raise ValueError("position/velocity dimensions do not match")
 
     @property
     def q(self) -> Array:
-        return np.concatenate([self.q_u, self.q_a])
+        return np.concatenate([self.q_u, self.q_a], axis=-1)
 
     @property
     def qd(self) -> Array:
-        return np.concatenate([self.qd_u, self.qd_a])
+        return np.concatenate([self.qd_u, self.qd_a], axis=-1)
 
     @classmethod
     def from_vectors(cls, q: Array, qd: Array, s: int) -> "State":
-        q = np.asarray(q, dtype=float).reshape(-1)
-        qd = np.asarray(qd, dtype=float).reshape(-1)
-        return cls(q[:s], q[s:], qd[:s], qd[s:])
+        q, qd = _points(q, -1), _points(qd, -1)
+        return cls(q[..., :s], q[..., s:], qd[..., :s], qd[..., s:])
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +281,19 @@ def _block_jacobian_fd(fn: Callable[[Array], Array], q_u: Array, rows: int, cols
 
 
 def muu_gradient(sys: MechanicalSystem, q_u: Array) -> Array:
-    """Derivative tensor ``d m_uu[i, j] / d q_u[k]`` of shape (s, s, s)."""
+    """Derivative tensor ``d m_uu[i, j] / d q_u[k]`` of shape (..., s, s, s)."""
+    shape = (sys.s, sys.s, sys.s)
     if sys.muu_jac is not None:
-        return np.asarray(sys.muu_jac(q_u), dtype=float).reshape(sys.s, sys.s, sys.s)
-    return _block_jacobian_fd(sys.muu_fn, np.asarray(q_u, dtype=float), sys.s, sys.s)
+        return _per_point(sys.muu_jac, q_u, shape)
+    return _per_point(lambda q: _block_jacobian_fd(sys.muu_fn, q, sys.s, sys.s), q_u, shape)
 
 
 def mau_gradient(sys: MechanicalSystem, q_u: Array) -> Array:
-    """Derivative tensor ``d m_au[i, j] / d q_u[k]`` of shape (m, s, s)."""
+    """Derivative tensor ``d m_au[i, j] / d q_u[k]`` of shape (..., m, s, s)."""
+    shape = (sys.m, sys.s, sys.s)
     if sys.mau_jac is not None:
-        return np.asarray(sys.mau_jac(q_u), dtype=float).reshape(sys.m, sys.s, sys.s)
-    return _block_jacobian_fd(sys.mau_fn, np.asarray(q_u, dtype=float), sys.m, sys.s)
+        return _per_point(sys.mau_jac, q_u, shape)
+    return _per_point(lambda q: _block_jacobian_fd(sys.mau_fn, q, sys.m, sys.s), q_u, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +302,10 @@ def mau_gradient(sys: MechanicalSystem, q_u: Array) -> Array:
 
 def assemble_inertia(sys: MechanicalSystem, q_u: Array) -> Array:
     """Full inertia matrix ``[[m_uu, m_au^T], [m_au, m_aa]]`` at ``q_u``."""
-    q_u = np.asarray(q_u, dtype=float).reshape(sys.s)
+    q_u = _points(q_u, sys.s)
     muu = sys.muu(q_u)
     mau = sys.mau(q_u)
-    M = np.empty((sys.n, sys.n))
-    M[: sys.s, : sys.s] = 0.5 * (muu + muu.T)
-    M[: sys.s, sys.s:] = mau.T
-    M[sys.s:, : sys.s] = mau
-    M[sys.s:, sys.s:] = sys.maa
-    return M
+    return _block2x2(0.5 * (muu + _T(muu)), _T(mau), mau, sys.maa)
 
 
 def coriolis_decomposition(sys: MechanicalSystem, st: State):
@@ -228,14 +319,14 @@ def coriolis_decomposition(sys: MechanicalSystem, st: State):
     dmuu = muu_gradient(sys, st.q_u)
     dmau = mau_gradient(sys, st.q_u)
     # Jacobian of q_u -> m_uu(q_u) qd_u, holding qd_u fixed
-    j_uu = np.einsum("ijk,j->ik", dmuu, st.qd_u)
-    cmu = j_uu - 0.5 * j_uu.T
+    j_uu = np.einsum("...ijk,...j->...ik", dmuu, st.qd_u)
+    cmu = j_uu - 0.5 * _T(j_uu)
     # Jacobians of q_u -> m_au^T qd_a and q_u -> m_au qd_u
-    j_ua = np.einsum("jik,j->ik", dmau, st.qd_a)
-    j_au = np.einsum("ijk,j->ik", dmau, st.qd_u)
-    dmu = j_ua @ st.qd_u - j_au.T @ st.qd_a
-    act_row = j_au @ st.qd_u
-    return cmu @ st.qd_u, dmu, act_row
+    j_ua = np.einsum("...jik,...j->...ik", dmau, st.qd_a)
+    j_au = np.einsum("...ijk,...j->...ik", dmau, st.qd_u)
+    dmu = _mv(j_ua, st.qd_u) - _mv(_T(j_au), st.qd_a)
+    act_row = _mv(j_au, st.qd_u)
+    return _mv(cmu, st.qd_u), dmu, act_row
 
 
 def christoffel_coriolis(sys: MechanicalSystem, st: State) -> Array:
@@ -258,7 +349,7 @@ def christoffel_coriolis(sys: MechanicalSystem, st: State) -> Array:
 
 
 def potential_gradient(sys: MechanicalSystem, st: State) -> Array:
-    return np.concatenate([sys.gradVu(st.q_u), sys.gradVa(st.q_a)])
+    return np.concatenate([sys.gradVu(st.q_u), sys.gradVa(st.q_a)], axis=-1)
 
 
 def forward_dynamics(sys: MechanicalSystem, st: State, tau: Array) -> Array:

@@ -17,6 +17,13 @@ from .mechanics import (
     Array,
     MechanicalSystem,
     State,
+    _T,
+    _block2x2,
+    _mv,
+    _per_point,
+    _points,
+    _quad,
+    _reuse,
     assemble_inertia,
     coriolis_decomposition,
     mau_gradient,
@@ -36,22 +43,22 @@ class PassiveOutputs:
 def schur_unactuated(sys: MechanicalSystem, q_u: Array) -> Array:
     """Schur complement ``m_uu - m_au^T maa^{-1} m_au``; the effective
     unactuated inertia."""
+    q_u = _points(q_u, sys.s)
     mau = sys.mau(q_u)
-    out = sys.muu(q_u) - mau.T @ sys.maa_inv @ mau
-    return 0.5 * (out + out.T)
+    out = sys.muu(q_u) - _T(mau) @ sys.maa_inv @ mau
+    return 0.5 * (out + _T(out))
 
 
 def locked_matrix_Ma(sys: MechanicalSystem, q_u: Array) -> Array:
     """Rank-m inertia remainder; the full inertia minus the Schur block."""
-    mau = sys.mau(q_u)
-    top = mau.T @ sys.maa_inv @ mau
-    out = np.block([[0.5 * (top + top.T), mau.T], [mau, sys.maa]])
-    return out
+    mau = sys.mau(_points(q_u, sys.s))
+    top = _T(mau) @ sys.maa_inv @ mau
+    return _block2x2(0.5 * (top + _T(top)), _T(mau), mau, sys.maa)
 
 
 def velocity_outputs(sys: MechanicalSystem, st: State) -> tuple[Array, Array]:
     """The raw output pair ``(y_u, y_a)``; they sum to ``qd_a`` exactly."""
-    y_u = -sys.maa_inv @ (sys.mau(st.q_u) @ st.qd_u)
+    y_u = -_mv(sys.maa_inv, _mv(sys.mau(st.q_u), st.qd_u))
     return y_u, st.qd_a - y_u
 
 
@@ -66,9 +73,10 @@ def storage_functions(sys: MechanicalSystem, st: State) -> tuple[float, float, f
     ``H`` is evaluated from the assembled inertia matrix, independently of
     the split, so the sum rule is a genuine cross-check.
     """
-    H_u = 0.5 * st.qd_u @ (schur_unactuated(sys, st.q_u) @ st.qd_u) + sys.Vu(st.q_u)
-    H_a = 0.5 * st.qd @ (locked_matrix_Ma(sys, st.q_u) @ st.qd)
-    H = 0.5 * st.qd @ (assemble_inertia(sys, st.q_u) @ st.qd) + sys.Vu(st.q_u)
+    qd = st.qd
+    H_u = 0.5 * _quad(st.qd_u, schur_unactuated(sys, st.q_u)) + sys.Vu(st.q_u)
+    H_a = 0.5 * _quad(qd, locked_matrix_Ma(sys, st.q_u))
+    H = 0.5 * _quad(qd, assemble_inertia(sys, st.q_u)) + sys.Vu(st.q_u)
     return H_u, H_a, H
 
 
@@ -77,7 +85,7 @@ def hamiltonian_outputs(sys: MechanicalSystem, st: State) -> tuple[Array, Array]
     the row sum of the velocity pair, which collapses to the actuated
     velocity identically."""
     y_u, _ = velocity_outputs(sys, st)
-    return sys.maa @ y_u, st.qd_a.copy()
+    return _mv(sys.maa, y_u), st.qd_a.copy()
 
 
 class IntegrabilityError(ValueError):
@@ -91,8 +99,8 @@ def coupling_row_asymmetry(sys: MechanicalSystem, q_u: Array) -> float:
     Zero (up to derivative error) exactly when every row of ``m_au`` is a
     gradient field, which is what makes the coupling potential well defined.
     """
-    dmau = mau_gradient(sys, np.asarray(q_u, dtype=float))
-    return float(np.max(np.abs(dmau - np.transpose(dmau, (0, 2, 1)))))
+    dmau = mau_gradient(sys, _points(q_u, sys.s))
+    return np.max(np.abs(dmau - _T(dmau)), axis=(-3, -2, -1))
 
 
 def potential_integral_VN(sys: MechanicalSystem, q_u: Array, *, tol: float = 1e-10,
@@ -102,40 +110,51 @@ def potential_integral_VN(sys: MechanicalSystem, q_u: Array, *, tol: float = 1e-
     Uses the closed form when the system carries one; otherwise integrates
     the field along the straight path from the origin with Gauss-Legendre
     panels, doubling the panel count until two successive estimates agree to
-    ``tol``.  The quadrature normalization fixes the value at the origin to
-    zero; only differences of this potential enter the controller, so the
-    offset is immaterial.
+    ``tol``.  Over a batch, each sample stops doubling on its own, and each
+    panel count runs only for the samples that have not yet converged.  The
+    quadrature normalization fixes the value at the origin to zero; only
+    differences of this potential enter the controller, so the offset is
+    immaterial.
     """
-    q_u = np.asarray(q_u, dtype=float).reshape(sys.s)
+    q_u = _points(q_u, sys.s)
     if sys.VN_fn is not None:
-        return np.asarray(sys.VN_fn(q_u), dtype=float).reshape(sys.m)
-    asym = coupling_row_asymmetry(sys, q_u)
-    if asym > check_tol:
+        return _per_point(sys.VN_fn, q_u, (sys.m,))
+    return _reuse((potential_integral_VN, id(sys), tol, check_tol), q_u,
+                  lambda: _quadrature_VN(sys, q_u, tol, check_tol))
+
+
+def _quadrature_VN(sys: MechanicalSystem, q_u: Array, tol: float, check_tol: float) -> Array:
+    points = q_u.reshape(-1, sys.s)
+    asym = np.reshape(coupling_row_asymmetry(sys, q_u), -1)
+    bad = np.nonzero(asym > check_tol)[0]
+    if bad.size:
         raise IntegrabilityError(
-            f"coupling rows are not gradient fields at q_u={q_u} "
-            f"(asymmetry {asym:.3e}); the coupling potential does not exist")
+            f"coupling rows are not gradient fields at q_u={points[bad[0]]} "
+            f"(asymmetry {asym[bad[0]]:.3e}); the coupling potential does not exist")
 
     nodes, weights = np.polynomial.legendre.leggauss(64)
 
-    def estimate(panels: int) -> Array:
-        total = np.zeros(sys.m)
+    def estimate(q: Array, panels: int) -> Array:
+        # node by node, so memory stays proportional to the number of samples
+        total = np.zeros((q.shape[0], sys.m))
         for p in range(panels):
             a, b = p / panels, (p + 1) / panels
             tt = 0.5 * (b - a) * nodes + 0.5 * (a + b)
             ww = 0.5 * (b - a) * weights
             for t, w in zip(tt, ww):
-                total += w * (sys.maa_inv @ (sys.mau(t * q_u) @ q_u))
+                total += w * (sys.maa_inv @ (sys.mau(t * q) @ q[..., None]))[..., 0]
         return total
 
-    prev = estimate(1)
+    out = estimate(points, 1)
+    active, prev = np.arange(points.shape[0]), out.copy()
     panels = 2
-    while panels <= 64:
-        cur = estimate(panels)
-        if np.max(np.abs(cur - prev)) < tol:
-            return cur
-        prev = cur
+    while panels <= 64 and active.size:
+        cur = estimate(points[active], panels)
+        out[active] = cur
+        pending = ~(np.max(np.abs(cur - prev), axis=-1) < tol)
+        active, prev = active[pending], cur[pending]
         panels *= 2
-    return prev
+    return out.reshape(q_u.shape[:-1] + (sys.m,))
 
 
 def holding_potential_V0(sys: MechanicalSystem, q_u: Array) -> float:
@@ -149,7 +168,7 @@ def holding_potential_V0(sys: MechanicalSystem, q_u: Array) -> float:
     if sys.affine_Va is None:
         raise ValueError("holding potential requires affine actuated potential data")
     s_a, c0 = sys.affine_Va
-    return float(s_a @ potential_integral_VN(sys, q_u) + c0)
+    return np.einsum("i,...i->...", s_a, potential_integral_VN(sys, q_u)) + c0
 
 
 def robust_storage(sys: MechanicalSystem, st: State) -> tuple[float, float]:

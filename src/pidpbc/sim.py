@@ -1,28 +1,32 @@
 """Closed-loop simulation harness and trajectory-level verifications.
 
-Fixed-step classical RK4 integrates the plant together with the controller
-states.  Each saved sample carries the controller internals and the energy
-diagnostics, so every verification (storage rates, dissipation, disturbance
-gain, convergence) can be recomputed from the recorded trace alone.
+:func:`simulate` integrates only the state ``(q, qd, z1[, z2])`` with
+fixed-step classical RK4, then builds every other trace column in one pass
+over all samples through the public functions of :mod:`.passivity`,
+:mod:`.controller` and :mod:`.analysis`, the same ones the checks use.  Every
+verification (storage rates, dissipation, disturbance gain, convergence) can
+be recomputed from the recorded trace alone.
 
-Single-input single-unactuated plants (``s = m = 1``) run through a scalar
-fast path that evaluates the same formulas on floats; the generic array path
-is the reference and the two are pinned against each other in the tests.
+The integration right-hand side has a generic array form and, for
+single-input single-unactuated plants (``s = m = 1``), a scalar form that
+evaluates the same formulas on floats; the tests pin the two together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mechanics import (Array, DynamicsError, MechanicalSystem, State,
-                        mau_gradient, muu_gradient)
-from .controller import Gains, WellPosednessError, integrator_init, robust_integrator_init
-from .passivity import potential_integral_VN
-from . import analysis
+from .mechanics import (Array, DynamicsError, MechanicalSystem, State, _block2x2, _quad,
+                        assemble_inertia, forward_dynamics, mau_gradient, muu_gradient,
+                        shared_samples)
+from .controller import (ControllerState, Gains, WellPosednessError, approx_control,
+                         closed_form_z1, exact_control, integrator_init, pi_control,
+                         plant_input, robust_integrator_init, wellposedness_matrix_K)
+from .passivity import passive_outputs, robust_storage, storage_functions
+from .analysis import lyapunov_Hd_and_U
 
 CONTROLLERS = ("exact", "approx", "pi")
 
@@ -43,7 +47,9 @@ class SetpointStep:
 
 @dataclass
 class Trace:
-    """Uniformly sampled closed-loop trajectory with controller internals."""
+    """Uniformly sampled closed-loop trajectory with controller internals;
+    ``min_abs_detK`` is the least ``|det K|`` over the samples (``nan`` unless
+    the law is exact)."""
 
     t: Array
     q_u: Array
@@ -86,28 +92,8 @@ class SimulationAborted(DynamicsError):
     """Integration stopped before ``t_end`` (singularity or blow-up)."""
 
 
-def _trace_columns(N: int, s: int, m: int, use_z2: bool, record_robust: bool) -> dict:
-    cols = {
-        "t": np.empty(N),
-        "q_u": np.empty((N, s)), "q_a": np.empty((N, m)),
-        "qd_u": np.empty((N, s)), "qd_a": np.empty((N, m)),
-        "z1": np.empty((N, m)), "z1_closed": np.empty((N, m)),
-        "u": np.empty((N, m)), "tau": np.empty((N, m)), "d": np.empty((N, m)),
-        "y_u": np.empty((N, m)), "y_a": np.empty((N, m)), "y_d": np.empty((N, m)),
-        "H_u": np.empty(N), "H_a": np.empty(N), "H": np.empty(N),
-        "H_d": np.empty(N), "U": np.empty(N), "detK": np.empty(N),
-    }
-    if use_z2:
-        cols["z2"] = np.empty((N, m))
-    if record_robust:
-        cols["Hbar_u"] = np.empty(N)
-        cols["Hbar_a"] = np.empty(N)
-    return cols
-
-
 def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
-                        disturbance, det_tol: float, hold: SimpleNamespace,
-                        cols: dict, use_z2: bool, record_robust: bool):
+                        disturbance, det_tol: float, use_z2: bool):
     s, m = sys.s, sys.m
     n = sys.n
     robust = gains.mode == "robust_A8"
@@ -118,9 +104,8 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
     maa_inv = sys.maa_inv
     eye_m = np.eye(m)
     s_a = sys.affine_Va[0] if sys.affine_Va is not None else None
-    c0 = sys.affine_Va[1] if sys.affine_Va is not None else 0.0
 
-    def eval_rhs(t: float, xv: Array, record_k: Optional[int] = None) -> Array:
+    def eval_rhs(t: float, xv: Array) -> Array:
         q_u = xv[:s]
         q_a = xv[s: s + m]
         qd_u = xv[s + m: 2 * s + m]
@@ -146,20 +131,14 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
         y_d = k_a * y_a + k_u * y_u
         muu_s = muu - mau.T @ maa_inv @ mau
 
-        need_K = controller == "exact" or record_k is not None
-        detK = np.nan
-        K = None
-        if need_K:
+        if controller == "exact":
             K = k_e * eye_m + k_a * K_D @ maa_inv
             if has_kd:
                 w = np.linalg.solve(muu_s, mau.T @ maa_inv)
                 K = K + k_u * K_D @ maa_inv @ mau @ w
             detK = float(np.linalg.det(K))
-
-        if controller == "exact":
             if abs(detK) < det_tol:
                 raise WellPosednessError(q_u, detK, t)
-            hold.min_abs_det = min(hold.min_abs_det, abs(detK))
             if has_kd:
                 inner = np.linalg.solve(
                     muu_s, mau.T @ (maa_inv @ act_row) - (cmu_qdu + dmu + gradVu))
@@ -183,11 +162,7 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
             np.asarray(disturbance(t), dtype=float).reshape(m)
         tau = u + d if robust else u + d + gradVa
 
-        M = np.empty((n, n))
-        M[:s, :s] = muu
-        M[:s, s:] = mau.T
-        M[s:, :s] = mau
-        M[s:, s:] = maa
+        M = _block2x2(muu, mau.T, mau, maa)
         force = np.empty(n)
         force[:s] = -(cmu_qdu + dmu + gradVu)
         force[s:] = tau - act_row - gradVa
@@ -200,62 +175,13 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
         if use_z2:
             xdot[2 * n + m:] = z2dot
 
-        if record_k is not None:
-            k = record_k
-            qd = xv[n: 2 * n]
-            Vu = sys.Vu(q_u)
-            H_u = 0.5 * qd_u @ (muu_s @ qd_u) + Vu
-            Htot = 0.5 * qd @ (M @ qd) + Vu
-            top = mau.T @ maa_inv @ mau
-            H_a = 0.5 * (qd_u @ (top @ qd_u)) + qd_u @ (mau.T @ qd_a) \
-                + 0.5 * (qd_a @ (maa @ qd_a))
-            vn = potential_integral_VN(sys, q_u)
-            z1c = k_a * q_a + (k_a - k_u) * vn + hold.kappa
-            if record_robust:
-                V0 = float(s_a @ vn) + c0
-                Hbar_u = H_u - V0
-                Hbar_a = H_a + sys.Va(q_a) + V0
-                cols["Hbar_u"][k] = Hbar_u
-                cols["Hbar_a"][k] = Hbar_a
-            if robust:
-                store_u, store_a = Hbar_u, Hbar_a
-            else:
-                store_u, store_a = H_u, H_a
-            U = k_e * (k_a * store_a + k_u * store_u) \
-                + 0.5 * y_d @ (K_D @ y_d) + 0.5 * z1v @ (K_I @ z1v)
-            v = k_a * (q_a - hold.q_a_star) + (k_a - k_u) * (vn - hold.vn_star)
-            Vd = k_e * k_u * Vu + 0.5 * float(v @ (K_I @ v))
-            Md = analysis.desired_inertia_Md(sys, gains, q_u)
-            H_d = 0.5 * float(qd @ (Md @ qd)) + Vd
-            cols["t"][k] = t
-            cols["q_u"][k] = q_u
-            cols["q_a"][k] = q_a
-            cols["qd_u"][k] = qd_u
-            cols["qd_a"][k] = qd_a
-            cols["z1"][k] = z1v
-            cols["z1_closed"][k] = z1c
-            cols["u"][k] = u
-            cols["tau"][k] = tau
-            cols["d"][k] = d
-            cols["y_u"][k] = y_u
-            cols["y_a"][k] = y_a
-            cols["y_d"][k] = y_d
-            cols["H_u"][k] = H_u
-            cols["H_a"][k] = H_a
-            cols["H"][k] = Htot
-            cols["H_d"][k] = H_d
-            cols["U"][k] = U
-            cols["detK"][k] = detK
-            if use_z2:
-                cols["z2"][k] = z2v
         return xdot
 
     return eval_rhs
 
 
 def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
-                       disturbance, det_tol: float, hold: SimpleNamespace,
-                       cols: dict, use_z2: bool, record_robust: bool):
+                       disturbance, det_tol: float, use_z2: bool):
     """Float-only evaluation for s = m = 1; formula-identical to the generic
     path."""
     robust = gains.mode == "robust_A8"
@@ -266,27 +192,22 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
     has_kd = KD != 0.0
     maa = float(sys.maa[0, 0])
     s_a = float(sys.affine_Va[0][0]) if sys.affine_Va is not None else 0.0
-    c0 = float(sys.affine_Va[1]) if sys.affine_Va is not None else 0.0
     muu_fn, mau_fn = sys.muu_fn, sys.mau_fn
-    gradVu_fn, gradVa_fn, Vu_fn, Va_fn = sys.gradVu_fn, sys.gradVa_fn, sys.Vu_fn, sys.Va_fn
-    vn_fn = sys.VN_fn
+    dmuu_fn = sys.muu_jac or (lambda q: muu_gradient(sys, q))
+    dmau_fn = sys.mau_jac or (lambda q: mau_gradient(sys, q))
+    gradVu_fn, gradVa_fn = sys.gradVu_fn, sys.gradVa_fn
     qbuf_u = np.empty(1)
     qbuf_a = np.empty(1)
 
-    def vn_value(q_u_arr) -> float:
-        if vn_fn is not None:
-            return float(np.asarray(vn_fn(q_u_arr)).reshape(-1)[0])
-        return float(potential_integral_VN(sys, q_u_arr)[0])
-
-    def eval_rhs(t: float, xv: Array, record_k: Optional[int] = None) -> Array:
+    def eval_rhs(t: float, xv: Array) -> Array:
         q_u, q_a, qd_u, qd_a, z1 = xv[0], xv[1], xv[2], xv[3], xv[4]
         z2 = xv[5] if use_z2 else 0.0
         qbuf_u[0] = q_u
         qbuf_a[0] = q_a
         muu = float(np.asarray(muu_fn(qbuf_u)).reshape(-1)[0])
         mau = float(np.asarray(mau_fn(qbuf_u)).reshape(-1)[0])
-        dmuu = float(muu_gradient(sys, qbuf_u).reshape(-1)[0])
-        dmau = float(mau_gradient(sys, qbuf_u).reshape(-1)[0])
+        dmuu = float(np.asarray(dmuu_fn(qbuf_u)).reshape(-1)[0])
+        dmau = float(np.asarray(dmau_fn(qbuf_u)).reshape(-1)[0])
         gradVu = float(np.asarray(gradVu_fn(qbuf_u)).reshape(-1)[0])
         gradVa = float(np.asarray(gradVa_fn(qbuf_a)).reshape(-1)[0])
 
@@ -298,19 +219,12 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
         y_d = k_a * y_a + k_u * y_u
         muu_s = muu - mau * mau / maa
 
-        need_K = controller == "exact" or record_k is not None
-        detK = float("nan")
-        if need_K:
+        if controller == "exact":
             K = k_e + k_a * KD / maa
             if has_kd:
                 K += k_u * KD * mau * mau / (maa * maa * muu_s)
-            detK = K
-
-        if controller == "exact":
-            if abs(detK) < det_tol:
-                raise WellPosednessError(np.array([q_u]), detK, t)
-            if abs(detK) < hold.min_abs_det:
-                hold.min_abs_det = abs(detK)
+            if abs(K) < det_tol:
+                raise WellPosednessError(np.array([q_u]), K, t)
             if has_kd:
                 inner = (mau * act_row / maa - (cmu_qdu + dmu + gradVu)) / muu_s
                 S = -k_u * KD * (act_row + mau * inner) / maa
@@ -342,59 +256,74 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
         if use_z2:
             xdot[5] = gains.filter_b * (y_d - z2)
 
-        if record_k is not None:
-            k = record_k
-            Vu = float(Vu_fn(qbuf_u))
-            H_u = 0.5 * muu_s * qd_u * qd_u + Vu
-            top = mau * mau / maa
-            H_a = 0.5 * top * qd_u * qd_u + mau * qd_u * qd_a + 0.5 * maa * qd_a * qd_a
-            Htot = 0.5 * (muu * qd_u * qd_u + 2.0 * mau * qd_u * qd_a
-                          + maa * qd_a * qd_a) + Vu
-            vn = vn_value(qbuf_u)
-            z1c = k_a * q_a + (k_a - k_u) * vn + hold.kappa_f
-            if record_robust:
-                V0 = s_a * vn + c0
-                Hbar_u = H_u - V0
-                Hbar_a = H_a + float(Va_fn(qbuf_a)) + V0
-                cols["Hbar_u"][k] = Hbar_u
-                cols["Hbar_a"][k] = Hbar_a
-            if robust:
-                store_u, store_a = Hbar_u, Hbar_a
-            else:
-                store_u, store_a = H_u, H_a
-            U = k_e * (k_a * store_a + k_u * store_u) + 0.5 * KD * y_d * y_d \
-                + 0.5 * KI * z1 * z1
-            v = k_a * (q_a - hold.q_a_star_f) + (k_a - k_u) * (vn - hold.vn_star_f)
-            Vd = k_e * k_u * Vu + 0.5 * KI * v * v
-            A = k_e * k_u * muu_s + k_e * k_a * top + (k_a - k_u) ** 2 * top * KD / maa
-            off = k_e * k_a * mau + k_a * (k_a - k_u) * KD * mau / maa
-            dd = k_e * k_a * maa + k_a * k_a * KD
-            H_d = 0.5 * (A * qd_u * qd_u + 2.0 * off * qd_u * qd_a
-                         + dd * qd_a * qd_a) + Vd
-            cols["t"][k] = t
-            cols["q_u"][k, 0] = q_u
-            cols["q_a"][k, 0] = q_a
-            cols["qd_u"][k, 0] = qd_u
-            cols["qd_a"][k, 0] = qd_a
-            cols["z1"][k, 0] = z1
-            cols["z1_closed"][k, 0] = z1c
-            cols["u"][k, 0] = u
-            cols["tau"][k, 0] = tau
-            cols["d"][k, 0] = d
-            cols["y_u"][k, 0] = y_u
-            cols["y_a"][k, 0] = y_a
-            cols["y_d"][k, 0] = y_d
-            cols["H_u"][k] = H_u
-            cols["H_a"][k] = H_a
-            cols["H"][k] = Htot
-            cols["H_d"][k] = H_d
-            cols["U"][k] = U
-            cols["detK"][k] = detK
-            if use_z2:
-                cols["z2"][k, 0] = z2
         return xdot
 
     return eval_rhs
+
+
+def _rk4(rhs: Callable[[float, Array], Array], X: Array, k0: int, k1: int, dt: float) -> None:
+    """Classical RK4 steps from row ``k0`` to row ``k1`` of ``X`` in place.
+
+    Raises :class:`SimulationAborted` as soon as a new state is not finite.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+    # divergence is detected by the explicit finiteness check, so the
+    # transient inf/nan arithmetic on the way there stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = X[k0]
+        for k in range(k0, k1):
+            t = k * dt
+            r1 = rhs(t, x)
+            r2 = rhs(t + half, x + half * r1)
+            r3 = rhs(t + half, x + half * r2)
+            r4 = rhs(t + dt, x + dt * r3)
+            x = X[k + 1] = x + sixth * (r1 + 2.0 * (r2 + r3) + r4)
+            if not np.all(np.isfinite(x)):
+                raise SimulationAborted(f"state became non-finite at t={t + dt:.6g}s")
+
+
+def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, disturbance,
+              segments: list, use_z2: bool) -> dict:
+    """Every trace column from the integrated states, in one pass over all
+    samples through the reference functions.
+
+    ``segments`` holds ``(first sample, gains, kappa)`` per setpoint segment;
+    a segment runs up to the first sample of the next one.
+    """
+    s, m, n = sys.s, sys.m, sys.n
+    N = X.shape[0]
+    gains = segments[0][1]
+    t = np.arange(N) * dt
+    st = State(X[:, :s], X[:, s:n], X[:, n:n + s], X[:, n + s:2 * n])
+    z1 = X[:, 2 * n:2 * n + m]
+    z2 = X[:, 2 * n + m:] if use_z2 else None
+    d = np.zeros((N, m)) if disturbance is None else \
+        np.array([np.asarray(disturbance(tk), dtype=float).reshape(m) for tk in t])
+    cols = dict(t=t, q_u=st.q_u, q_a=st.q_a, qd_u=st.qd_u, qd_a=st.qd_a, z1=z1, z2=z2, d=d)
+    with shared_samples(st.q_u, st.q_a):
+        cs = ControllerState(z1, z2)
+        if controller == "exact":
+            # the integration already stopped at any sample below det_tol
+            u = exact_control(sys, gains, st, cs, det_tol=0.0)
+        elif controller == "approx":
+            u = approx_control(sys, gains, st, cs)[0]
+        else:
+            u = pi_control(sys, gains, st, cs)
+        out = passive_outputs(sys, st, gains)
+        cols["H_u"], cols["H_a"], cols["H"] = storage_functions(sys, st)
+        if sys.affine_Va is not None:
+            cols["Hbar_u"], cols["Hbar_a"] = robust_storage(sys, st)
+        # a setpoint step changes only the target, which enters z1_closed and H_d
+        cols["z1_closed"], cols["H_d"] = np.empty((N, m)), np.empty(N)
+        for (k0, g, kappa), (k1, _, _) in zip(segments, segments[1:] + [(N, None, None)]):
+            cols["z1_closed"][k0:k1] = closed_form_z1(sys, g, st, kappa)[k0:k1]
+            cols["H_d"][k0:k1] = lyapunov_Hd_and_U(sys, g).H_d(st)[k0:k1]
+        cols.update(
+            u=u, tau=plant_input(sys, gains, u + d, st.q_a),
+            y_u=out.y_u, y_a=out.y_a, y_d=out.y_d,
+            U=lyapunov_Hd_and_U(sys, gains).U(st, z1),
+            detK=np.linalg.det(wellposedness_matrix_K(sys, gains, st.q_u)))
+    return cols
 
 
 def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: float,
@@ -410,7 +339,9 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     ``controller`` selects the implicit law (``"exact"``), the filtered
     approximation (``"approx"``) or the PI simplification (``"pi"``).  The
     external signal ``disturbance`` is added to the controller output at the
-    plant input junction; the controller never sees it.  Unless ``z1_0`` is
+    plant input junction; the controller never sees it.  It must be a
+    function of time alone, since the ``d`` column evaluates it again at the
+    sample times after the integration.  Unless ``z1_0`` is
     given, the integrator starts at the equilibrium-assigning value for the
     initial target (plus the holding correction when
     ``robust_equilibrium_init`` is set in the no-cancellation mode).
@@ -432,46 +363,25 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
         raise ValueError("robust_equilibrium_init applies to robust_A8 mode only")
 
     cur_gains = gains
+    init = robust_integrator_init if robust_equilibrium_init else integrator_init
     if z1_0 is None:
-        if robust_equilibrium_init:
-            z1, kappa = robust_integrator_init(sys, cur_gains, q0)
-        else:
-            z1, kappa = integrator_init(sys, cur_gains, q0)
+        z1, kappa = init(sys, cur_gains, q0)
     else:
         z1 = np.asarray(z1_0, dtype=float).reshape(m)
-        kappa = z1 - gains.k_a * q0[s:] \
-            - (gains.k_a - gains.k_u) * potential_integral_VN(sys, q0[:s])
+        kappa = z1 - closed_form_z1(sys, gains, State.from_vectors(q0, qd0, s), np.zeros(m))
 
     use_z2 = controller == "approx"
     x = np.concatenate([q0, qd0, z1, np.zeros(m) if use_z2 else np.zeros(0)])
     if use_z2:
         # start the derivative filter on the current output to avoid a kick
-        st0 = State(q0[:s], q0[s:], qd0[:s], qd0[s:])
-        from .passivity import passive_outputs
-        x[2 * n + m:] = passive_outputs(sys, st0, gains).y_d
+        x[2 * n + m:] = passive_outputs(sys, State.from_vectors(q0, qd0, s), gains).y_d
 
-    N = n_steps + 1
-    record_robust = sys.affine_Va is not None
     if robust and sys.affine_Va is None:
         raise ValueError("robust_A8 mode requires affine actuated-potential data")
-    cols = _trace_columns(N, s, m, use_z2, record_robust)
-
-    hold = SimpleNamespace(min_abs_det=float("inf"))
-
-    def refresh_hold():
-        hold.kappa = kappa
-        hold.q_a_star = cur_gains.q_a_star
-        hold.vn_star = potential_integral_VN(sys, cur_gains.q_u_star)
-        hold.kappa_f = float(np.asarray(kappa).reshape(-1)[0])
-        hold.q_a_star_f = float(cur_gains.q_a_star[0])
-        hold.vn_star_f = float(hold.vn_star[0])
-
-    refresh_hold()
 
     scalar = (s == 1 and m == 1) and not force_generic
     builder = _build_eval_scalar if scalar else _build_eval_generic
-    eval_rhs = builder(sys, gains, controller, disturbance, det_tol, hold,
-                       cols, use_z2, record_robust)
+    eval_rhs = builder(sys, gains, controller, disturbance, det_tol, use_z2)
 
     steps = sorted((sp for sp in setpoints if sp.t <= t_end * (1 + 1e-12)),
                    key=lambda sp: sp.t)
@@ -482,42 +392,32 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
             raise ValueError(f"setpoint time {sp.t} is not on the integration grid")
         switch_idx[k] = sp
 
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    X = np.empty((n_steps + 1, x.size))
+    X[0] = x
+    segments = []
+    k0 = 0
     try:
-        # divergence is detected by the explicit finiteness check, so the
-        # transient inf/nan arithmetic on the way there stays silent
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n_steps):
-                t = k * dt
-                k1 = eval_rhs(t, x, record_k=k)
-                k2 = eval_rhs(t + half, x + half * k1)
-                k3 = eval_rhs(t + half, x + half * k2)
-                k4 = eval_rhs(t + dt, x + dt * k3)
-                x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                if not np.all(np.isfinite(x)):
-                    raise SimulationAborted(f"state became non-finite at t={t + dt:.6g}s")
-                if (k + 1) in switch_idx:
-                    sp = switch_idx[k + 1]
-                    cur_gains = cur_gains.with_target(q_u_star=sp.q_u_star,
-                                                      q_a_star=sp.q_a_star)
-                    if robust_equilibrium_init:
-                        z1_new, kappa = robust_integrator_init(sys, cur_gains, x[:n])
-                    else:
-                        z1_new, kappa = integrator_init(sys, cur_gains, x[:n])
-                    x[2 * n: 2 * n + m] = z1_new
-                    refresh_hold()
-        eval_rhs(n_steps * dt, x, record_k=n_steps)
+        for k1, sp in sorted(switch_idx.items()) + [(n_steps, None)]:
+            segments.append((k0, cur_gains, kappa))
+            _rk4(eval_rhs, X, k0, k1, dt)
+            if sp is not None:
+                cur_gains = cur_gains.with_target(q_u_star=sp.q_u_star, q_a_star=sp.q_a_star)
+                X[k1, 2 * n: 2 * n + m], kappa = init(sys, cur_gains, X[k1, :n])
+            k0 = k1
+        # the singularity guard also covers the last sample
+        eval_rhs(n_steps * dt, X[-1])
     except WellPosednessError as exc:
         raise SimulationAborted(
             f"well-posedness matrix singular at t={exc.t:.6g}s, q_u={exc.q_u}"
         ) from exc
 
+    cols = _diagnose(sys, X, dt, controller, disturbance, segments, use_z2)
     return Trace(
         **cols,
         dt=dt, controller=controller, system=sys, gains=gains,
         switch_times=tuple(sp.t for sp in steps),
-        min_abs_detK=hold.min_abs_det if hold.min_abs_det < float("inf") else float("nan"),
+        min_abs_detK=float(np.abs(cols["detK"]).min()) if controller == "exact"
+        else float("nan"),
     )
 
 
@@ -527,42 +427,24 @@ def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float,
 
     Returns time, positions, velocities and the total energy, which is
     conserved for the unforced plant and serves as the integrator audit.
+    Raises :class:`SimulationAborted` when the state stops being finite.
     """
-    from .mechanics import assemble_inertia, forward_dynamics
-    s = sys.s
-    q0 = np.asarray(q0, dtype=float).reshape(sys.n)
-    qd0 = np.asarray(qd0, dtype=float).reshape(sys.n)
+    s, n = sys.s, sys.n
     n_steps = int(round(t_end / dt))
-    x = np.concatenate([q0, qd0])
 
     def rhs(t, xv):
-        st = State.from_vectors(xv[: sys.n], xv[sys.n:], s)
+        st = State.from_vectors(xv[:n], xv[n:], s)
         tau = np.zeros(sys.m) if tau_fn is None else np.asarray(tau_fn(t), dtype=float)
         return np.concatenate([st.qd, forward_dynamics(sys, st, tau)])
 
-    N = n_steps + 1
-    out = {"t": np.empty(N), "q": np.empty((N, sys.n)), "qd": np.empty((N, sys.n)),
-           "energy": np.empty(N)}
-
-    def record(k, t, xv):
-        q, qd = xv[: sys.n], xv[sys.n:]
-        M = assemble_inertia(sys, q[:s])
-        out["t"][k] = t
-        out["q"][k] = q
-        out["qd"][k] = qd
-        out["energy"][k] = 0.5 * qd @ (M @ qd) + sys.Vu(q[:s]) + sys.Va(q[s:])
-
-    half, sixth = 0.5 * dt, dt / 6.0
-    for k in range(n_steps):
-        t = k * dt
-        record(k, t, x)
-        k1 = rhs(t, x)
-        k2 = rhs(t + half, x + half * k1)
-        k3 = rhs(t + half, x + half * k2)
-        k4 = rhs(t + dt, x + dt * k3)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-    record(n_steps, n_steps * dt, x)
-    return out
+    X = np.empty((n_steps + 1, 2 * n))
+    X[0, :n] = np.asarray(q0, dtype=float).reshape(n)
+    X[0, n:] = np.asarray(qd0, dtype=float).reshape(n)
+    _rk4(rhs, X, 0, n_steps, dt)
+    q, qd = X[:, :n], X[:, n:]
+    energy = 0.5 * _quad(qd, assemble_inertia(sys, q[:, :s])) \
+        + sys.Vu(q[:, :s]) + sys.Va(q[:, s:])
+    return {"t": np.arange(n_steps + 1) * dt, "q": q, "qd": qd, "energy": energy}
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,15 @@ def test_shaped_energy_identity(cart, gains_cancel):
     assert abs(lyap.H_d(st0) - lyap.V_d(np.zeros(2))) < 1e-14
 
 
+def test_lyapunov_U_matches_robust_trace_column(cart, gains_robust):
+    # in robust_A8 mode U weights the shifted storage pair Hbar_u, Hbar_a
+    tr = simulate(cart, gains_robust, [0.25, -0.3], [0.0, 0.0], t_end=1.0, dt=1e-3)
+    lyap = lyapunov_Hd_and_U(cart, gains_robust)
+    scale = np.abs(tr.U).max()
+    for k in range(0, tr.n_samples, 50):
+        assert abs(lyap.U(tr.state_at(k), tr.z1[k]) - tr.U[k]) <= 1e-9 * scale, k
+
+
 def test_shaped_energy_dissipation_along_trace(cart, gains_cancel):
     tr = simulate(cart, gains_cancel, [0.3, -0.2], [0.0, 0.0], t_end=2.0, dt=1e-4)
     diss = tr.y_d[:, 0] ** 2 * gains_cancel.K_P[0, 0]

@@ -29,6 +29,13 @@ def closed_form_K(q_u, k_e, k_a, k_u, K_D):
     return k_e + k_a * K_D / TOTAL + k_u * K_D * N
 
 
+def test_gain_sign_warning_names_the_caller():
+    with pytest.warns(GainSignWarning) as record:
+        Gains(k_e=5.0, k_a=50.0, k_u=-500.0, K_P=1.0, K_I=2.0, K_D=0.1,
+              q_u_star=[0.0], q_a_star=[0.0])
+    assert record[0].filename == __file__
+
+
 def test_gain_validation():
     with pytest.raises(ValueError):
         bench_gains(k_e=0.0)

@@ -107,6 +107,8 @@ def test_summary_recomputable_from_csv(tmp_path):
     resid = np.abs(dU[1:-1] + KP * cols["y_d0"][1:-1] ** 2).max() \
         / (KP * cols["y_d0"] ** 2).max()
     assert abs(resid - summary["lyapunov_residual"]) < 1e-12
+    # the exact law's min |det K| is taken over the recorded samples
+    assert summary["min_abs_detK"] == np.abs(cols["detK"]).min()
 
 
 def test_simulate_singularity_exit_code(tmp_path):
