@@ -19,12 +19,15 @@ from .mechanics import (Array, MechanicalSystem, State, _T, _block2x2, _points, 
                         assemble_inertia)
 from .passivity import (coupling_row_asymmetry, passive_outputs, potential_integral_VN,
                         robust_storage, schur_unactuated, storage_functions)
-from .controller import Gains, wellposedness_matrix_K
+from .controller import DET_TOL, Gains, wellposedness_matrix_K
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_SAMPLED = "sampled-pass"
 STATUS_NA = "not-applicable"
+
+A7_GRAD_TOL = 1e-6  # largest |grad V_d(q*)| check_A7 accepts
+FD_STEP = 1e-5  # step of fd_gradient and fd_hessian
 
 ASSUMPTION_NAMES = {
     "A1": "constant input matrix [0; I]",
@@ -167,7 +170,7 @@ def check_assumptions(sys: MechanicalSystem, sample_box, n_samples: int = 400,
     return report
 
 
-def scan_A5(sys: MechanicalSystem, gains: Gains, q_u_grid, *, det_tol: float = 1e-10) -> dict:
+def scan_A5(sys: MechanicalSystem, gains: Gains, q_u_grid) -> dict:
     """Determinant of the well-posedness matrix over a grid of ``q_u``.
 
     Reports the minimum magnitude, its location, and whether the determinant
@@ -178,7 +181,7 @@ def scan_A5(sys: MechanicalSystem, gains: Gains, q_u_grid, *, det_tol: float = 1
     dets = np.linalg.det(wellposedness_matrix_K(sys, gains, grid))
     k = int(np.argmin(np.abs(dets)))
     crossing = bool(np.any(np.sign(dets[:-1]) * np.sign(dets[1:]) < 0))
-    ok = (not crossing) and abs(dets[k]) > det_tol
+    ok = (not crossing) and abs(dets[k]) > DET_TOL
     return {"pass": ok, "min_abs_det": float(np.abs(dets[k])), "witness": grid[k],
             "sign_change": crossing, "dets": dets}
 
@@ -216,9 +219,7 @@ def _shaped_potential(sys: MechanicalSystem, gains: Gains, q_u: Array, q_a: Arra
 
 def desired_potential_Vd(sys: MechanicalSystem, gains: Gains, q: Array):
     """Shaped potential with its critical point at the target position."""
-    q = _points(q, sys.n)
-    return _shaped_potential(sys, gains, q[..., : sys.s], q[..., sys.s:],
-                             potential_integral_VN(sys, gains.q_u_star))
+    return lyapunov_Hd_and_U(sys, gains).V_d(q)
 
 
 @dataclass(frozen=True)
@@ -229,11 +230,11 @@ class LyapunovData:
     gains: Gains
     vn_star: Array
 
-    def M_d(self, q_u: Array) -> Array:
-        return desired_inertia_Md(self.sys, self.gains, q_u)
-
-    def V_d(self, q: Array) -> float:
-        return desired_potential_Vd(self.sys, self.gains, q)
+    def V_d(self, q: Array):
+        """Shaped potential at ``q``, with the stored ``V_N(q_u*)``."""
+        q = _points(q, self.sys.n)
+        return _shaped_potential(self.sys, self.gains, q[..., : self.sys.s],
+                                 q[..., self.sys.s:], self.vn_star)
 
     def H_d(self, st: State):
         """``qd^T M_d qd / 2 + V_d``."""
@@ -271,28 +272,27 @@ def lyapunov_Hd_and_U(sys: MechanicalSystem, gains: Gains) -> LyapunovData:
 # Finite differences for the shaped-potential certificates
 # ---------------------------------------------------------------------------
 
-def fd_gradient(fn: Callable[[Array], float], x: Array, h: float = 1e-5) -> Array:
+def fd_gradient(fn: Callable[[Array], float], x: Array) -> Array:
     """Fourth-order central-difference gradient."""
     x = np.asarray(x, dtype=float)
     out = np.empty(x.size)
     for k in range(x.size):
         e = np.zeros(x.size)
-        e[k] = h
-        out[k] = (-fn(x + 2 * e) + 8 * fn(x + e) - 8 * fn(x - e) + fn(x - 2 * e)) / (12 * h)
+        e[k] = FD_STEP
+        out[k] = (-fn(x + 2 * e) + 8 * fn(x + e) - 8 * fn(x - e) + fn(x - 2 * e)) / (12 * FD_STEP)
     return out
 
 
-def fd_hessian(fn: Callable[[Array], float], x: Array, h: float = 1e-5) -> Array:
+def fd_hessian(fn: Callable[[Array], float], x: Array) -> Array:
     """Hessian from fourth-order differences of the gradient."""
     x = np.asarray(x, dtype=float)
     n = x.size
     H = np.empty((n, n))
     for k in range(n):
         e = np.zeros(n)
-        e[k] = h
-        col = (-fd_gradient(fn, x + 2 * e, h) + 8 * fd_gradient(fn, x + e, h)
-               - 8 * fd_gradient(fn, x - e, h) + fd_gradient(fn, x - 2 * e, h)) / (12 * h)
-        H[:, k] = col
+        e[k] = FD_STEP
+        H[:, k] = (-fd_gradient(fn, x + 2 * e) + 8 * fd_gradient(fn, x + e)
+                   - 8 * fd_gradient(fn, x - e) + fd_gradient(fn, x - 2 * e)) / (12 * FD_STEP)
     return 0.5 * (H + H.T)
 
 
@@ -308,16 +308,16 @@ class A7Result:
                  "grid points and at the target only, not globally")
 
 
-def check_A7(sys: MechanicalSystem, gains: Gains, q_u_grid, *, grad_tol: float = 1e-6) -> A7Result:
+def check_A7(sys: MechanicalSystem, gains: Gains, q_u_grid) -> A7Result:
     """Gain admissibility: shaped inertia positive definite on the grid and
     shaped potential with a verified isolated minimum at the target."""
     grid = np.atleast_2d(np.asarray(q_u_grid, dtype=float).reshape(-1, sys.s))
     profile = np.linalg.eigvalsh(desired_inertia_Md(sys, gains, grid)).min(axis=-1)
-    Vd = lambda q: desired_potential_Vd(sys, gains, q)
+    Vd = lyapunov_Hd_and_U(sys, gains).V_d
     grad = fd_gradient(Vd, gains.q_star)
     hess = fd_hessian(Vd, gains.q_star)
     hess_eigs = np.linalg.eigvalsh(hess)
-    passed = bool(profile.min() > 0.0 and np.linalg.norm(grad) <= grad_tol
+    passed = bool(profile.min() > 0.0 and np.linalg.norm(grad) <= A7_GRAD_TOL
                   and hess_eigs.min() > 0.0)
     return A7Result(passed=passed, min_eig_profile=profile, grid=grid,
                     grad_norm=float(np.linalg.norm(grad)), hessian=hess,

@@ -136,20 +136,30 @@ def _summarize(sc: scn.Scenario, trace: sim.Trace) -> dict:
     return summary
 
 
-def cmd_simulate(args) -> int:
-    sc = _load(args)
-    out = _outdir(args)
+def _simulate_and_write(sc: scn.Scenario, out: Path, extra: dict):
+    """Run the scenario, write the trace, its column map and the summary
+    plus ``extra``; ``(trace, summary)``, or ``None`` after an abort."""
     try:
         trace = sim.simulate(sc.system, sc.gains, sc.q0, sc.qd0, sc.t_end, sc.dt,
                              controller=sc.controller, disturbance=sc.disturbance,
                              setpoints=sc.setpoints)
     except SimulationAborted as exc:
         print(f"simulation aborted: {exc}", file=_stdsys.stderr)
-        return EXIT_SINGULARITY
+        return None
     sim.write_trace_csv(trace, out / "trace.csv")
     sim.write_column_map(trace, out / "trace.columns")
-    summary = _summarize(sc, trace)
+    summary = {**_summarize(sc, trace), **extra}
     _write_json(out / "summary.json", summary)
+    return trace, summary
+
+
+def cmd_simulate(args) -> int:
+    sc = _load(args)
+    out = _outdir(args)
+    run = _simulate_and_write(sc, out, {})
+    if run is None:
+        return EXIT_SINGULARITY
+    trace, summary = run
     print(f"wrote {out / 'trace.csv'} ({trace.n_samples} samples)")
     print(json.dumps({k: summary[k] for k in
                       ("converged", "settle_time", "peak_abs_u", "min_abs_detK",
@@ -240,30 +250,29 @@ def cmd_reproduce(args) -> int:
     if not checks_ok:
         failures.append("assumption/gain checks failed on the scenario gate grid")
 
-    try:
-        trace = sim.simulate(sc.system, sc.gains, sc.q0, sc.qd0, sc.t_end, sc.dt,
-                             controller=sc.controller, disturbance=sc.disturbance,
-                             setpoints=sc.setpoints)
-    except SimulationAborted as exc:
-        print(f"simulation aborted: {exc}", file=_stdsys.stderr)
-        return EXIT_SINGULARITY
-    sim.write_trace_csv(trace, out / "trace.csv")
-    sim.write_column_map(trace, out / "trace.columns")
-    summary = _summarize(sc, trace)
-    _write_json(out / "summary.json", summary)
-
-    if name.startswith("cart_pendulum"):
+    cart = name.startswith("cart_pendulum")
+    if cart:
         # informational: the shaped-inertia certificate on a symmetric grid
         # about the upright position; for the bundled gains it is known to
         # fail near the lower edge even though the run itself converges
         a7_sym = analysis.check_A7(sc.system, sc.gains,
                                    np.linspace(-np.pi / 3, np.pi / 3, 121).reshape(-1, 1))
-        summary["a7_symmetric_grid"] = {
+        extra = {"a7_symmetric_grid": {
             "pass": a7_sym.passed,
             "min_eig_Md": float(a7_sym.min_eig_profile.min()),
             "note": "informational; the gating certificate uses the scenario gate grid",
-        }
-        _write_json(out / "summary.json", summary)
+        }}
+    else:
+        lcl = analysis.linear_closed_loop(sc.system, sc.gains)
+        extra = {"hurwitz": lcl.hurwitz, "max_real": lcl.max_real}
+        if not lcl.hurwitz:
+            failures.append("closed-loop determinant polynomial is not Hurwitz")
+    run = _simulate_and_write(sc, out, extra)
+    if run is None:
+        return EXIT_SINGULARITY
+    trace, summary = run
+
+    if cart:
         k5 = int(round(5.0 / trace.dt))
         q = np.hstack([trace.q_u, trace.q_a])
         qd = np.hstack([trace.qd_u, trace.qd_a])
@@ -278,12 +287,6 @@ def cmd_reproduce(args) -> int:
         if not trace.min_abs_detK > 0:
             failures.append("well-posedness monitor saw a singular point")
     else:
-        lcl = analysis.linear_closed_loop(sc.system, sc.gains)
-        summary["hurwitz"] = lcl.hurwitz
-        summary["max_real"] = lcl.max_real
-        _write_json(out / "summary.json", summary)
-        if not lcl.hurwitz:
-            failures.append("closed-loop determinant polynomial is not Hurwitz")
         conv = sim.detect_convergence(trace, sc.final_target, 0.01, 0.01, window=1.0)
         if not conv["converged"]:
             failures.append("linear closed loop did not converge")

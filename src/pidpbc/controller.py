@@ -31,6 +31,8 @@ from .mechanics import (Array, MechanicalSystem, State, _T, _mv, _points, _solve
 from .passivity import passive_outputs, potential_integral_VN, schur_unactuated
 
 MODES = ("cancel_Va", "robust_A8")
+CRIT_TOL = 1e-8  # largest |grad V_u(q_u*)| of an assignable target
+DET_TOL = 1e-10  # default singularity threshold on |det K|
 
 
 class GainSignWarning(UserWarning):
@@ -191,7 +193,7 @@ def feedforward_S(sys: MechanicalSystem, gains: Gains, st: State) -> Array:
 
 
 def exact_control(sys: MechanicalSystem, gains: Gains, st: State, cs: ControllerState,
-                  *, det_tol: float = 1e-10, t: Optional[float] = None) -> Array:
+                  *, det_tol: float = DET_TOL, t: Optional[float] = None) -> Array:
     """Controller output of the implicit PID law.
 
     Solves ``K(q_u) u = -K_P y_d - K_I z1 - S(q, qd)``.  Feeding the result
@@ -231,8 +233,7 @@ def pi_control(sys: MechanicalSystem, gains: Gains, st: State, cs: ControllerSta
     return -(_mv(gains.K_P, out.y_d) + _mv(gains.K_I, cs.z1)) / gains.k_e
 
 
-def integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array,
-                    *, crit_tol: float = 1e-8) -> tuple[Array, Array]:
+def integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array) -> tuple[Array, Array]:
     """Integrator initialization that assigns the target equilibrium.
 
     Returns ``(z1_0, kappa)`` where
@@ -247,7 +248,7 @@ def integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array,
     q0 = np.asarray(q0, dtype=float).reshape(sys.n)
     q_u0, q_a0 = q0[: sys.s], q0[sys.s:]
     grad = sys.gradVu(gains.q_u_star)
-    if np.linalg.norm(grad) > crit_tol:
+    if np.linalg.norm(grad) > CRIT_TOL:
         raise ValueError(
             f"target q_u*={gains.q_u_star} is not a critical point of the "
             f"unactuated potential (|grad|={np.linalg.norm(grad):.3e})")
@@ -258,8 +259,7 @@ def integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array,
     return z1_0, kappa
 
 
-def robust_integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array,
-                           *, crit_tol: float = 1e-8) -> tuple[Array, Array]:
+def robust_integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array) -> tuple[Array, Array]:
     """Integrator initialization for the no-cancellation mode.
 
     Without the actuated-potential cancellation, holding the plant at rest
@@ -269,7 +269,7 @@ def robust_integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array,
     """
     if sys.affine_Va is None:
         raise ValueError("robust initialization requires affine actuated-potential data")
-    z1_0, kappa = integrator_init(sys, gains, q0, crit_tol=crit_tol)
+    z1_0, kappa = integrator_init(sys, gains, q0)
     shift = -gains.k_e * np.linalg.solve(gains.K_I, sys.affine_Va[0])
     return z1_0 + shift, kappa + shift
 

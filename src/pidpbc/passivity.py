@@ -30,6 +30,9 @@ from .mechanics import (
     muu_gradient,
 )
 
+VN_TOL = 1e-10  # agreement of successive V_N quadratures that stops the doubling
+VN_CHECK_TOL = 1e-6  # largest coupling-row asymmetry the quadrature accepts
+
 
 @dataclass(frozen=True)
 class PassiveOutputs:
@@ -103,14 +106,13 @@ def coupling_row_asymmetry(sys: MechanicalSystem, q_u: Array) -> float:
     return np.max(np.abs(dmau - _T(dmau)), axis=(-3, -2, -1))
 
 
-def potential_integral_VN(sys: MechanicalSystem, q_u: Array, *, tol: float = 1e-10,
-                          check_tol: float = 1e-6) -> Array:
+def potential_integral_VN(sys: MechanicalSystem, q_u: Array) -> Array:
     """Coupling potential with Jacobian ``maa^{-1} m_au(q_u)``.
 
     Uses the closed form when the system carries one; otherwise integrates
     the field along the straight path from the origin with Gauss-Legendre
     panels, doubling the panel count until two successive estimates agree to
-    ``tol``.  Over a batch, each sample stops doubling on its own, and each
+    ``VN_TOL``.  Over a batch, each sample stops doubling on its own, and each
     panel count runs only for the samples that have not yet converged.  The
     quadrature normalization fixes the value at the origin to zero; only
     differences of this potential enter the controller, so the offset is
@@ -119,14 +121,13 @@ def potential_integral_VN(sys: MechanicalSystem, q_u: Array, *, tol: float = 1e-
     q_u = _points(q_u, sys.s)
     if sys.VN_fn is not None:
         return _per_point(sys.VN_fn, q_u, (sys.m,))
-    return _reuse((potential_integral_VN, id(sys), tol, check_tol), q_u,
-                  lambda: _quadrature_VN(sys, q_u, tol, check_tol))
+    return _reuse((potential_integral_VN, id(sys)), q_u, lambda: _quadrature_VN(sys, q_u))
 
 
-def _quadrature_VN(sys: MechanicalSystem, q_u: Array, tol: float, check_tol: float) -> Array:
+def _quadrature_VN(sys: MechanicalSystem, q_u: Array) -> Array:
     points = q_u.reshape(-1, sys.s)
     asym = np.reshape(coupling_row_asymmetry(sys, q_u), -1)
-    bad = np.nonzero(asym > check_tol)[0]
+    bad = np.nonzero(asym > VN_CHECK_TOL)[0]
     if bad.size:
         raise IntegrabilityError(
             f"coupling rows are not gradient fields at q_u={points[bad[0]]} "
@@ -151,7 +152,7 @@ def _quadrature_VN(sys: MechanicalSystem, q_u: Array, tol: float, check_tol: flo
     while panels <= 64 and active.size:
         cur = estimate(points[active], panels)
         out[active] = cur
-        pending = ~(np.max(np.abs(cur - prev), axis=-1) < tol)
+        pending = ~(np.max(np.abs(cur - prev), axis=-1) < VN_TOL)
         active, prev = active[pending], cur[pending]
         panels *= 2
     return out.reshape(q_u.shape[:-1] + (sys.m,))

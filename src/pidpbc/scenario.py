@@ -207,11 +207,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         anchors = np.stack(anchors)
         bounds = np.stack([anchors.min(axis=0) - pad, anchors.max(axis=0) + pad], axis=1)
     axes = [np.linspace(lo, hi, points) for lo, hi in bounds]
-    if s == 1:
-        gate_grid = axes[0].reshape(-1, 1)
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        gate_grid = np.stack([ax.ravel() for ax in mesh], axis=1)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    gate_grid = np.stack([ax.ravel() for ax in mesh], axis=1)
 
     return Scenario(
         label=str(doc.get("label", "scenario")),

@@ -8,8 +8,10 @@ verification (storage rates, dissipation, disturbance gain, convergence) can
 be recomputed from the recorded trace alone.
 
 The integration right-hand side has a generic array form and, for
-single-input single-unactuated plants (``s = m = 1``), a scalar form that
-evaluates the same formulas on floats; the tests pin the two together.
+single-input single-unactuated plants (``s = m = 1``), a several times faster
+scalar form of the same formulas; the plant shape alone picks one.  The tests
+pin the two together at random states (every law, both modes, with and
+without a disturbance) and over whole runs.
 """
 
 from __future__ import annotations
@@ -22,13 +24,16 @@ import numpy as np
 from .mechanics import (Array, DynamicsError, MechanicalSystem, State, _block2x2, _quad,
                         assemble_inertia, forward_dynamics, mau_gradient, muu_gradient,
                         shared_samples)
-from .controller import (ControllerState, Gains, WellPosednessError, approx_control,
-                         closed_form_z1, exact_control, integrator_init, pi_control,
-                         plant_input, robust_integrator_init, wellposedness_matrix_K)
+from .controller import (DET_TOL, ControllerState, Gains, WellPosednessError,
+                         approx_control, closed_form_z1, exact_control, integrator_init,
+                         pi_control, plant_input, robust_integrator_init,
+                         wellposedness_matrix_K)
 from .passivity import passive_outputs, robust_storage, storage_functions
 from .analysis import lyapunov_Hd_and_U
 
 CONTROLLERS = ("exact", "approx", "pi")
+SWITCH_PAD = 2  # samples on each side of a setpoint switch the rate checks skip
+L2_ESTIMATE_FRACTION = 0.5  # leading share of the trace that sets the L2 offset
 
 
 @dataclass(frozen=True)
@@ -330,10 +335,7 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
              *, controller: str = "exact",
              disturbance: Optional[Callable[[float], Array]] = None,
              setpoints: Sequence[SetpointStep] = (),
-             z1_0: Optional[Array] = None,
-             det_tol: float = 1e-10,
-             robust_equilibrium_init: bool = False,
-             force_generic: bool = False) -> Trace:
+             det_tol: float = DET_TOL) -> Trace:
     """Integrate the closed loop and record a full diagnostic trace.
 
     ``controller`` selects the implicit law (``"exact"``), the filtered
@@ -341,10 +343,10 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     external signal ``disturbance`` is added to the controller output at the
     plant input junction; the controller never sees it.  It must be a
     function of time alone, since the ``d`` column evaluates it again at the
-    sample times after the integration.  Unless ``z1_0`` is
-    given, the integrator starts at the equilibrium-assigning value for the
-    initial target (plus the holding correction when
-    ``robust_equilibrium_init`` is set in the no-cancellation mode).
+    sample times after the integration.  The integrator starts, and restarts
+    at each setpoint step, where the target is an equilibrium of the loop:
+    :func:`.robust_integrator_init` in ``robust_A8`` mode (the integral term
+    supplies the holding force), :func:`.integrator_init` otherwise.
 
     Raises :class:`SimulationAborted` when the well-posedness matrix crosses
     the singularity threshold (exact law only) or the state stops being
@@ -359,28 +361,19 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError("t_end must be a positive integer number of steps")
     robust = gains.mode == "robust_A8"
-    if robust_equilibrium_init and not robust:
-        raise ValueError("robust_equilibrium_init applies to robust_A8 mode only")
-
-    cur_gains = gains
-    init = robust_integrator_init if robust_equilibrium_init else integrator_init
-    if z1_0 is None:
-        z1, kappa = init(sys, cur_gains, q0)
-    else:
-        z1 = np.asarray(z1_0, dtype=float).reshape(m)
-        kappa = z1 - closed_form_z1(sys, gains, State.from_vectors(q0, qd0, s), np.zeros(m))
-
-    use_z2 = controller == "approx"
-    x = np.concatenate([q0, qd0, z1, np.zeros(m) if use_z2 else np.zeros(0)])
-    if use_z2:
-        # start the derivative filter on the current output to avoid a kick
-        x[2 * n + m:] = passive_outputs(sys, State.from_vectors(q0, qd0, s), gains).y_d
-
     if robust and sys.affine_Va is None:
         raise ValueError("robust_A8 mode requires affine actuated-potential data")
 
-    scalar = (s == 1 and m == 1) and not force_generic
-    builder = _build_eval_scalar if scalar else _build_eval_generic
+    cur_gains = gains
+    init = robust_integrator_init if robust else integrator_init
+    z1, kappa = init(sys, cur_gains, q0)
+
+    use_z2 = controller == "approx"
+    # the derivative filter starts on the current output to avoid a kick
+    z2 = [passive_outputs(sys, State.from_vectors(q0, qd0, s), gains).y_d] if use_z2 else []
+    x = np.concatenate([q0, qd0, z1] + z2)
+
+    builder = _build_eval_scalar if s == m == 1 else _build_eval_generic
     eval_rhs = builder(sys, gains, controller, disturbance, det_tol, use_z2)
 
     steps = sorted((sp for sp in setpoints if sp.t <= t_end * (1 + 1e-12)),
@@ -487,12 +480,12 @@ def verify_passivity(trace: Trace, which: str = "u->y_u") -> float:
     return float(resid.max() / denom)
 
 
-def _interior_mask(trace: Trace, pad: int = 2) -> np.ndarray:
+def _interior_mask(trace: Trace) -> np.ndarray:
     mask = np.ones(trace.n_samples, dtype=bool)
     mask[0] = mask[-1] = False
     for t_sw in trace.switch_times:
         k = int(round(t_sw / trace.dt))
-        mask[max(0, k - pad): k + pad + 1] = False
+        mask[max(0, k - SWITCH_PAD): k + SWITCH_PAD + 1] = False
     return mask
 
 
@@ -522,12 +515,12 @@ def verify_lyapunov(trace: Trace) -> dict:
     }
 
 
-def verify_l2_gain(trace: Trace, estimate_fraction: float = 0.5) -> dict:
+def verify_l2_gain(trace: Trace) -> dict:
     """Prefix-integral disturbance-gain check for sign-consistent gains.
 
     Computes running integrals of ``|y_d|^2`` and ``|d|^2 / lambda_min(K_P)``.
     The offset constant is estimated as the worst prefix gap over the leading
-    ``estimate_fraction`` of the trace and the inequality is then required at
+    ``L2_ESTIMATE_FRACTION`` of the trace and the inequality is then required at
     every sample, so the estimate genuinely predicts the tail rather than
     restating it.  With inconsistent gain signs the bound does not apply and
     the result says so.
@@ -542,7 +535,7 @@ def verify_l2_gain(trace: Trace, estimate_fraction: float = 0.5) -> dict:
     lhs = np.concatenate([[0.0], cumulative_trapezoid(yd2, dx=trace.dt)])
     rhs = np.concatenate([[0.0], cumulative_trapezoid(d2, dx=trace.dt)]) / lam
     gap = lhs - rhs
-    n_est = max(1, int(round(estimate_fraction * trace.n_samples)))
+    n_est = max(1, int(round(L2_ESTIMATE_FRACTION * trace.n_samples)))
     beta3 = float(gap[:n_est].max())
     slack = rhs + beta3 - lhs
     k_star = int(np.argmax(gap))

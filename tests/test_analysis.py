@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,41 @@ def test_a7_fails_with_positive_product_of_outer_gains(cart):
     res = check_A7(cart, g, grid)
     assert not res.passed
     assert np.linalg.eigvalsh(res.hessian).min() < 0
+
+
+def test_check_a7_computes_the_target_coupling_potential_once(monkeypatch):
+    # without a closed-form V_N every V_N value is an adaptive quadrature;
+    # the finite-difference stencil of V_d must reuse V_N(q_u*) rather than
+    # recompute it at each of its 272 points
+    from pidpbc import analysis, passivity
+    sys_ = replace(make_synthetic(2, 2, seed=50), VN_fn=None)
+    g = Gains(k_e=1.0, k_a=1.5, k_u=2.5, K_P=np.eye(2) * 5, K_I=np.eye(2) * 2,
+              K_D=np.eye(2) * 0.1, q_u_star=np.zeros(2), q_a_star=np.zeros(2))
+    quadrature, shaped = passivity._quadrature_VN, analysis._shaped_potential
+    inside = [False]
+    calls = {"target": 0, "evaluations": 0, "quadratures": 0}
+
+    def count_quadrature(sys_, q_u):
+        calls["quadratures"] += 1
+        # V_N(q_u*) for the shaped potential's offset, not its V_N(q_u) term
+        calls["target"] += not inside[0] and np.array_equal(q_u, g.q_u_star)
+        return quadrature(sys_, q_u)
+
+    def count_shaped(*args):
+        calls["evaluations"] += 1
+        inside[0] = True
+        try:
+            return shaped(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(passivity, "_quadrature_VN", count_quadrature)
+    monkeypatch.setattr(analysis, "_shaped_potential", count_shaped)
+    res = check_A7(sys_, g, np.linspace(-0.1, 0.1, 3)[:, None] * np.ones(2))
+    assert res.passed
+    assert calls["target"] == 1
+    assert calls["evaluations"] == 272
+    assert calls["quadratures"] == 1 + calls["evaluations"]
 
 
 def test_a7_convex_case_passes():

@@ -1,40 +1,99 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from pidpbc import (SetpointStep, SimulationAborted, detect_convergence,
-                    integrator_init, linear_system, read_trace_csv, simulate,
-                    simulate_open_loop, verify_l2_gain, verify_lyapunov,
-                    verify_passivity, write_column_map, write_trace_csv)
+from pidpbc import (Gains, SetpointStep, SimulationAborted, detect_convergence,
+                    integrator_init, linear_system, read_trace_csv,
+                    robust_integrator_init, simulate, simulate_open_loop,
+                    verify_l2_gain, verify_lyapunov, verify_passivity,
+                    write_column_map, write_trace_csv)
+from pidpbc.controller import MODES
+from pidpbc.sim import CONTROLLERS, _build_eval_generic, _build_eval_scalar, _rk4
 
-from conftest import PSI, Q0, QD0, bench_gains
+from conftest import PSI, Q0, QD0, bench_gains, random_gains
 from synthetic import make_synthetic
 
-TRACE_FIELDS = ("q_u", "q_a", "qd_u", "qd_a", "z1", "z1_closed", "u", "tau",
-                "y_u", "y_a", "y_d", "H_u", "H_a", "H", "H_d", "U", "detK",
-                "Hbar_u", "Hbar_a")
+
+TOY_GAINS = dict(k_e=1.0, k_a=2.0, k_u=1.0, K_P=1.0, K_I=1.0, K_D=0.1)
+DISTURBANCES = (None, lambda t: np.array([0.3 * np.sin(4.0 * t)]))
 
 
-def test_scalar_and_generic_paths_agree(cart, gains_cancel):
-    kwargs = dict(t_end=0.5, dt=1e-3, controller="exact")
-    tr_s = simulate(cart, gains_cancel, Q0, QD0, **kwargs)
-    tr_g = simulate(cart, gains_cancel, Q0, QD0, force_generic=True, **kwargs)
-    for name in TRACE_FIELDS:
-        a, b = getattr(tr_s, name), getattr(tr_g, name)
-        scale = 1.0 + np.abs(b).max()
-        assert np.abs(a - b).max() < 1e-11 * scale, name
-    # filtered/PI forms: compare on a plant whose derivative feedthrough is
-    # filter-stable (the cart-pendulum diverges under the filtered law)
-    toy = linear_system(M=[[2.0, 0.5], [0.5, 1.0]], S_u=[[2.0]], name="toy")
-    import pidpbc
-    g = pidpbc.Gains(k_e=1.0, k_a=2.0, k_u=1.0, K_P=1.0, K_I=1.0, K_D=0.1,
-                     q_u_star=[0.0], q_a_star=[0.0])
-    for ctl in ("approx", "pi"):
-        tr_s = simulate(toy, g, [0.3, 0.1], [0.0, 0.0], t_end=1.0,
-                        dt=1e-3, controller=ctl)
-        tr_g = simulate(toy, g, [0.3, 0.1], [0.0, 0.0], t_end=1.0,
-                        dt=1e-3, controller=ctl, force_generic=True)
-        assert np.abs(tr_s.q_u - tr_g.q_u).max() < 1e-11
-        assert np.abs(tr_s.u - tr_g.u).max() < 1e-11
+def _toy():
+    return linear_system(M=[[2.0, 0.5], [0.5, 1.0]], S_u=[[2.0]], name="toy")
+
+
+def _pin_cases(cart):
+    """(plant, gains factory, random-state box for q_u) of the pinned plants:
+    the cart inside its well-posedness window and the toy plant, whose
+    derivative feedthrough is filter-stable."""
+    toy_gains = lambda mode: Gains(q_u_star=[0.0], q_a_star=[0.0], mode=mode, **TOY_GAINS)
+    return [(cart, lambda mode: bench_gains(mode=mode), (-0.3, 0.9)),
+            (_toy(), toy_gains, (-1.0, 1.0))]
+
+
+def test_scalar_closure_matches_generic_at_random_states(cart):
+    rng = np.random.default_rng(7)
+    for plant, make_gains, (lo, hi) in _pin_cases(cart):
+        for controller, mode, dist in itertools.product(CONTROLLERS, MODES, DISTURBANCES):
+            g = make_gains(mode)
+            use_z2 = controller == "approx"
+            args = (plant, g, controller, dist, 0.0, use_z2)
+            scalar, generic = _build_eval_scalar(*args), _build_eval_generic(*args)
+            for _ in range(50):
+                x = rng.uniform(-1.0, 1.0, 6 if use_z2 else 5)
+                x[0] = rng.uniform(lo, hi)
+                t = rng.uniform(0.0, 10.0)
+                a, b = scalar(t, x), generic(t, x)
+                assert np.abs(a - b).max() < 1e-11 * (1.0 + np.abs(b).max()), \
+                    (plant.name, controller, mode, dist is not None, x)
+
+
+def test_scalar_closure_matches_generic_over_whole_runs(cart):
+    runs = [(cart, bench_gains(mode=mode), "exact", d, Q0, 500)
+            for mode in MODES for d in DISTURBANCES]
+    toy = _toy()
+    g_toy = Gains(q_u_star=[0.0], q_a_star=[0.0], **TOY_GAINS)
+    runs += [(toy, g_toy, ctl, None, np.array([0.3, 0.1]), 1000) for ctl in ("approx", "pi")]
+    for plant, g, controller, d, q0, n_steps in runs:
+        use_z2 = controller == "approx"
+        init = robust_integrator_init if g.mode == "robust_A8" else integrator_init
+        x0 = np.concatenate([q0, np.zeros(2), init(plant, g, q0)[0],
+                             np.zeros(1 if use_z2 else 0)])
+        args = (plant, g, controller, d, 1e-10, use_z2)
+        paths = []
+        for builder in (_build_eval_scalar, _build_eval_generic):
+            X = np.empty((n_steps + 1, x0.size))
+            X[0] = x0
+            _rk4(builder(*args), X, 0, n_steps, 1e-3)
+            paths.append(X)
+        scale = 1.0 + np.abs(paths[1]).max(axis=0)
+        assert np.all(np.abs(paths[0] - paths[1]).max(axis=0) < 1e-11 * scale), \
+            (plant.name, controller, g.mode, d is not None)
+
+
+def test_robust_start_makes_the_target_an_equilibrium(cart):
+    # the integrator value simulate chooses must zero the closed-loop field
+    # at (q*, 0) in robust_A8 mode, for every law, on the cart and on random
+    # s = m = 2 plants
+    sys2 = make_synthetic(2, 2, seed=3)
+    g2 = random_gains(sys2, np.random.default_rng(3), mode="robust_A8")
+    for plant, g in ((cart, bench_gains(mode="robust_A8")), (sys2, g2)):
+        n = plant.n
+        builder = _build_eval_scalar if plant.s == plant.m == 1 else _build_eval_generic
+        for controller in CONTROLLERS:
+            tr = simulate(plant, g, g.q_star, np.zeros(n), t_end=1e-3, dt=1e-3,
+                          controller=controller)
+            use_z2 = controller == "approx"
+            x = np.concatenate([g.q_star, np.zeros(n), tr.z1[0]]
+                               + ([tr.z2[0]] if use_z2 else []))
+            rhs = builder(plant, g, controller, None, 1e-10, use_z2)(0.0, x)
+            assert np.abs(rhs).max() <= 1e-12, (plant.name, controller, rhs)
+
+
+def test_robust_run_reaches_its_target(cart):
+    tr = simulate(cart, bench_gains(mode="robust_A8"), Q0, QD0, t_end=10.0, dt=1e-3)
+    assert detect_convergence(tr, [0.0, 0.0], 0.01, 0.01, window=0.5)["converged"]
 
 
 def test_equilibrium_start_stays_put(cart, gains_cancel):
