@@ -28,6 +28,8 @@ STATUS_NA = "not-applicable"
 
 A7_GRAD_TOL = 1e-6  # largest |grad V_d(q*)| check_A7 accepts
 FD_STEP = 1e-5  # step of fd_gradient and fd_hessian
+LINEAR_TOL = 1e-9  # relative deviation that makes a plant not linear
+LINEAR_SEED = 3  # seed of the probe points of the linearity test
 
 ASSUMPTION_NAMES = {
     "A1": "constant input matrix [0; I]",
@@ -272,27 +274,32 @@ def lyapunov_Hd_and_U(sys: MechanicalSystem, gains: Gains) -> LyapunovData:
 # Finite differences for the shaped-potential certificates
 # ---------------------------------------------------------------------------
 
-def fd_gradient(fn: Callable[[Array], float], x: Array) -> Array:
-    """Fourth-order central-difference gradient."""
+def _stencil(x: Array) -> Array:
+    """``x + o e_k`` for the offsets ``o = 2h, h, -h, -2h`` (``h = FD_STEP``)
+    and every direction ``k``, along two new leading axes ``(4, n)``."""
+    shifts = np.multiply.outer([2.0, 1.0, -1.0, -2.0], FD_STEP * np.eye(x.shape[-1]))
+    return x + shifts.reshape(shifts.shape[:2] + (1,) * (x.ndim - 1) + shifts.shape[2:])
+
+
+def _central(v: Array) -> Array:
+    """Fourth-order central difference along the offset axis 0 of ``v``."""
+    return (-v[0] + 8 * v[1] - 8 * v[2] + v[3]) / (12 * FD_STEP)
+
+
+def fd_gradient(fn: Callable[[Array], Array], x: Array) -> Array:
+    """Fourth-order central-difference gradient; ``fn`` maps a stack of
+    points of shape ``(k, n)`` to their ``k`` values and is called once."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for k in range(x.size):
-        e = np.zeros(x.size)
-        e[k] = FD_STEP
-        out[k] = (-fn(x + 2 * e) + 8 * fn(x + e) - 8 * fn(x - e) + fn(x - 2 * e)) / (12 * FD_STEP)
-    return out
+    return _central(np.reshape(fn(_stencil(x).reshape(-1, x.size)), (4, x.size)))
 
 
-def fd_hessian(fn: Callable[[Array], float], x: Array) -> Array:
-    """Hessian from fourth-order differences of the gradient."""
+def fd_hessian(fn: Callable[[Array], Array], x: Array) -> Array:
+    """Hessian from fourth-order differences of the gradient; ``fn`` as in
+    :func:`fd_gradient`, called once on the stencil of stencils."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    H = np.empty((n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = FD_STEP
-        H[:, k] = (-fd_gradient(fn, x + 2 * e) + 8 * fd_gradient(fn, x + e)
-                   - 8 * fd_gradient(fn, x - e) + fd_gradient(fn, x - 2 * e)) / (12 * FD_STEP)
+    v = np.reshape(fn(_stencil(_stencil(x)).reshape(-1, n)), (4, n, 4, n))
+    H = _central(np.moveaxis(_central(v), 1, 0))  # [i, k]: d/dx_k of component i
     return 0.5 * (H + H.T)
 
 
@@ -353,21 +360,21 @@ class NonLinearSystemError(ValueError):
     apply."""
 
 
-def _extract_linear_data(sys: MechanicalSystem, tol: float = 1e-9, seed: int = 3):
-    rng = np.random.default_rng(seed)
+def _extract_linear_data(sys: MechanicalSystem):
+    rng = np.random.default_rng(LINEAR_SEED)
     zero = np.zeros(sys.s)
     M0 = assemble_inertia(sys, zero)
     for _ in range(5):
         q = rng.uniform(-1.0, 1.0, sys.s)
-        if np.max(np.abs(assemble_inertia(sys, q) - M0)) > tol * max(1.0, np.abs(M0).max()):
+        if np.max(np.abs(assemble_inertia(sys, q) - M0)) > LINEAR_TOL * max(1.0, np.abs(M0).max()):
             raise NonLinearSystemError("inertia matrix is not constant")
     g0 = sys.gradVu(zero)
-    if np.linalg.norm(g0) > tol:
+    if np.linalg.norm(g0) > LINEAR_TOL:
         raise NonLinearSystemError("unactuated potential gradient nonzero at the origin")
     S_u = np.column_stack([sys.gradVu(e) for e in np.eye(sys.s)])
     for _ in range(5):
         q = rng.uniform(-1.0, 1.0, sys.s)
-        if np.linalg.norm(sys.gradVu(q) - S_u @ q) > tol * max(1.0, np.abs(S_u).max()):
+        if np.linalg.norm(sys.gradVu(q) - S_u @ q) > LINEAR_TOL * max(1.0, np.abs(S_u).max()):
             raise NonLinearSystemError("unactuated potential is not quadratic")
     return M0, 0.5 * (S_u + S_u.T)
 

@@ -7,7 +7,7 @@ Commands:
   reproduce  run a pinned bundled example and assert its expected outcomes
 
 Exit codes: 0 success, 2 assumption failure, 3 runtime singularity,
-4 acceptance failure.
+4 acceptance failure, 5 invalid input (a malformed or unreadable scenario).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_ASSUMPTION = 2
 EXIT_SINGULARITY = 3
 EXIT_ACCEPTANCE = 4
+EXIT_INPUT = 5
 
 SWEEP_PARAMS = ("k_a", "k_u", "k_e", "K_P", "K_I", "K_D", "a", "b")
 
@@ -347,7 +348,11 @@ def main(argv=None) -> int:
     p_rep.set_defaults(func=cmd_reproduce)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except scn.ScenarioError as exc:
+        print(f"invalid scenario: {exc}", file=_stdsys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ The control law is the PID
 
 around ``y_d = k_a y_a + k_u y_u``.  Because ``yd_dot`` contains the
 accelerations, the law is realised implicitly: substituting the plant
-dynamics turns it into a linear system ``K(q_u) u = -K_P y_d - K_I z1 - S``
-that is solved each evaluation, with no numerical differentiation.  An
+dynamics turns it into a linear system ``K(q_u) u = -K_P y_d - K_I z1 - S``,
+with no numerical differentiation.  These closed forms serve the checks; the
+simulator solves the defining equations instead (:mod:`.sim`).  An
 explicit variant replaces the derivative with a first-order filter for
 comparison experiments; it is not adequate when fast control action is
 required.
@@ -93,6 +94,9 @@ class Gains:
     filter_b: float = 200.0
 
     def __post_init__(self):
+        for name in ("k_e", "k_a", "k_u", "filter_a", "filter_b"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k_e * self.k_a * self.k_u == 0.0:
             raise ValueError("k_e, k_a, k_u must all be nonzero")
         if self.k_a == self.k_u:

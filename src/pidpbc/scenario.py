@@ -36,6 +36,8 @@ def _vec(value, length: int, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float).reshape(-1)
     if arr.size != length:
         raise ScenarioError(f"{name} must have {length} entries, got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"{name} has non-finite entries: {arr}")
     return arr
 
 
@@ -58,6 +60,10 @@ class Scenario:
     final_target: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        # runs on dataclasses.replace too, so command-line overrides are checked
+        if not all(np.isfinite(v) and v > 0.0 for v in (self.t_end, self.dt)):
+            raise ScenarioError(f"t_end and dt must be finite and positive, got "
+                                f"{self.t_end} and {self.dt}")
         g = self.gains
         q_u_star, q_a_star = g.q_u_star, g.q_a_star
         for sp in self.setpoints:
@@ -152,14 +158,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
     q_u_star = _vec(tsec.get("q_u", np.zeros(s)), s, "target.q_u")
     q_a_star = _vec(tsec.get("q_a", np.zeros(m)), m, "target.q_a")
 
-    gains = Gains(
-        k_e=float(gsec["k_e"]), k_a=float(gsec["k_a"]), k_u=float(gsec["k_u"]),
-        K_P=gsec["K_P"], K_I=gsec["K_I"], K_D=gsec.get("K_D", 0.0),
-        q_u_star=q_u_star, q_a_star=q_a_star,
-        mode=gsec.get("mode", "cancel_Va"),
-        filter_a=float(gsec.get("filter_a", 200.0)),
-        filter_b=float(gsec.get("filter_b", 200.0)),
-    )
+    try:
+        gains = Gains(
+            k_e=float(gsec["k_e"]), k_a=float(gsec["k_a"]), k_u=float(gsec["k_u"]),
+            K_P=gsec["K_P"], K_I=gsec["K_I"], K_D=gsec.get("K_D", 0.0),
+            q_u_star=q_u_star, q_a_star=q_a_star,
+            mode=gsec.get("mode", "cancel_Va"),
+            filter_a=float(gsec.get("filter_a", 200.0)),
+            filter_b=float(gsec.get("filter_b", 200.0)),
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"[gains]: {exc}") from exc
 
     isec = dict(doc.get("initial", {}))
     _require_keys(isec, _INITIAL_KEYS, "initial")
@@ -222,8 +231,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        doc = yaml.safe_load(fh)
+    try:
+        with open(path) as fh:
+            doc = yaml.safe_load(fh)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     return scenario_from_dict(doc)
 
 

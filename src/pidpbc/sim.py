@@ -7,11 +7,18 @@ over all samples through the public functions of :mod:`.passivity`,
 verification (storage rates, dissipation, disturbance gain, convergence) can
 be recomputed from the recorded trace alone.
 
-The integration right-hand side has a generic array form and, for
-single-input single-unactuated plants (``s = m = 1``), a several times faster
-scalar form of the same formulas; the plant shape alone picks one.  The tests
-pin the two together at random states (every law, both modes, with and
-without a disturbance) and over whole runs.
+The right-hand side integrates the PID as written.  One solve with ``M(q_u)``
+gives the plant response ``qdd = qdd0 + G (u + d)``, a drift plus the input
+map ``G = M^{-1} [0; I]``; the disturbance enters only there, unseen by the
+law.  With ``y_d = L qd``, ``yd_dot = L qdd - (k_u - k_a) maa^{-1} m_au_dot
+qd_u``, so the law becomes ``(k_e I + K_D L G) u = -K_P y_d - K_I z1 - K_D
+yd_dot|_{u=0}``, whose matrix is the well-posedness matrix ``K(q_u)``.  The
+closed forms of ``K`` and of the feedforward ``S`` live only in
+:mod:`.controller`; the ``u`` and ``detK`` columns come from them, a second
+route to the integrated law.  A scalar form of the same formulas serves
+``s = m = 1`` plants.  The tests pin the generic form to the reference
+functions and the scalar form to the generic one, at random states and over
+whole runs.
 """
 
 from __future__ import annotations
@@ -99,88 +106,60 @@ class SimulationAborted(DynamicsError):
 
 def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
                         disturbance, det_tol: float, use_z2: bool):
-    s, m = sys.s, sys.m
-    n = sys.n
-    robust = gains.mode == "robust_A8"
-    k_e, k_a, k_u = gains.k_e, gains.k_a, gains.k_u
+    s, m, n = sys.s, sys.m, sys.n
+    k_e, k_a = gains.k_e, gains.k_a
+    c = gains.k_u - gains.k_a
     K_P, K_I, K_D = gains.K_P, gains.K_I, gains.K_D
-    has_kd = bool(np.any(K_D))
-    maa = sys.maa
-    maa_inv = sys.maa_inv
-    eye_m = np.eye(m)
-    s_a = sys.affine_Va[0] if sys.affine_Va is not None else None
+    maa_inv, eye_m = sys.maa_inv, np.eye(m)
+    # robust_A8 keeps the actuated potential slope in the plant drift
+    gradVa = sys.gradVa if gains.mode == "robust_A8" else (lambda q_a: 0.0)
 
     def eval_rhs(t: float, xv: Array) -> Array:
-        q_u = xv[:s]
-        q_a = xv[s: s + m]
-        qd_u = xv[s + m: 2 * s + m]
-        qd_a = xv[2 * s + m: 2 * n]
-        z1v = xv[2 * n: 2 * n + m]
-        z2v = xv[2 * n + m:] if use_z2 else None
+        q_u, q_a, qd = xv[:s], xv[s:n], xv[n:2 * n]
+        qd_u, qd_a = qd[:s], qd[s:]
+        z1v, z2v = xv[2 * n:2 * n + m], xv[2 * n + m:]
 
-        muu = sys.muu(q_u)
         mau = sys.mau(q_u)
-        dmuu = muu_gradient(sys, q_u)
+        j_uu = np.einsum("ijk,j->ik", muu_gradient(sys, q_u), qd_u)
         dmau = mau_gradient(sys, q_u)
-        j_uu = np.einsum("ijk,j->ik", dmuu, qd_u)
-        cmu_qdu = j_uu @ qd_u - 0.5 * (j_uu.T @ qd_u)
         j_ua = np.einsum("jik,j->ik", dmau, qd_a)
         j_au = np.einsum("ijk,j->ik", dmau, qd_u)
-        dmu = j_ua @ qd_u - j_au.T @ qd_a
         act_row = j_au @ qd_u
-        gradVu = sys.gradVu(q_u)
-        gradVa = sys.gradVa(q_a)
 
-        y_u = -(maa_inv @ (mau @ qd_u))
-        y_a = qd_a - y_u
-        y_d = k_a * y_a + k_u * y_u
-        muu_s = muu - mau.T @ maa_inv @ mau
+        # plant response qdd = qdd0 + G (u + d): the drift qdd0 in column 0,
+        # the input map G = M^{-1} [0; I] in the others
+        rhs = np.zeros((n, 1 + m))
+        rhs[:s, 0] = -((j_uu @ qd_u - 0.5 * (j_uu.T @ qd_u))
+                       + (j_ua @ qd_u - j_au.T @ qd_a) + sys.gradVu(q_u))
+        rhs[s:, 0] = -act_row - gradVa(q_a)
+        rhs[s:, 1:] = eye_m
+        sol = np.linalg.solve(_block2x2(sys.muu(q_u), mau.T, mau, sys.maa), rhs)
 
+        # y_d = L qd and yd_dot = L qdd - c maa^{-1} act_row with
+        # L = [-c maa^{-1} m_au, k_a I]
+        L = np.hstack([-c * (maa_inv @ mau), k_a * eye_m])
+        y_d = L @ qd
         if controller == "exact":
-            K = k_e * eye_m + k_a * K_D @ maa_inv
-            if has_kd:
-                w = np.linalg.solve(muu_s, mau.T @ maa_inv)
-                K = K + k_u * K_D @ maa_inv @ mau @ w
+            # the PID as written, with yd_dot substituted: the matrix on u is K(q_u)
+            Lsol = L @ sol
+            K = k_e * eye_m + K_D @ Lsol[:, 1:]
             detK = float(np.linalg.det(K))
             if abs(detK) < det_tol:
                 raise WellPosednessError(q_u, detK, t)
-            if has_kd:
-                inner = np.linalg.solve(
-                    muu_s, mau.T @ (maa_inv @ act_row) - (cmu_qdu + dmu + gradVu))
-                S = -k_u * K_D @ (maa_inv @ (act_row + mau @ inner))
-                if robust:
-                    wsa = np.linalg.solve(muu_s, mau.T @ (maa_inv @ s_a))
-                    S = S - k_a * K_D @ (maa_inv @ s_a) - k_u * K_D @ (maa_inv @ (mau @ wsa))
-            else:
-                S = np.zeros(m)
-            u = np.linalg.solve(K, -(K_P @ y_d) - K_I @ z1v - S)
-            z2dot = None
+            ydot0 = Lsol[:, 0] - c * (maa_inv @ act_row)
+            u = np.linalg.solve(K, -(K_P @ y_d) - K_I @ z1v - K_D @ ydot0)
         elif controller == "approx":
-            deriv = gains.filter_a * (y_d - z2v)
-            u = -(K_P @ y_d + K_I @ z1v + K_D @ deriv) / k_e
-            z2dot = gains.filter_b * (y_d - z2v)
+            u = -(K_P @ y_d + K_I @ z1v + K_D @ (gains.filter_a * (y_d - z2v))) / k_e
         else:  # pi
             u = -(K_P @ y_d + K_I @ z1v) / k_e
-            z2dot = None
+        # the disturbance enters at the plant input only; the law never sees it
+        if disturbance is not None:
+            u = u + np.asarray(disturbance(t), dtype=float).reshape(m)
 
-        d = np.zeros(m) if disturbance is None else \
-            np.asarray(disturbance(t), dtype=float).reshape(m)
-        tau = u + d if robust else u + d + gradVa
-
-        M = _block2x2(muu, mau.T, mau, maa)
-        force = np.empty(n)
-        force[:s] = -(cmu_qdu + dmu + gradVu)
-        force[s:] = tau - act_row - gradVa
-        qdd = np.linalg.solve(M, force)
-
-        xdot = np.empty_like(xv)
-        xdot[:n] = xv[n: 2 * n]
-        xdot[n: 2 * n] = qdd
-        xdot[2 * n: 2 * n + m] = y_d
+        xdot = [qd, sol[:, 0] + sol[:, 1:] @ u, y_d]
         if use_z2:
-            xdot[2 * n + m:] = z2dot
-
-        return xdot
+            xdot.append(gains.filter_b * (y_d - z2v))
+        return np.concatenate(xdot)
 
     return eval_rhs
 
@@ -188,80 +167,59 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
 def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
                        disturbance, det_tol: float, use_z2: bool):
     """Float-only evaluation for s = m = 1; formula-identical to the generic
-    path."""
-    robust = gains.mode == "robust_A8"
-    k_e, k_a, k_u = gains.k_e, gains.k_a, gains.k_u
-    KP = float(gains.K_P[0, 0])
-    KI = float(gains.K_I[0, 0])
-    KD = float(gains.K_D[0, 0])
-    has_kd = KD != 0.0
+    path, with the 2x2 inverse in closed form."""
+    k_e, k_a = gains.k_e, gains.k_a
+    c = gains.k_u - gains.k_a
+    KP, KI, KD = (float(mat[0, 0]) for mat in (gains.K_P, gains.K_I, gains.K_D))
     maa = float(sys.maa[0, 0])
-    s_a = float(sys.affine_Va[0][0]) if sys.affine_Va is not None else 0.0
     muu_fn, mau_fn = sys.muu_fn, sys.mau_fn
     dmuu_fn = sys.muu_jac or (lambda q: muu_gradient(sys, q))
     dmau_fn = sys.mau_jac or (lambda q: mau_gradient(sys, q))
-    gradVu_fn, gradVa_fn = sys.gradVu_fn, sys.gradVa_fn
-    qbuf_u = np.empty(1)
-    qbuf_a = np.empty(1)
+    gradVu_fn = sys.gradVu_fn
+    gradVa_fn = sys.gradVa_fn if gains.mode == "robust_A8" else (lambda q_a: 0.0)
+    qbuf_u, qbuf_a = np.empty(1), np.empty(1)
+
+    def scalar(value) -> float:
+        return float(np.asarray(value).reshape(-1)[0])
 
     def eval_rhs(t: float, xv: Array) -> Array:
         q_u, q_a, qd_u, qd_a, z1 = xv[0], xv[1], xv[2], xv[3], xv[4]
         z2 = xv[5] if use_z2 else 0.0
         qbuf_u[0] = q_u
         qbuf_a[0] = q_a
-        muu = float(np.asarray(muu_fn(qbuf_u)).reshape(-1)[0])
-        mau = float(np.asarray(mau_fn(qbuf_u)).reshape(-1)[0])
-        dmuu = float(np.asarray(dmuu_fn(qbuf_u)).reshape(-1)[0])
-        dmau = float(np.asarray(dmau_fn(qbuf_u)).reshape(-1)[0])
-        gradVu = float(np.asarray(gradVu_fn(qbuf_u)).reshape(-1)[0])
-        gradVa = float(np.asarray(gradVa_fn(qbuf_a)).reshape(-1)[0])
+        muu = scalar(muu_fn(qbuf_u))
+        mau = scalar(mau_fn(qbuf_u))
+        act_row = scalar(dmau_fn(qbuf_u)) * qd_u * qd_u
 
-        cmu_qdu = 0.5 * dmuu * qd_u * qd_u
-        dmu = 0.0  # the velocity cross terms cancel exactly for s = m = 1
-        act_row = dmau * qd_u * qd_u
-        y_u = -mau * qd_u / maa
-        y_a = qd_a - y_u
-        y_d = k_a * y_a + k_u * y_u
-        muu_s = muu - mau * mau / maa
+        # plant response qdd = qdd0 + G (u + d); the velocity cross terms
+        # cancel exactly for s = m = 1
+        f_u = -(0.5 * scalar(dmuu_fn(qbuf_u)) * qd_u * qd_u + scalar(gradVu_fn(qbuf_u)))
+        f_a = -act_row - scalar(gradVa_fn(qbuf_a))
+        det_M = muu * maa - mau * mau
+        qdd0_u = (maa * f_u - mau * f_a) / det_M
+        qdd0_a = (muu * f_a - mau * f_u) / det_M
+        G_u, G_a = -mau / det_M, muu / det_M
 
+        # y_d = L qd with L = [-c m_au / maa, k_a]
+        L_u = -c * mau / maa
+        y_d = L_u * qd_u + k_a * qd_a
         if controller == "exact":
-            K = k_e + k_a * KD / maa
-            if has_kd:
-                K += k_u * KD * mau * mau / (maa * maa * muu_s)
+            K = k_e + KD * (L_u * G_u + k_a * G_a)
             if abs(K) < det_tol:
                 raise WellPosednessError(np.array([q_u]), K, t)
-            if has_kd:
-                inner = (mau * act_row / maa - (cmu_qdu + dmu + gradVu)) / muu_s
-                S = -k_u * KD * (act_row + mau * inner) / maa
-                if robust:
-                    S -= k_a * KD * s_a / maa + k_u * KD * mau * mau * s_a / (maa * maa * muu_s)
-            else:
-                S = 0.0
-            u = (-(KP * y_d) - KI * z1 - S) / K
+            ydot0 = L_u * qdd0_u + k_a * qdd0_a - c * act_row / maa
+            u = (-(KP * y_d) - KI * z1 - KD * ydot0) / K
         elif controller == "approx":
             u = -(KP * y_d + KI * z1 + KD * gains.filter_a * (y_d - z2)) / k_e
         else:
             u = -(KP * y_d + KI * z1) / k_e
+        if disturbance is not None:
+            u += scalar(disturbance(t))
 
-        d = 0.0 if disturbance is None else float(np.asarray(disturbance(t)).reshape(-1)[0])
-        tau = u + d if robust else u + d + gradVa
-
-        f_u = -(cmu_qdu + dmu + gradVu)
-        f_a = tau - act_row - gradVa
-        det_M = muu * maa - mau * mau
-        qdd_u = (maa * f_u - mau * f_a) / det_M
-        qdd_a = (-mau * f_u + muu * f_a) / det_M
-
-        xdot = np.empty_like(xv)
-        xdot[0] = qd_u
-        xdot[1] = qd_a
-        xdot[2] = qdd_u
-        xdot[3] = qdd_a
-        xdot[4] = y_d
+        xdot = [qd_u, qd_a, qdd0_u + G_u * u, qdd0_a + G_a * u, y_d]
         if use_z2:
-            xdot[5] = gains.filter_b * (y_d - z2)
-
-        return xdot
+            xdot.append(gains.filter_b * (y_d - z2))
+        return np.array(xdot)
 
     return eval_rhs
 
@@ -351,12 +309,18 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     Raises :class:`SimulationAborted` when the well-posedness matrix crosses
     the singularity threshold (exact law only) or the state stops being
     finite; the message carries the offending time and configuration.
+    Raises :class:`ValueError` before integrating when ``dt`` is not finite
+    and positive, ``t_end`` is not finite or ``q0``/``qd0`` is not finite.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"controller must be one of {CONTROLLERS}")
     s, m, n = sys.s, sys.m, sys.n
     q0 = np.asarray(q0, dtype=float).reshape(n)
     qd0 = np.asarray(qd0, dtype=float).reshape(n)
+    if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(qd0))):
+        raise ValueError(f"q0 and qd0 must be finite, got {q0} and {qd0}")
+    if not (np.isfinite(dt) and dt > 0.0 and np.isfinite(t_end)):
+        raise ValueError(f"dt must be finite and positive and t_end finite, got {dt}, {t_end}")
     n_steps = int(round(t_end / dt))
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError("t_end must be a positive integer number of steps")

@@ -173,7 +173,8 @@ def test_a7_fails_with_positive_product_of_outer_gains(cart):
 def test_check_a7_computes_the_target_coupling_potential_once(monkeypatch):
     # without a closed-form V_N every V_N value is an adaptive quadrature;
     # the finite-difference stencil of V_d must reuse V_N(q_u*) rather than
-    # recompute it at each of its 272 points
+    # recompute it at each of its 272 points, and the gradient and the Hessian
+    # each evaluate their whole stencil in one call
     from pidpbc import analysis, passivity
     sys_ = replace(make_synthetic(2, 2, seed=50), VN_fn=None)
     g = Gains(k_e=1.0, k_a=1.5, k_u=2.5, K_P=np.eye(2) * 5, K_I=np.eye(2) * 2,
@@ -201,7 +202,7 @@ def test_check_a7_computes_the_target_coupling_potential_once(monkeypatch):
     res = check_A7(sys_, g, np.linspace(-0.1, 0.1, 3)[:, None] * np.ones(2))
     assert res.passed
     assert calls["target"] == 1
-    assert calls["evaluations"] == 272
+    assert calls["evaluations"] == 2
     assert calls["quadratures"] == 1 + calls["evaluations"]
 
 

@@ -122,6 +122,36 @@ def test_simulate_singularity_exit_code(tmp_path):
                      "--out", str(tmp_path / "s")]) == 3
 
 
+def _with(section, key, value):
+    def edit(doc):
+        doc[section][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _with("system", "psi_degrees", 20.0),  # unknown key
+    _with("gains", "k_e", float("nan")),
+    _with("run", "dt_s", 0.0),
+    _with("run", "t_end_s", float("nan")),
+    _with("initial", "q_u", [float("nan")]),
+], ids=["unknown-key", "nan-k_e", "zero-dt", "nan-t_end", "nan-q0"])
+def test_malformed_scenario_exit_code(tmp_path, capsys, edit):
+    doc = builtin_scenario("cart_pendulum")
+    edit(doc)
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["simulate", "--scenario", str(path),
+                     "--out", str(tmp_path / "s")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:") and err.count("\n") == 1
+
+
+def test_bad_command_line_override_exit_code(tmp_path):
+    path = write_scenario(tmp_path, builtin_scenario("cart_pendulum"))
+    assert cli_main(["simulate", "--scenario", str(path), "--dt", "0",
+                     "--out", str(tmp_path / "s")]) == 5
+    assert cli_main(["check", "--scenario", str(tmp_path / "missing.yaml")]) == 5
+
+
 def test_sweep_rows(tmp_path):
     doc = builtin_scenario("cart_pendulum")
     doc["run"]["t_end_s"] = 2.0

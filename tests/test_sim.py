@@ -3,16 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from pidpbc import (Gains, SetpointStep, SimulationAborted, detect_convergence,
-                    integrator_init, linear_system, read_trace_csv,
-                    robust_integrator_init, simulate, simulate_open_loop,
-                    verify_l2_gain, verify_lyapunov, verify_passivity,
-                    write_column_map, write_trace_csv)
+from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted,
+                    approx_control, detect_convergence, exact_control, forward_dynamics,
+                    integrator_init, linear_system, passive_outputs, pi_control,
+                    plant_input, read_trace_csv, robust_integrator_init, simulate,
+                    simulate_open_loop, verify_l2_gain, verify_lyapunov,
+                    verify_passivity, write_column_map, write_trace_csv)
 from pidpbc.controller import MODES
 from pidpbc.sim import CONTROLLERS, _build_eval_generic, _build_eval_scalar, _rk4
 
 from conftest import PSI, Q0, QD0, bench_gains, random_gains
-from synthetic import make_synthetic
+from synthetic import make_synthetic, random_state
 
 
 TOY_GAINS = dict(k_e=1.0, k_a=2.0, k_u=1.0, K_P=1.0, K_I=1.0, K_D=0.1)
@@ -47,6 +48,38 @@ def test_scalar_closure_matches_generic_at_random_states(cart):
                 a, b = scalar(t, x), generic(t, x)
                 assert np.abs(a - b).max() < 1e-11 * (1.0 + np.abs(b).max()), \
                     (plant.name, controller, mode, dist is not None, x)
+
+
+@pytest.mark.parametrize("s,m", [(2, 2), (2, 1), (1, 2), (3, 2)])
+def test_generic_closure_matches_reference_functions(s, m):
+    # the closure solves the plant response and the PID as written; the
+    # reference route is the closed-form law K(q_u) u = -K_P y_d - K_I z1 - S
+    # fed through the plant junction and the open-loop dynamics
+    plant = make_synthetic(s, m, seed=20 + 3 * s + m)
+    rng = np.random.default_rng(10 * s + m)
+    dist = lambda t: 0.3 * np.sin(4.0 * t + np.arange(m))  # noqa: E731
+    for controller, mode, d in itertools.product(CONTROLLERS, MODES, (None, dist)):
+        g = random_gains(plant, rng, mode=mode)
+        use_z2 = controller == "approx"
+        rhs = _build_eval_generic(plant, g, controller, d, 0.0, use_z2)
+        for _ in range(20):
+            st = random_state(plant, rng)
+            cs = ControllerState(rng.normal(size=m), rng.normal(size=m))
+            t = rng.uniform(0.0, 10.0)
+            if controller == "exact":
+                u = exact_control(plant, g, st, cs, det_tol=0.0)
+            elif controller == "approx":
+                u, _, z2dot = approx_control(plant, g, st, cs)
+            else:
+                u = pi_control(plant, g, st, cs)
+            force = u if d is None else u + d(t)
+            qdd = forward_dynamics(plant, st, plant_input(plant, g, force, st.q_a))
+            want = np.concatenate([st.qd, qdd, passive_outputs(plant, st, g).y_d]
+                                  + ([z2dot] if use_z2 else []))
+            x = np.concatenate([st.q, st.qd, cs.z1] + ([cs.z2] if use_z2 else []))
+            got = rhs(t, x)
+            assert np.abs(got - want).max() <= 1e-11 * (1.0 + np.abs(want).max()), \
+                (controller, mode, d is not None)
 
 
 def test_scalar_closure_matches_generic_over_whole_runs(cart):
@@ -148,6 +181,26 @@ def test_grid_validation(cart, gains_cancel):
     with pytest.raises(ValueError):
         simulate(cart, gains_cancel, Q0, QD0, t_end=1.0, dt=1e-3,
                  setpoints=[SetpointStep(0.50037, np.array([-0.3]))])
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_simulate_rejects_a_bad_step(cart, gains_cancel, dt):
+    with pytest.raises(ValueError, match="dt"):
+        simulate(cart, gains_cancel, Q0, QD0, t_end=1.0, dt=dt)
+
+
+@pytest.mark.parametrize("t_end", [np.nan, np.inf])
+def test_simulate_rejects_a_non_finite_horizon(cart, gains_cancel, t_end):
+    with pytest.raises(ValueError, match="t_end"):
+        simulate(cart, gains_cancel, Q0, QD0, t_end=t_end, dt=1e-3)
+
+
+@pytest.mark.parametrize("which", ["q0", "qd0"])
+def test_simulate_rejects_a_non_finite_initial_state(cart, gains_cancel, which):
+    start = {"q0": Q0.copy(), "qd0": QD0.copy()}
+    start[which][0] = np.nan
+    with pytest.raises(ValueError, match=which):
+        simulate(cart, gains_cancel, start["q0"], start["qd0"], t_end=1.0, dt=1e-3)
 
 
 def test_singularity_abort_reports_time_and_configuration(cart, gains_cancel):
