@@ -7,7 +7,7 @@ Commands:
   reproduce  run a pinned bundled example and assert its expected outcomes
 
 Exit codes: 0 success, 2 assumption failure, 3 runtime singularity,
-4 acceptance failure, 5 invalid input (a malformed or unreadable scenario).
+4 acceptance failure, 5 invalid input (a malformed or unreadable scenario or --values).
 """
 
 from __future__ import annotations
@@ -183,9 +183,13 @@ def _sweep_gains(base: Gains, param: str, value: float) -> Gains:
 
 
 def cmd_sweep(args) -> int:
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError:
+        print(f"invalid --values {args.values!r}: need numbers", file=_stdsys.stderr)
+        return EXIT_INPUT
     sc = _load(args)
     out = _outdir(args)
-    values = [float(v) for v in args.values.split(",")]
     rows = []
     for value in values:
         row = {"value": value, "status": "", "settle_time": "", "peak_abs_u": "",

@@ -18,11 +18,13 @@ closed forms of ``K`` and of the feedforward ``S`` live only in
 route to the integrated law.  A scalar form of the same formulas serves
 ``s = m = 1`` plants.  The tests pin the generic form to the reference
 functions and the scalar form to the generic one, at random states and over
-whole runs.
+whole runs.  The integrated state is a list of Python floats; the array forms
+convert at their own boundary (``np.asarray`` in, ``tolist`` out).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -114,7 +116,8 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
     # robust_A8 keeps the actuated potential slope in the plant drift
     gradVa = sys.gradVa if gains.mode == "robust_A8" else (lambda q_a: 0.0)
 
-    def eval_rhs(t: float, xv: Array) -> Array:
+    def eval_rhs(t: float, x) -> list:
+        xv = np.asarray(x)
         q_u, q_a, qd = xv[:s], xv[s:n], xv[n:2 * n]
         qd_u, qd_a = qd[:s], qd[s:]
         z1v, z2v = xv[2 * n:2 * n + m], xv[2 * n + m:]
@@ -159,7 +162,7 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
         xdot = [qd, sol[:, 0] + sol[:, 1:] @ u, y_d]
         if use_z2:
             xdot.append(gains.filter_b * (y_d - z2v))
-        return np.concatenate(xdot)
+        return np.concatenate(xdot).tolist()
 
     return eval_rhs
 
@@ -167,7 +170,7 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
 def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
                        disturbance, det_tol: float, use_z2: bool):
     """Float-only evaluation for s = m = 1; formula-identical to the generic
-    path, with the 2x2 inverse in closed form."""
+    path, with the 2x2 inverse in closed form; only the callbacks see arrays."""
     k_e, k_a = gains.k_e, gains.k_a
     c = gains.k_u - gains.k_a
     KP, KI, KD = (float(mat[0, 0]) for mat in (gains.K_P, gains.K_I, gains.K_D))
@@ -176,15 +179,15 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
     dmuu_fn = sys.muu_jac or (lambda q: muu_gradient(sys, q))
     dmau_fn = sys.mau_jac or (lambda q: mau_gradient(sys, q))
     gradVu_fn = sys.gradVu_fn
-    gradVa_fn = sys.gradVa_fn if gains.mode == "robust_A8" else (lambda q_a: 0.0)
+    gradVa_fn = sys.gradVa_fn if gains.mode == "robust_A8" else None
     qbuf_u, qbuf_a = np.empty(1), np.empty(1)
 
-    def scalar(value) -> float:
-        return float(np.asarray(value).reshape(-1)[0])
+    def scalar(value) -> float:  # strict: an array result must have one entry
+        return value.item() if isinstance(value, np.ndarray) else float(np.ravel(value)[0])
 
-    def eval_rhs(t: float, xv: Array) -> Array:
-        q_u, q_a, qd_u, qd_a, z1 = xv[0], xv[1], xv[2], xv[3], xv[4]
-        z2 = xv[5] if use_z2 else 0.0
+    def eval_rhs(t: float, x) -> list:
+        q_u, q_a, qd_u, qd_a, z1 = x[0], x[1], x[2], x[3], x[4]
+        z2 = x[5] if use_z2 else 0.0
         qbuf_u[0] = q_u
         qbuf_a[0] = q_a
         muu = scalar(muu_fn(qbuf_u))
@@ -192,9 +195,9 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
         act_row = scalar(dmau_fn(qbuf_u)) * qd_u * qd_u
 
         # plant response qdd = qdd0 + G (u + d); the velocity cross terms
-        # cancel exactly for s = m = 1
+        # cancel exactly for s = m = 1; robust_A8 keeps the actuated slope
         f_u = -(0.5 * scalar(dmuu_fn(qbuf_u)) * qd_u * qd_u + scalar(gradVu_fn(qbuf_u)))
-        f_a = -act_row - scalar(gradVa_fn(qbuf_a))
+        f_a = -act_row - scalar(gradVa_fn(qbuf_a)) if gradVa_fn else -act_row
         det_M = muu * maa - mau * mau
         qdd0_u = (maa * f_u - mau * f_a) / det_M
         qdd0_a = (muu * f_a - mau * f_u) / det_M
@@ -219,30 +222,36 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
         xdot = [qd_u, qd_a, qdd0_u + G_u * u, qdd0_a + G_a * u, y_d]
         if use_z2:
             xdot.append(gains.filter_b * (y_d - z2))
-        return np.array(xdot)
+        return xdot
 
     return eval_rhs
 
 
-def _rk4(rhs: Callable[[float, Array], Array], X: Array, k0: int, k1: int, dt: float) -> None:
+def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: float) -> None:
     """Classical RK4 steps from row ``k0`` to row ``k1`` of ``X`` in place.
 
-    Raises :class:`SimulationAborted` as soon as a new state is not finite.
+    The state is a list of Python floats.  Raises :class:`SimulationAborted`
+    as soon as a new state is not finite or a step divides by zero.
     """
     half, sixth = 0.5 * dt, dt / 6.0
+    x = X[k0].tolist()
     # divergence is detected by the explicit finiteness check, so the
     # transient inf/nan arithmetic on the way there stays silent
     with np.errstate(over="ignore", invalid="ignore"):
-        x = X[k0]
-        for k in range(k0, k1):
-            t = k * dt
-            r1 = rhs(t, x)
-            r2 = rhs(t + half, x + half * r1)
-            r3 = rhs(t + half, x + half * r2)
-            r4 = rhs(t + dt, x + dt * r3)
-            x = X[k + 1] = x + sixth * (r1 + 2.0 * (r2 + r3) + r4)
-            if not np.all(np.isfinite(x)):
-                raise SimulationAborted(f"state became non-finite at t={t + dt:.6g}s")
+        try:
+            for k in range(k0, k1):
+                t = k * dt
+                r1 = rhs(t, x)
+                r2 = rhs(t + half, [a + half * b for a, b in zip(x, r1)])
+                r3 = rhs(t + half, [a + half * b for a, b in zip(x, r2)])
+                r4 = rhs(t + dt, [a + dt * b for a, b in zip(x, r3)])
+                x = [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                     for a, b1, b2, b3, b4 in zip(x, r1, r2, r3, r4)]
+                X[k + 1] = x
+                if not all(map(math.isfinite, x)):
+                    raise ArithmeticError
+        except (ArithmeticError, np.linalg.LinAlgError):  # a zero divisor is inf/nan in numpy
+            raise SimulationAborted(f"state became non-finite at t={t + dt:.6g}s") from None
 
 
 def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, disturbance,
@@ -289,6 +298,19 @@ def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, distu
     return cols
 
 
+def _check_run(n: int, q0, qd0, t_end: float, dt: float) -> tuple:
+    """``(q0, qd0, n_steps)`` of a run, or :class:`ValueError` on invalid input."""
+    q0, qd0 = (np.asarray(v, dtype=float).reshape(n) for v in (q0, qd0))
+    if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(qd0))):
+        raise ValueError(f"q0 and qd0 must be finite, got {q0} and {qd0}")
+    if not (np.isfinite(dt) and dt > 0.0 and np.isfinite(t_end)):
+        raise ValueError(f"dt must be finite and positive and t_end finite, got {dt}, {t_end}")
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError("t_end must be a positive integer number of steps")
+    return q0, qd0, n_steps
+
+
 def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: float,
              *, controller: str = "exact",
              disturbance: Optional[Callable[[float], Array]] = None,
@@ -315,15 +337,7 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     if controller not in CONTROLLERS:
         raise ValueError(f"controller must be one of {CONTROLLERS}")
     s, m, n = sys.s, sys.m, sys.n
-    q0 = np.asarray(q0, dtype=float).reshape(n)
-    qd0 = np.asarray(qd0, dtype=float).reshape(n)
-    if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(qd0))):
-        raise ValueError(f"q0 and qd0 must be finite, got {q0} and {qd0}")
-    if not (np.isfinite(dt) and dt > 0.0 and np.isfinite(t_end)):
-        raise ValueError(f"dt must be finite and positive and t_end finite, got {dt}, {t_end}")
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be a positive integer number of steps")
+    q0, qd0, n_steps = _check_run(n, q0, qd0, t_end, dt)
     robust = gains.mode == "robust_A8"
     if robust and sys.affine_Va is None:
         raise ValueError("robust_A8 mode requires affine actuated-potential data")
@@ -362,7 +376,7 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
                 X[k1, 2 * n: 2 * n + m], kappa = init(sys, cur_gains, X[k1, :n])
             k0 = k1
         # the singularity guard also covers the last sample
-        eval_rhs(n_steps * dt, X[-1])
+        eval_rhs(n_steps * dt, X[-1].tolist())
     except WellPosednessError as exc:
         raise SimulationAborted(
             f"well-posedness matrix singular at t={exc.t:.6g}s, q_u={exc.q_u}"
@@ -384,19 +398,19 @@ def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float,
 
     Returns time, positions, velocities and the total energy, which is
     conserved for the unforced plant and serves as the integrator audit.
-    Raises :class:`SimulationAborted` when the state stops being finite.
+    Raises :class:`SimulationAborted` and :class:`ValueError` as :func:`simulate`.
     """
     s, n = sys.s, sys.n
-    n_steps = int(round(t_end / dt))
+    q0, qd0, n_steps = _check_run(n, q0, qd0, t_end, dt)
 
-    def rhs(t, xv):
+    def rhs(t, x):
+        xv = np.asarray(x)
         st = State.from_vectors(xv[:n], xv[n:], s)
         tau = np.zeros(sys.m) if tau_fn is None else np.asarray(tau_fn(t), dtype=float)
-        return np.concatenate([st.qd, forward_dynamics(sys, st, tau)])
+        return np.concatenate([st.qd, forward_dynamics(sys, st, tau)]).tolist()
 
     X = np.empty((n_steps + 1, 2 * n))
-    X[0, :n] = np.asarray(q0, dtype=float).reshape(n)
-    X[0, n:] = np.asarray(qd0, dtype=float).reshape(n)
+    X[0, :n], X[0, n:] = q0, qd0
     _rk4(rhs, X, 0, n_steps, dt)
     q, qd = X[:, :n], X[:, n:]
     energy = 0.5 * _quad(qd, assemble_inertia(sys, q[:, :s])) \

@@ -152,6 +152,16 @@ def test_bad_command_line_override_exit_code(tmp_path):
     assert cli_main(["check", "--scenario", str(tmp_path / "missing.yaml")]) == 5
 
 
+@pytest.mark.parametrize("values", ["--values=abc", "--values=-300,,"])
+def test_sweep_bad_values_exit_code(tmp_path, capsys, values):
+    path = write_scenario(tmp_path, builtin_scenario("cart_pendulum"))
+    assert cli_main(["sweep", "--scenario", str(path), "--param", "k_u", values,
+                     "--out", str(tmp_path / "sw")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("invalid --values") and err.count("\n") == 1
+    assert not (tmp_path / "sw").exists()
+
+
 def test_sweep_rows(tmp_path):
     doc = builtin_scenario("cart_pendulum")
     doc["run"]["t_end_s"] = 2.0

@@ -45,7 +45,7 @@ def test_scalar_closure_matches_generic_at_random_states(cart):
                 x = rng.uniform(-1.0, 1.0, 6 if use_z2 else 5)
                 x[0] = rng.uniform(lo, hi)
                 t = rng.uniform(0.0, 10.0)
-                a, b = scalar(t, x), generic(t, x)
+                a, b = np.array(scalar(t, x.tolist())), np.array(generic(t, x.tolist()))
                 assert np.abs(a - b).max() < 1e-11 * (1.0 + np.abs(b).max()), \
                     (plant.name, controller, mode, dist is not None, x)
 
@@ -142,6 +142,83 @@ def test_open_loop_energy_conservation(cart):
     out = simulate_open_loop(cart, [0.3, 0.0], [0.5, 0.1], t_end=10.0, dt=1e-3)
     drift = np.abs(out["energy"] - out["energy"][0]).max()
     assert drift <= 1e-6
+
+
+@pytest.mark.parametrize("dt", [0.0, np.nan])
+def test_open_loop_rejects_a_bad_step(cart, dt):
+    with pytest.raises(ValueError, match="dt"):
+        simulate_open_loop(cart, [0.3, 0.0], [0.5, 0.1], t_end=1.0, dt=dt)
+
+
+def _rk4_abort_message(plant, g, builder, q0, qd0, n_steps, det_tol=1e-10):
+    """The abort message of a closed-loop run driven through ``_rk4``."""
+    init = robust_integrator_init if g.mode == "robust_A8" else integrator_init
+    X = np.empty((n_steps + 1, 2 * plant.n + plant.m))
+    X[0] = np.concatenate([q0, qd0, init(plant, g, np.asarray(q0, dtype=float))[0]])
+    with pytest.raises(SimulationAborted) as err:
+        _rk4(builder(plant, g, "exact", None, det_tol, False), X, 0, n_steps, 1e-3)
+    return str(err.value)
+
+
+def test_zero_divisor_aborts_like_a_non_finite_state(cart, gains_cancel):
+    # Python floats raise on a zero divisor where numpy floats gave inf/nan;
+    # both builders must still end in the non-finite abort, never in a
+    # ZeroDivisionError or OverflowError
+    singular = linear_system(M=[[1.0, 1.0], [1.0, 1.0]], S_u=[[1.0]], name="singular")
+    g = Gains(q_u_star=[0.0], q_a_star=[0.0], **TOY_GAINS)
+    cases = [(singular, g, [0.3, 0.1], [0.0, 0.0], 0.001),
+             (cart, gains_cancel, [PSI + 0.85, -0.6], [-2.0, 0.0], 0.216)]
+    for plant, gg, q0, qd0, t_abort in cases:
+        want = f"state became non-finite at t={t_abort:.6g}s"
+        with pytest.raises(SimulationAborted) as err:
+            simulate(plant, gg, q0, qd0, t_end=1.0, dt=1e-3, det_tol=0.0)
+        assert str(err.value) == want
+        for builder in (_build_eval_scalar, _build_eval_generic):
+            assert _rk4_abort_message(plant, gg, builder, q0, qd0, 1000, 0.0) == want
+
+
+def test_sweep_abort_row_is_the_same_through_both_builders(cart):
+    # the aborting row of `pidpbc sweep --param k_u` on the bundled cart
+    g = bench_gains(k_u=-300.0)
+    want = "state became non-finite at t=0.617s"
+    with pytest.raises(SimulationAborted) as err:
+        simulate(cart, g, Q0, QD0, t_end=10.0, dt=1e-3,
+                 setpoints=[SetpointStep(5.0, np.array([-0.3]))])
+    assert str(err.value) == want
+    for builder in (_build_eval_scalar, _build_eval_generic):
+        assert _rk4_abort_message(cart, g, builder, Q0, QD0, 1000) == want
+
+
+@pytest.mark.parametrize("mode,n_calls", [("cancel_Va", 5), ("robust_A8", 6)])
+def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
+    # a timing-free guard of the s = m = 1 fast path: one evaluation calls
+    # each plant callback it needs once, returns Python floats, and the
+    # integration never enters the per-point array loop
+    import dataclasses
+    from pidpbc import mechanics
+    calls = []
+
+    def counted(fn):
+        return lambda q: calls.append(fn) or fn(q)
+
+    names = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn",
+             "Vu_fn", "Va_fn", "VN_fn")
+    plant = dataclasses.replace(cart, **{k: counted(getattr(cart, k)) for k in names})
+    g = bench_gains(mode=mode)
+    rhs = _build_eval_scalar(plant, g, "exact", None, 1e-10, False)
+    x = [0.3, -0.2, 0.1, 0.05, 0.01]
+    out = rhs(0.0, x)
+    assert len(calls) == n_calls
+    assert type(out) is list and all(type(v) is float for v in out)
+
+    def per_point(*args, **kwargs):
+        raise AssertionError("mechanics._per_point entered during _rk4")
+
+    monkeypatch.setattr(mechanics, "_per_point", per_point)
+    X = np.empty((21, 5))
+    X[0] = x
+    _rk4(rhs, X, 0, 20, 1e-3)
+    assert np.all(np.isfinite(X))
 
 
 def test_output_partition_column(cart, gains_cancel):
