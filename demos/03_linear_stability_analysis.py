@@ -1,16 +1,18 @@
-"""Closed-loop pole analysis for linear plants.
+"""Closed-loop pole analysis, exact for linear plants and local for the rest.
 
 For a constant-inertia plant with block-diagonal stiffness the closed loop
 is a quadratic matrix polynomial in the Laplace variable; asymptotic
 stability is equivalent to its determinant being Hurwitz.  The script builds
 the polynomial, finds the poles two independent ways, and confirms the
-predicted decay rate in simulation.
+predicted decay rate in simulation.  Any plant of the class linearises at
+its target to the same polynomial (inertia and potential Hessian taken at
+the target), so the cart-pendulum gets its local poles too.
 """
 
 import numpy as np
 
-from pidpbc import (Gains, companion_roots_of_pencil, linear_closed_loop,
-                    pinned_linear_2dof, simulate)
+from pidpbc import (Gains, cart_pendulum_incline, companion_roots_of_pencil,
+                    linear_closed_loop, pinned_linear_2dof, simulate)
 
 plant = pinned_linear_2dof()
 print("inertia:\n", np.array([[2.0, 1.0], [1.0, 1.0]]))
@@ -44,3 +46,12 @@ slope = np.linalg.lstsq(A, np.log(qn[half:]), rcond=None)[0][0]
 print(f"\nsimulated over {T:.0f}s: fitted decay rate {slope:.4f} "
       f"vs slowest pole {lcl.max_real:.4f}")
 print(f"final position error: {qn[-1]:.2e}")
+
+print("\n== the cart-pendulum on the incline, linearised at the upright target ==")
+cart = cart_pendulum_incline()
+for k_u in (-500.0, -450.0):
+    g_cart = Gains(k_e=5.0, k_a=50.0, k_u=k_u, K_P=1.0, K_I=2.0, K_D=0.1,
+                   q_u_star=[0.0], q_a_star=[0.0])
+    lcl_cart = linear_closed_loop(cart, g_cart)
+    print(f"k_u={k_u:g}: poles", np.round(np.sort_complex(lcl_cart.roots), 4))
+    print("  Hurwitz:", lcl_cart.hurwitz, " local decay rate:", round(lcl_cart.max_real, 4))

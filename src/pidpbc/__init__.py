@@ -28,7 +28,6 @@ from .passivity import (
     storage_functions,
     potential_integral_VN,
     robust_storage,
-    hamiltonian_outputs,
     power_balance_residual,
 )
 from .controller import (
@@ -56,7 +55,6 @@ from .analysis import (
     lyapunov_Hd_and_U,
     linear_closed_loop,
     companion_roots_of_pencil,
-    assignable_equilibria_residual,
 )
 from .sim import (
     Trace,

@@ -27,9 +27,7 @@ STATUS_SAMPLED = "sampled-pass"
 STATUS_NA = "not-applicable"
 
 A7_GRAD_TOL = 1e-6  # largest |grad V_d(q*)| check_A7 accepts
-FD_STEP = 1e-5  # step of fd_gradient and fd_hessian
-LINEAR_TOL = 1e-9  # relative deviation that makes a plant not linear
-LINEAR_SEED = 3  # seed of the probe points of the linearity test
+FD_STEP = 1e-5  # step of fd_gradient, fd_hessian and the linearised stiffness
 
 ASSUMPTION_NAMES = {
     "A1": "constant input matrix [0; I]",
@@ -331,21 +329,12 @@ def check_A7(sys: MechanicalSystem, gains: Gains, q_u_grid) -> A7Result:
                     hessian_eigs=hess_eigs)
 
 
-def assignable_equilibria_residual(sys: MechanicalSystem, q_u: Array) -> Array:
-    """Gradient of the unactuated potential; zero exactly on the assignable
-    equilibrium set."""
-    return sys.gradVu(q_u)
-
-
 # ---------------------------------------------------------------------------
-# Linear systems: closed-loop polynomial matrix and Hurwitz test
+# Closed loop linearised at the target: polynomial matrix and Hurwitz test
 # ---------------------------------------------------------------------------
 
 @dataclass
 class LinearClosedLoop:
-    M: Array
-    S_u: Array
-    m0: Array
     coeff_s2: Array
     coeff_s1: Array
     coeff_s0: Array
@@ -355,40 +344,26 @@ class LinearClosedLoop:
     hurwitz: bool
 
 
-class NonLinearSystemError(ValueError):
-    """The plant is not linear, so the polynomial closed-loop form does not
-    apply."""
-
-
-def _extract_linear_data(sys: MechanicalSystem):
-    rng = np.random.default_rng(LINEAR_SEED)
-    zero = np.zeros(sys.s)
-    M0 = assemble_inertia(sys, zero)
-    for _ in range(5):
-        q = rng.uniform(-1.0, 1.0, sys.s)
-        if np.max(np.abs(assemble_inertia(sys, q) - M0)) > LINEAR_TOL * max(1.0, np.abs(M0).max()):
-            raise NonLinearSystemError("inertia matrix is not constant")
-    g0 = sys.gradVu(zero)
-    if np.linalg.norm(g0) > LINEAR_TOL:
-        raise NonLinearSystemError("unactuated potential gradient nonzero at the origin")
-    S_u = np.column_stack([sys.gradVu(e) for e in np.eye(sys.s)])
-    for _ in range(5):
-        q = rng.uniform(-1.0, 1.0, sys.s)
-        if np.linalg.norm(sys.gradVu(q) - S_u @ q) > LINEAR_TOL * max(1.0, np.abs(S_u).max()):
-            raise NonLinearSystemError("unactuated potential is not quadratic")
-    return M0, 0.5 * (S_u + S_u.T)
-
-
 def linear_closed_loop(sys: MechanicalSystem, gains: Gains) -> LinearClosedLoop:
-    """Quadratic polynomial matrix of the linear closed loop and its
-    stability verdict.
+    """Quadratic polynomial matrix of the closed loop linearised at the
+    target ``(q*, 0)``, and its local stability verdict.
 
-    The loop is asymptotically stable exactly when the determinant of
-    ``C2 s^2 + C1 s + C0`` is a Hurwitz polynomial.  The determinant is
-    recovered by evaluation at ``2n + 1`` points and interpolation, and its
-    roots come from the companion matrix of that scalar polynomial.
+    At rest on the target the Coriolis terms vanish to first order, so every
+    plant of the class linearises with the inertia ``M(q_u*)``, the
+    stiffness ``S_u = Hess V_u(q_u*)`` (the symmetrised fourth-order
+    difference of ``gradVu``, one batched call) and the integrator coupling
+    ``m0 = (k_a - k_u) m_aa^{-1} m_au(q_u*)``; on a linear plant this is the
+    exact closed loop.  The equilibrium is locally exponentially stable
+    exactly when the determinant of ``C2 s^2 + C1 s + C0`` is a Hurwitz
+    polynomial, and ``max_real`` is then the local decay rate.  The
+    determinant is recovered by evaluation at ``2n + 1`` points and
+    interpolation, and its roots come from the companion matrix of that
+    scalar polynomial.
     """
-    M, S_u = _extract_linear_data(sys)
+    q_u_star = gains.q_u_star
+    M = assemble_inertia(sys, q_u_star)
+    J = _central(sys.gradVu(_stencil(q_u_star)))  # [k, i]: d/dq_k of component i
+    S_u = 0.5 * (J + J.T)
     s, m, n = sys.s, sys.m, sys.n
     muu = M[:s, :s]
     mau = M[s:, :s]
@@ -423,7 +398,7 @@ def linear_closed_loop(sys: MechanicalSystem, gains: Gains) -> LinearClosedLoop:
     roots = np.roots(trimmed[::-1]) if trimmed.size > 1 else np.array([])
     max_real = float(roots.real.max()) if roots.size else -np.inf
     return LinearClosedLoop(
-        M=M, S_u=S_u, m0=m0, coeff_s2=C2, coeff_s1=C1, coeff_s0=C0,
+        coeff_s2=C2, coeff_s1=C1, coeff_s0=C0,
         det_coeffs=coeffs, roots=roots, max_real=max_real,
         hurwitz=bool(max_real < -1e-8))
 

@@ -83,14 +83,6 @@ def storage_functions(sys: MechanicalSystem, st: State) -> tuple[float, float, f
     return H_u, H_a, H
 
 
-def hamiltonian_outputs(sys: MechanicalSystem, st: State) -> tuple[Array, Array]:
-    """Momentum-side output pair ``(maa y_u, qd_a)``; the second component is
-    the row sum of the velocity pair, which collapses to the actuated
-    velocity identically."""
-    y_u, _ = velocity_outputs(sys, st)
-    return _mv(sys.maa, y_u), st.qd_a.copy()
-
-
 class IntegrabilityError(ValueError):
     """The coupling block rows are not gradient fields, so no coupling
     potential exists."""

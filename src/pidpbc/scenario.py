@@ -17,7 +17,7 @@ import yaml
 
 from .mechanics import MechanicalSystem
 from .controller import Gains
-from .sim import SetpointStep
+from .sim import SetpointStep, _grid_index, _steps_on_grid
 from . import systems
 
 
@@ -57,6 +57,8 @@ class Scenario:
     check_samples: int
     seed: int
     gate_grid: np.ndarray          # q_u grid for the A5/A7 scans
+    # (first sample, last sample, target q) of each setpoint segment of the run
+    segments: list = field(init=False)
     final_target: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -64,13 +66,24 @@ class Scenario:
         if not all(np.isfinite(v) and v > 0.0 for v in (self.t_end, self.dt)):
             raise ScenarioError(f"t_end and dt must be finite and positive, got "
                                 f"{self.t_end} and {self.dt}")
+        try:
+            n_steps = _grid_index(self.t_end, self.dt, self.t_end, "t_end")
+            # one step per switch sample, the last one winning, as in simulate
+            switches = dict(_steps_on_grid(self.setpoints, self.dt, self.t_end))
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
         g = self.gains
         q_u_star, q_a_star = g.q_u_star, g.q_a_star
-        for sp in self.setpoints:
-            q_a_star = np.asarray(sp.q_a_star, dtype=float)
-            if sp.q_u_star is not None:
-                q_u_star = np.asarray(sp.q_u_star, dtype=float)
-        self.final_target = np.concatenate([q_u_star, q_a_star])
+        self.segments = []
+        k0 = 0
+        for k1, sp in list(switches.items()) + [(n_steps, None)]:
+            self.segments.append((k0, k1, np.concatenate([q_u_star, q_a_star])))
+            if sp is not None:
+                q_a_star = np.asarray(sp.q_a_star, dtype=float)
+                if sp.q_u_star is not None:
+                    q_u_star = np.asarray(sp.q_u_star, dtype=float)
+            k0 = k1
+        self.final_target = self.segments[-1][2]
 
 
 _SYSTEM_KEYS = {

@@ -298,6 +298,23 @@ def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, distu
     return cols
 
 
+def _grid_index(t: float, dt: float, t_end: float, what: str) -> int:
+    """Number ``k >= 1`` of steps ``dt`` that reach time ``t`` (to within
+    ``1e-9 max(1, t_end)``), or :class:`ValueError` naming ``what``."""
+    k = int(round(t / dt))
+    if k < 1 or abs(k * dt - t) > 1e-9 * max(1.0, t_end):
+        raise ValueError(f"{what} {t:g} is not a positive whole number of steps of dt={dt:g}")
+    return k
+
+
+def _steps_on_grid(setpoints: Sequence[SetpointStep], dt: float, t_end: float) -> list:
+    """``(k, step)`` of the setpoint steps up to ``t_end``, in time order, each
+    on the integration grid (:class:`ValueError` otherwise)."""
+    steps = sorted((sp for sp in setpoints if sp.t <= t_end * (1 + 1e-12)),
+                   key=lambda sp: sp.t)
+    return [(_grid_index(sp.t, dt, t_end, "setpoint time"), sp) for sp in steps]
+
+
 def _check_run(n: int, q0, qd0, t_end: float, dt: float) -> tuple:
     """``(q0, qd0, n_steps)`` of a run, or :class:`ValueError` on invalid input."""
     q0, qd0 = (np.asarray(v, dtype=float).reshape(n) for v in (q0, qd0))
@@ -305,10 +322,7 @@ def _check_run(n: int, q0, qd0, t_end: float, dt: float) -> tuple:
         raise ValueError(f"q0 and qd0 must be finite, got {q0} and {qd0}")
     if not (np.isfinite(dt) and dt > 0.0 and np.isfinite(t_end)):
         raise ValueError(f"dt must be finite and positive and t_end finite, got {dt}, {t_end}")
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be a positive integer number of steps")
-    return q0, qd0, n_steps
+    return q0, qd0, _grid_index(t_end, dt, t_end, "t_end")
 
 
 def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: float,
@@ -332,7 +346,8 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     the singularity threshold (exact law only) or the state stops being
     finite; the message carries the offending time and configuration.
     Raises :class:`ValueError` before integrating when ``dt`` is not finite
-    and positive, ``t_end`` is not finite or ``q0``/``qd0`` is not finite.
+    and positive, ``t_end`` is not finite, ``t_end`` or a setpoint time is
+    not a whole number of steps, or ``q0``/``qd0`` is not finite.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"controller must be one of {CONTROLLERS}")
@@ -354,14 +369,8 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     builder = _build_eval_scalar if s == m == 1 else _build_eval_generic
     eval_rhs = builder(sys, gains, controller, disturbance, det_tol, use_z2)
 
-    steps = sorted((sp for sp in setpoints if sp.t <= t_end * (1 + 1e-12)),
-                   key=lambda sp: sp.t)
-    switch_idx = {}
-    for sp in steps:
-        k = int(round(sp.t / dt))
-        if abs(k * dt - sp.t) > 1e-9 * max(1.0, t_end) or k <= 0:
-            raise ValueError(f"setpoint time {sp.t} is not on the integration grid")
-        switch_idx[k] = sp
+    steps = _steps_on_grid(setpoints, dt, t_end)
+    switch_idx = dict(steps)
 
     X = np.empty((n_steps + 1, x.size))
     X[0] = x
@@ -386,7 +395,7 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     return Trace(
         **cols,
         dt=dt, controller=controller, system=sys, gains=gains,
-        switch_times=tuple(sp.t for sp in steps),
+        switch_times=tuple(sp.t for _, sp in steps),
         min_abs_detK=float(np.abs(cols["detK"]).min()) if controller == "exact"
         else float("nan"),
     )

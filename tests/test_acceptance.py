@@ -369,6 +369,31 @@ def test_criterion_07_linear_hurwitz_and_decay(linear_gains, linear_decay_trace)
     assert 0.5 <= ratio <= 2.0
 
 
+def envelope_decay_rate(trace, t0, t1, target):
+    """Slope of ``log |q - target|`` through its local maxima on
+    ``[t0, t1]``: the decay rate of the oscillation's envelope."""
+    k = (trace.t >= t0 - 1e-9) & (trace.t <= t1 + 1e-9)
+    q = np.hstack([trace.q_u, trace.q_a])[k]
+    le = np.log(np.linalg.norm(q - target, axis=1))
+    peaks = np.nonzero((le[1:-1] >= le[:-2]) & (le[1:-1] >= le[2:]))[0] + 1
+    return np.polyfit(trace.t[k][peaks], le[peaks], 1)[0]
+
+
+def test_criterion_07b_cart_decay_matches_linearisation(bench_trace, ku450_trace):
+    # the tail of each setpoint segment, from 2 s after its start
+    windows = ((2.0, 5.0, [0.0, 0.0]), (7.0, 10.0, [0.0, -0.3]))
+    ratios = {}
+    for k_u, tr in ((-500.0, bench_trace), (-450.0, ku450_trace)):
+        lcl = linear_closed_loop(tr.system, tr.gains)
+        assert lcl.hurwitz
+        for t0, t1, target in windows:
+            ratios[k_u, t0] = envelope_decay_rate(tr, t0, t1, target) / lcl.max_real
+    ok = all(abs(r - 1.0) <= 0.1 for r in ratios.values())
+    report("7b", ok, "simulated envelope decay / linearised max_real: " + ", ".join(
+        f"k_u={k_u:g} from {t0:g}s {r:.3f}" for (k_u, t0), r in ratios.items()))
+    assert ok, ratios
+
+
 # ---------------------------------------------------------------------------
 # 8. exact law is the PID
 # ---------------------------------------------------------------------------

@@ -3,14 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pidpbc import (Gains, State, assemble_inertia,
-                    assignable_equilibria_residual, check_A7,
+from pidpbc import (Gains, State, assemble_inertia, check_A7,
                     check_assumptions, closed_form_z1,
                     companion_roots_of_pencil, desired_inertia_Md,
                     desired_potential_Vd, integrator_init, linear_closed_loop,
                     linear_system, lyapunov_Hd_and_U, passive_outputs,
                     pinned_linear_2dof, simulate, storage_functions)
-from pidpbc.analysis import NonLinearSystemError, fd_gradient, scan_A5
+from pidpbc.analysis import fd_gradient, scan_A5
 
 from conftest import PSI, bench_gains, random_gains
 from synthetic import make_synthetic, random_state
@@ -260,13 +259,30 @@ def test_hurwitz_flag_matches_pencil_spectrum():
         assert abs(lcl.max_real - oracle.real.max()) < 1e-7
 
 
-def test_linear_closed_loop_rejects_nonlinear(cart, gains_cancel):
-    with pytest.raises(NonLinearSystemError):
-        linear_closed_loop(cart, gains_cancel)
+# local poles of the cart-pendulum loop linearised at the upright target, for
+# the benchmark gains and the k_u = -450 variant
+CART_ROOTS = {
+    -500.0: [-6.250146532, -4.546985726, -2.170546800 - 5.607232578j,
+             -2.170546800 + 5.607232578j],
+    -450.0: [-5.369720003 - 0.324698044j, -5.369720003 + 0.324698044j,
+             -3.010568808 - 6.135869470j, -3.010568808 + 6.135869470j],
+}
+
+
+@pytest.mark.parametrize("k_u", sorted(CART_ROOTS))
+def test_linear_closed_loop_linearises_cart_at_target(cart, k_u):
+    lcl = linear_closed_loop(cart, bench_gains(k_u=k_u))
+    roots = np.sort_complex(lcl.roots)
+    assert np.abs(roots - CART_ROOTS[k_u]).max() < 1e-6
+    oracle = np.sort_complex(
+        companion_roots_of_pencil(lcl.coeff_s2, lcl.coeff_s1, lcl.coeff_s0))
+    assert np.abs(oracle - roots).max() < 1e-8
+    assert lcl.hurwitz
+    assert lcl.max_real == roots.real.max()
 
 
 def test_assignable_equilibria(cart):
-    assert np.abs(assignable_equilibria_residual(cart, [0.0])).max() < 1e-15
-    assert np.abs(assignable_equilibria_residual(cart, [np.pi])).max() < 1e-12
-    val = assignable_equilibria_residual(cart, [0.1])[0]
+    assert np.abs(cart.gradVu([0.0])).max() < 1e-15
+    assert np.abs(cart.gradVu([np.pi])).max() < 1e-12
+    val = cart.gradVu([0.1])[0]
     assert abs(val + MGL * np.sin(0.1)) < 1e-12 and abs(val) > 1e-8

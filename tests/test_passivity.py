@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pidpbc import (IntegrabilityError, MechanicalSystem, State,
-                    assemble_inertia, hamiltonian_outputs, linear_system,
+                    assemble_inertia, linear_system,
                     locked_matrix_Ma, passive_outputs, potential_integral_VN,
                     power_balance_residual, robust_storage, schur_unactuated,
                     simulate, storage_functions)
@@ -204,23 +204,6 @@ def test_holding_potential_rate_along_trace(cart, gains_robust):
     target = -(tr.y_u @ s_a)
     denom = max(np.abs(target).max(), 1e-12)
     assert np.abs(dv0[2:-2] - target[2:-2]).max() / denom < 1e-6
-
-
-def test_hamiltonian_outputs(cart):
-    st = State([PSI], [0.0], [1.0], [0.0])
-    Y_u, Y_a = hamiltonian_outputs(cart, st)
-    assert abs(Y_u[0] + ML) < 1e-12  # -0.0301
-    rng = np.random.default_rng(4)
-    sys_ = make_synthetic(2, 2, seed=32)
-    for _ in range(20):
-        st = random_state(sys_, rng)
-        Y_u, Y_a = hamiltonian_outputs(sys_, st)
-        assert np.array_equal(Y_a, st.qd_a)
-        y_u, _ = velocity_outputs(sys_, st)
-        assert np.allclose(Y_u, sys_.maa @ y_u, atol=1e-14)
-    st0 = State(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
-    Y_u, Y_a = hamiltonian_outputs(sys_, st0)
-    assert np.all(Y_u == 0) and np.all(Y_a == 0)
 
 
 def test_power_balance_residual_vanishes():

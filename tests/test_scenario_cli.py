@@ -26,6 +26,18 @@ def test_builtin_scenarios_load():
         builtin_scenario("nope")
 
 
+def test_setpoint_segments():
+    sc = scenario_from_dict(builtin_scenario("cart_pendulum"))
+    assert [(k0, k1, t.tolist()) for k0, k1, t in sc.segments] == [
+        (0, 5000, [0.0, 0.0]), (5000, 10000, [0.0, -0.3])]
+    # a step after the horizon never takes effect, so it sets no target
+    doc = builtin_scenario("cart_pendulum")
+    doc["run"]["t_end_s"] = 4.0
+    sc = scenario_from_dict(doc)
+    assert [(k0, k1) for k0, k1, _ in sc.segments] == [(0, 4000)]
+    assert sc.final_target.tolist() == [0.0, 0.0]
+
+
 def test_unknown_keys_rejected(tmp_path):
     doc = builtin_scenario("cart_pendulum")
     doc["system"]["psi_degrees"] = 20.0
@@ -152,6 +164,22 @@ def test_bad_command_line_override_exit_code(tmp_path):
     assert cli_main(["check", "--scenario", str(tmp_path / "missing.yaml")]) == 5
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("example, overrides", [
+    ("linear", ["--dt", "0.007"]),  # 60 s is not a whole number of steps
+    ("cart_pendulum", ["--t-end", "9", "--dt", "0.003"]),  # nor is the 5 s step
+], ids=["t_end-off-grid", "setpoint-off-grid"])
+def test_off_grid_override_exit_code(tmp_path, capsys, command, example, overrides):
+    path = write_scenario(tmp_path, builtin_scenario(example))
+    extra = ["--param", "k_u", "--values=-500"] if command == "sweep" else []
+    assert cli_main([command, "--scenario", str(path), *overrides, *extra,
+                     "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:") and err.count("\n") == 1
+    assert "whole number of steps" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("values", ["--values=abc", "--values=-300,,"])
 def test_sweep_bad_values_exit_code(tmp_path, capsys, values):
     path = write_scenario(tmp_path, builtin_scenario("cart_pendulum"))
@@ -211,9 +239,28 @@ def test_reproduce_cart_pendulum(tmp_path):
     assert summary["converged"]
     assert summary["min_abs_detK"] > 0
     assert summary["z1_closed_form_gap"] <= 1e-6
+    # the loop linearised at the upright target is locally stable
+    assert summary["hurwitz"] is True
+    assert abs(summary["max_real"] + 2.1705468) < 1e-6
     # the certificate on the symmetric grid is reported, and known indefinite
     assert summary["a7_symmetric_grid"]["pass"] is False
     assert (out / "trace.csv").exists() and (out / "check.json").exists()
+
+
+def test_reproduce_fails_on_an_unsettled_segment(tmp_path, monkeypatch):
+    # ending the run half a second after the step leaves the second setpoint
+    # segment unsettled, while the first one still settles
+    def short(name):
+        doc = builtin_scenario(name)
+        doc["run"]["t_end_s"] = 5.5
+        return doc
+
+    monkeypatch.setattr("pidpbc.scenario.builtin_scenario", short)
+    out = tmp_path / "rep"
+    assert cli_main(["reproduce", "cart_pendulum", "--out", str(out)]) == 4
+    failures = json.loads((out / "failures.json").read_text())["failures"]
+    assert len(failures) == 1
+    assert failures[0].startswith("setpoint segment 2 (5-5.5s) not settled")
 
 
 def test_reproduce_ku450(tmp_path):
