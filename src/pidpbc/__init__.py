@@ -15,9 +15,7 @@ from .mechanics import (
     SingularInertiaError,
     assemble_inertia,
     coriolis_decomposition,
-    christoffel_coriolis,
     forward_dynamics,
-    reduced_unactuated_dynamics,
 )
 from .passivity import (
     PassiveOutputs,

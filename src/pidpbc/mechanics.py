@@ -11,7 +11,10 @@ so ``q = [q_u; q_a]``.
 and ``coriolis_decomposition`` take one point or a batch with leading sample
 axes and keep those axes in their results, as do the passivity, controller
 and analysis functions that build a trace.  Plant callbacks see one point at
-a time; :func:`_per_point` loops them over a batch.
+a time; :func:`_per_point` loops them over a batch.  A callback returns any
+array-like holding its block's entries in row-major order, so a one-entry
+block may be a plain Python float.  During integration callbacks are only
+called at finite positions.
 """
 
 from __future__ import annotations
@@ -142,6 +145,12 @@ class MechanicalSystem:
 
     Instances are immutable and every operation on them is a pure function,
     so concurrent read access is safe.
+
+    Each callback takes one point, a float array of shape ``(s,)`` or
+    ``(m,)``, and returns any array-like holding the entries of the shape
+    named below in row-major order: a one-entry block may be a plain Python
+    float, which the ``s = m = 1`` integration reads without numpy.  During
+    integration the callbacks are only called at finite positions.
 
     Parameters
     ----------
@@ -329,25 +338,6 @@ def coriolis_decomposition(sys: MechanicalSystem, st: State):
     return _mv(cmu, st.qd_u), dmu, act_row
 
 
-def christoffel_coriolis(sys: MechanicalSystem, st: State) -> Array:
-    """Full Coriolis force from the kinetic-energy bracket identity.
-
-    Evaluates ``[J - J^T / 2] qd`` where ``J`` is the Jacobian of
-    ``q -> M(q_u) qd``; independent of :func:`coriolis_decomposition` so the
-    two can cross-check each other.
-    """
-    dmuu = muu_gradient(sys, st.q_u)
-    dmau = mau_gradient(sys, st.q_u)
-    n, s = sys.n, sys.s
-    dM = np.zeros((n, n, s))
-    dM[:s, :s, :] = dmuu
-    dM[s:, :s, :] = dmau
-    dM[:s, s:, :] = np.transpose(dmau, (1, 0, 2))
-    J = np.zeros((n, n))
-    J[:, :s] = np.einsum("ijk,j->ik", dM, st.qd)
-    return J @ st.qd - 0.5 * J.T @ st.qd
-
-
 def potential_gradient(sys: MechanicalSystem, st: State) -> Array:
     return np.concatenate([sys.gradVu(st.q_u), sys.gradVa(st.q_a)], axis=-1)
 
@@ -366,22 +356,3 @@ def forward_dynamics(sys: MechanicalSystem, st: State, tau: Array) -> Array:
         raise SingularInertiaError(st.q_u, str(exc)) from exc
     y = np.linalg.solve(L, rhs)
     return np.linalg.solve(L.T, y)
-
-
-def reduced_unactuated_dynamics(sys: MechanicalSystem, st: State, u: Array) -> Array:
-    """Unactuated accelerations after eliminating the actuated row.
-
-    Solves the Schur-complement form of the dynamics driven by the
-    post-cancellation input ``u`` (the force left after the actuated
-    potential gradient has been compensated).
-    """
-    u = np.asarray(u, dtype=float).reshape(sys.m)
-    mau = sys.mau(st.q_u)
-    muu = sys.muu(st.q_u)
-    muu_s = muu - mau.T @ sys.maa_inv @ mau
-    cmu_qdu, dmu, act_row = coriolis_decomposition(sys, st)
-    rhs = mau.T @ (sys.maa_inv @ (act_row - u)) - (cmu_qdu + dmu + sys.gradVu(st.q_u))
-    try:
-        return np.linalg.solve(muu_s, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInertiaError(st.q_u, "singular Schur complement") from exc

@@ -117,6 +117,8 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
     gradVa = sys.gradVa if gains.mode == "robust_A8" else (lambda q_a: 0.0)
 
     def eval_rhs(t: float, x) -> list:
+        if not all(map(math.isfinite, x[:n])):  # callbacks see finite positions only
+            raise ArithmeticError
         xv = np.asarray(x)
         q_u, q_a, qd = xv[:s], xv[s:n], xv[n:2 * n]
         qd_u, qd_a = qd[:s], qd[s:]
@@ -170,7 +172,8 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
 def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
                        disturbance, det_tol: float, use_z2: bool):
     """Float-only evaluation for s = m = 1; formula-identical to the generic
-    path, with the 2x2 inverse in closed form; only the callbacks see arrays."""
+    path, with the 2x2 inverse in closed form; the callbacks take one-entry
+    arrays and may return floats."""
     k_e, k_a = gains.k_e, gains.k_a
     c = gains.k_u - gains.k_a
     KP, KI, KD = (float(mat[0, 0]) for mat in (gains.K_P, gains.K_I, gains.K_D))
@@ -183,11 +186,15 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
     qbuf_u, qbuf_a = np.empty(1), np.empty(1)
 
     def scalar(value) -> float:  # strict: an array result must have one entry
+        if type(value) is float:
+            return value
         return value.item() if isinstance(value, np.ndarray) else float(np.ravel(value)[0])
 
     def eval_rhs(t: float, x) -> list:
         q_u, q_a, qd_u, qd_a, z1 = x[0], x[1], x[2], x[3], x[4]
         z2 = x[5] if use_z2 else 0.0
+        if not (math.isfinite(q_u) and math.isfinite(q_a)):  # callbacks see finite positions only
+            raise ArithmeticError
         qbuf_u[0] = q_u
         qbuf_a[0] = q_a
         muu = scalar(muu_fn(qbuf_u))
@@ -231,7 +238,9 @@ def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: flo
     """Classical RK4 steps from row ``k0`` to row ``k1`` of ``X`` in place.
 
     The state is a list of Python floats.  Raises :class:`SimulationAborted`
-    as soon as a new state is not finite or a step divides by zero.
+    as soon as a new state is not finite or a step divides by zero; the
+    right-hand sides raise :class:`ArithmeticError` on a non-finite stage
+    state before any plant callback sees it.
     """
     half, sixth = 0.5 * dt, dt / 6.0
     x = X[k0].tolist()
@@ -413,6 +422,8 @@ def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float,
     q0, qd0, n_steps = _check_run(n, q0, qd0, t_end, dt)
 
     def rhs(t, x):
+        if not all(map(math.isfinite, x)):  # State refuses a non-finite entry
+            raise ArithmeticError
         xv = np.asarray(x)
         st = State.from_vectors(xv[:n], xv[n:], s)
         tau = np.zeros(sys.m) if tau_fn is None else np.asarray(tau_fn(t), dtype=float)

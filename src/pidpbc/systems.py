@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .mechanics import MechanicalSystem
@@ -10,7 +12,7 @@ GRAVITY = 9.81  # m/s^2
 
 
 def cart_pendulum_incline(pendulum_mass: float = 0.14, cart_mass: float = 0.44,
-                          length: float = 0.215, psi: float = np.deg2rad(20.0),
+                          length: float = 0.215, psi: float = math.radians(20.0),
                           gravity: float = GRAVITY) -> MechanicalSystem:
     """Cart on an inclined plane carrying an inverted pendulum.
 
@@ -18,31 +20,31 @@ def cart_pendulum_incline(pendulum_mass: float = 0.14, cart_mass: float = 0.44,
     the cart position along the plane, and the single input is a force on
     the cart.  The incline angle ``psi`` tilts the coupling term and makes
     the actuated potential affine with slope ``-(M_c + m) g sin(psi)``.
+
+    Every block has one entry, so the callbacks return Python floats from
+    :mod:`math`, with the constant factors folded when the plant is built.
     """
     m, M_c, ell = pendulum_mass, cart_mass, length
     total = M_c + m
-    s_a = -total * gravity * np.sin(psi)
-    coupling = m * ell / total
-
-    def mau(q_u):
-        return np.array([[m * ell * np.cos(q_u[0] - psi)]])
-
-    def mau_jac(q_u):
-        return np.array([[[-m * ell * np.sin(q_u[0] - psi)]]])
+    s_a = -total * gravity * math.sin(psi)
+    muu = m * ell ** 2
+    m_ell = m * ell
+    m_g_ell = m * gravity * ell
+    coupling = m_ell / total
 
     return MechanicalSystem(
         s=1, m=1,
-        muu_fn=lambda q_u: np.array([[m * ell ** 2]]),
-        muu_jac=lambda q_u: np.zeros((1, 1, 1)),
-        mau_fn=mau,
-        mau_jac=mau_jac,
+        muu_fn=lambda q_u: muu,
+        muu_jac=lambda q_u: 0.0,
+        mau_fn=lambda q_u: m_ell * math.cos(q_u[0] - psi),
+        mau_jac=lambda q_u: -m_ell * math.sin(q_u[0] - psi),
         maa=np.array([[total]]),
-        Vu_fn=lambda q_u: m * gravity * ell * np.cos(q_u[0]),
-        gradVu_fn=lambda q_u: np.array([-m * gravity * ell * np.sin(q_u[0])]),
-        Va_fn=lambda q_a: s_a * q_a[0],
-        gradVa_fn=lambda q_a: np.array([s_a]),
+        Vu_fn=lambda q_u: m_g_ell * math.cos(q_u[0]),
+        gradVu_fn=lambda q_u: -m_g_ell * math.sin(q_u[0]),
+        Va_fn=lambda q_a: s_a * float(q_a[0]),
+        gradVa_fn=lambda q_a: s_a,
         affine_Va=(np.array([s_a]), 0.0),
-        VN_fn=lambda q_u: np.array([coupling * np.sin(q_u[0] - psi)]),
+        VN_fn=lambda q_u: coupling * math.sin(q_u[0] - psi),
         name="cart-pendulum-incline",
     )
 

@@ -32,10 +32,11 @@ from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted,
                     lyapunov_Hd_and_U, passive_outputs, pinned_linear_2dof,
                     plant_input, power_balance_residual, schur_unactuated,
                     simulate, storage_functions, verify_l2_gain,
-                    verify_lyapunov, verify_passivity, christoffel_coriolis,
-                    coriolis_decomposition, wellposedness_matrix_K)
+                    verify_lyapunov, verify_passivity, coriolis_decomposition,
+                    wellposedness_matrix_K)
 
 from conftest import PSI, Q0, QD0, bench_gains, random_gains
+from oracles import christoffel_coriolis
 from synthetic import make_synthetic, random_state
 
 
@@ -458,6 +459,19 @@ def test_criterion_09_filtered_controller_tracks_exact(cart, gains_cancel,
     assert all(d > 0.02 for d in bench_devs.values()), (
         f"a filter setting tracks the implicit law on the benchmark plant "
         f"although K/k_e < 0 there: {bench_devs}")
+
+
+def test_benchmark_filter_runs_abort_on_the_blow_up(approx_traces):
+    # on the benchmark plant the faster filters blow up within 0.1 s; the
+    # right-hand side must end them as an abort at the step where the state
+    # stops being finite, never as the ValueError math raises at an
+    # infinite angle, and the slowest filter still runs to the end
+    assert not isinstance(approx_traces[50.0], str)
+    assert {ab: approx_traces[ab] for ab in (100.0, 200.0, 400.0)} == {
+        100.0: "state became non-finite at t=0.0976s",
+        200.0: "state became non-finite at t=0.0312s",
+        400.0: "state became non-finite at t=0.0186s",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,8 @@ def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
 
     names = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn",
              "Vu_fn", "Va_fn", "VN_fn")
+    # the cart's callbacks are floats themselves, not arrays the reader unpacks
+    assert [k for k in names if type(getattr(cart, k)(np.array([0.3]))) is not float] == []
     plant = dataclasses.replace(cart, **{k: counted(getattr(cart, k)) for k in names})
     g = bench_gains(mode=mode)
     rhs = _build_eval_scalar(plant, g, "exact", None, 1e-10, False)
@@ -219,6 +221,79 @@ def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
     X[0] = x
     _rk4(rhs, X, 0, 20, 1e-3)
     assert np.all(np.isfinite(X))
+
+
+def test_cart_callbacks_agree_with_their_derivatives_and_batches(cart):
+    # the float callbacks against fourth-order differences of their
+    # primitives and V_N's definition (Jacobian maa^{-1} m_au), and the
+    # accessors over a batch against the same accessors point by point
+    from pidpbc import potential_integral_VN
+    from pidpbc.mechanics import mau_gradient, muu_gradient
+    rng = np.random.default_rng(11)
+    h = 1e-3
+
+    def d4(fn, q):
+        f = lambda dq: fn(np.array([q + dq]))
+        return (-f(2 * h) + 8.0 * f(h) - 8.0 * f(-h) + f(-2 * h)) / (12.0 * h)
+
+    for q in rng.uniform(-np.pi, np.pi, 20):
+        p = np.array([q])
+        assert abs(cart.mau_jac(p) - d4(cart.mau_fn, q)) <= 1e-8
+        assert abs(cart.gradVu_fn(p) - d4(cart.Vu_fn, q)) <= 1e-8
+        assert abs(d4(cart.VN_fn, q) - cart.mau_fn(p) / cart.maa[0, 0]) <= 1e-8
+
+    batch = rng.uniform(-np.pi, np.pi, (7, 1))
+    accessors = {
+        "muu": (cart.muu, (7, 1, 1)),
+        "mau": (cart.mau, (7, 1, 1)),
+        "gradVu": (cart.gradVu, (7, 1)),
+        "Vu": (cart.Vu, (7,)),
+        "muu_gradient": (lambda q: muu_gradient(cart, q), (7, 1, 1, 1)),
+        "mau_gradient": (lambda q: mau_gradient(cart, q), (7, 1, 1, 1)),
+        "potential_integral_VN": (lambda q: potential_integral_VN(cart, q), (7, 1)),
+    }
+    for name, (fn, shape) in accessors.items():
+        out = fn(batch)
+        assert out.shape == shape, name
+        for i, p in enumerate(batch):
+            assert np.shape(fn(p)) == shape[1:], name
+            assert np.abs(out[i] - fn(p)).max() <= 1e-15, name
+
+
+def test_open_loop_blow_up_aborts_like_the_closed_loop(cart, gains_cancel):
+    # a stage state that is no longer finite ends the run as SimulationAborted,
+    # not as the ValueError State raises on it
+    want = "state became non-finite at t=0.001s"
+    with pytest.raises(SimulationAborted) as err:
+        simulate_open_loop(cart, [0.1, 0.0], [1e200, 0.0], t_end=0.01, dt=1e-3)
+    assert str(err.value) == want
+    with pytest.raises(SimulationAborted) as err:
+        simulate(cart, gains_cancel, [0.1, 0.0], [1e200, 0.0], t_end=0.01, dt=1e-3)
+    assert str(err.value) == want
+    for builder in (_build_eval_scalar, _build_eval_generic):
+        assert _rk4_abort_message(cart, gains_cancel, builder, [0.1, 0.0], [1e200, 0.0],
+                                  10) == want
+
+
+def test_only_a_non_finite_stage_position_is_an_abort(cart, gains_cancel):
+    # a non-finite position is an ArithmeticError (the abort) before any
+    # callback sees it; a ValueError a callback raises at a finite state
+    # (here a math domain error) is the plant's own and surfaces unchanged
+    # through both builders
+    import dataclasses
+    import math
+    for builder, bad, i in itertools.product((_build_eval_scalar, _build_eval_generic),
+                                             (np.inf, -np.inf, np.nan), (0, 1)):
+        x = [0.3, -0.2, 0.1, 0.05, 0.01]
+        x[i] = bad
+        with pytest.raises(ArithmeticError):
+            builder(cart, gains_cancel, "exact", None, 1e-10, False)(0.0, x)
+    plant = dataclasses.replace(cart, gradVu_fn=lambda q_u: math.sqrt(q_u[0]))
+    for builder in (_build_eval_scalar, _build_eval_generic):
+        X = np.empty((11, 5))
+        X[0] = [-0.3, -0.2, 0.1, 0.05, 0.01]
+        with pytest.raises(ValueError, match="math domain error"):
+            _rk4(builder(plant, gains_cancel, "exact", None, 1e-10, False), X, 0, 10, 1e-3)
 
 
 def test_output_partition_column(cart, gains_cancel):
