@@ -39,7 +39,6 @@ from .controller import (
     approx_control,
     pi_control,
     integrator_init,
-    robust_integrator_init,
     closed_form_z1,
     plant_input,
 )

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mechanics import (Array, MechanicalSystem, State, _T, _block2x2, _points, _quad,
-                        assemble_inertia)
+from .mechanics import (Array, MechanicalSystem, State, _T, _block2x2, _central, _points,
+                        _quad, _stencil, assemble_inertia)
 from .passivity import (coupling_row_asymmetry, passive_outputs, potential_integral_VN,
                         robust_storage, schur_unactuated, storage_functions)
 from .controller import DET_TOL, Gains, wellposedness_matrix_K
@@ -27,7 +27,6 @@ STATUS_SAMPLED = "sampled-pass"
 STATUS_NA = "not-applicable"
 
 A7_GRAD_TOL = 1e-6  # largest |grad V_d(q*)| check_A7 accepts
-FD_STEP = 1e-5  # step of fd_gradient, fd_hessian and the linearised stiffness
 
 ASSUMPTION_NAMES = {
     "A1": "constant input matrix [0; I]",
@@ -271,18 +270,6 @@ def lyapunov_Hd_and_U(sys: MechanicalSystem, gains: Gains) -> LyapunovData:
 # ---------------------------------------------------------------------------
 # Finite differences for the shaped-potential certificates
 # ---------------------------------------------------------------------------
-
-def _stencil(x: Array) -> Array:
-    """``x + o e_k`` for the offsets ``o = 2h, h, -h, -2h`` (``h = FD_STEP``)
-    and every direction ``k``, along two new leading axes ``(4, n)``."""
-    shifts = np.multiply.outer([2.0, 1.0, -1.0, -2.0], FD_STEP * np.eye(x.shape[-1]))
-    return x + shifts.reshape(shifts.shape[:2] + (1,) * (x.ndim - 1) + shifts.shape[2:])
-
-
-def _central(v: Array) -> Array:
-    """Fourth-order central difference along the offset axis 0 of ``v``."""
-    return (-v[0] + 8 * v[1] - 8 * v[2] + v[3]) / (12 * FD_STEP)
-
 
 def fd_gradient(fn: Callable[[Array], Array], x: Array) -> Array:
     """Fourth-order central-difference gradient; ``fn`` maps a stack of

@@ -114,8 +114,8 @@ def cmd_check(args) -> int:
 
 
 def _summarize(sc: scn.Scenario, trace: sim.Trace) -> dict:
-    conv = sim.detect_convergence(trace, sc.final_target, tol_q=0.01, tol_v=0.01,
-                                  window=min(0.5, sc.t_end / 10))
+    conv = sim.detect_convergence(trace, trace.segments[-1][2].q_star, tol_q=0.01,
+                                  tol_v=0.01, window=min(0.5, sc.t_end / 10))
     summary = {
         "label": sc.label,
         "controller": trace.controller,
@@ -225,7 +225,7 @@ def cmd_sweep(args) -> int:
             row["status"] = f"aborted: {exc}"
             rows.append(row)
             continue
-        conv = sim.detect_convergence(trace, sc.final_target, 0.01, 0.01,
+        conv = sim.detect_convergence(trace, trace.segments[-1][2].q_star, 0.01, 0.01,
                                       window=min(0.5, sc.t_end / 10))
         diss = sim.verify_lyapunov(trace)["dissipation"]
         row.update(status="simulated",
@@ -284,12 +284,12 @@ def cmd_reproduce(args) -> int:
     q = np.hstack([trace.q_u, trace.q_a])
     speed = np.linalg.norm(np.hstack([trace.qd_u, trace.qd_a]), axis=1)
     n_window = int(round(SETTLE_WINDOW / trace.dt))
-    for i, (k0, k1, target) in enumerate(sc.segments, 1):
+    for i, (k0, k1, g) in enumerate(trace.segments, 1):
         tail = slice(max(k0, k1 - n_window), k1 + 1)
-        if (np.abs(q[tail] - target).max() > SETTLE_TOL
+        if (np.abs(q[tail] - g.q_star).max() > SETTLE_TOL
                 or speed[tail].max() > SETTLE_TOL):
             failures.append(f"setpoint segment {i} ({k0 * trace.dt:g}-{k1 * trace.dt:g}s) "
-                            f"not settled on {target.tolist()} over its last "
+                            f"not settled on {g.q_star.tolist()} over its last "
                             f"{SETTLE_WINDOW:g}s")
     if not trace.min_abs_detK > 0:
         failures.append("well-posedness monitor saw a singular point")

@@ -173,31 +173,29 @@ def feedforward_S(sys: MechanicalSystem, gains: Gains, st: State) -> Array:
     """State-dependent term absorbed from the derivative action.
 
     Identically zero when ``K_D = 0``.  In ``robust_A8`` mode the constant
-    actuated-potential slope enters through the same acceleration
-    substitution and shows up as an extra constant piece.
+    actuated-potential slope ``s_a`` acts on the actuated rows like an input,
+    so it adds ``-(K(q_u) - k_e I) s_a``, the derivative part of the
+    well-posedness matrix applied to it.
     """
     if not np.any(gains.K_D):
         return np.zeros(st.qd_a.shape)
     mau = sys.mau(st.q_u)
-    mauT = _T(mau)
     muu_s = schur_unactuated(sys, st.q_u)
     cmu_qdu, dmu, act_row = coriolis_decomposition(sys, st)
-    inner = _solve(muu_s, _mv(mauT, _mv(sys.maa_inv, act_row))
+    inner = _solve(muu_s, _mv(_T(mau), _mv(sys.maa_inv, act_row))
                    - (cmu_qdu + dmu + sys.gradVu(st.q_u)))
     bracket = _mv(sys.maa_inv, act_row + _mv(mau, inner))
     S = -gains.k_u * _mv(gains.K_D, bracket)
     if gains.mode == "robust_A8":
         if sys.affine_Va is None:
             raise ValueError("robust_A8 mode requires affine actuated-potential data")
-        s_a, _ = sys.affine_Va
-        w = _solve(muu_s, _mv(mauT, sys.maa_inv @ s_a))
-        S = S - gains.k_a * gains.K_D @ (sys.maa_inv @ s_a) \
-              - gains.k_u * _mv(gains.K_D, _mv(sys.maa_inv, _mv(mau, w)))
+        K_deriv = wellposedness_matrix_K(sys, gains, st.q_u) - gains.k_e * np.eye(sys.m)
+        S = S - _mv(K_deriv, sys.affine_Va[0])
     return S
 
 
 def exact_control(sys: MechanicalSystem, gains: Gains, st: State, cs: ControllerState,
-                  *, det_tol: float = DET_TOL, t: Optional[float] = None) -> Array:
+                  *, det_tol: float = DET_TOL) -> Array:
     """Controller output of the implicit PID law.
 
     Solves ``K(q_u) u = -K_P y_d - K_I z1 - S(q, qd)``.  Feeding the result
@@ -212,7 +210,7 @@ def exact_control(sys: MechanicalSystem, gains: Gains, st: State, cs: Controller
     det = np.linalg.det(K)
     if np.any(np.abs(det) < det_tol):
         k = np.unravel_index(np.argmin(np.abs(det)), det.shape)
-        raise WellPosednessError(st.q_u[k], det[k], t)
+        raise WellPosednessError(st.q_u[k], det[k])
     return _solve(K, rhs)
 
 
@@ -240,42 +238,32 @@ def pi_control(sys: MechanicalSystem, gains: Gains, st: State, cs: ControllerSta
 def integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array) -> tuple[Array, Array]:
     """Integrator initialization that assigns the target equilibrium.
 
-    Returns ``(z1_0, kappa)`` where
+    Returns ``(z1_0, kappa)``: the offset
 
-        z1_0  = k_a (q_a0 - q_a*) + (k_a - k_u) (V_N(q_u0) - V_N(q_u*))
-        kappa = z1_0 - k_a q_a0 - (k_a - k_u) V_N(q_u0)
+        kappa = -k_a q_a* - (k_a - k_u) V_N(q_u*)
 
-    so that the integrator is expressible as a position function with offset
-    ``kappa`` for the whole run.  The target must be an assignable
-    equilibrium, i.e. a critical point of the unactuated potential.
+    depends on the target alone, and ``z1_0`` is :func:`closed_form_z1` at
+    ``q0``, so the integrator stays the position function with offset
+    ``kappa`` for the whole run.  In ``robust_A8`` mode holding the plant at
+    rest takes a constant force equal to the affine slope ``s_a``, which the
+    integral term supplies: the offset shifts by ``-k_e K_I^{-1} s_a``.  The
+    target must be an assignable equilibrium, i.e. a critical point of the
+    unactuated potential.
     """
-    q0 = np.asarray(q0, dtype=float).reshape(sys.n)
-    q_u0, q_a0 = q0[: sys.s], q0[sys.s:]
     grad = sys.gradVu(gains.q_u_star)
     if np.linalg.norm(grad) > CRIT_TOL:
         raise ValueError(
             f"target q_u*={gains.q_u_star} is not a critical point of the "
             f"unactuated potential (|grad|={np.linalg.norm(grad):.3e})")
-    vn0 = potential_integral_VN(sys, q_u0)
-    vn_star = potential_integral_VN(sys, gains.q_u_star)
-    z1_0 = gains.k_a * (q_a0 - gains.q_a_star) + (gains.k_a - gains.k_u) * (vn0 - vn_star)
-    kappa = z1_0 - gains.k_a * q_a0 - (gains.k_a - gains.k_u) * vn0
-    return z1_0, kappa
-
-
-def robust_integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array) -> tuple[Array, Array]:
-    """Integrator initialization for the no-cancellation mode.
-
-    Without the actuated-potential cancellation, holding the plant at rest
-    requires a constant force equal to the affine slope, which the integral
-    term must supply.  Shifting the plain initialization by
-    ``-k_e K_I^{-1} s_a`` makes the target an exact equilibrium again.
-    """
-    if sys.affine_Va is None:
-        raise ValueError("robust initialization requires affine actuated-potential data")
-    z1_0, kappa = integrator_init(sys, gains, q0)
-    shift = -gains.k_e * np.linalg.solve(gains.K_I, sys.affine_Va[0])
-    return z1_0 + shift, kappa + shift
+    kappa = -gains.k_a * gains.q_a_star \
+        - (gains.k_a - gains.k_u) * potential_integral_VN(sys, gains.q_u_star)
+    if gains.mode == "robust_A8":
+        if sys.affine_Va is None:
+            raise ValueError("robust_A8 mode requires affine actuated-potential data")
+        kappa = kappa - gains.k_e * np.linalg.solve(gains.K_I, sys.affine_Va[0])
+    q0 = np.asarray(q0, dtype=float).reshape(sys.n)
+    st0 = State(q0[: sys.s], q0[sys.s:], np.zeros(sys.s), np.zeros(sys.m))
+    return closed_form_z1(sys, gains, st0, kappa), kappa
 
 
 def closed_form_z1(sys: MechanicalSystem, gains: Gains, st: State, kappa: Array) -> Array:

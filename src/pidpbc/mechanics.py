@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 Array = np.ndarray
+FD_STEP = 1e-5  # step of every fourth-order central difference
 
 
 class DynamicsError(RuntimeError):
@@ -269,24 +270,21 @@ class State:
 # Derivatives of the inertia blocks
 # ---------------------------------------------------------------------------
 
-def _fd_step(q_u: Array) -> float:
-    return max(1e-6, 1e-7 * float(np.linalg.norm(q_u)))
+def _stencil(x: Array) -> Array:
+    """``x + o e_k`` for the offsets ``o = 2h, h, -h, -2h`` (``h = FD_STEP``)
+    and every direction ``k``, along two new leading axes ``(4, n)``."""
+    shifts = np.multiply.outer([2.0, 1.0, -1.0, -2.0], FD_STEP * np.eye(x.shape[-1]))
+    return x + shifts.reshape(shifts.shape[:2] + (1,) * (x.ndim - 1) + shifts.shape[2:])
+
+
+def _central(v: Array) -> Array:
+    """Fourth-order central difference along the offset axis 0 of ``v``."""
+    return (-v[0] + 8 * v[1] - 8 * v[2] + v[3]) / (12 * FD_STEP)
 
 
 def _block_jacobian_fd(fn: Callable[[Array], Array], q_u: Array, rows: int, cols: int) -> Array:
     """Fourth-order central-difference derivative tensor of a matrix map."""
-    s = q_u.size
-    h = _fd_step(q_u)
-    out = np.empty((rows, cols, s))
-    for k in range(s):
-        e = np.zeros(s)
-        e[k] = h
-        f2p = np.asarray(fn(q_u + 2 * e), dtype=float).reshape(rows, cols)
-        f1p = np.asarray(fn(q_u + e), dtype=float).reshape(rows, cols)
-        f1m = np.asarray(fn(q_u - e), dtype=float).reshape(rows, cols)
-        f2m = np.asarray(fn(q_u - 2 * e), dtype=float).reshape(rows, cols)
-        out[:, :, k] = (-f2p + 8.0 * f1p - 8.0 * f1m + f2m) / (12.0 * h)
-    return out
+    return np.moveaxis(_central(_per_point(fn, _stencil(q_u), (rows, cols))), 0, -1)
 
 
 def muu_gradient(sys: MechanicalSystem, q_u: Array) -> Array:

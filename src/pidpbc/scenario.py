@@ -9,7 +9,7 @@ typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,9 +57,6 @@ class Scenario:
     check_samples: int
     seed: int
     gate_grid: np.ndarray          # q_u grid for the A5/A7 scans
-    # (first sample, last sample, target q) of each setpoint segment of the run
-    segments: list = field(init=False)
-    final_target: np.ndarray = field(init=False)
 
     def __post_init__(self):
         # runs on dataclasses.replace too, so command-line overrides are checked
@@ -67,23 +64,10 @@ class Scenario:
             raise ScenarioError(f"t_end and dt must be finite and positive, got "
                                 f"{self.t_end} and {self.dt}")
         try:
-            n_steps = _grid_index(self.t_end, self.dt, self.t_end, "t_end")
-            # one step per switch sample, the last one winning, as in simulate
-            switches = dict(_steps_on_grid(self.setpoints, self.dt, self.t_end))
+            _grid_index(self.t_end, self.dt, self.t_end, "t_end")
+            _steps_on_grid(self.setpoints, self.dt, self.t_end)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        g = self.gains
-        q_u_star, q_a_star = g.q_u_star, g.q_a_star
-        self.segments = []
-        k0 = 0
-        for k1, sp in list(switches.items()) + [(n_steps, None)]:
-            self.segments.append((k0, k1, np.concatenate([q_u_star, q_a_star])))
-            if sp is not None:
-                q_a_star = np.asarray(sp.q_a_star, dtype=float)
-                if sp.q_u_star is not None:
-                    q_u_star = np.asarray(sp.q_u_star, dtype=float)
-            k0 = k1
-        self.final_target = self.segments[-1][2]
 
 
 _SYSTEM_KEYS = {

@@ -35,8 +35,7 @@ from .mechanics import (Array, DynamicsError, MechanicalSystem, State, _block2x2
                         shared_samples)
 from .controller import (DET_TOL, ControllerState, Gains, WellPosednessError,
                          approx_control, closed_form_z1, exact_control, integrator_init,
-                         pi_control, plant_input, robust_integrator_init,
-                         wellposedness_matrix_K)
+                         pi_control, plant_input, wellposedness_matrix_K)
 from .passivity import passive_outputs, robust_storage, storage_functions
 from .analysis import lyapunov_Hd_and_U
 
@@ -61,9 +60,14 @@ class SetpointStep:
 
 @dataclass
 class Trace:
-    """Uniformly sampled closed-loop trajectory with controller internals;
+    """Uniformly sampled closed-loop trajectory with controller internals.
+
+    ``segments`` holds ``(k0, k1, gains)`` per setpoint segment: its first and
+    last sample and the gains carrying its target.  A step re-initializes
+    ``z1`` at its sample, so a segment's ``k1`` is the next one's ``k0``.
     ``min_abs_detK`` is the least ``|det K|`` over the samples (``nan`` unless
-    the law is exact)."""
+    the law is exact).
+    """
 
     t: Array
     q_u: Array
@@ -91,7 +95,7 @@ class Trace:
     controller: str = "exact"
     system: Optional[MechanicalSystem] = None
     gains: Optional[Gains] = None
-    switch_times: tuple = ()
+    segments: tuple = ()
     min_abs_detK: float = float("inf")
 
     def state_at(self, k: int) -> State:
@@ -266,14 +270,10 @@ def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: flo
 def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, disturbance,
               segments: list, use_z2: bool) -> dict:
     """Every trace column from the integrated states, in one pass over all
-    samples through the reference functions.
-
-    ``segments`` holds ``(first sample, gains, kappa)`` per setpoint segment;
-    a segment runs up to the first sample of the next one.
-    """
+    samples through the reference functions; ``segments`` as in :class:`Trace`."""
     s, m, n = sys.s, sys.m, sys.n
     N = X.shape[0]
-    gains = segments[0][1]
+    gains = segments[0][2]
     t = np.arange(N) * dt
     st = State(X[:, :s], X[:, s:n], X[:, n:n + s], X[:, n + s:2 * n])
     z1 = X[:, 2 * n:2 * n + m]
@@ -294,11 +294,13 @@ def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, distu
         cols["H_u"], cols["H_a"], cols["H"] = storage_functions(sys, st)
         if sys.affine_Va is not None:
             cols["Hbar_u"], cols["Hbar_a"] = robust_storage(sys, st)
-        # a setpoint step changes only the target, which enters z1_closed and H_d
+        # a setpoint step changes only the target, which enters z1_closed and
+        # H_d; each segment's step sample is overwritten by the next segment
         cols["z1_closed"], cols["H_d"] = np.empty((N, m)), np.empty(N)
-        for (k0, g, kappa), (k1, _, _) in zip(segments, segments[1:] + [(N, None, None)]):
-            cols["z1_closed"][k0:k1] = closed_form_z1(sys, g, st, kappa)[k0:k1]
-            cols["H_d"][k0:k1] = lyapunov_Hd_and_U(sys, g).H_d(st)[k0:k1]
+        for k0, k1, g in segments:
+            kappa = integrator_init(sys, g, X[k0, :n])[1]
+            cols["z1_closed"][k0:k1 + 1] = closed_form_z1(sys, g, st, kappa)[k0:k1 + 1]
+            cols["H_d"][k0:k1 + 1] = lyapunov_Hd_and_U(sys, g).H_d(st)[k0:k1 + 1]
         cols.update(
             u=u, tau=plant_input(sys, gains, u + d, st.q_a),
             y_u=out.y_u, y_a=out.y_a, y_d=out.y_d,
@@ -347,9 +349,9 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     plant input junction; the controller never sees it.  It must be a
     function of time alone, since the ``d`` column evaluates it again at the
     sample times after the integration.  The integrator starts, and restarts
-    at each setpoint step, where the target is an equilibrium of the loop:
-    :func:`.robust_integrator_init` in ``robust_A8`` mode (the integral term
-    supplies the holding force), :func:`.integrator_init` otherwise.
+    at each setpoint step, where :func:`.integrator_init` makes the target an
+    equilibrium of the loop.  Steps on one sample act as one, the last one
+    winning; a step on the last sample or after it starts no segment.
 
     Raises :class:`SimulationAborted` when the well-posedness matrix crosses
     the singularity threshold (exact law only) or the state stops being
@@ -362,13 +364,7 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
         raise ValueError(f"controller must be one of {CONTROLLERS}")
     s, m, n = sys.s, sys.m, sys.n
     q0, qd0, n_steps = _check_run(n, q0, qd0, t_end, dt)
-    robust = gains.mode == "robust_A8"
-    if robust and sys.affine_Va is None:
-        raise ValueError("robust_A8 mode requires affine actuated-potential data")
-
-    cur_gains = gains
-    init = robust_integrator_init if robust else integrator_init
-    z1, kappa = init(sys, cur_gains, q0)
+    z1, _ = integrator_init(sys, gains, q0)
 
     use_z2 = controller == "approx"
     # the derivative filter starts on the current output to avoid a kick
@@ -378,20 +374,18 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     builder = _build_eval_scalar if s == m == 1 else _build_eval_generic
     eval_rhs = builder(sys, gains, controller, disturbance, det_tol, use_z2)
 
-    steps = _steps_on_grid(setpoints, dt, t_end)
-    switch_idx = dict(steps)
+    steps = {k: sp for k, sp in _steps_on_grid(setpoints, dt, t_end) if k < n_steps}
 
     X = np.empty((n_steps + 1, x.size))
     X[0] = x
-    segments = []
-    k0 = 0
+    segments, k0, g = [], 0, gains
     try:
-        for k1, sp in sorted(switch_idx.items()) + [(n_steps, None)]:
-            segments.append((k0, cur_gains, kappa))
+        for k1, sp in sorted(steps.items()) + [(n_steps, None)]:
             _rk4(eval_rhs, X, k0, k1, dt)
+            segments.append((k0, k1, g))
             if sp is not None:
-                cur_gains = cur_gains.with_target(q_u_star=sp.q_u_star, q_a_star=sp.q_a_star)
-                X[k1, 2 * n: 2 * n + m], kappa = init(sys, cur_gains, X[k1, :n])
+                g = g.with_target(q_u_star=sp.q_u_star, q_a_star=sp.q_a_star)
+                X[k1, 2 * n: 2 * n + m] = integrator_init(sys, g, X[k1, :n])[0]
             k0 = k1
         # the singularity guard also covers the last sample
         eval_rhs(n_steps * dt, X[-1].tolist())
@@ -403,8 +397,7 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     cols = _diagnose(sys, X, dt, controller, disturbance, segments, use_z2)
     return Trace(
         **cols,
-        dt=dt, controller=controller, system=sys, gains=gains,
-        switch_times=tuple(sp.t for _, sp in steps),
+        dt=dt, controller=controller, system=sys, gains=gains, segments=tuple(segments),
         min_abs_detK=float(np.abs(cols["detK"]).min()) if controller == "exact"
         else float("nan"),
     )
@@ -481,8 +474,7 @@ def verify_passivity(trace: Trace, which: str = "u->y_u") -> float:
 def _interior_mask(trace: Trace) -> np.ndarray:
     mask = np.ones(trace.n_samples, dtype=bool)
     mask[0] = mask[-1] = False
-    for t_sw in trace.switch_times:
-        k = int(round(t_sw / trace.dt))
+    for k, _, _ in trace.segments[1:]:
         mask[max(0, k - SWITCH_PAD): k + SWITCH_PAD + 1] = False
     return mask
 
@@ -501,8 +493,7 @@ def verify_lyapunov(trace: Trace) -> dict:
     resid = np.abs(dU[mask] + diss[mask])
     denom = diss.max() if diss.max() > 0 else 1.0
     steps_ok = np.ones(trace.n_samples - 1, dtype=bool)
-    for t_sw in trace.switch_times:
-        k = int(round(t_sw / trace.dt))
+    for k, _, _ in trace.segments[1:]:
         steps_ok[max(0, k - 1): k + 1] = False
     dU_step = np.diff(trace.U)
     monotone = bool(np.all(dU_step[steps_ok] <= 1e-8 * trace.dt))

@@ -408,8 +408,7 @@ def test_criterion_08_pid_equivalence(bench_trace, gains_cancel):
         + g.K_D[0, 0] * ydd
     mask = np.ones(tr.n_samples, bool)
     mask[:2] = mask[-2:] = False
-    for t_sw in tr.switch_times:
-        k = int(round(t_sw / tr.dt))
+    for k, _, _ in tr.segments[1:]:
         mask[k - 2: k + 3] = False
     rel = (np.abs(resid[mask]) / (1.0 + np.abs(tr.u[mask, 0]))).max()
     report(8, rel <= 1e-4, f"PID-equation residual {rel:.2e} with "

@@ -5,8 +5,7 @@ from pidpbc import (ControllerState, GainSignWarning, Gains, State,
                     WellPosednessError, approx_control, closed_form_z1,
                     exact_control, feedforward_S, forward_dynamics,
                     integrator_init, linear_system, passive_outputs,
-                    pi_control, plant_input, robust_integrator_init,
-                    wellposedness_matrix_K)
+                    pi_control, plant_input, wellposedness_matrix_K)
 
 from conftest import PSI, bench_gains
 from synthetic import make_synthetic, random_state
@@ -206,6 +205,18 @@ def test_integrator_init_values(cart, gains_cancel):
         integrator_init(cart, bad, q0)
 
 
+@pytest.mark.parametrize("mode", ["cancel_Va", "robust_A8"])
+def test_integrator_offset_depends_on_the_target_alone(cart, mode):
+    g = bench_gains(mode=mode).with_target(q_a_star=[-0.3])
+    starts = (np.array([np.deg2rad(20.0), -0.6]), np.array([-0.4, 0.25]))
+    (z1_a, kappa_a), (z1_b, kappa_b) = (integrator_init(cart, g, q0) for q0 in starts)
+    assert np.array_equal(kappa_a, kappa_b)
+    assert not np.array_equal(z1_a, z1_b)
+    shift = -g.k_e * np.linalg.solve(g.K_I, cart.affine_Va[0]) if mode == "robust_A8" else 0.0
+    st = State([0.0], [-0.3], [0.0], [0.0])
+    assert np.abs(closed_form_z1(cart, g, st, kappa_a) - shift).max() < 1e-12
+
+
 def test_closed_form_z1(cart, gains_cancel):
     q0 = np.array([np.deg2rad(20.0), -0.6])
     z1_0, kappa = integrator_init(cart, gains_cancel, q0)
@@ -236,7 +247,7 @@ def test_plant_input_modes(cart):
 
 def test_robust_init_makes_target_an_equilibrium(cart):
     g = bench_gains(mode="robust_A8")
-    z1_rob, _ = robust_integrator_init(cart, g, np.array([0.3, -0.5]))
+    z1_rob, _ = integrator_init(cart, g, np.array([0.3, -0.5]))
     st = State([0.0], [0.0], [0.0], [0.0])
     # the closed-form value of the integrator at the target under this init
     shift = -g.k_e * np.linalg.solve(g.K_I, cart.affine_Va[0])
@@ -257,8 +268,7 @@ def test_pid_equivalence_along_trajectory(cart, gains_cancel, bench_trace):
         + g.K_D[0, 0] * ydd
     mask = np.ones(tr.n_samples, bool)
     mask[:2] = mask[-2:] = False
-    for t_sw in tr.switch_times:
-        k = int(round(t_sw / tr.dt))
+    for k, _, _ in tr.segments[1:]:
         mask[k - 2: k + 3] = False
     rel = np.abs(resid[mask]) / (1.0 + np.abs(tr.u[mask, 0]))
     assert rel.max() <= 1e-4

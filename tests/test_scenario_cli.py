@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pidpbc import read_trace_csv
+from pidpbc import read_trace_csv, simulate
 from pidpbc.cli import main as cli_main
 from pidpbc.scenario import ScenarioError, builtin_scenario, scenario_from_dict
 
@@ -26,16 +26,39 @@ def test_builtin_scenarios_load():
         builtin_scenario("nope")
 
 
+def _run(sc):
+    return simulate(sc.system, sc.gains, sc.q0, sc.qd0, sc.t_end, sc.dt,
+                    controller=sc.controller, setpoints=sc.setpoints)
+
+
 def test_setpoint_segments():
-    sc = scenario_from_dict(builtin_scenario("cart_pendulum"))
-    assert [(k0, k1, t.tolist()) for k0, k1, t in sc.segments] == [
+    tr = _run(scenario_from_dict(builtin_scenario("cart_pendulum")))
+    assert [(k0, k1, g.q_star.tolist()) for k0, k1, g in tr.segments] == [
         (0, 5000, [0.0, 0.0]), (5000, 10000, [0.0, -0.3])]
     # a step after the horizon never takes effect, so it sets no target
     doc = builtin_scenario("cart_pendulum")
     doc["run"]["t_end_s"] = 4.0
-    sc = scenario_from_dict(doc)
-    assert [(k0, k1) for k0, k1, _ in sc.segments] == [(0, 4000)]
-    assert sc.final_target.tolist() == [0.0, 0.0]
+    tr = _run(scenario_from_dict(doc))
+    assert [(k0, k1) for k0, k1, _ in tr.segments] == [(0, 4000)]
+    assert tr.segments[-1][2].q_star.tolist() == [0.0, 0.0]
+
+
+def test_simulate_up_to_the_step_is_judged_on_the_first_target(tmp_path):
+    # the bundled step is at 5 s: a 5 s run ends on it, which starts no
+    # segment, so the run is judged against the target it tracked
+    doc = builtin_scenario("cart_pendulum")
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "o"
+    assert cli_main(["simulate", "--scenario", str(path), "--out", str(out),
+                     "--t-end", "5"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is True
+    assert abs(summary["settle_time"] - 2.289) < 1e-9
+    doc["run"]["t_end_s"] = 5.0
+    tr = _run(scenario_from_dict(doc))
+    assert [(k0, k1) for k0, k1, _ in tr.segments] == [(0, 5000)]
+    # z1 runs on through the last sample instead of jumping to the new target
+    assert abs(tr.z1[-1, 0] - tr.z1[-2, 0]) < 1e-2
 
 
 def test_unknown_keys_rejected(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted,
                     approx_control, detect_convergence, exact_control, forward_dynamics,
                     integrator_init, linear_system, passive_outputs, pi_control,
-                    plant_input, read_trace_csv, robust_integrator_init, simulate,
+                    plant_input, read_trace_csv, simulate,
                     simulate_open_loop, verify_l2_gain, verify_lyapunov,
                     verify_passivity, write_column_map, write_trace_csv)
 from pidpbc.controller import MODES
@@ -90,8 +90,7 @@ def test_scalar_closure_matches_generic_over_whole_runs(cart):
     runs += [(toy, g_toy, ctl, None, np.array([0.3, 0.1]), 1000) for ctl in ("approx", "pi")]
     for plant, g, controller, d, q0, n_steps in runs:
         use_z2 = controller == "approx"
-        init = robust_integrator_init if g.mode == "robust_A8" else integrator_init
-        x0 = np.concatenate([q0, np.zeros(2), init(plant, g, q0)[0],
+        x0 = np.concatenate([q0, np.zeros(2), integrator_init(plant, g, q0)[0],
                              np.zeros(1 if use_z2 else 0)])
         args = (plant, g, controller, d, 1e-10, use_z2)
         paths = []
@@ -152,9 +151,8 @@ def test_open_loop_rejects_a_bad_step(cart, dt):
 
 def _rk4_abort_message(plant, g, builder, q0, qd0, n_steps, det_tol=1e-10):
     """The abort message of a closed-loop run driven through ``_rk4``."""
-    init = robust_integrator_init if g.mode == "robust_A8" else integrator_init
     X = np.empty((n_steps + 1, 2 * plant.n + plant.m))
-    X[0] = np.concatenate([q0, qd0, init(plant, g, np.asarray(q0, dtype=float))[0]])
+    X[0] = np.concatenate([q0, qd0, integrator_init(plant, g, q0)[0]])
     with pytest.raises(SimulationAborted) as err:
         _rk4(builder(plant, g, "exact", None, det_tol, False), X, 0, n_steps, 1e-3)
     return str(err.value)
@@ -325,6 +323,17 @@ def test_setpoint_steps_reinitialize(cart, gains_cancel, bench_trace):
         cart, gains_cancel.with_target(q_a_star=np.array([-0.3])),
         np.concatenate([bench_trace.q_u[k5], bench_trace.q_a[k5]]))
     assert np.allclose(bench_trace.z1[k5], z1_0, atol=1e-12)
+
+
+def test_steps_on_one_sample_give_one_segment_boundary(cart, gains_cancel):
+    steps = [SetpointStep(1.0, np.array([-0.3])), SetpointStep(1.0, np.array([-0.2]))]
+    tr = simulate(cart, gains_cancel, Q0, QD0, t_end=2.0, dt=1e-3, setpoints=steps)
+    assert [(k0, k1) for k0, k1, _ in tr.segments] == [(0, 1000), (1000, 2000)]
+    # the last step on the sample wins, as its z1 re-initialization shows
+    g = tr.segments[1][2]
+    assert g.q_a_star.tolist() == [-0.2]
+    q_step = [tr.q_u[1000, 0], tr.q_a[1000, 0]]
+    assert np.array_equal(tr.z1[1000], integrator_init(cart, g, q_step)[0])
 
 
 def test_grid_validation(cart, gains_cancel):
