@@ -174,17 +174,13 @@ def cmd_simulate(args) -> int:
 
 
 def _sweep_gains(base: Gains, param: str, value: float) -> Gains:
-    import warnings
-    from .controller import GainSignWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", GainSignWarning)
-        if param in ("k_a", "k_u", "k_e"):
-            return replace(base, **{param: value})
-        if param == "a":
-            return replace(base, filter_a=value)
-        if param == "b":
-            return replace(base, filter_b=value)
-        return replace(base, **{param: value * getattr(base, param)})
+    if param in ("k_a", "k_u", "k_e"):
+        return replace(base, **{param: value})
+    if param == "a":
+        return replace(base, filter_a=value)
+    if param == "b":
+        return replace(base, filter_b=value)
+    return replace(base, **{param: value * getattr(base, param)})
 
 
 def cmd_sweep(args) -> int:

@@ -173,24 +173,27 @@ def feedforward_S(sys: MechanicalSystem, gains: Gains, st: State) -> Array:
     """State-dependent term absorbed from the derivative action.
 
     Identically zero when ``K_D = 0``.  In ``robust_A8`` mode the constant
-    actuated-potential slope ``s_a`` acts on the actuated rows like an input,
-    so it adds ``-(K(q_u) - k_e I) s_a``, the derivative part of the
-    well-posedness matrix applied to it.
+    actuated-potential slope ``s_a`` enters the actuated rows like the
+    velocity drift.  Solved with that drift, less ``(k_a - k_u) K_D
+    maa^{-1} s_a``, it gives the share ``-(K(q_u) - k_e I) s_a``, the
+    derivative part of the well-posedness matrix applied to it.
     """
     if not np.any(gains.K_D):
         return np.zeros(st.qd_a.shape)
     mau = sys.mau(st.q_u)
     muu_s = schur_unactuated(sys, st.q_u)
     cmu_qdu, dmu, act_row = coriolis_decomposition(sys, st)
+    robust = gains.mode == "robust_A8"
+    if robust:
+        if sys.affine_Va is None:
+            raise ValueError("robust_A8 mode requires affine actuated-potential data")
+        act_row = act_row + sys.affine_Va[0]
     inner = _solve(muu_s, _mv(_T(mau), _mv(sys.maa_inv, act_row))
                    - (cmu_qdu + dmu + sys.gradVu(st.q_u)))
     bracket = _mv(sys.maa_inv, act_row + _mv(mau, inner))
     S = -gains.k_u * _mv(gains.K_D, bracket)
-    if gains.mode == "robust_A8":
-        if sys.affine_Va is None:
-            raise ValueError("robust_A8 mode requires affine actuated-potential data")
-        K_deriv = wellposedness_matrix_K(sys, gains, st.q_u) - gains.k_e * np.eye(sys.m)
-        S = S - _mv(K_deriv, sys.affine_Va[0])
+    if robust:
+        S = S - (gains.k_a - gains.k_u) * (gains.K_D @ sys.maa_inv @ sys.affine_Va[0])
     return S
 
 

@@ -275,7 +275,3 @@ def builtin_scenario(name: str) -> dict:
         }
     raise ScenarioError(f"unknown builtin scenario {name!r}; "
                         "options: cart_pendulum, cart_pendulum_ku450, linear")
-
-
-def builtin(name: str) -> Scenario:
-    return scenario_from_dict(builtin_scenario(name))

@@ -65,8 +65,6 @@ class Trace:
     ``segments`` holds ``(k0, k1, gains)`` per setpoint segment: its first and
     last sample and the gains carrying its target.  A step re-initializes
     ``z1`` at its sample, so a segment's ``k1`` is the next one's ``k0``.
-    ``min_abs_detK`` is the least ``|det K|`` over the samples (``nan`` unless
-    the law is exact).
     """
 
     t: Array
@@ -96,7 +94,6 @@ class Trace:
     system: Optional[MechanicalSystem] = None
     gains: Optional[Gains] = None
     segments: tuple = ()
-    min_abs_detK: float = float("inf")
 
     def state_at(self, k: int) -> State:
         return State(self.q_u[k], self.q_a[k], self.qd_u[k], self.qd_a[k])
@@ -104,6 +101,11 @@ class Trace:
     @property
     def n_samples(self) -> int:
         return self.t.size
+
+    @property
+    def min_abs_detK(self) -> float:
+        """Least ``|det K|`` over the samples (``nan`` unless the law is exact)."""
+        return float(np.abs(self.detK).min()) if self.controller == "exact" else float("nan")
 
 
 class SimulationAborted(DynamicsError):
@@ -395,17 +397,12 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
         ) from exc
 
     cols = _diagnose(sys, X, dt, controller, disturbance, segments, use_z2)
-    return Trace(
-        **cols,
-        dt=dt, controller=controller, system=sys, gains=gains, segments=tuple(segments),
-        min_abs_detK=float(np.abs(cols["detK"]).min()) if controller == "exact"
-        else float("nan"),
-    )
+    return Trace(**cols, dt=dt, controller=controller, system=sys, gains=gains,
+                 segments=tuple(segments))
 
 
-def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float,
-                       tau_fn: Optional[Callable[[float], Array]] = None) -> dict:
-    """Integrate the raw plant under an applied force (zero by default).
+def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float) -> dict:
+    """Integrate the raw plant under zero force.
 
     Returns time, positions, velocities and the total energy, which is
     conserved for the unforced plant and serves as the integrator audit.
@@ -419,8 +416,7 @@ def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float,
             raise ArithmeticError
         xv = np.asarray(x)
         st = State.from_vectors(xv[:n], xv[n:], s)
-        tau = np.zeros(sys.m) if tau_fn is None else np.asarray(tau_fn(t), dtype=float)
-        return np.concatenate([st.qd, forward_dynamics(sys, st, tau)]).tolist()
+        return np.concatenate([st.qd, forward_dynamics(sys, st, np.zeros(sys.m))]).tolist()
 
     X = np.empty((n_steps + 1, 2 * n))
     X[0, :n], X[0, n:] = q0, qd0
@@ -578,38 +574,23 @@ def detect_convergence(trace: Trace, q_star, tol_q: float, tol_v: float,
 # CSV serialization
 # ---------------------------------------------------------------------------
 
+# (Trace field, CSV stem) in column order: a 2-D field numbers its stem per
+# entry, a 1-D field keeps it, and a field the run did not record is left out
+_CSV_COLUMNS = (("t", "t"), ("q_u", "q_u"), ("q_a", "q_a"), ("qd_u", "qd_u"), ("qd_a", "qd_a"),
+                ("z1", "z1_"), ("u", "u"), ("y_u", "y_u"), ("y_a", "y_a"), ("y_d", "y_d"),
+                ("H_u", "H_u"), ("H_a", "H_a"), ("H_d", "H_d"), ("U", "U"), ("detK", "detK"),
+                ("d", "d"), ("tau", "tau"), ("z1_closed", "z1_closed_"), ("H", "H"),
+                ("z2", "z2_"), ("Hbar_u", "Hbar_u"), ("Hbar_a", "Hbar_a"))
+
+
 def _column_layout(trace: Trace) -> list:
-    s = trace.q_u.shape[1]
-    m = trace.q_a.shape[1]
-    layout = [("t", trace.t)]
-
-    def add_vec(base, arr, count):
-        for j in range(count):
-            layout.append((f"{base}{j}", arr[:, j]))
-
-    add_vec("q_u", trace.q_u, s)
-    add_vec("q_a", trace.q_a, m)
-    add_vec("qd_u", trace.qd_u, s)
-    add_vec("qd_a", trace.qd_a, m)
-    add_vec("z1_", trace.z1, m)
-    add_vec("u", trace.u, m)
-    add_vec("y_u", trace.y_u, m)
-    add_vec("y_a", trace.y_a, m)
-    add_vec("y_d", trace.y_d, m)
-    layout.append(("H_u", trace.H_u))
-    layout.append(("H_a", trace.H_a))
-    layout.append(("H_d", trace.H_d))
-    layout.append(("U", trace.U))
-    layout.append(("detK", trace.detK))
-    add_vec("d", trace.d, m)
-    add_vec("tau", trace.tau, m)
-    add_vec("z1_closed_", trace.z1_closed, m)
-    layout.append(("H", trace.H))
-    if trace.z2 is not None:
-        add_vec("z2_", trace.z2, m)
-    if trace.Hbar_u is not None:
-        layout.append(("Hbar_u", trace.Hbar_u))
-        layout.append(("Hbar_a", trace.Hbar_a))
+    layout = []
+    for field, stem in _CSV_COLUMNS:
+        col = getattr(trace, field)
+        if col is not None and col.ndim == 1:
+            layout.append((stem, col))
+        elif col is not None:
+            layout.extend((f"{stem}{j}", c) for j, c in enumerate(col.T))
     return layout
 
 

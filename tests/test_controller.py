@@ -247,11 +247,9 @@ def test_plant_input_modes(cart):
 
 def test_robust_init_makes_target_an_equilibrium(cart):
     g = bench_gains(mode="robust_A8")
-    z1_rob, _ = integrator_init(cart, g, np.array([0.3, -0.5]))
+    z1_rob, _ = integrator_init(cart, g, g.q_star)
     st = State([0.0], [0.0], [0.0], [0.0])
-    # the closed-form value of the integrator at the target under this init
-    shift = -g.k_e * np.linalg.solve(g.K_I, cart.affine_Va[0])
-    tau = exact_control(cart, g, st, ControllerState(z1=shift))
+    tau = exact_control(cart, g, st, ControllerState(z1=z1_rob))
     qdd = forward_dynamics(cart, st, plant_input(cart, g, tau, st.q_a))
     assert np.abs(qdd).max() < 1e-10
     y_d = passive_outputs(cart, st, g).y_d

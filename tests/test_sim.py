@@ -449,6 +449,16 @@ def test_trace_csv_roundtrip_and_determinism(cart, gains_cancel, tmp_path):
     write_column_map(tr, tmp_path / "cols.map")
     lines = (tmp_path / "cols.map").read_text().splitlines()
     assert lines[0] == "1 t" and lines[1] == "2 q_u0"
+    # every stem, with two entries each, and the filter and robust storage columns
+    plant = make_synthetic(2, 2, seed=3)
+    g = random_gains(plant, np.random.default_rng(3), mode="robust_A8")
+    tr = simulate(plant, g, [0.1, 0, 0, 0], np.zeros(4), t_end=0.05, dt=1e-3,
+                  controller="approx")
+    write_trace_csv(tr, p1)
+    assert p1.read_text().splitlines()[0] == (
+        "t,q_u0,q_u1,q_a0,q_a1,qd_u0,qd_u1,qd_a0,qd_a1,z1_0,z1_1,u0,u1,y_u0,y_u1,"
+        "y_a0,y_a1,y_d0,y_d1,H_u,H_a,H_d,U,detK,d0,d1,tau0,tau1,z1_closed_0,z1_closed_1,"
+        "H,z2_0,z2_1,Hbar_u,Hbar_a")
 
 
 def test_richardson_self_consistency(cart, gains_cancel):
