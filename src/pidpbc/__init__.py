@@ -21,7 +21,6 @@ from .passivity import (
     PassiveOutputs,
     IntegrabilityError,
     schur_unactuated,
-    locked_matrix_Ma,
     passive_outputs,
     storage_functions,
     potential_integral_VN,
@@ -34,7 +33,6 @@ from .controller import (
     GainSignWarning,
     WellPosednessError,
     wellposedness_matrix_K,
-    feedforward_S,
     exact_control,
     approx_control,
     pi_control,
@@ -51,14 +49,12 @@ from .analysis import (
     desired_potential_Vd,
     lyapunov_Hd_and_U,
     linear_closed_loop,
-    companion_roots_of_pencil,
 )
 from .sim import (
     Trace,
     SetpointStep,
     SimulationAborted,
     simulate,
-    simulate_open_loop,
     verify_passivity,
     verify_lyapunov,
     verify_l2_gain,

@@ -325,7 +325,6 @@ class LinearClosedLoop:
     coeff_s2: Array
     coeff_s1: Array
     coeff_s0: Array
-    det_coeffs: Array  # ascending powers
     roots: Array
     max_real: float
     hurwitz: bool
@@ -342,16 +341,17 @@ def linear_closed_loop(sys: MechanicalSystem, gains: Gains) -> LinearClosedLoop:
     ``m0 = (k_a - k_u) m_aa^{-1} m_au(q_u*)``; on a linear plant this is the
     exact closed loop.  The equilibrium is locally exponentially stable
     exactly when the determinant of ``C2 s^2 + C1 s + C0`` is a Hurwitz
-    polynomial, and ``max_real`` is then the local decay rate.  The
-    determinant is recovered by evaluation at ``2n + 1`` points and
-    interpolation, and its roots come from the companion matrix of that
-    scalar polynomial.
+    polynomial, and ``max_real`` is then the local decay rate.  The poles
+    are the generalized eigenvalues (QZ) of the first-order pencil
+    ``[[0, I], [-C0, -C1]] - s diag(I, C2)``.  ``C2`` is singular exactly
+    when A5 fails at the target; QZ then returns an infinite pole, so such a
+    loop is never reported Hurwitz.
     """
     q_u_star = gains.q_u_star
     M = assemble_inertia(sys, q_u_star)
     J = _central(sys.gradVu(_stencil(q_u_star)))  # [k, i]: d/dq_k of component i
     S_u = 0.5 * (J + J.T)
-    s, m, n = sys.s, sys.m, sys.n
+    s, n = sys.s, sys.n
     muu = M[:s, :s]
     mau = M[s:, :s]
     k_e, k_a, k_u = gains.k_e, gains.k_a, gains.k_u
@@ -370,32 +370,10 @@ def linear_closed_loop(sys: MechanicalSystem, gains: Gains) -> LinearClosedLoop:
     C0[s:, :s] = gains.K_I @ m0 / k_e
     C0[s:, s:] = k_a * gains.K_I / k_e
 
-    deg = 2 * n
-    scale = max(1.0, np.abs(C1).max() / max(np.abs(C2).max(), 1e-12),
-                np.sqrt(np.abs(C0).max() / max(np.abs(C2).max(), 1e-12)))
-    nodes = scale * np.cos(np.pi * (np.arange(deg + 1) + 0.5) / (deg + 1))
-    vals = np.array([np.linalg.det(C2 * x * x + C1 * x + C0) for x in nodes])
-    V = np.vander(nodes, deg + 1, increasing=True)
-    coeffs = np.linalg.solve(V, vals)  # ascending
-
-    lead = np.abs(coeffs).max()
-    trimmed = np.array(coeffs, dtype=float)
-    while trimmed.size > 1 and abs(trimmed[-1]) < 1e-12 * lead:
-        trimmed = trimmed[:-1]
-    roots = np.roots(trimmed[::-1]) if trimmed.size > 1 else np.array([])
-    max_real = float(roots.real.max()) if roots.size else -np.inf
+    from scipy.linalg import eigvals
+    I, O = np.eye(n), np.zeros((n, n))
+    roots = eigvals(np.block([[O, I], [-C0, -C1]]), np.block([[I, O], [O, C2]]))
+    max_real = float(roots.real.max())
     return LinearClosedLoop(
-        coeff_s2=C2, coeff_s1=C1, coeff_s0=C0,
-        det_coeffs=coeffs, roots=roots, max_real=max_real,
+        coeff_s2=C2, coeff_s1=C1, coeff_s0=C0, roots=roots, max_real=max_real,
         hurwitz=bool(max_real < -1e-8))
-
-
-def companion_roots_of_pencil(C2: Array, C1: Array, C0: Array) -> Array:
-    """Eigenvalues of the block linearization of the quadratic matrix
-    polynomial; an independent route to the closed-loop poles."""
-    n = C2.shape[0]
-    A = np.zeros((2 * n, 2 * n))
-    A[:n, n:] = np.eye(n)
-    A[n:, :n] = -np.linalg.solve(C2, C0)
-    A[n:, n:] = -np.linalg.solve(C2, C1)
-    return np.linalg.eigvals(A)

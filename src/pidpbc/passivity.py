@@ -184,15 +184,10 @@ def power_balance_residual(sys: MechanicalSystem, st: State) -> float:
     rate.
     """
     mau = sys.mau(st.q_u)
-    dmuu = muu_gradient(sys, st.q_u)
-    dmau = mau_gradient(sys, st.q_u)
-    j_uu = np.einsum("ijk,j->ik", dmuu, st.qd_u)
-    cmu = j_uu - 0.5 * j_uu.T
-    j_au = np.einsum("ijk,j->ik", dmau, st.qd_u)
-    _, dmu, _ = coriolis_decomposition(sys, st)
+    cmu_qdu, dmu, act_row = coriolis_decomposition(sys, st)
     # rate of the Schur complement along qd_u
-    muu_dot = np.einsum("ijk,k->ij", dmuu, st.qd_u)
-    mau_dot = np.einsum("ijk,k->ij", dmau, st.qd_u)
+    muu_dot = np.einsum("ijk,k->ij", muu_gradient(sys, st.q_u), st.qd_u)
+    mau_dot = np.einsum("ijk,k->ij", mau_gradient(sys, st.q_u), st.qd_u)
     schur_dot = muu_dot - mau_dot.T @ sys.maa_inv @ mau - mau.T @ sys.maa_inv @ mau_dot
-    bracket = schur_dot + 2.0 * mau.T @ sys.maa_inv @ j_au - 2.0 * cmu
-    return float(0.5 * st.qd_u @ (bracket @ st.qd_u) - st.qd_u @ dmu)
+    return float(0.5 * st.qd_u @ (schur_dot @ st.qd_u)
+                 + (mau @ st.qd_u) @ (sys.maa_inv @ act_row) - st.qd_u @ (cmu_qdu + dmu))

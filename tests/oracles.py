@@ -1,10 +1,11 @@
 """Independent oracles the tests compare the package against.
 
-Neither function has a caller in the package: each recomputes a quantity
+No function here has a caller in the package: each recomputes a quantity
 the package obtains another way, so the two routes can cross-check.
 """
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from pidpbc import MechanicalSystem, SingularInertiaError, State
 from pidpbc.mechanics import Array, coriolis_decomposition, mau_gradient, muu_gradient
@@ -46,3 +47,16 @@ def reduced_unactuated_dynamics(sys: MechanicalSystem, st: State, u: Array) -> A
         return np.linalg.solve(muu_s, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularInertiaError(st.q_u, "singular Schur complement") from exc
+
+
+def pencil_determinant(C2: Array, C1: Array, C0: Array) -> tuple[Array, Array]:
+    """Ascending coefficients and roots of ``det(C2 s^2 + C1 s + C0)``.
+
+    Expands the 2x2 determinant exactly in polynomial arithmetic, trimming
+    only exactly zero leading coefficients; independent of the QZ route of
+    :func:`linear_closed_loop`, whose finite poles these roots must match.
+    """
+    E = np.stack([C0, C1, C2], axis=-1)  # E[i, j]: ascending entry (i, j)
+    assert E.shape == (2, 2, 3)
+    det = P.polysub(P.polymul(E[0, 0], E[1, 1]), P.polymul(E[0, 1], E[1, 0]))
+    return det, P.polyroots(det)

@@ -1,17 +1,18 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pidpbc import (Gains, State, assemble_inertia, check_A7,
-                    check_assumptions, closed_form_z1,
-                    companion_roots_of_pencil, desired_inertia_Md,
+                    check_assumptions, closed_form_z1, desired_inertia_Md,
                     desired_potential_Vd, integrator_init, linear_closed_loop,
                     linear_system, lyapunov_Hd_and_U, passive_outputs,
                     pinned_linear_2dof, simulate, storage_functions)
 from pidpbc.analysis import fd_gradient, scan_A5
 
 from conftest import PSI, bench_gains, random_gains
+from oracles import pencil_determinant
 from synthetic import make_synthetic, random_state
 
 MGL = 0.14 * 9.81 * 0.215
@@ -227,9 +228,9 @@ def test_linear_closed_loop_pinned_instance():
     g = Gains(k_e=1.0, k_a=1.0, k_u=-1.0, K_P=4.0, K_I=2.0, K_D=1.0,
               q_u_star=[0.0], q_a_star=[0.0])
     lcl = linear_closed_loop(lin, g)
-    assert np.allclose(lcl.det_coeffs, [2.0, 4.0, 2.0, 0.0, 1.0], atol=1e-8)
+    coeffs, oracle = pencil_determinant(lcl.coeff_s2, lcl.coeff_s1, lcl.coeff_s0)
+    assert np.allclose(coeffs, [2.0, 4.0, 2.0, 0.0, 1.0], atol=1e-8)
     assert not lcl.hurwitz
-    oracle = companion_roots_of_pencil(lcl.coeff_s2, lcl.coeff_s1, lcl.coeff_s0)
     assert abs(lcl.max_real - oracle.real.max()) < 1e-8
     # every root appears in the pencil spectrum
     for r in lcl.roots:
@@ -254,9 +255,27 @@ def test_hurwitz_flag_matches_pencil_spectrum():
     for _ in range(30):
         g = random_gains(lin, rng)
         lcl = linear_closed_loop(lin, g)
-        oracle = companion_roots_of_pencil(lcl.coeff_s2, lcl.coeff_s1, lcl.coeff_s0)
+        _, oracle = pencil_determinant(lcl.coeff_s2, lcl.coeff_s1, lcl.coeff_s0)
         assert lcl.hurwitz == bool(oracle.real.max() < -1e-8)
         assert abs(lcl.max_real - oracle.real.max()) < 1e-7
+
+
+def test_singular_leading_matrix_is_not_hurwitz():
+    # det C2 = det M det K(0) / k_e = 0: A5 fails at the target, so the loop
+    # has an infinite pole although its three finite poles are stable
+    lin = linear_system(M=[[2.0, 1.0], [1.0, 1.0]], S_u=[[-1.0]], S_a=[[0.0]])
+    g = Gains(k_e=0.5, k_a=0.5, k_u=-2.5, K_P=0.5, K_I=0.1, K_D=0.25,
+              q_u_star=[0.0], q_a_star=[0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lcl = linear_closed_loop(lin, g)
+    assert np.linalg.det(lcl.coeff_s2) == 0.0
+    assert lcl.hurwitz is False
+    assert lcl.max_real == np.inf
+    finite = lcl.roots[np.isfinite(lcl.roots)]
+    _, oracle = pencil_determinant(lcl.coeff_s2, lcl.coeff_s1, lcl.coeff_s0)
+    assert finite.size == oracle.size == 3 and oracle.real.max() < 0
+    assert max(np.min(np.abs(oracle - r)) for r in finite) < 1e-8
 
 
 # local poles of the cart-pendulum loop linearised at the upright target, for
@@ -272,10 +291,12 @@ CART_ROOTS = {
 @pytest.mark.parametrize("k_u", sorted(CART_ROOTS))
 def test_linear_closed_loop_linearises_cart_at_target(cart, k_u):
     lcl = linear_closed_loop(cart, bench_gains(k_u=k_u))
-    roots = np.sort_complex(lcl.roots)
+    # sort on rounded values: QZ may return a conjugate pair whose real parts
+    # are one ulp apart, which would flip the pair's order
+    roots = lcl.roots[np.argsort(np.round(lcl.roots, 9))]
     assert np.abs(roots - CART_ROOTS[k_u]).max() < 1e-6
-    oracle = np.sort_complex(
-        companion_roots_of_pencil(lcl.coeff_s2, lcl.coeff_s1, lcl.coeff_s0))
+    _, oracle = pencil_determinant(lcl.coeff_s2, lcl.coeff_s1, lcl.coeff_s0)
+    oracle = oracle[np.argsort(np.round(oracle, 9))]
     assert np.abs(oracle - roots).max() < 1e-8
     assert lcl.hurwitz
     assert lcl.max_real == roots.real.max()

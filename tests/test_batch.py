@@ -12,12 +12,12 @@ import pytest
 
 from pidpbc import (ControllerState, State, approx_control, assemble_inertia,
                     closed_form_z1, coriolis_decomposition, desired_inertia_Md,
-                    desired_potential_Vd, exact_control, feedforward_S,
-                    locked_matrix_Ma, lyapunov_Hd_and_U, passive_outputs,
-                    pi_control, plant_input, potential_integral_VN,
-                    robust_storage, schur_unactuated, storage_functions,
-                    wellposedness_matrix_K)
-from pidpbc.passivity import holding_potential_V0, velocity_outputs
+                    desired_potential_Vd, exact_control, lyapunov_Hd_and_U,
+                    passive_outputs, pi_control, plant_input,
+                    potential_integral_VN, robust_storage, schur_unactuated,
+                    storage_functions, wellposedness_matrix_K)
+from pidpbc.controller import feedforward_S
+from pidpbc.passivity import holding_potential_V0, locked_matrix_Ma, velocity_outputs
 
 from conftest import random_gains
 from synthetic import make_synthetic, random_state

@@ -3,9 +3,10 @@ import pytest
 
 from pidpbc import (ControllerState, GainSignWarning, Gains, State,
                     WellPosednessError, approx_control, closed_form_z1,
-                    exact_control, feedforward_S, forward_dynamics,
-                    integrator_init, linear_system, passive_outputs,
-                    pi_control, plant_input, wellposedness_matrix_K)
+                    exact_control, forward_dynamics, integrator_init,
+                    linear_system, passive_outputs, pi_control, plant_input,
+                    wellposedness_matrix_K)
+from pidpbc.controller import feedforward_S
 
 from conftest import PSI, bench_gains
 from synthetic import make_synthetic, random_state

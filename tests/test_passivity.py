@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from pidpbc import (IntegrabilityError, MechanicalSystem, State,
-                    assemble_inertia, linear_system,
-                    locked_matrix_Ma, passive_outputs, potential_integral_VN,
-                    power_balance_residual, robust_storage, schur_unactuated,
-                    simulate, storage_functions)
-from pidpbc.passivity import holding_potential_V0, velocity_outputs
+                    assemble_inertia, linear_system, passive_outputs,
+                    potential_integral_VN, power_balance_residual,
+                    robust_storage, schur_unactuated, simulate,
+                    storage_functions)
+from pidpbc.passivity import holding_potential_V0, locked_matrix_Ma, velocity_outputs
 
 from conftest import PSI, bench_gains
 from synthetic import make_synthetic, random_state

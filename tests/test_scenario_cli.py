@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import pidpbc
 from pidpbc import read_trace_csv, simulate
 from pidpbc.cli import main as cli_main
 from pidpbc.scenario import ScenarioError, builtin_scenario, scenario_from_dict
@@ -13,6 +18,16 @@ def write_scenario(tmp_path, doc, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc, sort_keys=False))
     return path
+
+
+def test_import_loads_no_scipy():
+    # importing scipy costs about 0.3 s; the few functions that need it
+    # import it on first call, so every command starts without it
+    code = "import sys, pidpbc; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=str(Path(pidpbc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_builtin_scenarios_load():

@@ -6,11 +6,12 @@ import pytest
 from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted,
                     approx_control, detect_convergence, exact_control, forward_dynamics,
                     integrator_init, linear_system, passive_outputs, pi_control,
-                    plant_input, read_trace_csv, simulate,
-                    simulate_open_loop, verify_l2_gain, verify_lyapunov,
-                    verify_passivity, write_column_map, write_trace_csv)
+                    plant_input, read_trace_csv, simulate, verify_l2_gain,
+                    verify_lyapunov, verify_passivity, write_column_map,
+                    write_trace_csv)
 from pidpbc.controller import MODES
-from pidpbc.sim import CONTROLLERS, _build_eval_generic, _build_eval_scalar, _rk4
+from pidpbc.sim import (CONTROLLERS, _build_eval_generic, _build_eval_scalar, _rk4,
+                        simulate_open_loop)
 
 from conftest import PSI, Q0, QD0, bench_gains, random_gains
 from synthetic import make_synthetic, random_state
