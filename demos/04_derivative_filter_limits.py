@@ -4,10 +4,9 @@ The implicit law realises the derivative action by solving a small linear
 system each step; the common practical alternative replaces the derivative
 with a first-order filter.  The filter closes an algebraic loop through the
 plant's acceleration feedthrough, so its fast pole sits at roughly
-``-(K - k_e) a / k_e - b`` with ``K`` the well-posedness factor, which is
-``-K a / k_e`` for ``a = b``.  When ``K / k_e < 0`` (the benchmark
-cart-pendulum gains) that pole is unstable and the filtered loop diverges no
-matter how fast the filter.
+``-K a / k_e`` with ``K`` the well-posedness factor and ``a`` the filter
+speed.  When ``K / k_e < 0`` (the benchmark cart-pendulum gains) that pole is
+unstable and the filtered loop diverges no matter how fast the filter.
 """
 
 import numpy as np
@@ -25,7 +24,7 @@ print(f"well-posedness factor K = {K:.3f}, K/k_e = {K / 1.0:+.3f} > 0 "
 exact = simulate(toy, g, [0.5, -0.3], [0.0, 0.0], t_end=10.0, dt=1e-3)
 for ab in (25.0, 50.0, 100.0, 200.0):
     ga = Gains(k_e=1.0, k_a=2.0, k_u=1.0, K_P=1.0, K_I=1.0, K_D=0.1,
-               q_u_star=[0.0], q_a_star=[0.0], filter_a=ab, filter_b=ab)
+               q_u_star=[0.0], q_a_star=[0.0], filter_a=ab)
     tr = simulate(toy, ga, [0.5, -0.3], [0.0, 0.0], t_end=10.0, dt=1e-3,
                   controller="approx")
     dev = max(np.abs(tr.q_u - exact.q_u).max(), np.abs(tr.q_a - exact.q_a).max())
@@ -45,7 +44,7 @@ print(f"well-posedness factor at the incline normal: K = {K:.3f}, "
 q0 = [np.deg2rad(20.0), -0.6]
 for ab in (50.0, 200.0, 400.0):
     ga = Gains(k_e=5.0, k_a=50.0, k_u=-500.0, K_P=1.0, K_I=2.0, K_D=0.1,
-               q_u_star=[0.0], q_a_star=[0.0], filter_a=ab, filter_b=ab)
+               q_u_star=[0.0], q_a_star=[0.0], filter_a=ab)
     try:
         tr = simulate(plant, ga, q0, [0.0, 0.0], t_end=10.0, dt=2e-4,
                       controller="approx")

@@ -19,6 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from . import analysis, scenario as scn, sim
 from .controller import Gains
@@ -35,7 +36,7 @@ EXIT_INPUT = 5
 SETTLE_TOL = 0.01
 SETTLE_WINDOW = 1.0  # s
 
-SWEEP_PARAMS = ("k_a", "k_u", "k_e", "K_P", "K_I", "K_D", "a", "b")
+SWEEP_PARAMS = ("k_a", "k_u", "k_e", "K_P", "K_I", "K_D", "a")
 
 
 def _load(args) -> scn.Scenario:
@@ -68,7 +69,7 @@ def _gains_payload(gains: Gains) -> dict:
         "K_P": gains.K_P.tolist(), "K_I": gains.K_I.tolist(),
         "K_D": gains.K_D.tolist(), "mode": gains.mode,
         "q_u_star": gains.q_u_star.tolist(), "q_a_star": gains.q_a_star.tolist(),
-        "filter_a": gains.filter_a, "filter_b": gains.filter_b,
+        "filter_a": gains.filter_a,
     }
 
 
@@ -178,8 +179,6 @@ def _sweep_gains(base: Gains, param: str, value: float) -> Gains:
         return replace(base, **{param: value})
     if param == "a":
         return replace(base, filter_a=value)
-    if param == "b":
-        return replace(base, filter_b=value)
     return replace(base, **{param: value * getattr(base, param)})
 
 
@@ -191,10 +190,10 @@ def cmd_sweep(args) -> int:
         return EXIT_INPUT
     sc = _load(args)
     out = _outdir(args)
+    fields = ("value", "status", "settle_time", "peak_abs_u", "min_abs_detK", "a7", "dissipated")
     rows = []
     for value in values:
-        row = {"value": value, "status": "", "settle_time": "", "peak_abs_u": "",
-               "min_abs_detK": "", "a7": "", "dissipated": ""}
+        row = {**dict.fromkeys(fields, ""), "value": value}
         try:
             gains = _sweep_gains(sc.gains, args.param, value)
         except ValueError as exc:
@@ -231,8 +230,6 @@ def cmd_sweep(args) -> int:
                    dissipated=f"{np.trapezoid(diss, dx=trace.dt):.6g}")
         rows.append(row)
 
-    fields = ["value", "status", "settle_time", "peak_abs_u", "min_abs_detK",
-              "a7", "dissipated"]
     lines = [",".join(fields)]
     for row in rows:
         lines.append(",".join(str(row[f]) for f in fields))
@@ -248,7 +245,7 @@ def cmd_reproduce(args) -> int:
     failures = []
     doc = scn.builtin_scenario(name)
     sc = scn.scenario_from_dict(doc)
-    (out / "scenario.yaml").write_text(__import__("yaml").safe_dump(doc, sort_keys=False))
+    (out / "scenario.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
 
     payload, checks_ok, text = _run_checks(sc)
     print(text)
@@ -341,7 +338,7 @@ def main(argv=None) -> int:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_rep = sub.add_parser("reproduce", help="run a pinned bundled example")
-    p_rep.add_argument("example", choices=["cart_pendulum", "cart_pendulum_ku450", "linear"])
+    p_rep.add_argument("example", choices=scn.EXAMPLES)
     p_rep.add_argument("--out", default="out")
     p_rep.set_defaults(func=cmd_reproduce)
 

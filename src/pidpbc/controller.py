@@ -7,11 +7,11 @@ The control law is the PID
 around ``y_d = k_a y_a + k_u y_u``.  Because ``yd_dot`` contains the
 accelerations, the law is realised implicitly: substituting the plant
 dynamics turns it into a linear system ``K(q_u) u = -K_P y_d - K_I z1 - S``,
-with no numerical differentiation.  These closed forms serve the checks; the
-simulator solves the defining equations instead (:mod:`.sim`).  An
-explicit variant replaces the derivative with a first-order filter for
-comparison experiments; it is not adequate when fast control action is
-required.
+with no numerical differentiation; at ``K_D = 0`` it is the PI law.  These
+closed forms serve the checks; the simulator solves the defining equations
+instead (:mod:`.sim`).  An explicit variant replaces the derivative with a
+one-speed first-order filter for comparison experiments; it is not adequate
+when fast control action is required.
 
 Two plant-side modes are supported: ``cancel_Va`` feeds ``tau = u + grad
 V_a(q_a)`` so the actuated potential is cancelled, while ``robust_A8``
@@ -72,13 +72,13 @@ def _as_gain_matrix(value, m: int, name: str, *, definite: bool) -> Array:
 
 @dataclass(frozen=True)
 class Gains:
-    """Controller gains, target position, and derivative-filter parameters.
+    """Controller gains, target position, and derivative-filter speed.
 
     ``k_e``, ``k_a``, ``k_u`` are the nonzero outer weights (``k_a != k_u``);
     ``K_P``, ``K_I`` are symmetric positive definite and ``K_D`` positive
-    semidefinite.  ``q_u_star``/``q_a_star`` fix the desired equilibrium;
-    the unactuated part must be a critical point of the unactuated potential.
-    ``filter_a``/``filter_b`` only matter for the approximate-derivative law.
+    semidefinite (``K_D = 0`` is the PI law).  ``q_u_star``/``q_a_star`` fix
+    the desired equilibrium; the unactuated part must be a critical point of
+    the unactuated potential.  ``filter_a`` only matters for the filtered law.
     """
 
     k_e: float
@@ -91,10 +91,9 @@ class Gains:
     q_a_star: Array
     mode: str = "cancel_Va"
     filter_a: float = 200.0
-    filter_b: float = 200.0
 
     def __post_init__(self):
-        for name in ("k_e", "k_a", "k_u", "filter_a", "filter_b"):
+        for name in ("k_e", "k_a", "k_u", "filter_a"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.k_e * self.k_a * self.k_u == 0.0:
@@ -103,8 +102,8 @@ class Gains:
             raise ValueError("k_a and k_u must differ")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.filter_a <= 0 or self.filter_b <= 0:
-            raise ValueError("filter parameters must be positive")
+        if self.filter_a <= 0:
+            raise ValueError("filter_a must be positive")
         q_u_star = np.asarray(self.q_u_star, dtype=float).reshape(-1)
         q_a_star = np.asarray(self.q_a_star, dtype=float).reshape(-1)
         m = q_a_star.size
@@ -222,18 +221,18 @@ def approx_control(sys: MechanicalSystem, gains: Gains, st: State,
     """Explicit law with a filtered derivative estimate.
 
     Returns ``(u, z1_dot, z2_dot)`` where the derivative of ``y_d`` is
-    approximated by ``filter_a * (y_d - z2)`` with ``z2' = filter_b *
-    (y_d - z2)``; no matrix solve is involved.
+    approximated by ``z2' = filter_a * (y_d - z2)``; no matrix solve is
+    involved.
     """
     out = passive_outputs(sys, st, gains)
     z2 = cs.z2 if cs.z2 is not None else np.zeros(out.y_d.shape)
     deriv = gains.filter_a * (out.y_d - z2)
     u = -(_mv(gains.K_P, out.y_d) + _mv(gains.K_I, cs.z1) + _mv(gains.K_D, deriv)) / gains.k_e
-    return u, out.y_d, gains.filter_b * (out.y_d - z2)
+    return u, out.y_d, deriv
 
 
 def pi_control(sys: MechanicalSystem, gains: Gains, st: State, cs: ControllerState) -> Array:
-    """PI-only law (derivative gain ignored)."""
+    """PI law: :func:`exact_control` at ``K_D = 0``, written out as a reference."""
     out = passive_outputs(sys, st, gains)
     return -(_mv(gains.K_P, out.y_d) + _mv(gains.K_I, cs.z1)) / gains.k_e
 

@@ -3,7 +3,8 @@
 Keys carry explicit units where the quantity has one (``psi_deg``,
 ``t_end_s``); generalized coordinates are plain ``q_u``/``q_a`` in radians
 and meters for the cart-pendulum builtin.  Unknown keys are rejected so a
-typo cannot silently fall back to a default.
+typo cannot silently fall back to a default, and any entry that does not
+parse raises :class:`ScenarioError`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import yaml
 
 from .mechanics import MechanicalSystem
 from .controller import Gains
-from .sim import SetpointStep, _grid_index, _steps_on_grid
+from .sim import CONTROLLERS, SetpointStep, _grid_index, _steps_on_grid
 from . import systems
 
 
@@ -60,6 +61,9 @@ class Scenario:
 
     def __post_init__(self):
         # runs on dataclasses.replace too, so command-line overrides are checked
+        if self.controller not in CONTROLLERS:
+            raise ScenarioError(f"run.controller must be one of {CONTROLLERS}, got "
+                                f"{self.controller!r}; the PI law is gains.K_D: 0")
         if not all(np.isfinite(v) and v > 0.0 for v in (self.t_end, self.dt)):
             raise ScenarioError(f"t_end and dt must be finite and positive, got "
                                 f"{self.t_end} and {self.dt}")
@@ -125,8 +129,7 @@ def _build_disturbance(section: Optional[dict], m: int):
 
 _TOP_KEYS = {"label", "system", "gains", "initial", "target", "run",
              "disturbance", "check"}
-_GAIN_KEYS = {"k_e", "k_a", "k_u", "K_P", "K_I", "K_D", "mode",
-              "filter_a", "filter_b"}
+_GAIN_KEYS = {"k_e", "k_a", "k_u", "K_P", "K_I", "K_D", "mode", "filter_a"}
 _INITIAL_KEYS = {"q_u", "q_a", "qd_u", "qd_a"}
 _TARGET_KEYS = {"q_u", "q_a", "steps"}
 _RUN_KEYS = {"t_end_s", "dt_s", "controller"}
@@ -135,6 +138,16 @@ _CHECK_KEYS = {"q_u_box", "q_a_box", "samples", "seed", "gate_pad", "gate_points
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
+    """The scenario of a parsed document; :class:`ScenarioError` on any malformed entry."""
+    try:
+        return _parse(doc)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError, LookupError, ImportError, AttributeError) as exc:
+        raise ScenarioError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def _parse(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a mapping")
     _require_keys(doc, _TOP_KEYS, "scenario")
@@ -155,17 +168,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     q_u_star = _vec(tsec.get("q_u", np.zeros(s)), s, "target.q_u")
     q_a_star = _vec(tsec.get("q_a", np.zeros(m)), m, "target.q_a")
 
-    try:
-        gains = Gains(
-            k_e=float(gsec["k_e"]), k_a=float(gsec["k_a"]), k_u=float(gsec["k_u"]),
-            K_P=gsec["K_P"], K_I=gsec["K_I"], K_D=gsec.get("K_D", 0.0),
-            q_u_star=q_u_star, q_a_star=q_a_star,
-            mode=gsec.get("mode", "cancel_Va"),
-            filter_a=float(gsec.get("filter_a", 200.0)),
-            filter_b=float(gsec.get("filter_b", 200.0)),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"[gains]: {exc}") from exc
+    gains = Gains(
+        k_e=float(gsec["k_e"]), k_a=float(gsec["k_a"]), k_u=float(gsec["k_u"]),
+        K_P=gsec["K_P"], K_I=gsec["K_I"], K_D=gsec.get("K_D", 0.0),
+        q_u_star=q_u_star, q_a_star=q_a_star,
+        mode=gsec.get("mode", "cancel_Va"), filter_a=float(gsec.get("filter_a", 200.0)))
 
     isec = dict(doc.get("initial", {}))
     _require_keys(isec, _INITIAL_KEYS, "initial")
@@ -197,13 +204,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
     qu_box = np.asarray(csec.get("q_u_box", [[-1.0, 1.0]] * s), dtype=float).reshape(s, 2)
     qa_box = np.asarray(csec.get("q_a_box", [[-1.0, 1.0]] * m), dtype=float).reshape(m, 2)
     check_box = np.vstack([qu_box, qa_box])
-    samples = int(csec.get("samples", 400))
+    samples, points = int(csec.get("samples", 400)), int(csec.get("gate_points", 121))
+    if min(samples, points) < 1:
+        raise ScenarioError(f"check.samples and gate_points must be >= 1, got {samples}, {points}")
     seed = int(csec.get("seed", 0))
 
     # A5/A7 gate grid: either explicit, or the hull of the initial and target
     # unactuated positions padded outward (gain certificates are checked where
     # the run is expected to live, not on an arbitrary symmetric box)
-    points = int(csec.get("gate_points", 121))
     if "gate_grid" in csec:
         bounds = np.asarray(csec["gate_grid"], dtype=float).reshape(s, 2)
     else:
@@ -240,6 +248,9 @@ def load_scenario(path) -> Scenario:
 # Pinned builtin scenarios
 # ---------------------------------------------------------------------------
 
+EXAMPLES = ("cart_pendulum", "cart_pendulum_ku450", "linear")
+
+
 def builtin_scenario(name: str) -> dict:
     """Pinned scenario documents for the bundled examples."""
     if name in ("cart_pendulum", "cart_pendulum_ku450"):
@@ -273,5 +284,4 @@ def builtin_scenario(name: str) -> dict:
             "check": {"q_u_box": [[-1.0, 1.0]], "q_a_box": [[-1.0, 1.0]],
                       "samples": 400, "seed": 0},
         }
-    raise ScenarioError(f"unknown builtin scenario {name!r}; "
-                        "options: cart_pendulum, cart_pendulum_ku450, linear")
+    raise ScenarioError(f"unknown builtin scenario {name!r}; options: {', '.join(EXAMPLES)}")

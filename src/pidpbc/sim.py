@@ -35,11 +35,11 @@ from .mechanics import (Array, DynamicsError, MechanicalSystem, State, _block2x2
                         shared_samples)
 from .controller import (DET_TOL, ControllerState, Gains, WellPosednessError,
                          approx_control, closed_form_z1, exact_control, integrator_init,
-                         pi_control, plant_input, wellposedness_matrix_K)
+                         plant_input, wellposedness_matrix_K)
 from .passivity import passive_outputs, robust_storage, storage_functions
 from .analysis import lyapunov_Hd_and_U
 
-CONTROLLERS = ("exact", "approx", "pi")
+CONTROLLERS = ("exact", "approx")  # the PI law is "exact" at K_D = 0
 SWITCH_PAD = 2  # samples on each side of a setpoint switch the rate checks skip
 L2_ESTIMATE_FRACTION = 0.5  # leading share of the trace that sets the L2 offset
 
@@ -159,17 +159,15 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
                 raise WellPosednessError(q_u, detK, t)
             ydot0 = Lsol[:, 0] - c * (maa_inv @ act_row)
             u = np.linalg.solve(K, -(K_P @ y_d) - K_I @ z1v - K_D @ ydot0)
-        elif controller == "approx":
+        else:
             u = -(K_P @ y_d + K_I @ z1v + K_D @ (gains.filter_a * (y_d - z2v))) / k_e
-        else:  # pi
-            u = -(K_P @ y_d + K_I @ z1v) / k_e
         # the disturbance enters at the plant input only; the law never sees it
         if disturbance is not None:
             u = u + np.asarray(disturbance(t), dtype=float).reshape(m)
 
         xdot = [qd, sol[:, 0] + sol[:, 1:] @ u, y_d]
         if use_z2:
-            xdot.append(gains.filter_b * (y_d - z2v))
+            xdot.append(gains.filter_a * (y_d - z2v))
         return np.concatenate(xdot).tolist()
 
     return eval_rhs
@@ -225,16 +223,14 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
                 raise WellPosednessError(np.array([q_u]), K, t)
             ydot0 = L_u * qdd0_u + k_a * qdd0_a - c * act_row / maa
             u = (-(KP * y_d) - KI * z1 - KD * ydot0) / K
-        elif controller == "approx":
-            u = -(KP * y_d + KI * z1 + KD * gains.filter_a * (y_d - z2)) / k_e
         else:
-            u = -(KP * y_d + KI * z1) / k_e
+            u = -(KP * y_d + KI * z1 + KD * gains.filter_a * (y_d - z2)) / k_e
         if disturbance is not None:
             u += scalar(disturbance(t))
 
         xdot = [qd_u, qd_a, qdd0_u + G_u * u, qdd0_a + G_a * u, y_d]
         if use_z2:
-            xdot.append(gains.filter_b * (y_d - z2))
+            xdot.append(gains.filter_a * (y_d - z2))
         return xdot
 
     return eval_rhs
@@ -285,13 +281,9 @@ def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, distu
     cols = dict(t=t, q_u=st.q_u, q_a=st.q_a, qd_u=st.qd_u, qd_a=st.qd_a, z1=z1, z2=z2, d=d)
     with shared_samples(st.q_u, st.q_a):
         cs = ControllerState(z1, z2)
-        if controller == "exact":
-            # the integration already stopped at any sample below det_tol
-            u = exact_control(sys, gains, st, cs, det_tol=0.0)
-        elif controller == "approx":
-            u = approx_control(sys, gains, st, cs)[0]
-        else:
-            u = pi_control(sys, gains, st, cs)
+        # the integration already stopped at any sample below det_tol
+        u = exact_control(sys, gains, st, cs, det_tol=0.0) if controller == "exact" \
+            else approx_control(sys, gains, st, cs)[0]
         out = passive_outputs(sys, st, gains)
         cols["H_u"], cols["H_a"], cols["H"] = storage_functions(sys, st)
         if sys.affine_Va is not None:
@@ -345,12 +337,12 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
              det_tol: float = DET_TOL) -> Trace:
     """Integrate the closed loop and record a full diagnostic trace.
 
-    ``controller`` selects the implicit law (``"exact"``), the filtered
-    approximation (``"approx"``) or the PI simplification (``"pi"``).  The
-    external signal ``disturbance`` is added to the controller output at the
-    plant input junction; the controller never sees it.  It must be a
-    function of time alone, since the ``d`` column evaluates it again at the
-    sample times after the integration.  The integrator starts, and restarts
+    ``controller`` selects the implicit law (``"exact"``), whose PI form is
+    ``K_D = 0``, or the filtered approximation (``"approx"``).  The external
+    signal ``disturbance`` is added to the controller output at the plant
+    input junction; the controller never sees it.  It must be a function of
+    time alone, since the ``d`` column evaluates it again at the sample times
+    after the integration.  The integrator starts, and restarts
     at each setpoint step, where :func:`.integrator_init` makes the target an
     equilibrium of the loop.  Steps on one sample act as one, the last one
     winning; a step on the last sample or after it starts no segment.
@@ -516,9 +508,9 @@ def verify_l2_gain(trace: Trace) -> dict:
     lam = float(np.linalg.eigvalsh(gains.K_P).min())
     yd2 = np.einsum("ij,ij->i", trace.y_d, trace.y_d)
     d2 = np.einsum("ij,ij->i", trace.d, trace.d)
-    from scipy.integrate import cumulative_trapezoid
-    lhs = np.concatenate([[0.0], cumulative_trapezoid(yd2, dx=trace.dt)])
-    rhs = np.concatenate([[0.0], cumulative_trapezoid(d2, dx=trace.dt)]) / lam
+    def running_trapezoid(y):  # integral from the first sample, 0 there
+        return np.concatenate([[0.0], np.cumsum(trace.dt * (y[1:] + y[:-1]) / 2.0)])
+    lhs, rhs = running_trapezoid(yd2), running_trapezoid(d2) / lam
     gap = lhs - rhs
     n_est = max(1, int(round(L2_ESTIMATE_FRACTION * trace.n_samples)))
     beta3 = float(gap[:n_est].max())

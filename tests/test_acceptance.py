@@ -12,7 +12,7 @@ the benchmark plant and gains stop satisfying it:
   at precisely the grid points inside the window, passing on that in-window
   subgrid, which holds the whole benchmark run.
 * criterion 9: the filtered-derivative law must track the implicit one on a
-  plant where its fast filter pole ``-a K/k_e`` (for ``a = b``) is stable.
+  plant where its fast filter pole ``-a K/k_e`` is stable.
   On the benchmark plant ``K/k_e < 0`` along the whole run, so every filter
   speed diverges; that is checked as the documented negative case.
 
@@ -57,12 +57,12 @@ def sup_state_gap(a, b):
 
 
 def filtered_runs(plant, gains, dt):
-    """The filtered-derivative law at each speed ``a = b`` of
+    """The filtered-derivative law at each speed ``a`` of
     ``FILTER_SPEEDS``; an aborted run is kept as its message."""
     out = {}
     for ab in FILTER_SPEEDS:
         try:
-            out[ab] = simulate(plant, replace(gains, filter_a=ab, filter_b=ab),
+            out[ab] = simulate(plant, replace(gains, filter_a=ab),
                                Q0, QD0, t_end=10.0, dt=dt, controller="approx",
                                setpoints=STEP)
         except SimulationAborted as exc:
@@ -424,7 +424,7 @@ def test_criterion_09_filtered_controller_tracks_exact(cart, gains_cancel,
                                                        approx_traces, toy,
                                                        toy_gains,
                                                        toy_approx_traces):
-    # for a = b the filter's fast pole is -a K/k_e: stable on the toy plant
+    # the filter's fast pole is -a K/k_e: stable on the toy plant
     toy_ratio = wellposedness_matrix_K(toy, toy_gains, [0.0])[0, 0] / toy_gains.k_e
     exact = simulate(toy, toy_gains, Q0, QD0, t_end=10.0, dt=1e-3,
                      setpoints=STEP)

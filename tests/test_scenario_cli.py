@@ -30,6 +30,20 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_l2_gain_loads_no_scipy_integrate():
+    # the running integrals are numpy's, so a sign-consistent run does not
+    # pay the scipy.integrate import
+    code = ("import sys; from pidpbc import scenario, simulate, verify_l2_gain; "
+            "sc = scenario.scenario_from_dict(scenario.builtin_scenario('linear')); "
+            "tr = simulate(sc.system, sc.gains, sc.q0, sc.qd0, 1.0, sc.dt); "
+            "assert verify_l2_gain(tr)['applicable']; "
+            "print('scipy.integrate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(pidpbc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_builtin_scenarios_load():
     for name in ("cart_pendulum", "cart_pendulum_ku450", "linear"):
         sc = scenario_from_dict(builtin_scenario(name))
@@ -178,13 +192,35 @@ def _with(section, key, value):
     return edit
 
 
+def _top(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _with("system", "psi_degrees", 20.0),  # unknown key
     _with("gains", "k_e", float("nan")),
     _with("run", "dt_s", 0.0),
     _with("run", "t_end_s", float("nan")),
     _with("initial", "q_u", [float("nan")]),
-], ids=["unknown-key", "nan-k_e", "zero-dt", "nan-t_end", "nan-q0"])
+    _top("system", 5),
+    _top("initial", [1, 2]),
+    _with("target", "steps", [5]),
+    _with("target", "steps", {"t_s": 1}),
+    _with("run", "t_end_s", "abc"),
+    _with("check", "q_u_box", [1.0]),
+    _top("system", {"kind": "custom", "factory": "no_such_mod:make"}),
+    _top("system", {"kind": "custom", "factory": "pidpbc.systems:nope"}),
+    _with("check", "samples", 0),
+    _with("check", "samples", -3),
+    _with("check", "gate_points", 0),
+    _with("run", "controller", "pi"),  # the PI law is K_D: 0
+    _with("gains", "filter_b", 200.0),  # the filter has one speed, filter_a
+], ids=["unknown-key", "nan-k_e", "zero-dt", "nan-t_end", "nan-q0", "system-scalar",
+        "initial-list", "step-scalar", "steps-mapping", "t_end-text", "box-short",
+        "factory-module", "factory-callable", "zero-samples", "negative-samples",
+        "zero-gate-points", "controller-pi", "filter_b"])
 def test_malformed_scenario_exit_code(tmp_path, capsys, edit):
     doc = builtin_scenario("cart_pendulum")
     edit(doc)
@@ -216,6 +252,18 @@ def test_off_grid_override_exit_code(tmp_path, capsys, command, example, overrid
     assert err.startswith("invalid scenario:") and err.count("\n") == 1
     assert "whole number of steps" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("option", [["--param", "b", "--values", "200"],
+                                    ["--param", "k_u", "--values=-500", "--controller", "pi"]],
+                         ids=["param-b", "controller-pi"])
+def test_removed_sweep_options_are_usage_errors(tmp_path, option):
+    # the filter has one speed (--param a), and the PI law is K_D: 0
+    path = write_scenario(tmp_path, builtin_scenario("cart_pendulum"))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["sweep", "--scenario", str(path), *option, "--out", str(tmp_path / "sw")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "sw").exists()
 
 
 @pytest.mark.parametrize("values", ["--values=abc", "--values=-300,,"])

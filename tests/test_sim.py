@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,17 +60,20 @@ def test_generic_closure_matches_reference_functions(s, m):
     plant = make_synthetic(s, m, seed=20 + 3 * s + m)
     rng = np.random.default_rng(10 * s + m)
     dist = lambda t: 0.3 * np.sin(4.0 * t + np.arange(m))  # noqa: E731
-    for controller, mode, d in itertools.product(CONTROLLERS, MODES, (None, dist)):
+    for law, mode, d in itertools.product(("exact", "approx", "pi"), MODES, (None, dist)):
         g = random_gains(plant, rng, mode=mode)
+        if law == "pi":  # the PI law is the exact one at K_D = 0
+            g = replace(g, K_D=0.0)
+        controller = "approx" if law == "approx" else "exact"
         use_z2 = controller == "approx"
         rhs = _build_eval_generic(plant, g, controller, d, 0.0, use_z2)
         for _ in range(20):
             st = random_state(plant, rng)
             cs = ControllerState(rng.normal(size=m), rng.normal(size=m))
             t = rng.uniform(0.0, 10.0)
-            if controller == "exact":
+            if law == "exact":
                 u = exact_control(plant, g, st, cs, det_tol=0.0)
-            elif controller == "approx":
+            elif law == "approx":
                 u, _, z2dot = approx_control(plant, g, st, cs)
             else:
                 u = pi_control(plant, g, st, cs)
@@ -80,7 +84,7 @@ def test_generic_closure_matches_reference_functions(s, m):
             x = np.concatenate([st.q, st.qd, cs.z1] + ([cs.z2] if use_z2 else []))
             got = rhs(t, x)
             assert np.abs(got - want).max() <= 1e-11 * (1.0 + np.abs(want).max()), \
-                (controller, mode, d is not None)
+                (law, mode, d is not None)
 
 
 def test_scalar_closure_matches_generic_over_whole_runs(cart):
@@ -88,7 +92,8 @@ def test_scalar_closure_matches_generic_over_whole_runs(cart):
             for mode in MODES for d in DISTURBANCES]
     toy = _toy()
     g_toy = Gains(q_u_star=[0.0], q_a_star=[0.0], **TOY_GAINS)
-    runs += [(toy, g_toy, ctl, None, np.array([0.3, 0.1]), 1000) for ctl in ("approx", "pi")]
+    runs += [(toy, g, ctl, None, np.array([0.3, 0.1]), 1000)
+             for g, ctl in ((g_toy, "approx"), (replace(g_toy, K_D=0.0), "exact"))]
     for plant, g, controller, d, q0, n_steps in runs:
         use_z2 = controller == "approx"
         x0 = np.concatenate([q0, np.zeros(2), integrator_init(plant, g, q0)[0],
@@ -430,6 +435,34 @@ def test_l2_gain_trivial_and_sign_gate(cart, gains_cancel):
     # sign-inconsistent gains: bound not applicable
     tr = simulate(cart, gains_cancel, [0.1, 0.0], [0.0, 0.0], t_end=1.0, dt=1e-3)
     assert verify_l2_gain(tr) == {"applicable": False}
+
+
+@pytest.mark.parametrize("n_steps", [1, 9, 10_000])
+def test_l2_gain_running_integrals_equal_scipy_trapezoid(n_steps):
+    from scipy.integrate import cumulative_trapezoid
+    g = Gains(q_u_star=[0.0], q_a_star=[0.0], **TOY_GAINS)
+    tr = simulate(_toy(), g, [0.3, 0.1], [0.0, 0.0], t_end=n_steps * 1e-3, dt=1e-3,
+                  disturbance=DISTURBANCES[1])
+    res = verify_l2_gain(tr)
+    for key, col, scale in (("lhs", tr.y_d, 1.0), ("rhs", tr.d, g.K_P[0, 0])):
+        want = cumulative_trapezoid(np.einsum("ij,ij->i", col, col), dx=tr.dt)
+        assert np.array_equal(res[key], np.concatenate([[0.0], want]) / scale), key
+
+
+def test_removed_controller_is_rejected(cart, gains_cancel):
+    # the PI law is the exact one at K_D = 0
+    with pytest.raises(ValueError, match="controller"):
+        simulate(cart, gains_cancel, Q0, QD0, t_end=1e-3, dt=1e-3, controller="pi")
+
+
+def test_pi_run_reports_the_loop_that_ran():
+    # at K_D = 0 the shaped energy is the PI loop's: it dissipates as
+    # -y_d' K_P y_d, and the well-posedness matrix is k_e I
+    g = Gains(q_u_star=[0.0], q_a_star=[0.0], **{**TOY_GAINS, "K_D": 0.0})
+    tr = simulate(_toy(), g, [0.3, 0.1], [0.0, 0.0], t_end=5.0, dt=1e-3)
+    lyap = verify_lyapunov(tr)
+    assert lyap["monotone"] and lyap["max_residual"] <= 1e-4
+    assert tr.min_abs_detK == abs(g.k_e)
 
 
 def test_trace_csv_roundtrip_and_determinism(cart, gains_cancel, tmp_path):
