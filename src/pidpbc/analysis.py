@@ -258,10 +258,10 @@ class LyapunovData:
 def lyapunov_Hd_and_U(sys: MechanicalSystem, gains: Gains) -> LyapunovData:
     """Build the shaped-energy evaluators for a gain set.
 
-    ``U`` (storage plus integrator square, a function of the state and the
-    integrator) coincides with ``H_d`` once the integrator is replaced by its
-    position-function value; the two are computed through different paths so
-    the coincidence is a real check.
+    At the position-function integrator ``U`` (storage plus integrator square)
+    equals ``H_d``, plus in ``robust_A8`` mode the constant ``k_e (k_a V_a(q_a*)
+    + (k_a - k_u) V_0(q_u*)) + k_e^2 s_a^T K_I^{-1} s_a / 2`` (``V_0`` the holding
+    potential); the two take different paths, so the match is a real check.
     """
     return LyapunovData(sys=sys, gains=gains,
                         vn_star=potential_integral_VN(sys, gains.q_u_star))

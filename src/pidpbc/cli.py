@@ -41,16 +41,9 @@ SWEEP_PARAMS = ("k_a", "k_u", "k_e", "K_P", "K_I", "K_D", "a")
 
 def _load(args) -> scn.Scenario:
     sc = scn.load_scenario(args.scenario)
-    overrides = {}
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = args.dt
-    if getattr(args, "t_end", None) is not None:
-        overrides["t_end"] = args.t_end
-    if getattr(args, "controller", None) is not None:
-        overrides["controller"] = args.controller
-    if overrides:
-        sc = replace(sc, **overrides)
-    return sc
+    overrides = {key: value for key in ("dt", "t_end", "controller")
+                 if (value := getattr(args, key, None)) is not None}
+    return replace(sc, **overrides) if overrides else sc
 
 
 def _outdir(args) -> Path:
@@ -310,9 +303,8 @@ def main(argv=None) -> int:
         description="PID passivity-based control of underactuated mechanical systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_required=True):
-        if scenario_required:
-            p.add_argument("--scenario", required=True, help="scenario YAML file")
+    def add_common(p):
+        p.add_argument("--scenario", required=True, help="scenario YAML file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--dt", type=float, default=None, help="override time step [s]")
         p.add_argument("--t-end", dest="t_end", type=float, default=None,

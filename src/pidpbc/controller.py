@@ -127,11 +127,8 @@ class Gains:
 
     def with_target(self, q_u_star=None, q_a_star=None) -> "Gains":
         """Copy with a new target position (used for setpoint steps)."""
-        kwargs = {}
-        if q_u_star is not None:
-            kwargs["q_u_star"] = np.asarray(q_u_star, dtype=float)
-        if q_a_star is not None:
-            kwargs["q_a_star"] = np.asarray(q_a_star, dtype=float)
+        kwargs = {k: v for k, v in (("q_u_star", q_u_star), ("q_a_star", q_a_star))
+                  if v is not None}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", GainSignWarning)
             return replace(self, **kwargs)
@@ -160,8 +157,6 @@ def wellposedness_matrix_K(sys: MechanicalSystem, gains: Gains, q_u: Array) -> A
     """
     q_u = _points(q_u, sys.s)
     K = gains.k_e * np.eye(sys.m) + gains.k_a * gains.K_D @ sys.maa_inv
-    if not np.any(gains.K_D):
-        return np.broadcast_to(K, q_u.shape[:-1] + K.shape).copy()
     mau = sys.mau(q_u)
     muu_s = schur_unactuated(sys, q_u)
     w = np.linalg.solve(muu_s, _T(mau) @ sys.maa_inv)
@@ -177,8 +172,6 @@ def feedforward_S(sys: MechanicalSystem, gains: Gains, st: State) -> Array:
     maa^{-1} s_a``, it gives the share ``-(K(q_u) - k_e I) s_a``, the
     derivative part of the well-posedness matrix applied to it.
     """
-    if not np.any(gains.K_D):
-        return np.zeros(st.qd_a.shape)
     mau = sys.mau(st.q_u)
     muu_s = schur_unactuated(sys, st.q_u)
     cmu_qdu, dmu, act_row = coriolis_decomposition(sys, st)
@@ -237,6 +230,17 @@ def pi_control(sys: MechanicalSystem, gains: Gains, st: State, cs: ControllerSta
     return -(_mv(gains.K_P, out.y_d) + _mv(gains.K_I, cs.z1)) / gains.k_e
 
 
+def check_target(sys: MechanicalSystem, gains: Gains) -> None:
+    """:class:`ValueError` unless the target is assignable: a critical point of
+    ``V_u``, with affine actuated-potential data in ``robust_A8`` mode."""
+    grad = np.linalg.norm(sys.gradVu(gains.q_u_star))
+    if not grad <= CRIT_TOL:  # a NaN gradient fails too
+        raise ValueError(f"target q_u*={gains.q_u_star} is not a critical point of the "
+                         f"unactuated potential (|grad|={grad:.3e})")
+    if gains.mode == "robust_A8" and sys.affine_Va is None:
+        raise ValueError("robust_A8 mode requires affine actuated-potential data")
+
+
 def integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array) -> tuple[Array, Array]:
     """Integrator initialization that assigns the target equilibrium.
 
@@ -249,19 +253,12 @@ def integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array) -> tuple[Arr
     ``kappa`` for the whole run.  In ``robust_A8`` mode holding the plant at
     rest takes a constant force equal to the affine slope ``s_a``, which the
     integral term supplies: the offset shifts by ``-k_e K_I^{-1} s_a``.  The
-    target must be an assignable equilibrium, i.e. a critical point of the
-    unactuated potential.
+    target must pass :func:`check_target`.
     """
-    grad = sys.gradVu(gains.q_u_star)
-    if np.linalg.norm(grad) > CRIT_TOL:
-        raise ValueError(
-            f"target q_u*={gains.q_u_star} is not a critical point of the "
-            f"unactuated potential (|grad|={np.linalg.norm(grad):.3e})")
+    check_target(sys, gains)
     kappa = -gains.k_a * gains.q_a_star \
         - (gains.k_a - gains.k_u) * potential_integral_VN(sys, gains.q_u_star)
     if gains.mode == "robust_A8":
-        if sys.affine_Va is None:
-            raise ValueError("robust_A8 mode requires affine actuated-potential data")
         kappa = kappa - gains.k_e * np.linalg.solve(gains.K_I, sys.affine_Va[0])
     q0 = np.asarray(q0, dtype=float).reshape(sys.n)
     st0 = State(q0[: sys.s], q0[sys.s:], np.zeros(sys.s), np.zeros(sys.m))

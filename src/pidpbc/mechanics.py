@@ -336,16 +336,12 @@ def coriolis_decomposition(sys: MechanicalSystem, st: State):
     return _mv(cmu, st.qd_u), dmu, act_row
 
 
-def potential_gradient(sys: MechanicalSystem, st: State) -> Array:
-    return np.concatenate([sys.gradVu(st.q_u), sys.gradVa(st.q_a)], axis=-1)
-
-
 def forward_dynamics(sys: MechanicalSystem, st: State, tau: Array) -> Array:
     """Accelerations of the open-loop plant under the applied force ``tau``."""
     tau = np.asarray(tau, dtype=float).reshape(sys.m)
     M = assemble_inertia(sys, st.q_u)
     cmu_qdu, dmu, act_row = coriolis_decomposition(sys, st)
-    rhs = -potential_gradient(sys, st)
+    rhs = -np.concatenate([sys.gradVu(st.q_u), sys.gradVa(st.q_a)], axis=-1)
     rhs[: sys.s] -= cmu_qdu + dmu
     rhs[sys.s:] += tau - act_row
     try:

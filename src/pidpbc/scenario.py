@@ -4,13 +4,14 @@ Keys carry explicit units where the quantity has one (``psi_deg``,
 ``t_end_s``); generalized coordinates are plain ``q_u``/``q_a`` in radians
 and meters for the cart-pendulum builtin.  Unknown keys are rejected so a
 typo cannot silently fall back to a default, and any entry that does not
-parse raises :class:`ScenarioError`.
+parse raises :class:`ScenarioError` naming it.
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -18,8 +19,11 @@ import yaml
 
 from .mechanics import MechanicalSystem
 from .controller import Gains
-from .sim import CONTROLLERS, SetpointStep, _grid_index, _steps_on_grid
+from .sim import SetpointStep, check_closed_loop
 from . import systems
+
+
+_floats = partial(np.asarray, dtype=float)
 
 
 class ScenarioError(ValueError):
@@ -33,8 +37,21 @@ def _require_keys(section: dict, allowed: set, name: str):
                             f"allowed: {sorted(allowed)}")
 
 
-def _vec(value, length: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float).reshape(-1)
+def _entry(section: dict, name: str, default=None, convert=float):
+    """``convert`` of the entry ``name`` (dotted, its last part the key in
+    ``section``), ``default`` when absent; :class:`ScenarioError` naming the
+    entry when it does not convert, or is absent and has no default."""
+    key = name.rsplit(".", 1)[1]
+    if default is None and key not in section:
+        raise ScenarioError(f"{name} is required")
+    try:
+        return convert(section.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name}: {type(exc).__name__}: {exc}") from exc
+
+
+def _vec(section: dict, name: str, default, length: int) -> np.ndarray:
+    arr = _entry(section, name, default, lambda v: _floats(v).reshape(-1))
     if arr.size != length:
         raise ScenarioError(f"{name} must have {length} entries, got {arr.size}")
     if not np.all(np.isfinite(arr)):
@@ -61,15 +78,9 @@ class Scenario:
 
     def __post_init__(self):
         # runs on dataclasses.replace too, so command-line overrides are checked
-        if self.controller not in CONTROLLERS:
-            raise ScenarioError(f"run.controller must be one of {CONTROLLERS}, got "
-                                f"{self.controller!r}; the PI law is gains.K_D: 0")
-        if not all(np.isfinite(v) and v > 0.0 for v in (self.t_end, self.dt)):
-            raise ScenarioError(f"t_end and dt must be finite and positive, got "
-                                f"{self.t_end} and {self.dt}")
         try:
-            _grid_index(self.t_end, self.dt, self.t_end, "t_end")
-            _steps_on_grid(self.setpoints, self.dt, self.t_end)
+            check_closed_loop(self.system, self.gains, self.q0, self.qd0, self.t_end, self.dt,
+                              self.controller, self.setpoints)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
 
@@ -89,11 +100,11 @@ def _build_system(section: dict) -> MechanicalSystem:
     _require_keys(section, _SYSTEM_KEYS[kind], "system")
     if kind == "cart_pendulum_incline":
         return systems.cart_pendulum_incline(
-            pendulum_mass=float(section.get("pendulum_mass_kg", 0.14)),
-            cart_mass=float(section.get("cart_mass_kg", 0.44)),
-            length=float(section.get("pendulum_length_m", 0.215)),
-            psi=np.deg2rad(float(section.get("psi_deg", 20.0))),
-            gravity=float(section.get("gravity_mps2", systems.GRAVITY)),
+            pendulum_mass=_entry(section, "system.pendulum_mass_kg", 0.14),
+            cart_mass=_entry(section, "system.cart_mass_kg", 0.44),
+            length=_entry(section, "system.pendulum_length_m", 0.215),
+            psi=np.deg2rad(_entry(section, "system.psi_deg", 20.0)),
+            gravity=_entry(section, "system.gravity_mps2", systems.GRAVITY),
         )
     if kind == "linear_chain":
         M = section.get("inertia", [[2.0, 1.0], [1.0, 1.0]])
@@ -120,9 +131,9 @@ def _build_disturbance(section: Optional[dict], m: int):
         return None
     if kind != "sinusoid":
         raise ScenarioError(f"disturbance.kind must be 'none' or 'sinusoid', got {kind!r}")
-    amp = _vec(section.get("amplitude", np.zeros(m)), m, "disturbance.amplitude")
-    freq = float(section.get("frequency_hz", 1.0))
-    phase = float(section.get("phase_rad", 0.0))
+    amp = _vec(section, "disturbance.amplitude", np.zeros(m), m)
+    freq = _entry(section, "disturbance.frequency_hz", 1.0)
+    phase = _entry(section, "disturbance.phase_rad", 0.0)
     omega = 2.0 * np.pi * freq
     return lambda t: amp * np.sin(omega * t + phase)
 
@@ -159,63 +170,61 @@ def _parse(doc: dict) -> Scenario:
 
     gsec = dict(doc["gains"])
     _require_keys(gsec, _GAIN_KEYS, "gains")
-    for key in ("k_e", "k_a", "k_u", "K_P", "K_I"):
-        if key not in gsec:
-            raise ScenarioError(f"gains.{key} is required")
 
     tsec = dict(doc.get("target", {}))
     _require_keys(tsec, _TARGET_KEYS, "target")
-    q_u_star = _vec(tsec.get("q_u", np.zeros(s)), s, "target.q_u")
-    q_a_star = _vec(tsec.get("q_a", np.zeros(m)), m, "target.q_a")
+    q_u_star = _vec(tsec, "target.q_u", np.zeros(s), s)
+    q_a_star = _vec(tsec, "target.q_a", np.zeros(m), m)
 
+    gain = lambda key, default=None, convert=float: _entry(  # noqa: E731
+        gsec, f"gains.{key}", default, convert)
     gains = Gains(
-        k_e=float(gsec["k_e"]), k_a=float(gsec["k_a"]), k_u=float(gsec["k_u"]),
-        K_P=gsec["K_P"], K_I=gsec["K_I"], K_D=gsec.get("K_D", 0.0),
+        k_e=gain("k_e"), k_a=gain("k_a"), k_u=gain("k_u"), K_P=gain("K_P", None, _floats),
+        K_I=gain("K_I", None, _floats), K_D=gain("K_D", 0.0, _floats),
         q_u_star=q_u_star, q_a_star=q_a_star,
-        mode=gsec.get("mode", "cancel_Va"), filter_a=float(gsec.get("filter_a", 200.0)))
+        mode=gsec.get("mode", "cancel_Va"), filter_a=gain("filter_a", 200.0))
 
     isec = dict(doc.get("initial", {}))
     _require_keys(isec, _INITIAL_KEYS, "initial")
-    q0 = np.concatenate([_vec(isec.get("q_u", np.zeros(s)), s, "initial.q_u"),
-                         _vec(isec.get("q_a", np.zeros(m)), m, "initial.q_a")])
-    qd0 = np.concatenate([_vec(isec.get("qd_u", np.zeros(s)), s, "initial.qd_u"),
-                          _vec(isec.get("qd_a", np.zeros(m)), m, "initial.qd_a")])
+    q0 = np.concatenate([_vec(isec, "initial.q_u", np.zeros(s), s),
+                         _vec(isec, "initial.q_a", np.zeros(m), m)])
+    qd0 = np.concatenate([_vec(isec, "initial.qd_u", np.zeros(s), s),
+                          _vec(isec, "initial.qd_a", np.zeros(m), m)])
 
     setpoints = []
     for step in tsec.get("steps", []) or []:
         step = dict(step)
         _require_keys(step, {"t_s", "q_a", "q_u"}, "target.steps[]")
-        if "t_s" not in step or "q_a" not in step:
-            raise ScenarioError("each target step needs t_s and q_a")
         setpoints.append(SetpointStep(
-            t=float(step["t_s"]),
-            q_a_star=_vec(step["q_a"], m, "target.steps[].q_a"),
-            q_u_star=None if "q_u" not in step else _vec(step["q_u"], s, "target.steps[].q_u"),
+            t=_entry(step, "target.steps[].t_s"),
+            q_a_star=_vec(step, "target.steps[].q_a", None, m),
+            q_u_star=None if "q_u" not in step else _vec(step, "target.steps[].q_u", None, s),
         ))
 
     rsec = dict(doc.get("run", {}))
     _require_keys(rsec, _RUN_KEYS, "run")
-    t_end = float(rsec.get("t_end_s", 10.0))
-    dt = float(rsec.get("dt_s", 1e-3))
+    t_end = _entry(rsec, "run.t_end_s", 10.0)
+    dt = _entry(rsec, "run.dt_s", 1e-3)
     controller = rsec.get("controller", "exact")
 
     csec = dict(doc.get("check", {}))
     _require_keys(csec, _CHECK_KEYS, "check")
-    qu_box = np.asarray(csec.get("q_u_box", [[-1.0, 1.0]] * s), dtype=float).reshape(s, 2)
-    qa_box = np.asarray(csec.get("q_a_box", [[-1.0, 1.0]] * m), dtype=float).reshape(m, 2)
-    check_box = np.vstack([qu_box, qa_box])
-    samples, points = int(csec.get("samples", 400)), int(csec.get("gate_points", 121))
+    box = lambda key, k: _entry(csec, f"check.{key}", [[-1.0, 1.0]] * k,  # noqa: E731
+                                lambda v: _floats(v).reshape(k, 2))
+    check_box = np.vstack([box("q_u_box", s), box("q_a_box", m)])
+    samples = _entry(csec, "check.samples", 400, int)
+    points = _entry(csec, "check.gate_points", 121, int)
     if min(samples, points) < 1:
         raise ScenarioError(f"check.samples and gate_points must be >= 1, got {samples}, {points}")
-    seed = int(csec.get("seed", 0))
+    seed = _entry(csec, "check.seed", 0, int)
 
     # A5/A7 gate grid: either explicit, or the hull of the initial and target
     # unactuated positions padded outward (gain certificates are checked where
     # the run is expected to live, not on an arbitrary symmetric box)
     if "gate_grid" in csec:
-        bounds = np.asarray(csec["gate_grid"], dtype=float).reshape(s, 2)
+        bounds = box("gate_grid", s)
     else:
-        pad = float(csec.get("gate_pad", 0.2618))
+        pad = _entry(csec, "check.gate_pad", 0.2618)
         anchors = [q0[:s], q_u_star]
         anchors += [sp.q_u_star for sp in setpoints if sp.q_u_star is not None]
         anchors = np.stack(anchors)

@@ -34,8 +34,8 @@ from .mechanics import (Array, DynamicsError, MechanicalSystem, State, _block2x2
                         assemble_inertia, forward_dynamics, mau_gradient, muu_gradient,
                         shared_samples)
 from .controller import (DET_TOL, ControllerState, Gains, WellPosednessError,
-                         approx_control, closed_form_z1, exact_control, integrator_init,
-                         plant_input, wellposedness_matrix_K)
+                         approx_control, check_target, closed_form_z1, exact_control,
+                         integrator_init, plant_input, wellposedness_matrix_K)
 from .passivity import passive_outputs, robust_storage, storage_functions
 from .analysis import lyapunov_Hd_and_U
 
@@ -312,14 +312,6 @@ def _grid_index(t: float, dt: float, t_end: float, what: str) -> int:
     return k
 
 
-def _steps_on_grid(setpoints: Sequence[SetpointStep], dt: float, t_end: float) -> list:
-    """``(k, step)`` of the setpoint steps up to ``t_end``, in time order, each
-    on the integration grid (:class:`ValueError` otherwise)."""
-    steps = sorted((sp for sp in setpoints if sp.t <= t_end * (1 + 1e-12)),
-                   key=lambda sp: sp.t)
-    return [(_grid_index(sp.t, dt, t_end, "setpoint time"), sp) for sp in steps]
-
-
 def _check_run(n: int, q0, qd0, t_end: float, dt: float) -> tuple:
     """``(q0, qd0, n_steps)`` of a run, or :class:`ValueError` on invalid input."""
     q0, qd0 = (np.asarray(v, dtype=float).reshape(n) for v in (q0, qd0))
@@ -328,6 +320,31 @@ def _check_run(n: int, q0, qd0, t_end: float, dt: float) -> tuple:
     if not (np.isfinite(dt) and dt > 0.0 and np.isfinite(t_end)):
         raise ValueError(f"dt must be finite and positive and t_end finite, got {dt}, {t_end}")
     return q0, qd0, _grid_index(t_end, dt, t_end, "t_end")
+
+
+def check_closed_loop(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: float,
+                      controller: str, setpoints: Sequence[SetpointStep]) -> tuple:
+    """``(q0, qd0, segments)`` of a closed-loop run (``segments`` as in
+    :class:`Trace`), or :class:`ValueError` unless ``controller`` is one of
+    :data:`CONTROLLERS`, the run passes :func:`_check_run`, every setpoint time
+    up to ``t_end`` is on the grid and every segment's target passes
+    :func:`.check_target`.  Steps after ``t_end`` are dropped, steps on one
+    sample act as one (the last one winning), and a step on the last sample
+    starts no segment."""
+    if controller not in CONTROLLERS:
+        raise ValueError(f"controller must be one of {CONTROLLERS}, got {controller!r}; "
+                         f"the PI law is K_D = 0")
+    q0, qd0, n_steps = _check_run(sys.n, q0, qd0, t_end, dt)
+    steps = {_grid_index(sp.t, dt, t_end, "setpoint time"): sp
+             for sp in sorted(setpoints, key=lambda sp: sp.t) if sp.t <= t_end * (1 + 1e-12)}
+    bounds = [0] + sorted(k for k in steps if k < n_steps) + [n_steps]
+    segments, g = [], gains
+    for k0, k1 in zip(bounds, bounds[1:]):
+        if k0:
+            g = g.with_target(q_u_star=steps[k0].q_u_star, q_a_star=steps[k0].q_a_star)
+        check_target(sys, g)
+        segments.append((k0, k1, g))
+    return q0, qd0, segments
 
 
 def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: float,
@@ -342,45 +359,34 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     signal ``disturbance`` is added to the controller output at the plant
     input junction; the controller never sees it.  It must be a function of
     time alone, since the ``d`` column evaluates it again at the sample times
-    after the integration.  The integrator starts, and restarts
-    at each setpoint step, where :func:`.integrator_init` makes the target an
-    equilibrium of the loop.  Steps on one sample act as one, the last one
-    winning; a step on the last sample or after it starts no segment.
+    after the integration.  The integrator starts, and restarts at each
+    setpoint step, where :func:`.integrator_init` makes the target an
+    equilibrium of the loop.
 
-    Raises :class:`SimulationAborted` when the well-posedness matrix crosses
-    the singularity threshold (exact law only) or the state stops being
-    finite; the message carries the offending time and configuration.
-    Raises :class:`ValueError` before integrating when ``dt`` is not finite
-    and positive, ``t_end`` is not finite, ``t_end`` or a setpoint time is
-    not a whole number of steps, or ``q0``/``qd0`` is not finite.
+    Raises :class:`ValueError` before the first step when the run breaks a
+    rule of :func:`check_closed_loop`, which also splits it into setpoint
+    segments, and :class:`SimulationAborted` when the well-posedness matrix
+    crosses the singularity threshold (exact law only) or the state stops
+    being finite; the message carries the offending time and configuration.
     """
-    if controller not in CONTROLLERS:
-        raise ValueError(f"controller must be one of {CONTROLLERS}")
     s, m, n = sys.s, sys.m, sys.n
-    q0, qd0, n_steps = _check_run(n, q0, qd0, t_end, dt)
-    z1, _ = integrator_init(sys, gains, q0)
+    q0, qd0, segments = check_closed_loop(sys, gains, q0, qd0, t_end, dt, controller, setpoints)
+    n_steps = segments[-1][1]
 
     use_z2 = controller == "approx"
     # the derivative filter starts on the current output to avoid a kick
     z2 = [passive_outputs(sys, State.from_vectors(q0, qd0, s), gains).y_d] if use_z2 else []
-    x = np.concatenate([q0, qd0, z1] + z2)
+    x = np.concatenate([q0, qd0, np.zeros(m)] + z2)
 
     builder = _build_eval_scalar if s == m == 1 else _build_eval_generic
     eval_rhs = builder(sys, gains, controller, disturbance, det_tol, use_z2)
 
-    steps = {k: sp for k, sp in _steps_on_grid(setpoints, dt, t_end) if k < n_steps}
-
     X = np.empty((n_steps + 1, x.size))
     X[0] = x
-    segments, k0, g = [], 0, gains
     try:
-        for k1, sp in sorted(steps.items()) + [(n_steps, None)]:
+        for k0, k1, g in segments:
+            X[k0, 2 * n: 2 * n + m] = integrator_init(sys, g, X[k0, :n])[0]
             _rk4(eval_rhs, X, k0, k1, dt)
-            segments.append((k0, k1, g))
-            if sp is not None:
-                g = g.with_target(q_u_star=sp.q_u_star, q_a_star=sp.q_a_star)
-                X[k1, 2 * n: 2 * n + m] = integrator_init(sys, g, X[k1, :n])[0]
-            k0 = k1
         # the singularity guard also covers the last sample
         eval_rhs(n_steps * dt, X[-1].tolist())
     except WellPosednessError as exc:

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import pidpbc
 from pidpbc import read_trace_csv, simulate
@@ -198,6 +202,22 @@ def _top(key, value):
     return edit
 
 
+def _robust_on_quadratic_Va(doc):
+    doc.clear()
+    doc.update(builtin_scenario("linear"))
+    doc["system"]["stiffness_actuated"] = [[0.5]]
+    doc["gains"]["mode"] = "robust_A8"
+
+
+# edits of the cart scenario whose target the integrator cannot assign
+UNASSIGNABLE = {
+    "target-not-critical": _with("target", "q_u", [0.3]),
+    "step-target-not-critical": _with("target", "steps",
+                                      [{"t_s": 5.0, "q_a": [-0.3], "q_u": [0.3]}]),
+    "robust-quadratic-Va": _robust_on_quadratic_Va,
+}
+
+
 @pytest.mark.parametrize("edit", [
     _with("system", "psi_degrees", 20.0),  # unknown key
     _with("gains", "k_e", float("nan")),
@@ -217,10 +237,11 @@ def _top(key, value):
     _with("check", "gate_points", 0),
     _with("run", "controller", "pi"),  # the PI law is K_D: 0
     _with("gains", "filter_b", 200.0),  # the filter has one speed, filter_a
+    *UNASSIGNABLE.values(),
 ], ids=["unknown-key", "nan-k_e", "zero-dt", "nan-t_end", "nan-q0", "system-scalar",
         "initial-list", "step-scalar", "steps-mapping", "t_end-text", "box-short",
         "factory-module", "factory-callable", "zero-samples", "negative-samples",
-        "zero-gate-points", "controller-pi", "filter_b"])
+        "zero-gate-points", "controller-pi", "filter_b", *UNASSIGNABLE])
 def test_malformed_scenario_exit_code(tmp_path, capsys, edit):
     doc = builtin_scenario("cart_pendulum")
     edit(doc)
@@ -229,6 +250,73 @@ def test_malformed_scenario_exit_code(tmp_path, capsys, edit):
                      "--out", str(tmp_path / "s")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("invalid scenario:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("run", "t_end_s", "abc"),
+    ("check", "q_u_box", [1.0]),
+    ("check", "samples", "many"),
+    ("gains", "filter_a", "fast"),
+    ("gains", "K_P", "abc"),
+    ("system", "psi_deg", [20.0, 30.0]),
+    ("initial", "q_a", "left"),
+    ("check", "seed", None),
+])
+def test_unparsable_entry_is_named(tmp_path, capsys, section, key, value):
+    doc = builtin_scenario("cart_pendulum")
+    doc[section][key] = value
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["check", "--scenario", str(path)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid scenario: {section}.{key}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["check"], ["simulate"],
+                                     ["sweep", "--param", "k_e", "--values", "2"]],
+                         ids=["check", "simulate", "sweep"])
+@pytest.mark.parametrize("edit", UNASSIGNABLE.values(), ids=UNASSIGNABLE)
+def test_unassignable_target_exit_code(tmp_path, capsys, command, edit):
+    # the target rules hold for every command, and fail before any output
+    doc = builtin_scenario("cart_pendulum")
+    edit(doc)
+    path = write_scenario(tmp_path, doc)
+    assert cli_main([*command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.data())
+def test_no_scenario_ends_in_a_traceback(data):
+    # drawn targets, steps, modes, actuated stiffness, controllers and grids,
+    # valid or not: every command ends in one of its own exit codes
+    draw = data.draw
+    name = draw(st.sampled_from(["cart_pendulum", "linear"]))
+    critical = [0.0, float(np.pi)] if name == "cart_pendulum" else [0.0]
+    doc = builtin_scenario(name)
+    doc["target"]["q_u"] = [draw(st.sampled_from(critical + [0.3]))]
+    step = {"t_s": 0.02, "q_a": [0.1]}
+    step_q_u = draw(st.sampled_from([None] + critical + [0.3]))
+    if step_q_u is not None:
+        step["q_u"] = [step_q_u]
+    doc["target"]["steps"] = [step]
+    doc["gains"]["mode"] = draw(st.sampled_from(["cancel_Va", "robust_A8"]))
+    if name == "linear":
+        doc["system"]["stiffness_actuated"] = [[draw(st.sampled_from([0.0, 0.5]))]]
+    doc["run"]["controller"] = draw(st.sampled_from(["exact", "approx", "pi"]))
+    doc["run"]["t_end_s"] = draw(st.sampled_from([0.05, 0.04, 0.0405]))
+    doc["run"]["dt_s"] = draw(st.sampled_from([1e-3, 5e-3, 3e-3]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario(Path(tmp), doc)
+        for command, allowed in (("check", {0, 2, 5}), ("simulate", {0, 3, 5})):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli_main([command, "--scenario", str(path), "--out", f"{tmp}/o"])
+            assert rc in allowed, (command, rc)
+            if rc == 5:
+                assert err.getvalue().startswith("invalid scenario:")
+                assert err.getvalue().count("\n") == 1
 
 
 def test_bad_command_line_override_exit_code(tmp_path):

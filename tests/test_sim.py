@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pidpbc.sim
 from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted,
                     approx_control, detect_convergence, exact_control, forward_dynamics,
                     integrator_init, linear_system, passive_outputs, pi_control,
@@ -340,6 +341,16 @@ def test_steps_on_one_sample_give_one_segment_boundary(cart, gains_cancel):
     assert g.q_a_star.tolist() == [-0.2]
     q_step = [tr.q_u[1000, 0], tr.q_a[1000, 0]]
     assert np.array_equal(tr.z1[1000], integrator_init(cart, g, q_step)[0])
+
+
+def test_unassignable_step_target_is_rejected_before_the_first_step(cart, gains_cancel,
+                                                                    monkeypatch):
+    def integrate(*args):
+        raise AssertionError("integrated before the step target was checked")
+    monkeypatch.setattr(pidpbc.sim, "_rk4", integrate)
+    with pytest.raises(ValueError, match="critical point"):
+        simulate(cart, gains_cancel, Q0, QD0, t_end=10.0, dt=1e-3,
+                 setpoints=[SetpointStep(5.0, [-0.3], [0.3])])
 
 
 def test_grid_validation(cart, gains_cancel):
