@@ -20,6 +20,7 @@ from .mechanics import (
 from .passivity import (
     PassiveOutputs,
     IntegrabilityError,
+    QuadratureError,
     schur_unactuated,
     passive_outputs,
     storage_functions,

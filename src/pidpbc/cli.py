@@ -7,7 +7,8 @@ Commands:
   reproduce  run a pinned bundled example and assert its expected outcomes
 
 Exit codes: 0 success, 2 assumption failure, 3 runtime singularity,
-4 acceptance failure, 5 invalid input (a malformed or unreadable scenario or --values).
+4 acceptance failure, 5 invalid input (a malformed or unreadable scenario or --values,
+or a plant whose coupling potential V_N cannot be computed).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import yaml
 
 from . import analysis, scenario as scn, sim
 from .controller import Gains
+from .passivity import IntegrabilityError, QuadratureError
 from .sim import SimulationAborted
 
 EXIT_OK = 0
@@ -337,7 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except scn.ScenarioError as exc:
+    except (scn.ScenarioError, IntegrabilityError, QuadratureError) as exc:
         print(f"invalid scenario: {exc}", file=_stdsys.stderr)
         return EXIT_INPUT
 

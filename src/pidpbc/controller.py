@@ -175,17 +175,15 @@ def feedforward_S(sys: MechanicalSystem, gains: Gains, st: State) -> Array:
     mau = sys.mau(st.q_u)
     muu_s = schur_unactuated(sys, st.q_u)
     cmu_qdu, dmu, act_row = coriolis_decomposition(sys, st)
-    robust = gains.mode == "robust_A8"
-    if robust:
-        if sys.affine_Va is None:
-            raise ValueError("robust_A8 mode requires affine actuated-potential data")
-        act_row = act_row + sys.affine_Va[0]
+    if gains.mode == "robust_A8":
+        s_a = sys.affine_potential()[0]
+        act_row = act_row + s_a
     inner = _solve(muu_s, _mv(_T(mau), _mv(sys.maa_inv, act_row))
                    - (cmu_qdu + dmu + sys.gradVu(st.q_u)))
     bracket = _mv(sys.maa_inv, act_row + _mv(mau, inner))
     S = -gains.k_u * _mv(gains.K_D, bracket)
-    if robust:
-        S = S - (gains.k_a - gains.k_u) * (gains.K_D @ sys.maa_inv @ sys.affine_Va[0])
+    if gains.mode == "robust_A8":
+        S = S - (gains.k_a - gains.k_u) * (gains.K_D @ sys.maa_inv @ s_a)
     return S
 
 
@@ -237,8 +235,8 @@ def check_target(sys: MechanicalSystem, gains: Gains) -> None:
     if not grad <= CRIT_TOL:  # a NaN gradient fails too
         raise ValueError(f"target q_u*={gains.q_u_star} is not a critical point of the "
                          f"unactuated potential (|grad|={grad:.3e})")
-    if gains.mode == "robust_A8" and sys.affine_Va is None:
-        raise ValueError("robust_A8 mode requires affine actuated-potential data")
+    if gains.mode == "robust_A8":
+        sys.affine_potential()
 
 
 def integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array) -> tuple[Array, Array]:
@@ -259,7 +257,7 @@ def integrator_init(sys: MechanicalSystem, gains: Gains, q0: Array) -> tuple[Arr
     kappa = -gains.k_a * gains.q_a_star \
         - (gains.k_a - gains.k_u) * potential_integral_VN(sys, gains.q_u_star)
     if gains.mode == "robust_A8":
-        kappa = kappa - gains.k_e * np.linalg.solve(gains.K_I, sys.affine_Va[0])
+        kappa = kappa - gains.k_e * np.linalg.solve(gains.K_I, sys.affine_potential()[0])
     q0 = np.asarray(q0, dtype=float).reshape(sys.n)
     st0 = State(q0[: sys.s], q0[sys.s:], np.zeros(sys.s), np.zeros(sys.m))
     return closed_form_z1(sys, gains, st0, kappa), kappa
@@ -277,12 +275,10 @@ def plant_input(sys: MechanicalSystem, gains: Gains, u: Array, q_a: Array) -> Ar
     """Force applied to the plant for a given controller output.
 
     ``cancel_Va`` adds back the actuated potential gradient; ``robust_A8``
-    passes the output through unchanged (and requires the affine potential
-    data to be present, since that is what its storage analysis rests on).
+    passes it through unchanged, given the affine ``V_a`` its storage rests on.
     """
     u = _points(u, sys.m)
     if gains.mode == "cancel_Va":
         return u + sys.gradVa(_points(q_a, sys.m))
-    if sys.affine_Va is None:
-        raise ValueError("robust_A8 mode requires affine actuated-potential data")
+    sys.affine_potential()
     return u.copy()

@@ -213,6 +213,12 @@ class MechanicalSystem:
     def n(self) -> int:
         return self.s + self.m
 
+    def affine_potential(self) -> tuple:
+        """``(s_a, c0)`` of the affine ``V_a``, or :class:`ValueError` without it."""
+        if self.affine_Va is None:
+            raise ValueError(f"{self.name} has no affine V_a data, which robust_A8 mode requires")
+        return self.affine_Va
+
     def muu(self, q_u: Array) -> Array:
         return _per_point(self.muu_fn, q_u, (self.s, self.s))
 

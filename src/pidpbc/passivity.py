@@ -88,6 +88,10 @@ class IntegrabilityError(ValueError):
     potential exists."""
 
 
+class QuadratureError(ValueError):
+    """The coupling-potential quadrature did not converge at its finest rule."""
+
+
 def coupling_row_asymmetry(sys: MechanicalSystem, q_u: Array) -> float:
     """Worst asymmetry of the coupling-row Jacobians at ``q_u``.
 
@@ -102,13 +106,16 @@ def potential_integral_VN(sys: MechanicalSystem, q_u: Array) -> Array:
     """Coupling potential with Jacobian ``maa^{-1} m_au(q_u)``.
 
     Uses the closed form when the system carries one; otherwise integrates
-    the field along the straight path from the origin with Gauss-Legendre
-    panels, doubling the panel count until two successive estimates agree to
-    ``VN_TOL``.  Over a batch, each sample stops doubling on its own, and each
-    panel count runs only for the samples that have not yet converged.  The
-    quadrature normalization fixes the value at the origin to zero; only
-    differences of this potential enter the controller, so the offset is
-    immaterial.
+    the field along the straight path from the origin with 8-node
+    Gauss-Legendre panels, doubling the panel count from 1 up to 512 (4096
+    nodes) until two successive estimates agree to ``VN_TOL``.  Over a batch,
+    each sample stops doubling on its own, and each panel count runs only for
+    the samples that have not yet converged.  Raises
+    :class:`IntegrabilityError` when the coupling rows are not gradient
+    fields and :class:`QuadratureError` when a sample has not converged at
+    512 panels.  The quadrature normalization fixes the value at the origin
+    to zero; only differences of this potential enter the controller, so the
+    offset is immaterial.
     """
     q_u = _points(q_u, sys.s)
     if sys.VN_fn is not None:
@@ -125,7 +132,7 @@ def _quadrature_VN(sys: MechanicalSystem, q_u: Array) -> Array:
             f"coupling rows are not gradient fields at q_u={points[bad[0]]} "
             f"(asymmetry {asym[bad[0]]:.3e}); the coupling potential does not exist")
 
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
 
     def estimate(q: Array, panels: int) -> Array:
         # node by node, so memory stays proportional to the number of samples
@@ -141,11 +148,16 @@ def _quadrature_VN(sys: MechanicalSystem, q_u: Array) -> Array:
     out = estimate(points, 1)
     active, prev = np.arange(points.shape[0]), out.copy()
     panels = 2
-    while panels <= 64 and active.size:
+    while active.size:
+        if panels > 512:
+            raise QuadratureError(
+                f"V_N quadrature did not converge at q_u={points[active[0]]}: estimates "
+                f"on 256 and 512 panels differ by {gap[0]:.3e} (tolerance {VN_TOL:g})")
         cur = estimate(points[active], panels)
         out[active] = cur
-        pending = ~(np.max(np.abs(cur - prev), axis=-1) < VN_TOL)
-        active, prev = active[pending], cur[pending]
+        gap = np.max(np.abs(cur - prev), axis=-1)
+        pending = ~(gap < VN_TOL)
+        active, prev, gap = active[pending], cur[pending], gap[pending]
         panels *= 2
     return out.reshape(q_u.shape[:-1] + (sys.m,))
 
@@ -158,9 +170,7 @@ def holding_potential_V0(sys: MechanicalSystem, q_u: Array) -> float:
     that must be moved between the two storage functions for the raw-force
     input to supply both of them.
     """
-    if sys.affine_Va is None:
-        raise ValueError("holding potential requires affine actuated potential data")
-    s_a, c0 = sys.affine_Va
+    s_a, c0 = sys.affine_potential()
     return np.einsum("i,...i->...", s_a, potential_integral_VN(sys, q_u)) + c0
 
 

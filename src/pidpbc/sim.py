@@ -327,7 +327,7 @@ def check_closed_loop(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float
     """``(q0, qd0, segments)`` of a closed-loop run (``segments`` as in
     :class:`Trace`), or :class:`ValueError` unless ``controller`` is one of
     :data:`CONTROLLERS`, the run passes :func:`_check_run`, every setpoint time
-    up to ``t_end`` is on the grid and every segment's target passes
+    is finite and, up to ``t_end``, on the grid and every segment's target passes
     :func:`.check_target`.  Steps after ``t_end`` are dropped, steps on one
     sample act as one (the last one winning), and a step on the last sample
     starts no segment."""
@@ -335,6 +335,8 @@ def check_closed_loop(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float
         raise ValueError(f"controller must be one of {CONTROLLERS}, got {controller!r}; "
                          f"the PI law is K_D = 0")
     q0, qd0, n_steps = _check_run(sys.n, q0, qd0, t_end, dt)
+    if not all(np.isfinite(sp.t) for sp in setpoints):
+        raise ValueError(f"setpoint times must be finite, got {[sp.t for sp in setpoints]}")
     steps = {_grid_index(sp.t, dt, t_end, "setpoint time"): sp
              for sp in sorted(setpoints, key=lambda sp: sp.t) if sp.t <= t_end * (1 + 1e-12)}
     bounds = [0] + sorted(k for k in steps if k < n_steps) + [n_steps]

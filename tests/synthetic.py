@@ -116,3 +116,9 @@ def random_state(sys, rng, pos_scale=1.0, vel_scale=1.0):
         qd_u=rng.normal(scale=vel_scale, size=sys.s),
         qd_a=rng.normal(scale=vel_scale, size=sys.m),
     )
+
+
+def nonintegrable_plant():
+    """s = m = 2 plant whose coupling rows are not gradient fields, so it has
+    no coupling potential."""
+    return make_synthetic(2, 2, seed=28, integrable=False)

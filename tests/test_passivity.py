@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from pidpbc import (IntegrabilityError, MechanicalSystem, State,
+from pidpbc import (IntegrabilityError, MechanicalSystem, QuadratureError, State,
                     assemble_inertia, linear_system, passive_outputs,
                     potential_integral_VN, power_balance_residual,
                     robust_storage, schur_unactuated, simulate,
@@ -159,6 +161,32 @@ def test_coupling_potential_quadrature_matches_cart_pendulum_form(cart):
             - potential_integral_VN(stripped, [qb])
         diff_exact = ML / TOTAL * (np.sin(qa - PSI) - np.sin(qb - PSI))
         assert abs(diff_quad[0] - diff_exact) < 1e-10
+
+
+@pytest.mark.parametrize("s, m, seed", [(2, 2, 26), (3, 3, 26)])
+def test_coupling_potential_quadrature_cost_and_accuracy(s, m, seed):
+    # a timing-free guard of the quadrature: field evaluations per sample
+    # over a batch with |q_u| <= 3, and agreement with the closed form
+    sys_ = make_synthetic(s, m, seed=seed)
+    calls = []
+    counted = dataclasses.replace(sys_, VN_fn=None,
+                                  mau_fn=lambda q: calls.append(1) or sys_.mau_fn(q))
+    q = np.random.default_rng(4).uniform(-3.0, 3.0, (200, s))
+    vn = potential_integral_VN(counted, q)
+    exact = np.array([sys_.VN_fn(p) for p in q])
+    assert np.abs(vn - exact).max() <= 1e-13
+    if s == 2:
+        assert len(calls) <= 32 * len(q)
+
+
+def test_coupling_potential_quadrature_refuses_to_guess():
+    # a gradient field too oscillatory for the finest rule (4096 nodes)
+    wild = MechanicalSystem(
+        s=1, m=1, muu_fn=lambda q: [[2.0]], mau_fn=lambda q: [[np.cos(1e4 * q[0])]],
+        maa=[[1.0]], Vu_fn=lambda q: 0.0, gradVu_fn=lambda q: [0.0],
+        Va_fn=lambda q: 0.0, gradVa_fn=lambda q: [0.0])
+    with pytest.raises(QuadratureError, match=r"q_u=\[1\.\].*differ by"):
+        potential_integral_VN(wild, [1.0])
 
 
 def test_coupling_potential_refuses_non_gradient_rows():

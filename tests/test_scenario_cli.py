@@ -228,6 +228,8 @@ UNASSIGNABLE = {
     _top("initial", [1, 2]),
     _with("target", "steps", [5]),
     _with("target", "steps", {"t_s": 1}),
+    *(_with("target", "steps", [{"t_s": t_s, "q_a": [-0.3]}])
+      for t_s in (float("nan"), float("inf"), float("-inf"))),
     _with("run", "t_end_s", "abc"),
     _with("check", "q_u_box", [1.0]),
     _top("system", {"kind": "custom", "factory": "no_such_mod:make"}),
@@ -239,7 +241,8 @@ UNASSIGNABLE = {
     _with("gains", "filter_b", 200.0),  # the filter has one speed, filter_a
     *UNASSIGNABLE.values(),
 ], ids=["unknown-key", "nan-k_e", "zero-dt", "nan-t_end", "nan-q0", "system-scalar",
-        "initial-list", "step-scalar", "steps-mapping", "t_end-text", "box-short",
+        "initial-list", "step-scalar", "steps-mapping", "step-t-nan", "step-t-inf",
+        "step-t--inf", "t_end-text", "box-short",
         "factory-module", "factory-callable", "zero-samples", "negative-samples",
         "zero-gate-points", "controller-pi", "filter_b", *UNASSIGNABLE])
 def test_malformed_scenario_exit_code(tmp_path, capsys, edit):
@@ -284,6 +287,21 @@ def test_unassignable_target_exit_code(tmp_path, capsys, command, edit):
     err = capsys.readouterr().err
     assert err.startswith("invalid scenario:") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["check"], ["simulate"],
+                                     ["sweep", "--param", "k_e", "--values", "2"]],
+                         ids=["check", "simulate", "sweep"])
+def test_plant_without_coupling_potential_exit_code(tmp_path, capsys, command):
+    # V_N does not exist when the coupling rows are not gradient fields
+    doc = {
+        "system": {"kind": "custom", "factory": "synthetic:nonintegrable_plant"},
+        "gains": {"k_e": 1.0, "k_a": 1.0, "k_u": 0.5, "K_P": 1.0, "K_I": 1.0},
+    }
+    path = write_scenario(tmp_path, doc)
+    assert cli_main([*command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert "not gradient fields" in err and err.count("\n") == 1
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)
