@@ -48,8 +48,8 @@ def _load(args) -> scn.Scenario:
     return replace(sc, **overrides) if overrides else sc
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
+def _outdir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -103,7 +103,7 @@ def cmd_check(args) -> int:
                  "does not apply (deliberate for swing-up style shaping)")
     print(text)
     if args.out:
-        out = _outdir(args)
+        out = _outdir(args.out)
         _write_json(out / "check.json", payload)
         (out / "check.txt").write_text(text + "\n")
     return EXIT_OK if ok else EXIT_ASSUMPTION
@@ -139,14 +139,18 @@ def _summarize(sc: scn.Scenario, trace: sim.Trace) -> dict:
 
 
 def _simulate_and_write(sc: scn.Scenario, out: Path, extra: dict):
-    """Run the scenario, write the trace, its column map and the summary
-    plus ``extra``; ``(trace, summary)``, or ``None`` after an abort."""
+    """Run the scenario, then create ``out`` and write the trace, its column
+    map and the summary plus ``extra`` there; ``(trace, summary)``, or
+    ``None`` after an abort, which leaves ``out`` empty."""
     try:
         trace = sim.simulate(sc.system, sc.gains, sc.q0, sc.qd0, sc.t_end, sc.dt,
                              controller=sc.controller, disturbance=sc.disturbance,
                              setpoints=sc.setpoints)
     except SimulationAborted as exc:
+        trace = None
         print(f"simulation aborted: {exc}", file=_stdsys.stderr)
+    _outdir(out)
+    if trace is None:
         return None
     sim.write_trace_csv(trace, out / "trace.csv")
     sim.write_column_map(trace, out / "trace.columns")
@@ -157,7 +161,7 @@ def _simulate_and_write(sc: scn.Scenario, out: Path, extra: dict):
 
 def cmd_simulate(args) -> int:
     sc = _load(args)
-    out = _outdir(args)
+    out = Path(args.out)
     run = _simulate_and_write(sc, out, {})
     if run is None:
         return EXIT_SINGULARITY
@@ -184,7 +188,6 @@ def cmd_sweep(args) -> int:
         print(f"invalid --values {args.values!r}: need numbers", file=_stdsys.stderr)
         return EXIT_INPUT
     sc = _load(args)
-    out = _outdir(args)
     fields = ("value", "status", "settle_time", "peak_abs_u", "min_abs_detK", "a7", "dissipated")
     rows = []
     for value in values:
@@ -230,13 +233,13 @@ def cmd_sweep(args) -> int:
         lines.append(",".join(str(row[f]) for f in fields))
     table = "\n".join(lines)
     print(table)
-    (out / f"sweep_{args.param}.csv").write_text(table + "\n")
+    (_outdir(args.out) / f"sweep_{args.param}.csv").write_text(table + "\n")
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
     name = args.example
-    out = _outdir(args)
+    out = _outdir(args.out)
     failures = []
     doc = scn.builtin_scenario(name)
     sc = scn.scenario_from_dict(doc)

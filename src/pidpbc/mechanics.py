@@ -10,11 +10,19 @@ so ``q = [q_u; q_a]``.
 ``State``, the plant accessors, the inertia derivatives, ``assemble_inertia``
 and ``coriolis_decomposition`` take one point or a batch with leading sample
 axes and keep those axes in their results, as do the passivity, controller
-and analysis functions that build a trace.  Plant callbacks see one point at
-a time; :func:`_per_point` loops them over a batch.  A callback returns any
-array-like holding its block's entries in row-major order, so a one-entry
-block may be a plain Python float.  During integration callbacks are only
-called at finite positions.
+and analysis functions that build a trace.
+
+A plant callback takes one point and returns any array-like holding its
+block's entries in row-major order, so a one-entry block may be a plain
+Python float.  It may carry two more forms of the same formula, attached by
+:func:`with_forms`: a *float form* (a Python float in, a float out, read by
+the ``s = m = 1`` integration) and a *batch form* (a ``(..., k)`` array in,
+an array that broadcasts to ``(..., *block)`` out, in one numpy call).
+:func:`_per_point` evaluates a batch through the batch form when there is
+one and loops the callback point by point (:func:`_loop_points`) otherwise.
+The forms travel with the callback object, so replacing a callback in a
+plant drops them with it.  During integration callbacks are only called at
+finite positions.
 """
 
 from __future__ import annotations
@@ -111,24 +119,45 @@ def _reuse(key, q: Array, compute: Callable[[], Array]) -> Array:
     return out
 
 
+def with_forms(point: Callable, *, float_form: Optional[Callable] = None,
+               batch_form: Optional[Callable] = None) -> Callable:
+    """``point``, a plant callback, carrying the float and batch forms of its
+    formula (see the module docstring); each form must agree with ``point``
+    bitwise."""
+    point.float_form, point.batch_form = float_form, batch_form
+    return point
+
+
+def _loop_points(fn: Callable[[Array], Array], q: Array, shape: tuple) -> Array:
+    """``fn`` at every point of the batch ``q``, each result reshaped to ``shape``."""
+    points = q.reshape(-1, q.shape[-1])
+    out = np.empty((len(points),) + shape)
+    # stacking block by block bounds the temporary list of results
+    for i in range(0, len(points), 1024):
+        block = points[i:i + 1024]
+        out[i:i + 1024] = np.array([fn(p) for p in block], dtype=float).reshape(
+            (len(block),) + shape)
+    return out.reshape(q.shape[:-1] + shape)
+
+
+def _batch(form: Callable[[Array], Array], q: Array, shape: tuple) -> Array:
+    """The batch form ``form`` at ``q``, broadcast into a new array."""
+    out = np.empty(q.shape[:-1] + shape)
+    out[...] = form(q)
+    return out
+
+
 def _per_point(fn: Callable[[Array], Array], q: Array, shape: tuple) -> Array:
-    """Per-point plant callback ``fn`` at ``q`` of shape ``(k,)`` or ``(..., k)``,
-    each result reshaped to ``shape``; batches are looped point by point."""
+    """Plant callback ``fn`` at ``q`` of shape ``(k,)`` or ``(..., k)``, each
+    result reshaped to ``shape``; a batch goes through ``fn``'s batch form in
+    one call when it has one, and point by point otherwise."""
     q = np.asarray(q, dtype=float)
     if q.ndim <= 1:
         return np.asarray(fn(q), dtype=float).reshape(shape)
-
-    def loop():
-        points = q.reshape(-1, q.shape[-1])
-        out = np.empty((len(points),) + shape)
-        # stacking block by block bounds the temporary list of results
-        for i in range(0, len(points), 1024):
-            block = points[i:i + 1024]
-            out[i:i + 1024] = np.array([fn(p) for p in block], dtype=float).reshape(
-                (len(block),) + shape)
-        return out.reshape(q.shape[:-1] + shape)
-
-    return _reuse(fn, q, loop)
+    form = getattr(fn, "batch_form", None)
+    if form is None:
+        return _reuse(fn, q, lambda: _loop_points(fn, q, shape))
+    return _reuse(fn, q, lambda: _batch(form, q, shape))
 
 
 def _as_spd(mat, name: str) -> Array:
@@ -149,8 +178,13 @@ class MechanicalSystem:
 
     Each callback takes one point, a float array of shape ``(s,)`` or
     ``(m,)``, and returns any array-like holding the entries of the shape
-    named below in row-major order: a one-entry block may be a plain Python
-    float, which the ``s = m = 1`` integration reads without numpy.  During
+    named below in row-major order; a one-entry block may be a plain Python
+    float.  A callback may carry a float form, which the ``s = m = 1``
+    integration calls on Python floats, and a batch form, which evaluates a
+    ``(..., k)`` batch in one call (:func:`with_forms`); without them the
+    integration reads the callback through a one-entry array and a batch is
+    looped point by point.  The forms belong to the callback object, so
+    ``dataclasses.replace`` with a new callback drops them.  During
     integration the callbacks are only called at finite positions.
 
     Parameters

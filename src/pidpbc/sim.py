@@ -16,10 +16,13 @@ yd_dot|_{u=0}``, whose matrix is the well-posedness matrix ``K(q_u)``.  The
 closed forms of ``K`` and of the feedforward ``S`` live only in
 :mod:`.controller`; the ``u`` and ``detK`` columns come from them, a second
 route to the integrated law.  A scalar form of the same formulas serves
-``s = m = 1`` plants.  The tests pin the generic form to the reference
-functions and the scalar form to the generic one, at random states and over
-whole runs.  The integrated state is a list of Python floats; the array forms
-convert at their own boundary (``np.asarray`` in, ``tolist`` out).
+``s = m = 1`` plants; it calls each plant callback's float form, or reads a
+callback without one through a one-entry array (see :mod:`.mechanics`).  The
+tests pin the generic form to the reference functions and the scalar form to
+the generic one, at random states and over whole runs.  The integrated state
+is a list of Python floats; the array forms convert at their own boundary
+(``np.asarray`` in, ``tolist`` out).  The diagnostics pass evaluates each
+callback over all samples at once, through its batch form when it has one.
 """
 
 from __future__ import annotations
@@ -173,42 +176,61 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
     return eval_rhs
 
 
+def _one_entry(value) -> float:
+    """``value`` as a Python float, or :class:`ValueError` unless it holds
+    exactly one entry."""
+    if type(value) is float:
+        return value
+    if type(value) is not np.ndarray:
+        value = np.asarray(value, dtype=float)
+    if value.size != 1:
+        raise ValueError(f"an s = m = 1 plant callback returned {value.size} entries, not 1")
+    return value.item()
+
+
+def _float_form(fn: Callable[[Array], Array]) -> Callable[[float], float]:
+    """The float form of plant callback ``fn``, or ``fn`` read through a
+    one-entry array by :func:`_one_entry`."""
+    form = getattr(fn, "float_form", None)
+    if form is not None:
+        return form
+    buf = np.empty(1)
+
+    def read(x: float) -> float:
+        buf[0] = x
+        return _one_entry(fn(buf))
+
+    return read
+
+
 def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
                        disturbance, det_tol: float, use_z2: bool):
     """Float-only evaluation for s = m = 1; formula-identical to the generic
-    path, with the 2x2 inverse in closed form; the callbacks take one-entry
-    arrays and may return floats."""
+    path, with the 2x2 inverse in closed form.  Each callback's float form,
+    or its one-entry reader, is picked here once, so every evaluation runs
+    on Python floats through one body."""
     k_e, k_a = gains.k_e, gains.k_a
     c = gains.k_u - gains.k_a
     KP, KI, KD = (float(mat[0, 0]) for mat in (gains.K_P, gains.K_I, gains.K_D))
     maa = float(sys.maa[0, 0])
-    muu_fn, mau_fn = sys.muu_fn, sys.mau_fn
-    dmuu_fn = sys.muu_jac or (lambda q: muu_gradient(sys, q))
-    dmau_fn = sys.mau_jac or (lambda q: mau_gradient(sys, q))
-    gradVu_fn = sys.gradVu_fn
-    gradVa_fn = sys.gradVa_fn if gains.mode == "robust_A8" else None
-    qbuf_u, qbuf_a = np.empty(1), np.empty(1)
-
-    def scalar(value) -> float:  # strict: an array result must have one entry
-        if type(value) is float:
-            return value
-        return value.item() if isinstance(value, np.ndarray) else float(np.ravel(value)[0])
+    muu_fn, mau_fn, gradVu_fn = (_float_form(f) for f in (sys.muu_fn, sys.mau_fn, sys.gradVu_fn))
+    dmuu_fn = _float_form(sys.muu_jac or (lambda q: muu_gradient(sys, q)))
+    dmau_fn = _float_form(sys.mau_jac or (lambda q: mau_gradient(sys, q)))
+    gradVa_fn = _float_form(sys.gradVa_fn) if gains.mode == "robust_A8" else None
 
     def eval_rhs(t: float, x) -> list:
         q_u, q_a, qd_u, qd_a, z1 = x[0], x[1], x[2], x[3], x[4]
         z2 = x[5] if use_z2 else 0.0
         if not (math.isfinite(q_u) and math.isfinite(q_a)):  # callbacks see finite positions only
             raise ArithmeticError
-        qbuf_u[0] = q_u
-        qbuf_a[0] = q_a
-        muu = scalar(muu_fn(qbuf_u))
-        mau = scalar(mau_fn(qbuf_u))
-        act_row = scalar(dmau_fn(qbuf_u)) * qd_u * qd_u
+        muu = muu_fn(q_u)
+        mau = mau_fn(q_u)
+        act_row = dmau_fn(q_u) * qd_u * qd_u
 
         # plant response qdd = qdd0 + G (u + d); the velocity cross terms
         # cancel exactly for s = m = 1; robust_A8 keeps the actuated slope
-        f_u = -(0.5 * scalar(dmuu_fn(qbuf_u)) * qd_u * qd_u + scalar(gradVu_fn(qbuf_u)))
-        f_a = -act_row - scalar(gradVa_fn(qbuf_a)) if gradVa_fn else -act_row
+        f_u = -(0.5 * dmuu_fn(q_u) * qd_u * qd_u + gradVu_fn(q_u))
+        f_a = -act_row - gradVa_fn(q_a) if gradVa_fn else -act_row
         det_M = muu * maa - mau * mau
         qdd0_u = (maa * f_u - mau * f_a) / det_M
         qdd0_a = (muu * f_a - mau * f_u) / det_M
@@ -226,7 +248,7 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
         else:
             u = -(KP * y_d + KI * z1 + KD * gains.filter_a * (y_d - z2)) / k_e
         if disturbance is not None:
-            u += scalar(disturbance(t))
+            u += _one_entry(disturbance(t))
 
         xdot = [qd_u, qd_a, qdd0_u + G_u * u, qdd0_a + G_a * u, y_d]
         if use_z2:

@@ -6,9 +6,19 @@ import math
 
 import numpy as np
 
-from .mechanics import MechanicalSystem
+from .mechanics import MechanicalSystem, with_forms
 
 GRAVITY = 9.81  # m/s^2
+
+
+def _formula(expr, ndim: int):
+    """Plant callback of a one-entry block with ``ndim`` axes, written once as
+    ``expr(x, lib=math)`` over the one coordinate ``x``: ``expr`` itself is
+    the float form, the point callback reads ``q[0]``, and the batch form
+    binds ``lib`` to numpy over ``q[..., 0]`` with the block's axes appended."""
+    index = (Ellipsis, 0) + (None,) * ndim
+    return with_forms(lambda q: expr(float(q[0])), float_form=expr,
+                      batch_form=lambda q: expr(q[index], np))
 
 
 def cart_pendulum_incline(pendulum_mass: float = 0.14, cart_mass: float = 0.44,
@@ -21,8 +31,9 @@ def cart_pendulum_incline(pendulum_mass: float = 0.14, cart_mass: float = 0.44,
     the cart.  The incline angle ``psi`` tilts the coupling term and makes
     the actuated potential affine with slope ``-(M_c + m) g sin(psi)``.
 
-    Every block has one entry, so the callbacks return Python floats from
-    :mod:`math`, with the constant factors folded when the plant is built.
+    Every block has one entry, so each formula is one expression in the
+    coordinate over :mod:`math` (point and float forms) or numpy (batch
+    form), with the constant factors folded when the plant is built.
     """
     m, M_c, ell = pendulum_mass, cart_mass, length
     total = M_c + m
@@ -34,17 +45,17 @@ def cart_pendulum_incline(pendulum_mass: float = 0.14, cart_mass: float = 0.44,
 
     return MechanicalSystem(
         s=1, m=1,
-        muu_fn=lambda q_u: muu,
-        muu_jac=lambda q_u: 0.0,
-        mau_fn=lambda q_u: m_ell * math.cos(q_u[0] - psi),
-        mau_jac=lambda q_u: -m_ell * math.sin(q_u[0] - psi),
+        muu_fn=_formula(lambda th, lib=math: muu, 2),
+        muu_jac=_formula(lambda th, lib=math: 0.0, 3),
+        mau_fn=_formula(lambda th, lib=math: m_ell * lib.cos(th - psi), 2),
+        mau_jac=_formula(lambda th, lib=math: -m_ell * lib.sin(th - psi), 3),
         maa=np.array([[total]]),
-        Vu_fn=lambda q_u: m_g_ell * math.cos(q_u[0]),
-        gradVu_fn=lambda q_u: -m_g_ell * math.sin(q_u[0]),
-        Va_fn=lambda q_a: s_a * float(q_a[0]),
-        gradVa_fn=lambda q_a: s_a,
+        Vu_fn=_formula(lambda th, lib=math: m_g_ell * lib.cos(th), 0),
+        gradVu_fn=_formula(lambda th, lib=math: -m_g_ell * lib.sin(th), 1),
+        Va_fn=_formula(lambda x, lib=math: s_a * x, 0),
+        gradVa_fn=_formula(lambda x, lib=math: s_a, 1),
         affine_Va=(np.array([s_a]), 0.0),
-        VN_fn=lambda q_u: coupling * math.sin(q_u[0] - psi),
+        VN_fn=_formula(lambda th, lib=math: coupling * lib.sin(th - psi), 1),
         name="cart-pendulum-incline",
     )
 
@@ -55,7 +66,8 @@ def linear_system(M, S_u, S_a=None, name: str = "linear") -> MechanicalSystem:
     The unactuated dimension is read off ``S_u``.  The coupling potential is
     exact (``maa^{-1} m_au q_u``), and when the actuated stiffness is zero
     the actuated potential is the zero affine function, so both controller
-    modes apply.
+    modes apply.  Each formula is one numpy expression that keeps leading
+    axes, so it is both the point callback and its batch form.
     """
     M = np.asarray(M, dtype=float)
     S_u = np.atleast_2d(np.asarray(S_u, dtype=float))
@@ -69,20 +81,31 @@ def linear_system(M, S_u, S_a=None, name: str = "linear") -> MechanicalSystem:
     maa = M[s:, s:].copy()
     maa_inv_mau = np.linalg.solve(maa, mau)
     affine = (np.zeros(m), 0.0) if not np.any(S_a) else None
+    zeros_u, zeros_a = np.zeros((s, s, s)), np.zeros((m, s, s))
 
+    def batched(fn):  # constants and einsum serve a point and a batch alike
+        return with_forms(fn, batch_form=fn)
+
+    def matvec(A):
+        return lambda q: np.einsum("ij,...j->...i", A, q)
+
+    def quadratic(grad):
+        return lambda q: 0.5 * np.sum(q * grad(q), axis=-1)
+
+    gradVu, gradVa = matvec(S_u), matvec(S_a)
     return MechanicalSystem(
         s=s, m=m,
-        muu_fn=lambda q_u: muu,
-        muu_jac=lambda q_u: np.zeros((s, s, s)),
-        mau_fn=lambda q_u: mau,
-        mau_jac=lambda q_u: np.zeros((m, s, s)),
+        muu_fn=batched(lambda q_u: muu),
+        muu_jac=batched(lambda q_u: zeros_u),
+        mau_fn=batched(lambda q_u: mau),
+        mau_jac=batched(lambda q_u: zeros_a),
         maa=maa,
-        Vu_fn=lambda q_u: 0.5 * q_u @ (S_u @ q_u),
-        gradVu_fn=lambda q_u: S_u @ q_u,
-        Va_fn=lambda q_a: 0.5 * q_a @ (S_a @ q_a),
-        gradVa_fn=lambda q_a: S_a @ q_a,
+        Vu_fn=batched(quadratic(gradVu)),
+        gradVu_fn=batched(gradVu),
+        Va_fn=batched(quadratic(gradVa)),
+        gradVa_fn=batched(gradVa),
         affine_Va=affine,
-        VN_fn=lambda q_u: maa_inv_mau @ q_u,
+        VN_fn=batched(matvec(maa_inv_mau)),
         name=name,
     )
 

@@ -18,6 +18,22 @@ def bench_gains(mode="cancel_Va", **overrides):
     return Gains(q_u_star=[0.0], q_a_star=[0.0], mode=mode, **kw)
 
 
+class PointLoopEntered(AssertionError):
+    """A batch went through the per-point callback loop."""
+
+
+@pytest.fixture
+def no_point_loop(monkeypatch):
+    """Makes the per-point callback loop over a batch raise
+    :class:`PointLoopEntered`, so a test can show a path never enters it."""
+    from pidpbc import mechanics
+
+    def refuse(fn, q, shape):
+        raise PointLoopEntered(f"{fn!r} looped over a batch of shape {q.shape}")
+
+    monkeypatch.setattr(mechanics, "_loop_points", refuse)
+
+
 @pytest.fixture(scope="session")
 def cart():
     return cart_pendulum_incline()

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from pidpbc import (ControllerState, State, approx_control, assemble_inertia,
-                    closed_form_z1, coriolis_decomposition, desired_inertia_Md,
-                    desired_potential_Vd, exact_control, lyapunov_Hd_and_U,
-                    passive_outputs, pi_control, plant_input,
-                    potential_integral_VN, robust_storage, schur_unactuated,
+                    cart_pendulum_incline, closed_form_z1, coriolis_decomposition,
+                    desired_inertia_Md, desired_potential_Vd, exact_control, linear_system,
+                    lyapunov_Hd_and_U, passive_outputs, pi_control, pinned_linear_2dof,
+                    plant_input, potential_integral_VN, robust_storage, schur_unactuated,
                     storage_functions, wellposedness_matrix_K)
 from pidpbc.controller import feedforward_S
+from pidpbc.mechanics import _per_point, _stencil
 from pidpbc.passivity import holding_potential_V0, locked_matrix_Ma, velocity_outputs
 
 from conftest import random_gains
@@ -104,3 +105,72 @@ def test_batched_reference_functions_match_per_point(s, m, mode):
     assert_batch_matches("potential_integral_VN (quadrature)",
                          potential_integral_VN(quad, st.q_u),
                          [potential_integral_VN(quad, x.q_u) for x in states])
+
+
+# ---------------------------------------------------------------------------
+# Float and batch forms of the built-in plants' callbacks
+# ---------------------------------------------------------------------------
+
+CALLBACKS = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "Vu_fn", "gradVu_fn",
+             "Va_fn", "gradVa_fn", "VN_fn")
+
+
+def _blocks(sys_):
+    """``name -> (coordinate count, block shape)`` of every plant callback."""
+    s, m = sys_.s, sys_.m
+    return {"muu_fn": (s, (s, s)), "mau_fn": (s, (m, s)), "muu_jac": (s, (s, s, s)),
+            "mau_jac": (s, (m, s, s)), "Vu_fn": (s, ()), "gradVu_fn": (s, (s,)),
+            "Va_fn": (m, ()), "gradVa_fn": (m, (m,)), "VN_fn": (s, (m,))}
+
+
+@pytest.mark.parametrize("plant", [
+    cart_pendulum_incline(),
+    pinned_linear_2dof(),
+    linear_system(M=[[3.0, 0.4, 1.0, 0.2], [0.4, 2.0, 0.3, 0.5],
+                     [1.0, 0.3, 2.0, 0.1], [0.2, 0.5, 0.1, 1.5]],
+                  S_u=[[1.0, 0.3], [0.3, 2.0]], S_a=[[0.7, 0.1], [0.1, 0.4]]),
+], ids=["cart", "pinned_linear_2dof", "linear_s2m2"])
+def test_batch_forms_equal_their_point_callbacks_bitwise(plant, no_point_loop):
+    # each built-in callback has a batch form, the accessors take it (the
+    # per-point loop raises), and it equals the point callback sample by
+    # sample, bit for bit, over any leading axes
+    rng = np.random.default_rng(23)
+    for name, (k, block) in _blocks(plant).items():
+        fn = getattr(plant, name)
+        assert fn.batch_form is not None, name
+        for q in (rng.uniform(-np.pi, np.pi, (7, k)), rng.uniform(-np.pi, np.pi, (3, 4, k)),
+                  _stencil(rng.uniform(-np.pi, np.pi, (7, k)))):
+            got = _per_point(fn, q, block)
+            assert got.shape == q.shape[:-1] + block, name
+            for idx in np.ndindex(q.shape[:-1]):
+                want = np.asarray(fn(q[idx]), dtype=float).reshape(block)
+                assert np.array_equal(got[idx], want), (name, idx)
+
+
+def test_cart_float_forms_equal_their_point_callbacks_bitwise():
+    cart = cart_pendulum_incline()
+    for x in np.random.default_rng(29).uniform(-np.pi, np.pi, 20).tolist():
+        for name in CALLBACKS:
+            fn = getattr(cart, name)
+            got = fn.float_form(x)
+            assert type(got) is float, name
+            assert got == fn(np.array([x])), name
+
+
+def test_replacing_a_callback_drops_its_forms():
+    # the forms belong to the callback object, so a replaced callback cannot
+    # leave a stale one behind: without V_N the quadrature runs, and a new
+    # coupling block is called once per sample
+    cart = cart_pendulum_incline()
+    q = np.random.default_rng(31).uniform(-1.5, 1.5, (7, 1))
+    quad = replace(cart, VN_fn=None)
+    offset = potential_integral_VN(cart, np.zeros(1))  # the quadrature is 0 at the origin
+    assert np.abs(potential_integral_VN(quad, q) - (potential_integral_VN(cart, q) - offset)
+                  ).max() <= 1e-13
+
+    calls = []
+    counted = lambda p: calls.append(p) or cart.mau_fn(p)
+    plant = replace(cart, mau_fn=counted)
+    assert getattr(plant.mau_fn, "batch_form", None) is None
+    assert np.array_equal(plant.mau(q), cart.mau(q))
+    assert len(calls) == len(q)

@@ -302,6 +302,7 @@ def test_plant_without_coupling_potential_exit_code(tmp_path, capsys, command):
     assert cli_main([*command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 5
     err = capsys.readouterr().err
     assert "not gradient fields" in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)

@@ -196,27 +196,40 @@ def test_sweep_abort_row_is_the_same_through_both_builders(cart):
 
 @pytest.mark.parametrize("mode,n_calls", [("cancel_Va", 5), ("robust_A8", 6)])
 def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
-    # a timing-free guard of the s = m = 1 fast path: one evaluation calls
-    # each plant callback it needs once, returns Python floats, and the
-    # integration never enters the per-point array loop
+    # a timing-free guard of the s = m = 1 fast path: one evaluation calls the
+    # float form of each plant callback it needs once, on Python floats, or
+    # reads a callback without one once through its one-entry array; it
+    # returns Python floats, and the integration never calls an accessor
     import dataclasses
     from pidpbc import mechanics
-    calls = []
-
-    def counted(fn):
-        return lambda q: calls.append(fn) or fn(q)
-
     names = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn",
              "Vu_fn", "Va_fn", "VN_fn")
     # the cart's callbacks are floats themselves, not arrays the reader unpacks
     assert [k for k in names if type(getattr(cart, k)(np.array([0.3]))) is not float] == []
-    plant = dataclasses.replace(cart, **{k: counted(getattr(cart, k)) for k in names})
+    float_calls, point_calls = [], []
+
+    def counted_float_form(fn):
+        def form(x):
+            float_calls.append(type(x))
+            return fn.float_form(x)
+        return mechanics.with_forms(lambda q: fn(q), float_form=form,
+                                    batch_form=fn.batch_form)
+
+    def counted_point(fn):  # no forms: the reader route
+        return lambda q: point_calls.append(fn) or fn(q)
+
     g = bench_gains(mode=mode)
-    rhs = _build_eval_scalar(plant, g, "exact", None, 1e-10, False)
     x = [0.3, -0.2, 0.1, 0.05, 0.01]
-    out = rhs(0.0, x)
-    assert len(calls) == n_calls
-    assert type(out) is list and all(type(v) is float for v in out)
+    outs = []
+    for wrap, calls in ((counted_float_form, float_calls), (counted_point, point_calls)):
+        plant = dataclasses.replace(cart, **{k: wrap(getattr(cart, k)) for k in names})
+        out = _build_eval_scalar(plant, g, "exact", None, 1e-10, False)(0.0, x)
+        assert len(calls) == n_calls
+        assert type(out) is list and all(type(v) is float for v in out)
+        outs.append(out)
+    assert float_calls == [float] * n_calls
+    rhs = _build_eval_scalar(cart, g, "exact", None, 1e-10, False)
+    assert outs[0] == outs[1] == rhs(0.0, x)
 
     def per_point(*args, **kwargs):
         raise AssertionError("mechanics._per_point entered during _rk4")
@@ -226,6 +239,38 @@ def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
     X[0] = x
     _rk4(rhs, X, 0, 20, 1e-3)
     assert np.all(np.isfinite(X))
+
+
+@pytest.mark.parametrize("bad", [lambda g: [g, 99.0], lambda g: np.array([g, 99.0])],
+                         ids=["list", "array"])
+def test_scalar_reader_refuses_a_result_with_two_entries(cart, bad):
+    # a callback without a float form is read through a one-entry array, and a
+    # result holding more than one entry is an error, not its first entry
+    gradVu = cart.gradVu_fn
+    plant = replace(cart, gradVu_fn=lambda q_u: bad(gradVu(q_u)))
+    with pytest.raises(ValueError, match="returned 2 entries, not 1"):
+        _build_eval_scalar(plant, bench_gains(), "exact", None, 1e-10, False)(
+            0.0, [0.3, -0.2, 0.1, 0.05, 0.01])
+    with pytest.raises(ValueError):
+        plant.gradVu(np.array([0.3]))
+
+
+@pytest.mark.parametrize("mode", ["cancel_Va", "robust_A8"])
+def test_builtin_plants_never_loop_callbacks_point_by_point(cart, no_point_loop, mode):
+    # a timing-free guard of the diagnostics pass: the cart and the linear
+    # example evaluate every trace column through their batch forms, while
+    # a plant whose callbacks have none still goes through the loop
+    from conftest import PointLoopEntered
+    from pidpbc import scenario
+    lin = scenario.scenario_from_dict(scenario.builtin_scenario("linear"))
+    runs = [(cart, bench_gains(mode=mode), Q0, QD0),
+            (lin.system, replace(lin.gains, mode=mode), lin.q0, lin.qd0)]
+    for plant, g, q0, qd0 in runs:
+        assert simulate(plant, g, q0, qd0, t_end=0.1, dt=1e-3).n_samples == 101
+    synthetic = make_synthetic(1, 1, seed=3)
+    with pytest.raises(PointLoopEntered):
+        simulate(synthetic, random_gains(synthetic, np.random.default_rng(3), mode=mode),
+                 [0.1, 0.0], [0.0, 0.0], t_end=0.1, dt=1e-3)
 
 
 def test_cart_callbacks_agree_with_their_derivatives_and_batches(cart):
