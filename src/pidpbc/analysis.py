@@ -17,9 +17,9 @@ import numpy as np
 
 from .mechanics import (Array, MechanicalSystem, State, _T, _block2x2, _central, _points,
                         _quad, _stencil, assemble_inertia)
-from .passivity import (coupling_row_asymmetry, passive_outputs, potential_integral_VN,
-                        robust_storage, schur_unactuated, storage_functions)
-from .controller import DET_TOL, Gains, wellposedness_matrix_K
+from .passivity import (VN_CHECK_TOL, coupling_row_asymmetry, passive_outputs,
+                        potential_integral_VN, robust_storage, schur_unactuated, storage_functions)
+from .controller import Gains, det_floor, wellposedness_matrix_K
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -119,15 +119,11 @@ def check_assumptions(sys: MechanicalSystem, sample_box, n_samples: int = 400,
     report.checks["A7"] = AssumptionCheck(
         STATUS_NA, note="gain-dependent; use check_A7 with a gain set")
 
-    # A6: symmetry of the coupling-row Jacobians
+    # A6: symmetry of the coupling-row Jacobians, to the V_N quadrature's own tolerance
     asym = coupling_row_asymmetry(sys, qu_samples)
     k = int(np.argmax(asym))
-    if asym[k] <= 1e-6:
-        report.checks["A6"] = AssumptionCheck(STATUS_SAMPLED, residual=float(asym[k]),
-                                              witness=qu_samples[k])
-    else:
-        report.checks["A6"] = AssumptionCheck(STATUS_FAIL, residual=float(asym[k]),
-                                              witness=qu_samples[k])
+    status = STATUS_SAMPLED if asym[k] <= VN_CHECK_TOL else STATUS_FAIL
+    report.checks["A6"] = AssumptionCheck(status, residual=float(asym[k]), witness=qu_samples[k])
 
     # A8: declared affine actuated potential matches the callable
     if sys.affine_Va is None:
@@ -173,14 +169,14 @@ def scan_A5(sys: MechanicalSystem, gains: Gains, q_u_grid) -> dict:
     """Determinant of the well-posedness matrix over a grid of ``q_u``.
 
     Reports the minimum magnitude, its location, and whether the determinant
-    changes sign between neighbouring grid points (which implies a
-    singularity inside the scanned range).
+    changes sign between neighbouring grid points (a singularity inside the
+    range); it passes with no sign change and no point below :func:`.det_floor`.
     """
     grid = np.atleast_2d(np.asarray(q_u_grid, dtype=float).reshape(-1, sys.s))
     dets = np.linalg.det(wellposedness_matrix_K(sys, gains, grid))
     k = int(np.argmin(np.abs(dets)))
     crossing = bool(np.any(np.sign(dets[:-1]) * np.sign(dets[1:]) < 0))
-    ok = (not crossing) and abs(dets[k]) > DET_TOL
+    ok = (not crossing) and abs(dets[k]) >= det_floor(gains)
     return {"pass": ok, "min_abs_det": float(np.abs(dets[k])), "witness": grid[k],
             "sign_change": crossing, "dets": dets}
 

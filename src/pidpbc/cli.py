@@ -72,27 +72,32 @@ def _run_checks(sc: scn.Scenario) -> tuple:
     report = analysis.check_assumptions(sc.system, sc.check_box,
                                         n_samples=sc.check_samples, seed=sc.seed)
     a5 = analysis.scan_A5(sc.system, sc.gains, sc.gate_grid)
-    a7 = analysis.check_A7(sc.system, sc.gains, sc.gate_grid)
+    text = report.to_text() + "\n"
+    text += (f"  A5 [{'pass' if a5['pass'] else 'FAIL':>12}]  scan on gate grid: "
+             f"min |det K| = {a5['min_abs_det']:.4g}\n")
+    if report.checks["A6"].status == analysis.STATUS_FAIL:
+        # V_N, which shapes the potential A7 scans, exists only under A6
+        a7_scan = {"skipped": "coupling rows are not gradient fields (A6), so V_N does not exist"}
+        text += f"  A7 [{'skipped':>12}]  {a7_scan['skipped']}"
+    else:
+        a7 = analysis.check_A7(sc.system, sc.gains, sc.gate_grid)
+        a7_scan = {"pass": a7.passed, "min_eig_Md": float(a7.min_eig_profile.min()),
+                   "grad_norm_Vd_at_target": a7.grad_norm,
+                   "hessian_eigs_Vd_at_target": a7.hessian_eigs.tolist()}
+        text += (f"  A7 [{'pass' if a7.passed else 'FAIL':>12}]  scan on gate grid: "
+                 f"min eig of shaped inertia = {a7.min_eig_profile.min():.4g}, "
+                 f"|grad Vd(target)| = {a7.grad_norm:.3g}")
     payload = {
         "assumptions": report.to_dict(),
         "A5_scan": {"pass": a5["pass"], "min_abs_det": a5["min_abs_det"],
                     "witness": np.atleast_1d(a5["witness"]).tolist(),
                     "sign_change": a5["sign_change"]},
-        "A7_scan": {"pass": a7.passed, "min_eig_Md": float(a7.min_eig_profile.min()),
-                    "grad_norm_Vd_at_target": a7.grad_norm,
-                    "hessian_eigs_Vd_at_target": a7.hessian_eigs.tolist()},
+        "A7_scan": a7_scan,
         "gate_grid_bounds": [[float(sc.gate_grid[:, j].min()),
                               float(sc.gate_grid[:, j].max())]
                              for j in range(sc.gate_grid.shape[1])],
     }
-    ok = report.passed and a5["pass"] and a7.passed
-    text = report.to_text() + "\n"
-    text += (f"  A5 [{'pass' if a5['pass'] else 'FAIL':>12}]  scan on gate grid: "
-             f"min |det K| = {a5['min_abs_det']:.4g}\n")
-    text += (f"  A7 [{'pass' if a7.passed else 'FAIL':>12}]  scan on gate grid: "
-             f"min eig of shaped inertia = {a7.min_eig_profile.min():.4g}, "
-             f"|grad Vd(target)| = {a7.grad_norm:.3g}")
-    return payload, ok, text
+    return payload, report.passed and a5["pass"] and a7_scan.get("pass", False), text
 
 
 def cmd_check(args) -> int:

@@ -33,7 +33,7 @@ from .passivity import passive_outputs, potential_integral_VN, schur_unactuated
 
 MODES = ("cancel_Va", "robust_A8")
 CRIT_TOL = 1e-8  # largest |grad V_u(q_u*)| of an assignable target
-DET_TOL = 1e-10  # default singularity threshold on |det K|
+DET_TOL = 1e-10  # singularity floor on |det K|, relative to det K = k_e^m of the PI law
 
 
 class GainSignWarning(UserWarning):
@@ -42,15 +42,13 @@ class GainSignWarning(UserWarning):
 
 
 class WellPosednessError(RuntimeError):
-    """The implicit control law is singular at the current configuration."""
+    """The implicit control law is singular: ``|det K|`` fell below ``floor``."""
 
-    def __init__(self, q_u: Array, det: float, t: Optional[float] = None):
-        self.q_u = np.asarray(q_u, dtype=float)
-        self.det = float(det)
-        self.t = t
+    def __init__(self, q_u: Array, det: float, floor: float, t: Optional[float] = None):
+        self.q_u, self.det, self.floor, self.t = np.asarray(q_u, dtype=float), det, floor, t
         at = f" at t={t:.6g}s" if t is not None else ""
-        super().__init__(
-            f"well-posedness matrix is singular{at}: det K = {det:.3e} at q_u={self.q_u}")
+        super().__init__(f"well-posedness matrix singular{at}, q_u={self.q_u}, "
+                         f"|det K|={abs(self.det):.3e} below {self.floor:.3e}")
 
 
 def _as_gain_matrix(value, m: int, name: str, *, definite: bool) -> Array:
@@ -148,6 +146,12 @@ class ControllerState:
             self.z2 = np.asarray(self.z2, dtype=float).reshape(self.z1.shape)
 
 
+def det_floor(gains: Gains) -> float:
+    """Least ``|det K|`` of a well-posed sample, relative to the PI law's ``|k_e|^m``:
+    scaling ``(k_e, K_P, K_I, K_D)`` together changes neither loop nor verdict."""
+    return DET_TOL * abs(gains.k_e) ** gains.K_P.shape[0]
+
+
 def wellposedness_matrix_K(sys: MechanicalSystem, gains: Gains, q_u: Array) -> Array:
     """Matrix multiplying ``u`` in the implicit form of the PID law.
 
@@ -188,22 +192,23 @@ def feedforward_S(sys: MechanicalSystem, gains: Gains, st: State) -> Array:
 
 
 def exact_control(sys: MechanicalSystem, gains: Gains, st: State, cs: ControllerState,
-                  *, det_tol: float = DET_TOL) -> Array:
+                  *, det_tol: Optional[float] = None) -> Array:
     """Controller output of the implicit PID law.
 
     Solves ``K(q_u) u = -K_P y_d - K_I z1 - S(q, qd)``.  Feeding the result
     back makes the PID differential equation hold exactly, including the
     derivative term.  Raises :class:`WellPosednessError` when ``|det K|``
-    falls below ``det_tol``; over a batch, at the sample with the smallest
-    ``|det K|``.
+    falls below ``det_tol``, by default :func:`det_floor`; over a batch, at
+    the sample with the smallest ``|det K|``.
     """
+    det_tol = det_floor(gains) if det_tol is None else det_tol
     out = passive_outputs(sys, st, gains)
     rhs = -_mv(gains.K_P, out.y_d) - _mv(gains.K_I, cs.z1) - feedforward_S(sys, gains, st)
     K = wellposedness_matrix_K(sys, gains, st.q_u)
     det = np.linalg.det(K)
     if np.any(np.abs(det) < det_tol):
         k = np.unravel_index(np.argmin(np.abs(det)), det.shape)
-        raise WellPosednessError(st.q_u[k], det[k])
+        raise WellPosednessError(st.q_u[k], det[k], det_tol)
     return _solve(K, rhs)
 
 

@@ -322,25 +322,23 @@ def _central(v: Array) -> Array:
     return (-v[0] + 8 * v[1] - 8 * v[2] + v[3]) / (12 * FD_STEP)
 
 
-def _block_jacobian_fd(fn: Callable[[Array], Array], q_u: Array, rows: int, cols: int) -> Array:
-    """Fourth-order central-difference derivative tensor of a matrix map."""
-    return np.moveaxis(_central(_per_point(fn, _stencil(q_u), (rows, cols))), 0, -1)
+def _block_gradient(block: Callable, jac: Optional[Callable], shape: tuple, q_u: Array) -> Array:
+    """Derivative tensor ``d block[i, j] / d q_u[k]``, of shape (..., *shape): the analytic
+    Jacobian ``jac``, or the fourth-order central difference of ``block`` without one."""
+    if jac is None:
+        def jac(q):
+            return np.moveaxis(_central(_per_point(block, _stencil(q), shape[:2])), 0, -1)
+    return _per_point(jac, q_u, shape)
 
 
 def muu_gradient(sys: MechanicalSystem, q_u: Array) -> Array:
     """Derivative tensor ``d m_uu[i, j] / d q_u[k]`` of shape (..., s, s, s)."""
-    shape = (sys.s, sys.s, sys.s)
-    if sys.muu_jac is not None:
-        return _per_point(sys.muu_jac, q_u, shape)
-    return _per_point(lambda q: _block_jacobian_fd(sys.muu_fn, q, sys.s, sys.s), q_u, shape)
+    return _block_gradient(sys.muu_fn, sys.muu_jac, (sys.s, sys.s, sys.s), q_u)
 
 
 def mau_gradient(sys: MechanicalSystem, q_u: Array) -> Array:
     """Derivative tensor ``d m_au[i, j] / d q_u[k]`` of shape (..., m, s, s)."""
-    shape = (sys.m, sys.s, sys.s)
-    if sys.mau_jac is not None:
-        return _per_point(sys.mau_jac, q_u, shape)
-    return _per_point(lambda q: _block_jacobian_fd(sys.mau_fn, q, sys.m, sys.s), q_u, shape)
+    return _block_gradient(sys.mau_fn, sys.mau_jac, (sys.m, sys.s, sys.s), q_u)
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ import numpy as np
 from .mechanics import (Array, DynamicsError, MechanicalSystem, State, _block2x2, _quad,
                         assemble_inertia, forward_dynamics, mau_gradient, muu_gradient,
                         shared_samples)
-from .controller import (DET_TOL, ControllerState, Gains, WellPosednessError,
-                         approx_control, check_target, closed_form_z1, exact_control,
+from .controller import (ControllerState, Gains, WellPosednessError, approx_control,
+                         check_target, closed_form_z1, det_floor, exact_control,
                          integrator_init, plant_input, wellposedness_matrix_K)
 from .passivity import passive_outputs, robust_storage, storage_functions
 from .analysis import lyapunov_Hd_and_U
@@ -116,7 +116,7 @@ class SimulationAborted(DynamicsError):
 
 
 def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
-                        disturbance, det_tol: float, use_z2: bool):
+                        disturbance, det_tol: float):
     s, m, n = sys.s, sys.m, sys.n
     k_e, k_a = gains.k_e, gains.k_a
     c = gains.k_u - gains.k_a
@@ -159,7 +159,7 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
             K = k_e * eye_m + K_D @ Lsol[:, 1:]
             detK = float(np.linalg.det(K))
             if abs(detK) < det_tol:
-                raise WellPosednessError(q_u, detK, t)
+                raise WellPosednessError(q_u, detK, det_tol, t)
             ydot0 = Lsol[:, 0] - c * (maa_inv @ act_row)
             u = np.linalg.solve(K, -(K_P @ y_d) - K_I @ z1v - K_D @ ydot0)
         else:
@@ -169,7 +169,7 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
             u = u + np.asarray(disturbance(t), dtype=float).reshape(m)
 
         xdot = [qd, sol[:, 0] + sol[:, 1:] @ u, y_d]
-        if use_z2:
+        if controller == "approx":
             xdot.append(gains.filter_a * (y_d - z2v))
         return np.concatenate(xdot).tolist()
 
@@ -204,11 +204,12 @@ def _float_form(fn: Callable[[Array], Array]) -> Callable[[float], float]:
 
 
 def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
-                       disturbance, det_tol: float, use_z2: bool):
+                       disturbance, det_tol: float):
     """Float-only evaluation for s = m = 1; formula-identical to the generic
     path, with the 2x2 inverse in closed form.  Each callback's float form,
     or its one-entry reader, is picked here once, so every evaluation runs
     on Python floats through one body."""
+    use_z2 = controller == "approx"
     k_e, k_a = gains.k_e, gains.k_a
     c = gains.k_u - gains.k_a
     KP, KI, KD = (float(mat[0, 0]) for mat in (gains.K_P, gains.K_I, gains.K_D))
@@ -242,7 +243,7 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
         if controller == "exact":
             K = k_e + KD * (L_u * G_u + k_a * G_a)
             if abs(K) < det_tol:
-                raise WellPosednessError(np.array([q_u]), K, t)
+                raise WellPosednessError(np.array([q_u]), K, det_tol, t)
             ydot0 = L_u * qdd0_u + k_a * qdd0_a - c * act_row / maa
             u = (-(KP * y_d) - KI * z1 - KD * ydot0) / K
         else:
@@ -261,10 +262,11 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
 def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: float) -> None:
     """Classical RK4 steps from row ``k0`` to row ``k1`` of ``X`` in place.
 
-    The state is a list of Python floats.  Raises :class:`SimulationAborted`
-    as soon as a new state is not finite or a step divides by zero; the
-    right-hand sides raise :class:`ArithmeticError` on a non-finite stage
-    state before any plant callback sees it.
+    The state is a list of Python floats.  Every early stop of a run is the
+    :class:`SimulationAborted` raised here: a new state is not finite, a step
+    divides by zero, or ``rhs`` raises :class:`.WellPosednessError` at a stage
+    or at the last state; ``rhs`` raises :class:`ArithmeticError` on a
+    non-finite stage state before any plant callback sees it.
     """
     half, sixth = 0.5 * dt, dt / 6.0
     x = X[k0].tolist()
@@ -283,12 +285,15 @@ def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: flo
                 X[k + 1] = x
                 if not all(map(math.isfinite, x)):
                     raise ArithmeticError
+            rhs(k1 * dt, x)
+        except WellPosednessError as exc:
+            raise SimulationAborted(str(exc)) from exc
         except (ArithmeticError, np.linalg.LinAlgError):  # a zero divisor is inf/nan in numpy
             raise SimulationAborted(f"state became non-finite at t={t + dt:.6g}s") from None
 
 
 def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, disturbance,
-              segments: list, use_z2: bool) -> dict:
+              segments: list) -> dict:
     """Every trace column from the integrated states, in one pass over all
     samples through the reference functions; ``segments`` as in :class:`Trace`."""
     s, m, n = sys.s, sys.m, sys.n
@@ -297,13 +302,13 @@ def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, distu
     t = np.arange(N) * dt
     st = State(X[:, :s], X[:, s:n], X[:, n:n + s], X[:, n + s:2 * n])
     z1 = X[:, 2 * n:2 * n + m]
-    z2 = X[:, 2 * n + m:] if use_z2 else None
+    z2 = X[:, 2 * n + m:] if controller == "approx" else None
     d = np.zeros((N, m)) if disturbance is None else \
         np.array([np.asarray(disturbance(tk), dtype=float).reshape(m) for tk in t])
     cols = dict(t=t, q_u=st.q_u, q_a=st.q_a, qd_u=st.qd_u, qd_a=st.qd_a, z1=z1, z2=z2, d=d)
     with shared_samples(st.q_u, st.q_a):
         cs = ControllerState(z1, z2)
-        # the integration already stopped at any sample below det_tol
+        # the integration already judged every sample by det_floor
         u = exact_control(sys, gains, st, cs, det_tol=0.0) if controller == "exact" \
             else approx_control(sys, gains, st, cs)[0]
         out = passive_outputs(sys, st, gains)
@@ -374,8 +379,7 @@ def check_closed_loop(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float
 def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: float,
              *, controller: str = "exact",
              disturbance: Optional[Callable[[float], Array]] = None,
-             setpoints: Sequence[SetpointStep] = (),
-             det_tol: float = DET_TOL) -> Trace:
+             setpoints: Sequence[SetpointStep] = ()) -> Trace:
     """Integrate the closed loop and record a full diagnostic trace.
 
     ``controller`` selects the implicit law (``"exact"``), whose PI form is
@@ -389,13 +393,12 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
 
     Raises :class:`ValueError` before the first step when the run breaks a
     rule of :func:`check_closed_loop`, which also splits it into setpoint
-    segments, and :class:`SimulationAborted` when the well-posedness matrix
-    crosses the singularity threshold (exact law only) or the state stops
-    being finite; the message carries the offending time and configuration.
+    segments, and :class:`SimulationAborted` (see :func:`_rk4`) when the exact
+    law falls below :func:`.det_floor` or the state stops being finite; the
+    message carries the time, and a singular one ``q_u``, ``|det K|`` and the floor.
     """
     s, m, n = sys.s, sys.m, sys.n
     q0, qd0, segments = check_closed_loop(sys, gains, q0, qd0, t_end, dt, controller, setpoints)
-    n_steps = segments[-1][1]
 
     use_z2 = controller == "approx"
     # the derivative filter starts on the current output to avoid a kick
@@ -403,22 +406,15 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     x = np.concatenate([q0, qd0, np.zeros(m)] + z2)
 
     builder = _build_eval_scalar if s == m == 1 else _build_eval_generic
-    eval_rhs = builder(sys, gains, controller, disturbance, det_tol, use_z2)
+    eval_rhs = builder(sys, gains, controller, disturbance, det_floor(gains))
 
-    X = np.empty((n_steps + 1, x.size))
+    X = np.empty((segments[-1][1] + 1, x.size))
     X[0] = x
-    try:
-        for k0, k1, g in segments:
-            X[k0, 2 * n: 2 * n + m] = integrator_init(sys, g, X[k0, :n])[0]
-            _rk4(eval_rhs, X, k0, k1, dt)
-        # the singularity guard also covers the last sample
-        eval_rhs(n_steps * dt, X[-1].tolist())
-    except WellPosednessError as exc:
-        raise SimulationAborted(
-            f"well-posedness matrix singular at t={exc.t:.6g}s, q_u={exc.q_u}"
-        ) from exc
+    for k0, k1, g in segments:
+        X[k0, 2 * n: 2 * n + m] = integrator_init(sys, g, X[k0, :n])[0]
+        _rk4(eval_rhs, X, k0, k1, dt)
 
-    cols = _diagnose(sys, X, dt, controller, disturbance, segments, use_z2)
+    cols = _diagnose(sys, X, dt, controller, disturbance, segments)
     return Trace(**cols, dt=dt, controller=controller, system=sys, gains=gains,
                  segments=tuple(segments))
 

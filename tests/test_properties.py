@@ -88,7 +88,7 @@ def test_generic_closure_matches_the_reference_route(case, law, mode, disturbed)
     controller = "approx" if law == "approx" else "exact"
     use_z2 = controller == "approx"
     d = (lambda t: 0.3 * np.sin(4.0 * t + np.arange(m))) if disturbed else None
-    rhs = _build_eval_generic(plant, g, controller, d, 0.0, use_z2)
+    rhs = _build_eval_generic(plant, g, controller, d, 0.0)
     for _ in range(STATES):
         x = random_state(plant, rng)
         cs = ControllerState(rng.normal(size=m), rng.normal(size=m))

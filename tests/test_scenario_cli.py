@@ -299,10 +299,35 @@ def test_plant_without_coupling_potential_exit_code(tmp_path, capsys, command):
         "gains": {"k_e": 1.0, "k_a": 1.0, "k_u": 0.5, "K_P": 1.0, "K_I": 1.0},
     }
     path = write_scenario(tmp_path, doc)
-    assert cli_main([*command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 5
-    err = capsys.readouterr().err
+    rc = cli_main([*command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    if command == ["check"]:
+        # the assumption report already shows the failure; the A5 scan runs,
+        # and the A7 scan, which needs V_N, is marked skipped
+        assert rc == 2 and err == ""
+        assert "  A6 [        fail]" in out and "  A5 [" in out
+        assert "  A7 [     skipped]  coupling rows are not gradient fields" in out
+        payload = json.loads((tmp_path / "o" / "check.json").read_text())
+        assert payload["assumptions"]["A6"]["status"] == "fail"
+        assert "not gradient fields" in payload["A7_scan"]["skipped"]
+        return
+    assert rc == 5
     assert "not gradient fields" in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+def test_check_verdict_does_not_depend_on_the_scale_of_the_pid_gains(tmp_path, capsys):
+    # the bundled cart with (k_e, K_P, K_I, K_D) scaled by 2^-40 is the same
+    # loop: its smallest |det K| (about 2.8e-12) is far above the floor
+    # 1e-10 |k_e|, and a short run completes
+    doc = builtin_scenario("cart_pendulum")
+    for key in ("k_e", "K_P", "K_I", "K_D"):
+        doc["gains"][key] *= 2.0 ** -40
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["check", "--scenario", str(path)]) == 0
+    assert "A5 [        pass]" in capsys.readouterr().out
+    assert cli_main(["simulate", "--scenario", str(path), "--t-end", "0.1",
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)

@@ -8,10 +8,10 @@ import pidpbc.sim
 from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted,
                     approx_control, detect_convergence, exact_control, forward_dynamics,
                     integrator_init, linear_system, passive_outputs, pi_control,
-                    plant_input, read_trace_csv, simulate, verify_l2_gain,
+                    plant_input, read_trace_csv, scan_A5, simulate, verify_l2_gain,
                     verify_lyapunov, verify_passivity, write_column_map,
                     write_trace_csv)
-from pidpbc.controller import MODES
+from pidpbc.controller import MODES, det_floor
 from pidpbc.sim import (CONTROLLERS, _build_eval_generic, _build_eval_scalar, _rk4,
                         simulate_open_loop)
 
@@ -42,7 +42,7 @@ def test_scalar_closure_matches_generic_at_random_states(cart):
         for controller, mode, dist in itertools.product(CONTROLLERS, MODES, DISTURBANCES):
             g = make_gains(mode)
             use_z2 = controller == "approx"
-            args = (plant, g, controller, dist, 0.0, use_z2)
+            args = (plant, g, controller, dist, 0.0)
             scalar, generic = _build_eval_scalar(*args), _build_eval_generic(*args)
             for _ in range(50):
                 x = rng.uniform(-1.0, 1.0, 6 if use_z2 else 5)
@@ -67,7 +67,7 @@ def test_generic_closure_matches_reference_functions(s, m):
             g = replace(g, K_D=0.0)
         controller = "approx" if law == "approx" else "exact"
         use_z2 = controller == "approx"
-        rhs = _build_eval_generic(plant, g, controller, d, 0.0, use_z2)
+        rhs = _build_eval_generic(plant, g, controller, d, 0.0)
         for _ in range(20):
             st = random_state(plant, rng)
             cs = ControllerState(rng.normal(size=m), rng.normal(size=m))
@@ -99,7 +99,7 @@ def test_scalar_closure_matches_generic_over_whole_runs(cart):
         use_z2 = controller == "approx"
         x0 = np.concatenate([q0, np.zeros(2), integrator_init(plant, g, q0)[0],
                              np.zeros(1 if use_z2 else 0)])
-        args = (plant, g, controller, d, 1e-10, use_z2)
+        args = (plant, g, controller, d, 1e-10)
         paths = []
         for builder in (_build_eval_scalar, _build_eval_generic):
             X = np.empty((n_steps + 1, x0.size))
@@ -126,7 +126,7 @@ def test_robust_start_makes_the_target_an_equilibrium(cart):
             use_z2 = controller == "approx"
             x = np.concatenate([g.q_star, np.zeros(n), tr.z1[0]]
                                + ([tr.z2[0]] if use_z2 else []))
-            rhs = builder(plant, g, controller, None, 1e-10, use_z2)(0.0, x)
+            rhs = builder(plant, g, controller, None, 1e-10)(0.0, x)
             assert np.abs(rhs).max() <= 1e-12, (plant.name, controller, rhs)
 
 
@@ -156,12 +156,14 @@ def test_open_loop_rejects_a_bad_step(cart, dt):
         simulate_open_loop(cart, [0.3, 0.0], [0.5, 0.1], t_end=1.0, dt=dt)
 
 
-def _rk4_abort_message(plant, g, builder, q0, qd0, n_steps, det_tol=1e-10):
-    """The abort message of a closed-loop run driven through ``_rk4``."""
+def _rk4_abort_message(plant, g, builder, q0, qd0, n_steps, det_tol=None):
+    """The abort message of a closed-loop run driven through ``_rk4``, with
+    ``simulate``'s singularity floor unless ``det_tol`` is given."""
     X = np.empty((n_steps + 1, 2 * plant.n + plant.m))
     X[0] = np.concatenate([q0, qd0, integrator_init(plant, g, q0)[0]])
+    floor = det_floor(g) if det_tol is None else det_tol
     with pytest.raises(SimulationAborted) as err:
-        _rk4(builder(plant, g, "exact", None, det_tol, False), X, 0, n_steps, 1e-3)
+        _rk4(builder(plant, g, "exact", None, floor), X, 0, n_steps, 1e-3)
     return str(err.value)
 
 
@@ -176,7 +178,7 @@ def test_zero_divisor_aborts_like_a_non_finite_state(cart, gains_cancel):
     for plant, gg, q0, qd0, t_abort in cases:
         want = f"state became non-finite at t={t_abort:.6g}s"
         with pytest.raises(SimulationAborted) as err:
-            simulate(plant, gg, q0, qd0, t_end=1.0, dt=1e-3, det_tol=0.0)
+            simulate(plant, gg, q0, qd0, t_end=1.0, dt=1e-3)
         assert str(err.value) == want
         for builder in (_build_eval_scalar, _build_eval_generic):
             assert _rk4_abort_message(plant, gg, builder, q0, qd0, 1000, 0.0) == want
@@ -223,12 +225,12 @@ def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
     outs = []
     for wrap, calls in ((counted_float_form, float_calls), (counted_point, point_calls)):
         plant = dataclasses.replace(cart, **{k: wrap(getattr(cart, k)) for k in names})
-        out = _build_eval_scalar(plant, g, "exact", None, 1e-10, False)(0.0, x)
+        out = _build_eval_scalar(plant, g, "exact", None, 1e-10)(0.0, x)
         assert len(calls) == n_calls
         assert type(out) is list and all(type(v) is float for v in out)
         outs.append(out)
     assert float_calls == [float] * n_calls
-    rhs = _build_eval_scalar(cart, g, "exact", None, 1e-10, False)
+    rhs = _build_eval_scalar(cart, g, "exact", None, 1e-10)
     assert outs[0] == outs[1] == rhs(0.0, x)
 
     def per_point(*args, **kwargs):
@@ -249,7 +251,7 @@ def test_scalar_reader_refuses_a_result_with_two_entries(cart, bad):
     gradVu = cart.gradVu_fn
     plant = replace(cart, gradVu_fn=lambda q_u: bad(gradVu(q_u)))
     with pytest.raises(ValueError, match="returned 2 entries, not 1"):
-        _build_eval_scalar(plant, bench_gains(), "exact", None, 1e-10, False)(
+        _build_eval_scalar(plant, bench_gains(), "exact", None, 1e-10)(
             0.0, [0.3, -0.2, 0.1, 0.05, 0.01])
     with pytest.raises(ValueError):
         plant.gradVu(np.array([0.3]))
@@ -337,13 +339,13 @@ def test_only_a_non_finite_stage_position_is_an_abort(cart, gains_cancel):
         x = [0.3, -0.2, 0.1, 0.05, 0.01]
         x[i] = bad
         with pytest.raises(ArithmeticError):
-            builder(cart, gains_cancel, "exact", None, 1e-10, False)(0.0, x)
+            builder(cart, gains_cancel, "exact", None, 1e-10)(0.0, x)
     plant = dataclasses.replace(cart, gradVu_fn=lambda q_u: math.sqrt(q_u[0]))
     for builder in (_build_eval_scalar, _build_eval_generic):
         X = np.empty((11, 5))
         X[0] = [-0.3, -0.2, 0.1, 0.05, 0.01]
         with pytest.raises(ValueError, match="math domain error"):
-            _rk4(builder(plant, gains_cancel, "exact", None, 1e-10, False), X, 0, 10, 1e-3)
+            _rk4(builder(plant, gains_cancel, "exact", None, 1e-10), X, 0, 10, 1e-3)
 
 
 def test_output_partition_column(cart, gains_cancel):
@@ -429,16 +431,47 @@ def test_simulate_rejects_a_non_finite_initial_state(cart, gains_cancel, which):
 def test_singularity_abort_reports_time_and_configuration(cart, gains_cancel):
     # swinging inward from beyond the zero of the well-posedness factor must
     # cross it; a finite threshold catches the crossing before the forces
-    # blow up, and the abort carries the time
-    with pytest.raises(SimulationAborted) as err:
-        simulate(cart, gains_cancel, [PSI + 0.85, 0.0], [-2.0, 0.0],
-                 t_end=2.0, dt=1e-3, det_tol=0.5)
-    assert "singular" in str(err.value) and "t=" in str(err.value)
-    # with the default tiny threshold the forces explode first, which is
+    # blow up, and both builders stop with the same abort, carrying the
+    # time, the configuration, |det K| and the floor
+    q0, qd0 = [PSI + 0.85, 0.0], [-2.0, 0.0]
+    messages = {_rk4_abort_message(cart, gains_cancel, builder, q0, qd0, 2000, 0.5)
+                for builder in (_build_eval_scalar, _build_eval_generic)}
+    assert len(messages) == 1
+    message = messages.pop()
+    assert message.startswith("well-posedness matrix singular at t=")
+    assert "q_u=[" in message and message.endswith("below 5.000e-01")
+    # with the default tiny floor the forces explode first, which is
     # reported as the non-finite abort
-    with pytest.raises(SimulationAborted):
-        simulate(cart, gains_cancel, [PSI + 0.85, 0.0], [-2.0, 0.0],
-                 t_end=2.0, dt=1e-3)
+    with pytest.raises(SimulationAborted, match="state became non-finite"):
+        simulate(cart, gains_cancel, q0, qd0, t_end=2.0, dt=1e-3)
+
+
+def test_scaling_the_pid_gains_together_changes_neither_run_nor_verdict(cart):
+    # k_e u = -(K_P y_d + K_I z1 + K_D yd_dot) is the same loop when the four
+    # gains are scaled together; a power of two scales every product exactly,
+    # so the run is bitwise the same and the singularity floor scales with
+    # det K, however small or large the gains
+    synthetic = make_synthetic(2, 2, seed=8)  # k_e < 0
+    step = [SetpointStep(1.0, np.array([-0.3]))]
+    cases = [(cart, bench_gains(mode=mode), Q0, QD0, 2.0, step,
+              np.linspace(-1.2, 1.2, 241)) for mode in MODES]
+    cases += [(synthetic, random_gains(synthetic, np.random.default_rng(8), mode=mode),
+               [0.2, -0.1, 0.1, 0.3], np.zeros(4), 0.5, (),
+               np.stack(np.meshgrid(*2 * [np.linspace(-1.0, 1.0, 11)]), axis=-1))
+              for mode in MODES]
+    for plant, g, q0, qd0, t_end, setpoints, grid in cases:
+        base = simulate(plant, g, q0, qd0, t_end=t_end, dt=1e-3, setpoints=setpoints)
+        scan = scan_A5(plant, g, grid)
+        for c in (2.0 ** -40, 2.0 ** 10):
+            gc = replace(g, k_e=c * g.k_e, K_P=c * g.K_P, K_I=c * g.K_I, K_D=c * g.K_D)
+            tr = simulate(plant, gc, q0, qd0, t_end=t_end, dt=1e-3, setpoints=setpoints)
+            for name in ("q_u", "q_a", "qd_u", "qd_a", "z1", "u"):
+                assert np.array_equal(getattr(tr, name), getattr(base, name)), \
+                    (plant.name, g.mode, c, name)
+            scan_c = scan_A5(plant, gc, grid)
+            assert (scan_c["pass"], scan_c["sign_change"]) == (scan["pass"], scan["sign_change"])
+            want = c ** plant.m * scan["dets"]
+            assert np.all(np.abs(scan_c["dets"] - want) <= 1e-14 * np.abs(want))
 
 
 def test_divergent_gains_do_not_converge(cart):
