@@ -12,17 +12,19 @@ and ``coriolis_decomposition`` take one point or a batch with leading sample
 axes and keep those axes in their results, as do the passivity, controller
 and analysis functions that build a trace.
 
-A plant callback takes one point and returns any array-like holding its
-block's entries in row-major order, so a one-entry block may be a plain
-Python float.  It may carry two more forms of the same formula, attached by
-:func:`with_forms`: a *float form* (a Python float in, a float out, read by
-the ``s = m = 1`` integration) and a *batch form* (a ``(..., k)`` array in,
-an array that broadcasts to ``(..., *block)`` out, in one numpy call).
+A plant callback takes one point, a float array of shape ``(s,)`` or
+``(m,)``, and returns any array-like holding its block's entries in row-major
+order, so a one-entry block may be a plain Python float.  It may carry two
+more forms of the same formula, attached by :func:`with_forms`: a *float
+form* (a Python float in, a float out) and a *batch form* (a ``(..., k)``
+array in, an array that broadcasts to ``(..., *block)`` out, in one numpy
+call).  The ``s = m = 1`` integration steps on Python floats only when every
+callback it calls carries its float form, and on arrays otherwise.
 :func:`_per_point` evaluates a batch through the batch form when there is
 one and loops the callback point by point (:func:`_loop_points`) otherwise.
 The forms travel with the callback object, so replacing a callback in a
-plant drops them with it.  During integration callbacks are only called at
-finite positions.
+plant (``dataclasses.replace``) drops them with it.  During integration
+callbacks are only called at finite positions.
 """
 
 from __future__ import annotations
@@ -176,16 +178,8 @@ class MechanicalSystem:
     Instances are immutable and every operation on them is a pure function,
     so concurrent read access is safe.
 
-    Each callback takes one point, a float array of shape ``(s,)`` or
-    ``(m,)``, and returns any array-like holding the entries of the shape
-    named below in row-major order; a one-entry block may be a plain Python
-    float.  A callback may carry a float form, which the ``s = m = 1``
-    integration calls on Python floats, and a batch form, which evaluates a
-    ``(..., k)`` batch in one call (:func:`with_forms`); without them the
-    integration reads the callback through a one-entry array and a batch is
-    looped point by point.  The forms belong to the callback object, so
-    ``dataclasses.replace`` with a new callback drops them.  During
-    integration the callbacks are only called at finite positions.
+    Each callback returns the entries of the shape named below and may
+    carry float and batch forms, under the contract of the module docstring.
 
     Parameters
     ----------

@@ -85,9 +85,13 @@ class Scenario:
             raise ScenarioError(str(exc)) from exc
 
 
+# key -> (argument of systems.cart_pendulum_incline, conversion); an absent
+# key keeps the builder's own default
+_CART_KEYS = {"pendulum_mass_kg": ("pendulum_mass", float), "cart_mass_kg": ("cart_mass", float),
+              "pendulum_length_m": ("length", float), "gravity_mps2": ("gravity", float),
+              "psi_deg": ("psi", lambda v: np.deg2rad(float(v)))}
 _SYSTEM_KEYS = {
-    "cart_pendulum_incline": {"kind", "pendulum_mass_kg", "cart_mass_kg",
-                              "pendulum_length_m", "psi_deg", "gravity_mps2"},
+    "cart_pendulum_incline": {"kind", *_CART_KEYS},
     "linear_chain": {"kind", "inertia", "stiffness_unactuated", "stiffness_actuated"},
     "custom": {"kind", "factory"},
 }
@@ -99,13 +103,9 @@ def _build_system(section: dict) -> MechanicalSystem:
         raise ScenarioError(f"system.kind must be one of {sorted(_SYSTEM_KEYS)}, got {kind!r}")
     _require_keys(section, _SYSTEM_KEYS[kind], "system")
     if kind == "cart_pendulum_incline":
-        return systems.cart_pendulum_incline(
-            pendulum_mass=_entry(section, "system.pendulum_mass_kg", 0.14),
-            cart_mass=_entry(section, "system.cart_mass_kg", 0.44),
-            length=_entry(section, "system.pendulum_length_m", 0.215),
-            psi=np.deg2rad(_entry(section, "system.psi_deg", 20.0)),
-            gravity=_entry(section, "system.gravity_mps2", systems.GRAVITY),
-        )
+        return systems.cart_pendulum_incline(**{
+            arg: _entry(section, f"system.{key}", convert=convert)
+            for key, (arg, convert) in _CART_KEYS.items() if key in section})
     if kind == "linear_chain":
         M = section.get("inertia", [[2.0, 1.0], [1.0, 1.0]])
         S_u = section.get("stiffness_unactuated", [[1.0]])
@@ -178,11 +178,13 @@ def _parse(doc: dict) -> Scenario:
 
     gain = lambda key, default=None, convert=float: _entry(  # noqa: E731
         gsec, f"gains.{key}", default, convert)
+    # mode and filter_a keep the defaults of Gains unless the document sets them
+    optional = {key: gain(key, None, convert)
+                for key, convert in (("mode", str), ("filter_a", float)) if key in gsec}
     gains = Gains(
         k_e=gain("k_e"), k_a=gain("k_a"), k_u=gain("k_u"), K_P=gain("K_P", None, _floats),
         K_I=gain("K_I", None, _floats), K_D=gain("K_D", 0.0, _floats),
-        q_u_star=q_u_star, q_a_star=q_a_star,
-        mode=gsec.get("mode", "cancel_Va"), filter_a=gain("filter_a", 200.0))
+        q_u_star=q_u_star, q_a_star=q_a_star, **optional)
 
     isec = dict(doc.get("initial", {}))
     _require_keys(isec, _INITIAL_KEYS, "initial")

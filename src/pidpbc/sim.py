@@ -15,11 +15,11 @@ qd_u``, so the law becomes ``(k_e I + K_D L G) u = -K_P y_d - K_I z1 - K_D
 yd_dot|_{u=0}``, whose matrix is the well-posedness matrix ``K(q_u)``.  The
 closed forms of ``K`` and of the feedforward ``S`` live only in
 :mod:`.controller`; the ``u`` and ``detK`` columns come from them, a second
-route to the integrated law.  A scalar form of the same formulas serves
-``s = m = 1`` plants; it calls each plant callback's float form, or reads a
-callback without one through a one-entry array (see :mod:`.mechanics`).  The
-tests pin the generic form to the reference functions and the scalar form to
-the generic one, at random states and over whole runs.  The integrated state
+route to the integrated law.  A scalar form of the same formulas serves an
+``s = m = 1`` plant whose callbacks carry the float forms it calls (see
+:mod:`.mechanics`); every other plant runs the generic form.  The tests pin
+the generic form to the reference functions and the scalar form to the
+generic one, at random states and over whole runs.  The integrated state
 is a list of Python floats; the array forms convert at their own boundary
 (``np.asarray`` in, ``tolist`` out).  The diagnostics pass evaluates each
 callback over all samples at once, through its batch form when it has one.
@@ -176,48 +176,31 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
     return eval_rhs
 
 
-def _one_entry(value) -> float:
-    """``value`` as a Python float, or :class:`ValueError` unless it holds
-    exactly one entry."""
-    if type(value) is float:
-        return value
-    if type(value) is not np.ndarray:
-        value = np.asarray(value, dtype=float)
-    if value.size != 1:
-        raise ValueError(f"an s = m = 1 plant callback returned {value.size} entries, not 1")
-    return value.item()
-
-
-def _float_form(fn: Callable[[Array], Array]) -> Callable[[float], float]:
-    """The float form of plant callback ``fn``, or ``fn`` read through a
-    one-entry array by :func:`_one_entry`."""
-    form = getattr(fn, "float_form", None)
-    if form is not None:
-        return form
-    buf = np.empty(1)
-
-    def read(x: float) -> float:
-        buf[0] = x
-        return _one_entry(fn(buf))
-
-    return read
+def _scalar_forms(sys: MechanicalSystem, mode: str) -> Optional[list]:
+    """The float forms of ``muu_fn``, ``mau_fn``, ``gradVu_fn``, ``muu_jac``,
+    ``mau_jac`` and, in ``robust_A8`` mode, ``gradVa_fn``: the callbacks the
+    ``s = m = 1`` step calls.  ``None`` unless the plant has ``s = m = 1`` and
+    each of them carries its float form."""
+    names = ["muu_fn", "mau_fn", "gradVu_fn", "muu_jac", "mau_jac"]
+    if mode == "robust_A8":
+        names.append("gradVa_fn")
+    forms = [getattr(getattr(sys, name), "float_form", None) for name in names]
+    return forms if sys.s == sys.m == 1 and all(forms) else None
 
 
 def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
                        disturbance, det_tol: float):
     """Float-only evaluation for s = m = 1; formula-identical to the generic
-    path, with the 2x2 inverse in closed form.  Each callback's float form,
-    or its one-entry reader, is picked here once, so every evaluation runs
-    on Python floats through one body."""
+    path, with the 2x2 inverse in closed form.  It calls only the float forms
+    of :func:`_scalar_forms`, which the plant must carry, so every evaluation
+    runs on Python floats."""
+    muu_fn, mau_fn, gradVu_fn, dmuu_fn, dmau_fn, *robust = _scalar_forms(sys, gains.mode)
+    gradVa_fn = robust[0] if robust else None
     use_z2 = controller == "approx"
     k_e, k_a = gains.k_e, gains.k_a
     c = gains.k_u - gains.k_a
     KP, KI, KD = (float(mat[0, 0]) for mat in (gains.K_P, gains.K_I, gains.K_D))
     maa = float(sys.maa[0, 0])
-    muu_fn, mau_fn, gradVu_fn = (_float_form(f) for f in (sys.muu_fn, sys.mau_fn, sys.gradVu_fn))
-    dmuu_fn = _float_form(sys.muu_jac or (lambda q: muu_gradient(sys, q)))
-    dmau_fn = _float_form(sys.mau_jac or (lambda q: mau_gradient(sys, q)))
-    gradVa_fn = _float_form(sys.gradVa_fn) if gains.mode == "robust_A8" else None
 
     def eval_rhs(t: float, x) -> list:
         q_u, q_a, qd_u, qd_a, z1 = x[0], x[1], x[2], x[3], x[4]
@@ -249,7 +232,7 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
         else:
             u = -(KP * y_d + KI * z1 + KD * gains.filter_a * (y_d - z2)) / k_e
         if disturbance is not None:
-            u += _one_entry(disturbance(t))
+            u += np.asarray(disturbance(t), dtype=float).reshape(1).item()
 
         xdot = [qd_u, qd_a, qdd0_u + G_u * u, qdd0_a + G_a * u, y_d]
         if use_z2:
@@ -405,7 +388,8 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     z2 = [passive_outputs(sys, State.from_vectors(q0, qd0, s), gains).y_d] if use_z2 else []
     x = np.concatenate([q0, qd0, np.zeros(m)] + z2)
 
-    builder = _build_eval_scalar if s == m == 1 else _build_eval_generic
+    builder = _build_eval_generic if _scalar_forms(sys, gains.mode) is None \
+        else _build_eval_scalar
     eval_rhs = builder(sys, gains, controller, disturbance, det_floor(gains))
 
     X = np.empty((segments[-1][1] + 1, x.size))

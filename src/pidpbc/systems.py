@@ -67,7 +67,8 @@ def linear_system(M, S_u, S_a=None, name: str = "linear") -> MechanicalSystem:
     exact (``maa^{-1} m_au q_u``), and when the actuated stiffness is zero
     the actuated potential is the zero affine function, so both controller
     modes apply.  Each formula is one numpy expression that keeps leading
-    axes, so it is both the point callback and its batch form.
+    axes, so it is both the point callback and its batch form; with
+    ``s = m = 1`` it also carries a float form over the same matrix entries.
     """
     M = np.asarray(M, dtype=float)
     S_u = np.atleast_2d(np.asarray(S_u, dtype=float))
@@ -83,29 +84,38 @@ def linear_system(M, S_u, S_a=None, name: str = "linear") -> MechanicalSystem:
     affine = (np.zeros(m), 0.0) if not np.any(S_a) else None
     zeros_u, zeros_a = np.zeros((s, s, s)), np.zeros((m, s, s))
 
-    def batched(fn):  # constants and einsum serve a point and a batch alike
-        return with_forms(fn, batch_form=fn)
+    def forms(point, scalar):  # constants and einsum serve a point and a batch alike
+        return with_forms(point, batch_form=point, float_form=scalar if s == m == 1 else None)
 
+    def constant(A):
+        a = float(A.flat[0])
+        return lambda q: A, lambda x: a
+
+    # einsum and np.sum add from +0.0, so the float forms add +0.0 too: a
+    # product that is -0.0 comes out +0.0 in every form
     def matvec(A):
-        return lambda q: np.einsum("ij,...j->...i", A, q)
+        a = float(A.flat[0])
+        return lambda q: np.einsum("ij,...j->...i", A, q), lambda x: a * x + 0.0
 
     def quadratic(grad):
-        return lambda q: 0.5 * np.sum(q * grad(q), axis=-1)
+        point, scalar = grad
+        return (lambda q: 0.5 * np.sum(q * point(q), axis=-1),
+                lambda x: 0.5 * (x * scalar(x) + 0.0))
 
     gradVu, gradVa = matvec(S_u), matvec(S_a)
     return MechanicalSystem(
         s=s, m=m,
-        muu_fn=batched(lambda q_u: muu),
-        muu_jac=batched(lambda q_u: zeros_u),
-        mau_fn=batched(lambda q_u: mau),
-        mau_jac=batched(lambda q_u: zeros_a),
+        muu_fn=forms(*constant(muu)),
+        muu_jac=forms(*constant(zeros_u)),
+        mau_fn=forms(*constant(mau)),
+        mau_jac=forms(*constant(zeros_a)),
         maa=maa,
-        Vu_fn=batched(quadratic(gradVu)),
-        gradVu_fn=batched(gradVu),
-        Va_fn=batched(quadratic(gradVa)),
-        gradVa_fn=batched(gradVa),
+        Vu_fn=forms(*quadratic(gradVu)),
+        gradVu_fn=forms(*gradVu),
+        Va_fn=forms(*quadratic(gradVa)),
+        gradVa_fn=forms(*gradVa),
         affine_Va=affine,
-        VN_fn=batched(matvec(maa_inv_mau)),
+        VN_fn=forms(*matvec(maa_inv_mau)),
         name=name,
     )
 

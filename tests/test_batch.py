@@ -5,6 +5,7 @@ a stack of samples, so each batch-aware function is pinned here against a
 loop over the same states.
 """
 
+import itertools
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -147,14 +148,23 @@ def test_batch_forms_equal_their_point_callbacks_bitwise(plant, no_point_loop):
                 assert np.array_equal(got[idx], want), (name, idx)
 
 
-def test_cart_float_forms_equal_their_point_callbacks_bitwise():
-    cart = cart_pendulum_incline()
-    for x in np.random.default_rng(29).uniform(-np.pi, np.pi, 20).tolist():
-        for name in CALLBACKS:
-            fn = getattr(cart, name)
+def test_float_forms_equal_their_point_callbacks_bitwise():
+    # every float form of the built-in s = m = 1 plants returns a Python float
+    # with the bits of its point callback's one entry, the sign of a zero
+    # included (einsum and np.sum add from +0.0 in the linear chain)
+    from pidpbc import scenario
+    plants = [cart_pendulum_incline(), pinned_linear_2dof(),
+              scenario.scenario_from_dict(scenario.builtin_scenario("linear")).system,
+              linear_system(M=[[2.0, 0.3], [0.3, 1.5]], S_u=[[3.0]], S_a=[[0.0]]),
+              linear_system(M=[[1.5, -0.4], [-0.4, 0.8]], S_u=[[-2.5]], S_a=[[0.7]])]
+    xs = [0.0, -0.0] + np.random.default_rng(29).uniform(-np.pi, np.pi, 200).tolist()
+    for plant, name in itertools.product(plants, CALLBACKS):
+        fn = getattr(plant, name)
+        for x in xs:
             got = fn.float_form(x)
-            assert type(got) is float, name
-            assert got == fn(np.array([x])), name
+            want = np.asarray(fn(np.array([x])), dtype=float).reshape(-1)
+            assert type(got) is float, (plant.name, name)
+            assert np.array([got]).tobytes() == want.tobytes(), (plant.name, name, x)
 
 
 def test_replacing_a_callback_drops_its_forms():

@@ -59,6 +59,23 @@ def test_builtin_scenarios_load():
         builtin_scenario("nope")
 
 
+def test_absent_keys_take_the_defaults_of_their_constructors():
+    # a document that leaves out the cart's parameters and the gains' mode
+    # and filter speed gets the defaults of cart_pendulum_incline and Gains
+    import dataclasses
+    doc = builtin_scenario("cart_pendulum")
+    doc["system"] = {"kind": "cart_pendulum_incline"}
+    del doc["gains"]["mode"]
+    sc = scenario_from_dict(doc)
+    defaults = {f.name: f.default for f in dataclasses.fields(pidpbc.Gains)}
+    assert (sc.gains.mode, sc.gains.filter_a) == (defaults["mode"], defaults["filter_a"])
+    plant = pidpbc.cart_pendulum_incline()
+    q = np.linspace(-1.0, 1.0, 9)[:, None]
+    for name in ("muu", "mau", "Vu", "gradVu", "Va", "gradVa"):
+        assert np.array_equal(getattr(sc.system, name)(q), getattr(plant, name)(q)), name
+    assert np.array_equal(sc.system.maa, plant.maa)
+
+
 def _run(sc):
     return simulate(sc.system, sc.gains, sc.q0, sc.qd0, sc.t_end, sc.dt,
                     controller=sc.controller, setpoints=sc.setpoints)

@@ -196,65 +196,108 @@ def test_sweep_abort_row_is_the_same_through_both_builders(cart):
         assert _rk4_abort_message(cart, g, builder, Q0, QD0, 1000) == want
 
 
+def _linear_example():
+    from pidpbc import scenario
+    return scenario.scenario_from_dict(scenario.builtin_scenario("linear"))
+
+
 @pytest.mark.parametrize("mode,n_calls", [("cancel_Va", 5), ("robust_A8", 6)])
 def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
-    # a timing-free guard of the s = m = 1 fast path: one evaluation calls the
-    # float form of each plant callback it needs once, on Python floats, or
-    # reads a callback without one once through its one-entry array; it
-    # returns Python floats, and the integration never calls an accessor
+    # a timing-free guard of the s = m = 1 fast path on both built-in plants:
+    # one evaluation calls the float form of each plant callback it needs
+    # once, on Python floats, and returns Python floats, and the integration
+    # never calls an accessor
     import dataclasses
     from pidpbc import mechanics
     names = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn",
              "Vu_fn", "Va_fn", "VN_fn")
-    # the cart's callbacks are floats themselves, not arrays the reader unpacks
-    assert [k for k in names if type(getattr(cart, k)(np.array([0.3]))) is not float] == []
-    float_calls, point_calls = [], []
-
-    def counted_float_form(fn):
-        def form(x):
-            float_calls.append(type(x))
-            return fn.float_form(x)
-        return mechanics.with_forms(lambda q: fn(q), float_form=form,
-                                    batch_form=fn.batch_form)
-
-    def counted_point(fn):  # no forms: the reader route
-        return lambda q: point_calls.append(fn) or fn(q)
-
-    g = bench_gains(mode=mode)
+    lin = _linear_example()
     x = [0.3, -0.2, 0.1, 0.05, 0.01]
-    outs = []
-    for wrap, calls in ((counted_float_form, float_calls), (counted_point, point_calls)):
-        plant = dataclasses.replace(cart, **{k: wrap(getattr(cart, k)) for k in names})
-        out = _build_eval_scalar(plant, g, "exact", None, 1e-10)(0.0, x)
-        assert len(calls) == n_calls
+    rhss = []
+    for plant, g in ((cart, bench_gains(mode=mode)), (lin.system, replace(lin.gains, mode=mode))):
+        calls = []
+
+        def counted(fn):
+            def form(x):
+                calls.append(type(x))
+                return fn.float_form(x)
+            return mechanics.with_forms(lambda q: fn(q), float_form=form,
+                                        batch_form=fn.batch_form)
+
+        counted_plant = dataclasses.replace(plant, **{k: counted(getattr(plant, k))
+                                                      for k in names})
+        out = _build_eval_scalar(counted_plant, g, "exact", None, 1e-10)(0.0, x)
+        assert calls == [float] * n_calls, plant.name
         assert type(out) is list and all(type(v) is float for v in out)
-        outs.append(out)
-    assert float_calls == [float] * n_calls
-    rhs = _build_eval_scalar(cart, g, "exact", None, 1e-10)
-    assert outs[0] == outs[1] == rhs(0.0, x)
+        rhs = _build_eval_scalar(plant, g, "exact", None, 1e-10)
+        assert out == rhs(0.0, x)
+        rhss.append(rhs)
 
     def per_point(*args, **kwargs):
         raise AssertionError("mechanics._per_point entered during _rk4")
 
     monkeypatch.setattr(mechanics, "_per_point", per_point)
-    X = np.empty((21, 5))
-    X[0] = x
-    _rk4(rhs, X, 0, 20, 1e-3)
-    assert np.all(np.isfinite(X))
+    for rhs in rhss:
+        X = np.empty((21, 5))
+        X[0] = x
+        _rk4(rhs, X, 0, 20, 1e-3)
+        assert np.all(np.isfinite(X))
 
 
 @pytest.mark.parametrize("bad", [lambda g: [g, 99.0], lambda g: np.array([g, 99.0])],
                          ids=["list", "array"])
 def test_scalar_reader_refuses_a_result_with_two_entries(cart, bad):
-    # a callback without a float form is read through a one-entry array, and a
-    # result holding more than one entry is an error, not its first entry
+    # a callback without a float form sends the run to the array step, where
+    # a result holding more than one entry is an error, never its first entry
     gradVu = cart.gradVu_fn
     plant = replace(cart, gradVu_fn=lambda q_u: bad(gradVu(q_u)))
-    with pytest.raises(ValueError, match="returned 2 entries, not 1"):
-        _build_eval_scalar(plant, bench_gains(), "exact", None, 1e-10)(
-            0.0, [0.3, -0.2, 0.1, 0.05, 0.01])
+    with pytest.raises(ValueError, match="cannot reshape array of size 2"):
+        simulate(plant, bench_gains(), Q0, QD0, t_end=0.01, dt=1e-3)
     with pytest.raises(ValueError):
         plant.gradVu(np.array([0.3]))
+
+
+def test_simulate_builds_the_scalar_step_only_for_a_plant_with_every_float_form(
+        cart, monkeypatch):
+    # the s = m = 1 float step for the built-in plants; the array step for a
+    # plant lacking a float form the step calls (gradVa's only in robust_A8),
+    # whose run is still the float step's within the pinned bound
+    built = []
+    for builder in (_build_eval_scalar, _build_eval_generic):
+        monkeypatch.setattr(pidpbc.sim, builder.__name__,
+                            lambda *args, b=builder: built.append(b) or b(*args))
+    lin = _linear_example()
+    synthetic = make_synthetic(1, 1, seed=3)
+    point_gradVu = replace(cart, gradVu_fn=lambda q_u: cart.gradVu_fn(q_u))
+    point_gradVa = replace(cart, gradVa_fn=lambda q_a: cart.gradVa_fn(q_a))
+    cases = [(cart, bench_gains(), Q0, _build_eval_scalar),
+             (lin.system, lin.gains, lin.q0, _build_eval_scalar),
+             (point_gradVu, bench_gains(), Q0, _build_eval_generic),
+             (point_gradVa, bench_gains(), Q0, _build_eval_scalar),
+             (point_gradVa, bench_gains(mode="robust_A8"), Q0, _build_eval_generic),
+             (synthetic, random_gains(synthetic, np.random.default_rng(3)), [0.1, 0.0],
+              _build_eval_generic)]
+    runs = []
+    for plant, g, q0, want in cases:
+        built.clear()
+        runs.append(simulate(plant, g, q0, np.zeros(2), t_end=0.5, dt=1e-3))
+        assert built == [want], (plant.name, g.mode)
+    for tr in runs[2:4]:
+        for col in ("q_u", "q_a", "qd_u", "qd_a", "z1"):
+            a, b = getattr(tr, col), getattr(runs[0], col)
+            assert np.abs(a - b).max() < 1e-11 * (1.0 + np.abs(b).max()), col
+
+
+def test_both_builders_read_a_disturbance_by_one_rule(cart, gains_cancel):
+    # a disturbance with the wrong number of entries is the same error through
+    # both builders, not a plant callback's
+    x = [0.3, -0.2, 0.1, 0.05, 0.01]
+    messages = set()
+    for builder in (_build_eval_scalar, _build_eval_generic):
+        with pytest.raises(ValueError) as err:
+            builder(cart, gains_cancel, "exact", lambda t: [0.1, 0.2], 1e-10)(0.0, x)
+        messages.add(str(err.value))
+    assert messages == {"cannot reshape array of size 2 into shape (1,)"}
 
 
 @pytest.mark.parametrize("mode", ["cancel_Va", "robust_A8"])
@@ -340,7 +383,9 @@ def test_only_a_non_finite_stage_position_is_an_abort(cart, gains_cancel):
         x[i] = bad
         with pytest.raises(ArithmeticError):
             builder(cart, gains_cancel, "exact", None, 1e-10)(0.0, x)
-    plant = dataclasses.replace(cart, gradVu_fn=lambda q_u: math.sqrt(q_u[0]))
+    from pidpbc.mechanics import with_forms
+    plant = dataclasses.replace(cart, gradVu_fn=with_forms(lambda q_u: math.sqrt(q_u[0]),
+                                                           float_form=math.sqrt))
     for builder in (_build_eval_scalar, _build_eval_generic):
         X = np.empty((11, 5))
         X[0] = [-0.3, -0.2, 0.1, 0.05, 0.01]
