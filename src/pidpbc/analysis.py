@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mechanics import (Array, MechanicalSystem, State, _T, _block2x2, _central, _points,
-                        _quad, _stencil, assemble_inertia)
+                        _quad, _stencil, assemble_inertia, shared_samples)
 from .passivity import (VN_CHECK_TOL, coupling_row_asymmetry, passive_outputs,
                         potential_integral_VN, robust_storage, schur_unactuated, storage_functions)
 from .controller import Gains, det_floor, wellposedness_matrix_K
@@ -173,7 +173,8 @@ def scan_A5(sys: MechanicalSystem, gains: Gains, q_u_grid) -> dict:
     range); it passes with no sign change and no point below :func:`.det_floor`.
     """
     grid = np.atleast_2d(np.asarray(q_u_grid, dtype=float).reshape(-1, sys.s))
-    dets = np.linalg.det(wellposedness_matrix_K(sys, gains, grid))
+    with shared_samples(grid):  # K and its Schur complement share m_au
+        dets = np.linalg.det(wellposedness_matrix_K(sys, gains, grid))
     k = int(np.argmin(np.abs(dets)))
     crossing = bool(np.any(np.sign(dets[:-1]) * np.sign(dets[1:]) < 0))
     ok = (not crossing) and abs(dets[k]) >= det_floor(gains)
@@ -300,7 +301,8 @@ def check_A7(sys: MechanicalSystem, gains: Gains, q_u_grid) -> A7Result:
     """Gain admissibility: shaped inertia positive definite on the grid and
     shaped potential with a verified isolated minimum at the target."""
     grid = np.atleast_2d(np.asarray(q_u_grid, dtype=float).reshape(-1, sys.s))
-    profile = np.linalg.eigvalsh(desired_inertia_Md(sys, gains, grid)).min(axis=-1)
+    with shared_samples(grid):  # M_d and its Schur complement share m_au
+        profile = np.linalg.eigvalsh(desired_inertia_Md(sys, gains, grid)).min(axis=-1)
     Vd = lyapunov_Hd_and_U(sys, gains).V_d
     grad = fd_gradient(Vd, gains.q_star)
     hess = fd_hessian(Vd, gains.q_star)

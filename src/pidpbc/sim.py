@@ -17,12 +17,18 @@ closed forms of ``K`` and of the feedforward ``S`` live only in
 :mod:`.controller`; the ``u`` and ``detK`` columns come from them, a second
 route to the integrated law.  A scalar form of the same formulas serves an
 ``s = m = 1`` plant whose callbacks carry the float forms it calls (see
-:mod:`.mechanics`); every other plant runs the generic form.  The tests pin
-the generic form to the reference functions and the scalar form to the
-generic one, at random states and over whole runs.  The integrated state
-is a list of Python floats; the array forms convert at their own boundary
-(``np.asarray`` in, ``tolist`` out).  The diagnostics pass evaluates each
-callback over all samples at once, through its batch form when it has one.
+:mod:`.mechanics`); every other plant runs the generic form.  The generic
+form keeps ``M``, the plant-response right-hand side and ``L`` in buffers
+whose constant blocks are filled at build time, takes the Coriolis force
+``Mdot qd - 1/2 d(qd' M qd)/dq`` from one inertia-derivative tensor ``dM``
+(``Mdot = dM qd_u``), and forms the law's right-hand side as one product of
+the stacked gains ``[-K_P, -K_I, c K_D maa^{-1}]`` with ``[y_d; z1;
+act_row]``.  The tests pin the generic form to the reference functions and
+the scalar form to the generic one, at random states and over whole runs.
+The integrated state is a list of Python floats; the array forms convert at
+their own boundary (``np.asarray`` in, ``tolist`` out).  The diagnostics
+pass evaluates each callback over all samples at once, through its batch
+form when it has one.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mechanics import (Array, DynamicsError, MechanicalSystem, State, _block2x2, _quad,
+from .mechanics import (Array, DynamicsError, MechanicalSystem, State, _quad,
                         assemble_inertia, forward_dynamics, mau_gradient, muu_gradient,
                         shared_samples)
 from .controller import (ControllerState, Gains, WellPosednessError, approx_control,
@@ -117,61 +123,81 @@ class SimulationAborted(DynamicsError):
 
 def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
                         disturbance, det_tol: float):
+    """Array evaluation for any ``s`` and ``m``.  Each evaluation calls every
+    plant callback it needs once and writes into buffers that keep their
+    constant entries from the build, so one closure serves one run at a time."""
     s, m, n = sys.s, sys.m, sys.n
-    k_e, k_a = gains.k_e, gains.k_a
-    c = gains.k_u - gains.k_a
-    K_P, K_I, K_D = gains.K_P, gains.K_I, gains.K_D
-    maa_inv, eye_m = sys.maa_inv, np.eye(m)
-    # robust_A8 keeps the actuated potential slope in the plant drift
-    gradVa = sys.gradVa if gains.mode == "robust_A8" else (lambda q_a: 0.0)
+    exact, robust = controller == "exact", gains.mode == "robust_A8"
+    c, k_e, K_D, filter_a = gains.k_u - gains.k_a, gains.k_e, gains.K_D, gains.filter_a
+    # a plant without an analytic Jacobian gets the fourth-order difference
+    muu_jac = sys.muu_jac or (lambda q_u: muu_gradient(sys, q_u))
+    mau_jac = sys.mau_jac or (lambda q_u: mau_gradient(sys, q_u))
+    # M with its m_aa block, dM[i, j, k] = d M_ij / d q_u[k], the plant-response
+    # right-hand side [drift | 0; I] and L = [-c maa^{-1} m_au, k_a I]
+    M, dM = np.zeros((n, n)), np.zeros((n, n, s))
+    M[s:, s:] = sys.maa
+    rhs = np.zeros((n, 1 + m))
+    rhs[s:, 1:] = np.eye(m)
+    L = np.zeros((m, n))
+    L[:, s:] = gains.k_a * np.eye(m)
+    L_u = -c * sys.maa_inv
+    u1 = np.ones(1 + m)  # [1; u], so that qdd = sol @ u1
+    k_eI = k_e * np.eye(m)
+    # the law's right-hand side is one product with [y_d; z1; w]: w is act_row
+    # in the exact law and the filtered derivative in the approximate one
+    pid = np.hstack([-gains.K_P, -gains.K_I, c * K_D @ sys.maa_inv if exact else -K_D])
+
+    def read(value, shape: tuple) -> Array:  # a callback result, as floats
+        return np.asarray(value, dtype=float).reshape(shape)
 
     def eval_rhs(t: float, x) -> list:
         if not all(map(math.isfinite, x[:n])):  # callbacks see finite positions only
             raise ArithmeticError
         xv = np.asarray(x)
-        q_u, q_a, qd = xv[:s], xv[s:n], xv[n:2 * n]
-        qd_u, qd_a = qd[:s], qd[s:]
-        z1v, z2v = xv[2 * n:2 * n + m], xv[2 * n + m:]
+        q_u, qd = xv[:s], xv[n:2 * n]
+        qd_u, z1v = qd[:s], xv[2 * n:2 * n + m]
 
-        mau = sys.mau(q_u)
-        j_uu = np.einsum("ijk,j->ik", muu_gradient(sys, q_u), qd_u)
-        dmau = mau_gradient(sys, q_u)
-        j_ua = np.einsum("jik,j->ik", dmau, qd_a)
-        j_au = np.einsum("ijk,j->ik", dmau, qd_u)
-        act_row = j_au @ qd_u
+        mau = read(sys.mau_fn(q_u), (m, s))
+        M[:s, :s] = read(sys.muu_fn(q_u), (s, s))
+        M[s:, :s] = mau
+        M[:s, s:] = mau.T
+        dmau = read(mau_jac(q_u), (m, s, s))
+        dM[:s, :s] = read(muu_jac(q_u), (s, s, s))
+        dM[s:, :s] = dmau
+        dM[:s, s:] = dmau.transpose(1, 0, 2)
+        # Coriolis force Mdot qd - 1/2 d(qd' M qd)/dq, the second term in the
+        # unactuated rows only; Mdot qd's actuated rows are act_row
+        mdot_qd = (dM @ qd_u) @ qd
+        act_row = mdot_qd[s:]
 
         # plant response qdd = qdd0 + G (u + d): the drift qdd0 in column 0,
-        # the input map G = M^{-1} [0; I] in the others
-        rhs = np.zeros((n, 1 + m))
-        rhs[:s, 0] = -((j_uu @ qd_u - 0.5 * (j_uu.T @ qd_u))
-                       + (j_ua @ qd_u - j_au.T @ qd_a) + sys.gradVu(q_u))
-        rhs[s:, 0] = -act_row - gradVa(q_a)
-        rhs[s:, 1:] = eye_m
-        sol = np.linalg.solve(_block2x2(sys.muu(q_u), mau.T, mau, sys.maa), rhs)
+        # the input map G = M^{-1} [0; I] in the others; robust_A8 keeps the
+        # actuated potential slope in the drift
+        rhs[:s, 0] = 0.5 * (qd @ (qd @ dM)) - mdot_qd[:s] - read(sys.gradVu_fn(q_u), (s,))
+        rhs[s:, 0] = -act_row - read(sys.gradVa_fn(xv[s:n]), (m,)) if robust else -act_row
+        sol = np.linalg.solve(M, rhs)
 
-        # y_d = L qd and yd_dot = L qdd - c maa^{-1} act_row with
-        # L = [-c maa^{-1} m_au, k_a I]
-        L = np.hstack([-c * (maa_inv @ mau), k_a * eye_m])
+        # y_d = L qd and yd_dot = L qdd - c maa^{-1} act_row
+        L[:, :s] = L_u @ mau
         y_d = L @ qd
-        if controller == "exact":
+        if exact:
             # the PID as written, with yd_dot substituted: the matrix on u is K(q_u)
-            Lsol = L @ sol
-            K = k_e * eye_m + K_D @ Lsol[:, 1:]
+            KD_Lsol = K_D @ (L @ sol)
+            K = k_eI + KD_Lsol[:, 1:]
             detK = float(np.linalg.det(K))
             if abs(detK) < det_tol:
                 raise WellPosednessError(q_u, detK, det_tol, t)
-            ydot0 = Lsol[:, 0] - c * (maa_inv @ act_row)
-            u = np.linalg.solve(K, -(K_P @ y_d) - K_I @ z1v - K_D @ ydot0)
+            u = np.linalg.solve(K, pid @ np.concatenate((y_d, z1v, act_row)) - KD_Lsol[:, 0])
+            tail = (y_d,)
         else:
-            u = -(K_P @ y_d + K_I @ z1v + K_D @ (gains.filter_a * (y_d - z2v))) / k_e
+            z2dot = filter_a * (y_d - xv[2 * n + m:])
+            u = (pid @ np.concatenate((y_d, z1v, z2dot))) / k_e
+            tail = (y_d, z2dot)
         # the disturbance enters at the plant input only; the law never sees it
         if disturbance is not None:
             u = u + np.asarray(disturbance(t), dtype=float).reshape(m)
-
-        xdot = [qd, sol[:, 0] + sol[:, 1:] @ u, y_d]
-        if controller == "approx":
-            xdot.append(gains.filter_a * (y_d - z2v))
-        return np.concatenate(xdot).tolist()
+        u1[1:] = u
+        return np.concatenate((qd, sol @ u1) + tail).tolist()
 
     return eval_rhs
 
@@ -599,9 +625,16 @@ def _column_layout(trace: Trace) -> list:
 def write_trace_csv(trace: Trace, path) -> None:
     """Write the trace with a single header row and 17 significant digits."""
     layout = _column_layout(trace)
-    header = ",".join(name for name, _ in layout)
     data = np.column_stack([col for _, col in layout])
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    row_fmt = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    # the bytes of np.savetxt, formatted by one % operation per block of
+    # rows; the block's temporary floats and strings add to peak memory, by
+    # 2.5 MB at 1024 rows of a 35-column trace and by nothing seen at 128
+    with open(path, "w") as fh:
+        fh.write(",".join(name for name, _ in layout) + "\n")
+        for i in range(0, len(data), 128):
+            block = data[i:i + 128]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_column_map(trace: Trace, path) -> None:

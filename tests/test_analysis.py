@@ -8,7 +8,8 @@ from pidpbc import (Gains, State, assemble_inertia, check_A7,
                     check_assumptions, closed_form_z1, desired_inertia_Md,
                     desired_potential_Vd, integrator_init, linear_closed_loop,
                     linear_system, lyapunov_Hd_and_U, passive_outputs,
-                    pinned_linear_2dof, simulate, storage_functions)
+                    pinned_linear_2dof, simulate, storage_functions,
+                    wellposedness_matrix_K)
 from pidpbc.analysis import fd_gradient, scan_A5
 
 from conftest import PSI, bench_gains, random_gains
@@ -221,6 +222,27 @@ def test_scan_a5_detects_sign_change(cart, gains_cancel):
     gate = np.linspace(-0.26, 0.61, 121).reshape(-1, 1)
     res = scan_A5(cart, gains_cancel, gate)
     assert res["pass"] and res["min_abs_det"] > 3.0
+
+
+def test_grid_scans_read_the_coupling_block_once_per_point(cart):
+    # K and M_d each go through the Schur complement, which reads m_au again;
+    # each scan still calls mau_fn once per grid point, and its results are
+    # bitwise those of the public functions point by point
+    sys2 = make_synthetic(2, 2, seed=50)
+    grid2 = np.stack(np.meshgrid(*2 * [np.linspace(-0.5, 0.5, 7)]), axis=-1).reshape(-1, 2)
+    cases = [(sys2, random_gains(sys2, np.random.default_rng(50)), grid2),
+             (cart, bench_gains(), np.linspace(-0.26, 0.61, 31).reshape(-1, 1))]
+    for plant, g, grid in cases:
+        calls = []
+        counted = replace(plant, mau_fn=lambda q, fn=plant.mau_fn: calls.append(1) or fn(q))
+        dets = scan_A5(counted, g, grid)["dets"]
+        assert len(calls) == len(grid), plant.name
+        calls.clear()
+        profile = check_A7(counted, g, grid).min_eig_profile
+        assert len(calls) == len(grid), plant.name
+        want_dets = [np.linalg.det(wellposedness_matrix_K(plant, g, q)) for q in grid]
+        want_profile = [np.linalg.eigvalsh(desired_inertia_Md(plant, g, q)).min() for q in grid]
+        assert np.array_equal(dets, want_dets) and np.array_equal(profile, want_profile)
 
 
 def test_linear_closed_loop_pinned_instance():

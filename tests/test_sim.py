@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pidpbc.sim
-from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted,
+from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted, State,
                     approx_control, detect_convergence, exact_control, forward_dynamics,
                     integrator_init, linear_system, passive_outputs, pi_control,
                     plant_input, read_trace_csv, scan_A5, simulate, verify_l2_gain,
@@ -109,6 +109,129 @@ def test_scalar_closure_matches_generic_over_whole_runs(cart):
         scale = 1.0 + np.abs(paths[1]).max(axis=0)
         assert np.all(np.abs(paths[0] - paths[1]).max(axis=0) < 1e-11 * scale), \
             (plant.name, controller, g.mode, d is not None)
+
+
+def _reference_rhs(plant, g, controller, d):
+    """The closed-loop field through the reference functions: the law of
+    ``exact_control`` or ``approx_control``, through ``plant_input`` and
+    ``forward_dynamics``; a list in and out like the built steps."""
+    s, m, n = plant.s, plant.m, plant.n
+
+    def rhs(t, x):
+        x = np.asarray(x)
+        st = State.from_vectors(x[:n], x[n:2 * n], s)
+        if controller == "exact":
+            u = exact_control(plant, g, st, ControllerState(x[2 * n:2 * n + m]), det_tol=0.0)
+            tail = []
+        else:
+            u, _, z2dot = approx_control(plant, g, st, ControllerState(x[2 * n:2 * n + m],
+                                                                       x[2 * n + m:]))
+            tail = [z2dot]
+        force = u if d is None else u + d(t)
+        qdd = forward_dynamics(plant, st, plant_input(plant, g, force, st.q_a))
+        return np.concatenate([st.qd, qdd, passive_outputs(plant, st, g).y_d] + tail).tolist()
+
+    return rhs
+
+
+def _disturbance(m):
+    return lambda t: 0.3 * np.sin(4.0 * t + np.arange(m))
+
+
+def _counted(plant, calls):
+    """``plant`` with every callback appending its name to ``calls``."""
+    names = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn",
+             "Vu_fn", "Va_fn", "VN_fn")
+    return replace(plant, **{name: (lambda q, fn=getattr(plant, name), name=name:
+                                    calls.append(name) or fn(q)) for name in names})
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_generic_step_calls_each_callback_once(mode):
+    # one evaluation reads each callback it needs exactly once: both inertia
+    # blocks, their Jacobians, gradVu and, in robust_A8 only, gradVa
+    plant = make_synthetic(2, 2, seed=5)
+    g = random_gains(plant, np.random.default_rng(5), mode=mode)
+    rng = np.random.default_rng(6)
+    want = ["gradVu_fn", "mau_fn", "mau_jac", "muu_fn", "muu_jac"]
+    if mode == "robust_A8":
+        want.append("gradVa_fn")
+    for controller in CONTROLLERS:
+        calls = []
+        rhs = _build_eval_generic(_counted(plant, calls), g, controller, None, 0.0)
+        rhs(0.0, rng.normal(size=2 * plant.n + plant.m * (2 if controller == "approx" else 1)))
+        assert sorted(calls) == sorted(want), (controller, calls)
+
+
+@pytest.mark.parametrize("s,m", [(2, 1), (1, 2)])
+def test_generic_step_reads_any_row_major_callback_result(s, m):
+    # a callback may return nested lists, a flat row-major list, or a plain
+    # float for a one-entry block: the same floats, so bitwise the same field
+    plant = make_synthetic(s, m, seed=30 + s)
+    names = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn")
+    forms = {"nested": lambda v: np.asarray(v).tolist(),
+             "flat": lambda v: np.ravel(v).tolist(),
+             "float": lambda v: float(np.asarray(v).item()) if np.size(v) == 1
+             else np.asarray(v).tolist()}
+    rng = np.random.default_rng(s + 10 * m)
+    for mode, controller in itertools.product(MODES, CONTROLLERS):
+        g = random_gains(plant, rng, mode=mode)
+        rhs = _build_eval_generic(plant, g, controller, None, 0.0)
+        xs = [rng.normal(size=2 * plant.n + m * (2 if controller == "approx" else 1)).tolist()
+              for _ in range(5)]
+        want = [rhs(0.0, x) for x in xs]
+        for form in forms.values():
+            listed = replace(plant, **{name: (lambda q, fn=getattr(plant, name): form(fn(q)))
+                                       for name in names})
+            got = _build_eval_generic(listed, g, controller, None, 0.0)
+            assert [got(0.0, x) for x in xs] == want, (mode, controller)
+
+
+def test_generic_step_differentiates_a_plant_without_jacobians():
+    # without muu_jac/mau_jac the step takes the fourth-order difference of
+    # the inertia blocks, as the reference functions do
+    rng = np.random.default_rng(12)
+    for s, m in ((2, 2), (1, 2)):
+        plant = replace(make_synthetic(s, m, seed=40 + s), muu_jac=None, mau_jac=None)
+        for mode, controller, d in itertools.product(MODES, CONTROLLERS, (None, _disturbance(m))):
+            g = random_gains(plant, rng, mode=mode)
+            args = (plant, g, controller, d)
+            rhs, ref = _build_eval_generic(*args, 0.0), _reference_rhs(*args)
+            for _ in range(5):
+                st = random_state(plant, rng)
+                x = np.concatenate([st.q, st.qd, rng.normal(size=m * (2 if controller == "approx"
+                                                                        else 1))])
+                t = rng.uniform(0.0, 10.0)
+                got, want = np.array(rhs(t, x)), np.array(ref(t, x))
+                assert np.abs(got - want).max() <= 1e-11 * (1.0 + np.abs(want).max()), \
+                    (s, m, mode, controller, d is not None)
+
+
+def test_generic_closure_matches_the_reference_functions_over_whole_runs():
+    # the s > 1 counterpart of the scalar pin: whole RK4 runs of the generic
+    # step against the field of the reference functions; each plant runs
+    # both laws, both modes, and with and without a disturbance
+    runs = [(2, 2, "exact", "cancel_Va", False), (2, 2, "approx", "robust_A8", True),
+            (2, 1, "exact", "robust_A8", True), (2, 1, "approx", "cancel_Va", False)]
+    for s, m, controller, mode, disturbed in runs:
+        plant = make_synthetic(s, m, seed=60 + m)
+        g = random_gains(plant, np.random.default_rng(60 + m), mode=mode)
+        d = _disturbance(m) if disturbed else None
+        q0 = np.linspace(0.2, -0.1, plant.n)
+        st0 = State.from_vectors(q0, np.zeros(plant.n), s)
+        x0 = np.concatenate([q0, np.zeros(plant.n), integrator_init(plant, g, q0)[0]]
+                            + ([passive_outputs(plant, st0, g).y_d] if controller == "approx"
+                               else []))
+        paths = []
+        for rhs in (_build_eval_generic(plant, g, controller, d, 0.0),
+                    _reference_rhs(plant, g, controller, d)):
+            X = np.empty((201, x0.size))
+            X[0] = x0
+            _rk4(rhs, X, 0, 200, 1e-3)
+            paths.append(X)
+        scale = 1.0 + np.abs(paths[1]).max(axis=0)
+        assert np.all(np.abs(paths[0] - paths[1]).max(axis=0) < 1e-11 * scale), \
+            (s, m, controller, mode, disturbed)
 
 
 def test_robust_start_makes_the_target_an_equilibrium(cart):
@@ -627,6 +750,28 @@ def test_trace_csv_roundtrip_and_determinism(cart, gains_cancel, tmp_path):
         "t,q_u0,q_u1,q_a0,q_a1,qd_u0,qd_u1,qd_a0,qd_a1,z1_0,z1_1,u0,u1,y_u0,y_u1,"
         "y_a0,y_a1,y_d0,y_d1,H_u,H_a,H_d,U,detK,d0,d1,tau0,tau1,z1_closed_0,z1_closed_1,"
         "H,z2_0,z2_1,Hbar_u,Hbar_a")
+
+
+def test_trace_csv_bytes_are_those_of_savetxt(cart, gains_cancel, tmp_path):
+    # the block-wise writer against np.savetxt, on a cart trace of several
+    # blocks of rows, the last one partial, and an s = m = 2 approx trace of
+    # less than one, with a signed zero, subnormal, tiny and huge values
+    from pidpbc.sim import _column_layout
+    plant = make_synthetic(2, 2, seed=3)
+    g = random_gains(plant, np.random.default_rng(3), mode="robust_A8")
+    traces = [simulate(cart, gains_cancel, Q0, QD0, t_end=1.2, dt=1e-3),
+              simulate(plant, g, [0.1, 0, 0, 0], np.zeros(4), t_end=0.05, dt=1e-3,
+                       controller="approx")]
+    special = [-0.0, 5e-324, -2.5e-310, 1e-300, 1.7976931348623157e308, -1e300, 0.1, 1 / 3]
+    for tr in traces:
+        tr = replace(tr, H=tr.H.copy())
+        tr.H[:len(special)] = special
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trace_csv(tr, got)
+        layout = _column_layout(tr)
+        np.savetxt(want, np.column_stack([col for _, col in layout]), delimiter=",",
+                   header=",".join(name for name, _ in layout), comments="", fmt="%.17g")
+        assert got.read_bytes() == want.read_bytes(), tr.n_samples
 
 
 def test_richardson_self_consistency(cart, gains_cancel):
