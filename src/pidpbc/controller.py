@@ -21,6 +21,7 @@ potential being affine.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -50,6 +51,9 @@ class WellPosednessError(RuntimeError):
         super().__init__(f"well-posedness matrix singular{at}, q_u={self.q_u}, "
                          f"|det K|={abs(self.det):.3e} below {self.floor:.3e}")
 
+    def __reduce__(self):  # pickle and copy rebuild from the fields, not the message
+        return type(self), (self.q_u, self.det, self.floor, self.t)
+
 
 def _as_gain_matrix(value, m: int, name: str, *, definite: bool) -> Array:
     mat = np.asarray(value, dtype=float)
@@ -72,7 +76,8 @@ def _as_gain_matrix(value, m: int, name: str, *, definite: bool) -> Array:
 class Gains:
     """Controller gains, target position, and derivative-filter speed.
 
-    ``k_e``, ``k_a``, ``k_u`` are the nonzero outer weights (``k_a != k_u``);
+    ``k_e``, ``k_a``, ``k_u`` are the nonzero outer weights (``k_a != k_u``),
+    none so large that a scalar coefficient of ``M_d`` or ``K`` overflows;
     ``K_P``, ``K_I`` are symmetric positive definite and ``K_D`` positive
     semidefinite (``K_D = 0`` is the PI law).  ``q_u_star``/``q_a_star`` fix
     the desired equilibrium; the unactuated part must be a critical point of
@@ -94,8 +99,9 @@ class Gains:
         for name in ("k_e", "k_a", "k_u", "filter_a"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.k_e * self.k_a * self.k_u == 0.0:
-            raise ValueError("k_e, k_a, k_u must all be nonzero")
+        for name in ("k_e", "k_a", "k_u"):  # one by one: a product of tiny weights underflows
+            if getattr(self, name) == 0.0:
+                raise ValueError(f"{name} must be nonzero")
         if self.k_a == self.k_u:
             raise ValueError("k_a and k_u must differ")
         if self.mode not in MODES:
@@ -105,6 +111,17 @@ class Gains:
         q_u_star = np.asarray(self.q_u_star, dtype=float).reshape(-1)
         q_a_star = np.asarray(self.q_a_star, dtype=float).reshape(-1)
         m = q_a_star.size
+        k_e, k_a, k_u = (float(getattr(self, name)) for name in ("k_e", "k_a", "k_u"))
+        try:  # the scalar coefficients of M_d, of K and of the floor |k_e|^m
+            coefficients = ((k_a - k_u) ** 2, k_a * (k_a - k_u), k_a ** 2, k_e * k_a,
+                            k_e * k_u, abs(k_e) ** m)
+        except OverflowError:  # a Python float's ** raises where * gives inf
+            coefficients = (math.inf,)
+        if not all(map(math.isfinite, coefficients)):
+            # no comma: the message is a field of the sweep table's CSV
+            raise ValueError(f"k_e={k_e:g} k_a={k_a:g} k_u={k_u:g} overflow a coefficient of "
+                             f"the shaped inertia or of K; (k_a - k_u)^2; k_a (k_a - k_u); "
+                             f"k_a^2; k_e k_a; k_e k_u and |k_e|^m must be finite")
         object.__setattr__(self, "q_u_star", q_u_star)
         object.__setattr__(self, "q_a_star", q_a_star)
         object.__setattr__(self, "K_P", _as_gain_matrix(self.K_P, m, "K_P", definite=True))

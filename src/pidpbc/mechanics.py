@@ -48,11 +48,14 @@ class SingularInertiaError(DynamicsError):
     """Raised when the inertia matrix fails to factor at a queried point."""
 
     def __init__(self, q_u: Array, detail: str = ""):
-        self.q_u = np.asarray(q_u, dtype=float)
+        self.q_u, self.detail = np.asarray(q_u, dtype=float), detail
         msg = f"inertia matrix not positive definite at q_u={self.q_u}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def __reduce__(self):  # pickle and copy rebuild from the fields, not the message
+        return type(self), (self.q_u, self.detail)
 
 
 def _T(a: Array) -> Array:

@@ -26,7 +26,9 @@ the stacked gains ``[-K_P, -K_I, c K_D maa^{-1}]`` with ``[y_d; z1;
 act_row]``.  The tests pin the generic form to the reference functions and
 the scalar form to the generic one, at random states and over whole runs.
 The integrated state is a list of Python floats; the array forms convert at
-their own boundary (``np.asarray`` in, ``tolist`` out).  The diagnostics
+their own boundary (``np.asarray`` in, ``tolist`` out).  The scalar form also
+takes the whole RK4 step, its four stages on local floats, bitwise equal to
+the stage loop every other right-hand side runs in :func:`_rk4`.  The diagnostics
 pass evaluates each callback over all samples at once, through its batch
 form when it has one.
 """
@@ -219,18 +221,19 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
     """Float-only evaluation for s = m = 1; formula-identical to the generic
     path, with the 2x2 inverse in closed form.  It calls only the float forms
     of :func:`_scalar_forms`, which the plant must carry, so every evaluation
-    runs on Python floats."""
+    runs on Python floats.  The returned closure carries ``rk4_step(dt)``,
+    the whole RK4 step of :func:`_rk4` on local floats (see there)."""
     muu_fn, mau_fn, gradVu_fn, dmuu_fn, dmau_fn, *robust = _scalar_forms(sys, gains.mode)
     gradVa_fn = robust[0] if robust else None
     use_z2 = controller == "approx"
-    k_e, k_a = gains.k_e, gains.k_a
+    k_e, k_a, filter_a = gains.k_e, gains.k_a, gains.filter_a
     c = gains.k_u - gains.k_a
     KP, KI, KD = (float(mat[0, 0]) for mat in (gains.K_P, gains.K_I, gains.K_D))
     maa = float(sys.maa[0, 0])
 
-    def eval_rhs(t: float, x) -> list:
-        q_u, q_a, qd_u, qd_a, z1 = x[0], x[1], x[2], x[3], x[4]
-        z2 = x[5] if use_z2 else 0.0
+    def field(t, q_u, q_a, qd_u, qd_a, z1, z2) -> tuple:
+        """``(qdd_u, qdd_a, y_d, z2dot)``; ``z2dot`` is 0.0 in the exact law,
+        so a ``z2`` slot held at 0.0 serves both laws."""
         if not (math.isfinite(q_u) and math.isfinite(q_a)):  # callbacks see finite positions only
             raise ArithmeticError
         muu = muu_fn(q_u)
@@ -249,35 +252,87 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
         # y_d = L qd with L = [-c m_au / maa, k_a]
         L_u = -c * mau / maa
         y_d = L_u * qd_u + k_a * qd_a
-        if controller == "exact":
+        if use_z2:
+            z2dot = filter_a * (y_d - z2)
+            # (KD filter_a) (y_d - z2), not KD z2dot: a different rounding
+            u = -(KP * y_d + KI * z1 + KD * filter_a * (y_d - z2)) / k_e
+        else:
+            z2dot = 0.0
             K = k_e + KD * (L_u * G_u + k_a * G_a)
             if abs(K) < det_tol:
                 raise WellPosednessError(np.array([q_u]), K, det_tol, t)
             ydot0 = L_u * qdd0_u + k_a * qdd0_a - c * act_row / maa
             u = (-(KP * y_d) - KI * z1 - KD * ydot0) / K
-        else:
-            u = -(KP * y_d + KI * z1 + KD * gains.filter_a * (y_d - z2)) / k_e
         if disturbance is not None:
             u += np.asarray(disturbance(t), dtype=float).reshape(1).item()
+        return qdd0_u + G_u * u, qdd0_a + G_a * u, y_d, z2dot
 
-        xdot = [qd_u, qd_a, qdd0_u + G_u * u, qdd0_a + G_a * u, y_d]
-        if use_z2:
-            xdot.append(gains.filter_a * (y_d - z2))
-        return xdot
+    def eval_rhs(t: float, x) -> list:
+        xdot = [x[2], x[3], *field(t, *x[:5], x[5] if use_z2 else 0.0)]
+        return xdot if use_z2 else xdot[:5]
 
+    def rk4_step(dt: float):
+        half, sixth = 0.5 * dt, dt / 6.0
+
+        def step(t: float, x) -> list:
+            # _rk4_stages written out per entry, each sum in its order
+            q_u, q_a, v_u, v_a, z1 = x[0], x[1], x[2], x[3], x[4]
+            z2 = x[5] if use_z2 else 0.0
+            a_u, a_a, y, w = field(t, q_u, q_a, v_u, v_a, z1, z2)
+            v_u2, v_a2 = v_u + half * a_u, v_a + half * a_a
+            a_u2, a_a2, y2, w2 = field(t + half, q_u + half * v_u, q_a + half * v_a,
+                                       v_u2, v_a2, z1 + half * y, z2 + half * w)
+            v_u3, v_a3 = v_u + half * a_u2, v_a + half * a_a2
+            a_u3, a_a3, y3, w3 = field(t + half, q_u + half * v_u2, q_a + half * v_a2,
+                                       v_u3, v_a3, z1 + half * y2, z2 + half * w2)
+            v_u4, v_a4 = v_u + dt * a_u3, v_a + dt * a_a3
+            a_u4, a_a4, y4, w4 = field(t + dt, q_u + dt * v_u3, q_a + dt * v_a3,
+                                       v_u4, v_a4, z1 + dt * y3, z2 + dt * w3)
+            x = [q_u + sixth * (v_u + 2.0 * (v_u2 + v_u3) + v_u4),
+                 q_a + sixth * (v_a + 2.0 * (v_a2 + v_a3) + v_a4),
+                 v_u + sixth * (a_u + 2.0 * (a_u2 + a_u3) + a_u4),
+                 v_a + sixth * (a_a + 2.0 * (a_a2 + a_a3) + a_a4),
+                 z1 + sixth * (y + 2.0 * (y2 + y3) + y4)]
+            if use_z2:
+                x.append(z2 + sixth * (w + 2.0 * (w2 + w3) + w4))
+            return x
+
+        return step
+
+    eval_rhs.rk4_step = rk4_step
     return eval_rhs
+
+
+def _rk4_stages(rhs: Callable[[float, list], list], dt: float):
+    """One classical RK4 step of ``rhs``, ``(t, x) -> x`` on lists of floats."""
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def step(t: float, x: list) -> list:
+        r1 = rhs(t, x)
+        r2 = rhs(t + half, [a + half * b for a, b in zip(x, r1)])
+        r3 = rhs(t + half, [a + half * b for a, b in zip(x, r2)])
+        r4 = rhs(t + dt, [a + dt * b for a, b in zip(x, r3)])
+        return [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                for a, b1, b2, b3, b4 in zip(x, r1, r2, r3, r4)]
+
+    return step
 
 
 def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: float) -> None:
     """Classical RK4 steps from row ``k0`` to row ``k1`` of ``X`` in place.
 
-    The state is a list of Python floats.  Every early stop of a run is the
-    :class:`SimulationAborted` raised here: a new state is not finite, a step
-    divides by zero, or ``rhs`` raises :class:`.WellPosednessError` at a stage
-    or at the last state; ``rhs`` raises :class:`ArithmeticError` on a
-    non-finite stage state before any plant callback sees it.
+    The state is a list of Python floats.  A step is ``rhs.rk4_step(dt)``
+    when ``rhs`` carries one, as the ``s = m = 1`` closure does: its four
+    stages run on local floats, bitwise equal to the stage loop
+    :func:`_rk4_stages`, which every other ``rhs`` takes.  Every early stop
+    of a run is the :class:`SimulationAborted` raised here: a new state is
+    not finite, a step divides by zero, or ``rhs`` raises
+    :class:`.WellPosednessError` at a stage or at the last state; ``rhs``
+    raises :class:`ArithmeticError` on a non-finite stage state before any
+    plant callback sees it.
     """
-    half, sixth = 0.5 * dt, dt / 6.0
+    make_step = getattr(rhs, "rk4_step", None)
+    step = make_step(dt) if make_step else _rk4_stages(rhs, dt)
     x = X[k0].tolist()
     # divergence is detected by the explicit finiteness check, so the
     # transient inf/nan arithmetic on the way there stays silent
@@ -285,12 +340,7 @@ def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: flo
         try:
             for k in range(k0, k1):
                 t = k * dt
-                r1 = rhs(t, x)
-                r2 = rhs(t + half, [a + half * b for a, b in zip(x, r1)])
-                r3 = rhs(t + half, [a + half * b for a, b in zip(x, r2)])
-                r4 = rhs(t + dt, [a + dt * b for a, b in zip(x, r3)])
-                x = [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-                     for a, b1, b2, b3, b4 in zip(x, r1, r2, r3, r4)]
+                x = step(t, x)
                 X[k + 1] = x
                 if not all(map(math.isfinite, x)):
                     raise ArithmeticError

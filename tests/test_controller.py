@@ -61,6 +61,33 @@ def test_gains_reject_non_finite_weights(name, value):
         bench_gains(**{name: value})
 
 
+def test_gains_test_each_weight_for_zero_on_its_own():
+    # their product underflows to 0.0, but no weight is zero
+    g = Gains(k_e=1e-120, k_a=1e-120, k_u=2e-120, K_P=1.0, K_I=1.0, K_D=0.1,
+              q_u_star=[0.0], q_a_star=[0.0])
+    assert g.k_e * g.k_a * g.k_u == 0.0
+    for name in ("k_e", "k_a", "k_u"):
+        with pytest.raises(ValueError, match=f"{name} must be nonzero"):
+            bench_gains(**{name: 0.0})
+
+
+@pytest.mark.parametrize("bad, good, m", [
+    (dict(k_u=1e200), dict(k_u=1e150), 1),  # (k_a - k_u)^2
+    (dict(k_a=1e200, k_u=1.0), dict(k_a=1e150, k_u=1.0), 1),  # k_a^2
+    (dict(k_e=1e307), dict(k_e=1e305), 1),  # k_e k_a
+    (dict(k_e=-1e306), dict(k_e=-1e305), 1),  # k_e k_u
+    (dict(k_a=-1e308, k_u=1e308), dict(k_a=-1e150, k_u=1e150), 1),  # k_a - k_u
+    (dict(k_e=1e200), dict(k_e=1e150), 2),  # |k_e|^m, the PI law's det K
+], ids=["k_u", "k_a", "k_e-k_a", "k_e-k_u", "difference", "k_e-power"])
+def test_gains_refuse_weights_that_overflow_a_coefficient(bad, good, m):
+    def gains(weights):
+        return Gains(**{**dict(k_e=5.0, k_a=50.0, k_u=-500.0, K_P=1.0, K_I=2.0, K_D=0.1),
+                        **weights}, q_u_star=[0.0] * m, q_a_star=[0.0] * m)
+    with pytest.raises(ValueError, match="overflow a coefficient"):
+        gains(bad)
+    gains(good)
+
+
 def test_wellposedness_matrix_without_derivative_gain(cart):
     g = bench_gains(K_D=0.0)
     K = wellposedness_matrix_K(cart, g, [0.7])

@@ -1,7 +1,9 @@
 import contextlib
+import copy
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -46,6 +48,46 @@ def test_l2_gain_loads_no_scipy_integrate():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# one instance of every exception class of the package, each field set
+PACKAGE_ERRORS = [
+    pidpbc.DynamicsError("plant equations cannot be evaluated"),
+    pidpbc.SingularInertiaError(np.array([0.3]), "Cholesky failed"),
+    pidpbc.SingularInertiaError(np.array([0.3, -0.1])),
+    pidpbc.WellPosednessError(np.array([0.3]), -2.5e-12, 1e-10, 0.617),
+    pidpbc.WellPosednessError(np.array([0.3, 0.2]), 3e-11, 1e-10),
+    pidpbc.SimulationAborted("state became non-finite at t=0.617s"),
+    pidpbc.IntegrabilityError("coupling rows are not gradient fields"),
+    pidpbc.QuadratureError("V_N quadrature did not converge"),
+    ScenarioError("gains.k_e is required"),
+    pidpbc.GainSignWarning("sign(k_e), sign(k_a), sign(k_u) differ"),
+]
+
+
+def test_every_package_exception_class_has_a_pickle_case():
+    import importlib
+    import inspect
+    import pkgutil
+    classes = set()
+    for info in pkgutil.iter_modules(pidpbc.__path__):
+        module = importlib.import_module(f"pidpbc.{info.name}")
+        classes.update(cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                       if issubclass(cls, BaseException) and cls.__module__ == module.__name__)
+    assert classes == {type(exc) for exc in PACKAGE_ERRORS}
+
+
+@pytest.mark.parametrize("copy_of", [lambda exc: pickle.loads(pickle.dumps(exc)), copy.copy],
+                         ids=["pickle", "copy"])
+@pytest.mark.parametrize("exc", PACKAGE_ERRORS, ids=lambda exc: type(exc).__name__)
+def test_package_errors_survive_pickle_and_copy(exc, copy_of):
+    # an abort raised in a worker process reaches the caller as itself
+    got = copy_of(exc)
+    assert type(got) is type(exc) and str(got) == str(exc)
+    assert vars(got).keys() == vars(exc).keys()
+    for name, value in vars(exc).items():
+        assert np.array_equal(getattr(got, name), value) if isinstance(value, np.ndarray) \
+            else getattr(got, name) == value, name
 
 
 def test_builtin_scenarios_load():
@@ -423,6 +465,55 @@ def test_sweep_bad_values_exit_code(tmp_path, capsys, values):
     err = capsys.readouterr().err
     assert err.startswith("invalid --values") and err.count("\n") == 1
     assert not (tmp_path / "sw").exists()
+
+
+# `pidpbc sweep --param k_u --values=-300,-400,-500,-600,-1000` on the
+# bundled cart, byte for byte: its stdout, and its CSV file
+BUNDLED_SWEEP_TABLE = """\
+value,status,settle_time,peak_abs_u,min_abs_detK,a7,dissipated
+-300.0,aborted: state became non-finite at t=0.617s,,,,marked,
+-400.0,simulated,6.5040000000000004,8.817,0.8123,marked,745.172
+-500.0,simulated,7.851,4.594,2.976,pass,679.081
+-600.0,simulated,9.0,3.855,5.591,pass,619.459
+-1000.0,simulated,not-settled,2.845,17.77,pass,456.278
+"""
+
+
+def test_bundled_sweep_table_is_pinned(tmp_path, capsys):
+    path = write_scenario(tmp_path, builtin_scenario("cart_pendulum"))
+    out = tmp_path / "sw"
+    assert cli_main(["sweep", "--scenario", str(path), "--param", "k_u",
+                     "--values=-300,-400,-500,-600,-1000", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == BUNDLED_SWEEP_TABLE
+    assert (out / "sweep_k_u.csv").read_text() == BUNDLED_SWEEP_TABLE
+
+
+@pytest.mark.parametrize("command", [["check"], ["simulate"]])
+def test_gains_that_overflow_a_coefficient_are_invalid_input(tmp_path, capsys, command):
+    # a finite k_u whose (k_a - k_u)^2 overflows is refused at load, before
+    # any scan or integration, as one line
+    doc = builtin_scenario("cart_pendulum")
+    doc["gains"]["k_u"] = 1.0e200
+    path = write_scenario(tmp_path, doc)
+    assert cli_main([*command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: ") and "overflow a coefficient" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_rejects_a_value_that_overflows_a_coefficient(tmp_path):
+    doc = builtin_scenario("cart_pendulum")
+    doc["run"]["t_end_s"] = 0.1
+    doc["target"]["steps"] = []
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "sw"
+    assert cli_main(["sweep", "--scenario", str(path), "--param", "k_u",
+                     "--values=1e308,-500", "--out", str(out)]) == 0
+    lines = (out / "sweep_k_u.csv").read_text().splitlines()
+    assert lines[1].startswith("1e+308,rejected: k_e=5 k_a=50 k_u=1e+308 overflow a coefficient")
+    assert lines[2].startswith("-500.0,simulated,")
+    assert [line.count(",") for line in lines] == [6] * 3
 
 
 def test_sweep_rows(tmp_path):

@@ -279,6 +279,38 @@ def test_open_loop_rejects_a_bad_step(cart, dt):
         simulate_open_loop(cart, [0.3, 0.0], [0.5, 0.1], t_end=1.0, dt=dt)
 
 
+def _stage_loop(builder):
+    """``builder`` with each closure wrapped so that it carries no
+    ``rk4_step``: :func:`_rk4` then runs its stage loop over it."""
+    def build(*args):
+        rhs = builder(*args)
+        return lambda t, x: rhs(t, x)
+    return build
+
+
+def test_scalar_rk4_step_is_bitwise_the_stage_loop(cart, monkeypatch):
+    # the s = m = 1 closure's own RK4 step against _rk4's stage loop over the
+    # same closure: every integrated row bit for bit, on both built-in plants,
+    # with both laws, both modes, a disturbance and a setpoint step; a slow
+    # derivative filter keeps the filtered law on the cart finite
+    lin = _linear_example()
+    plants = [(cart, lambda mode: bench_gains(mode=mode, filter_a=5.0), Q0),
+              (lin.system, lambda mode: replace(lin.gains, mode=mode), lin.q0)]
+    steps = [SetpointStep(1.0, np.array([-0.3]))]
+    for (plant, make_gains, q0), controller, mode, d in itertools.product(
+            plants, CONTROLLERS, MODES, DISTURBANCES):
+        g = make_gains(mode)
+        assert callable(_build_eval_scalar(plant, g, controller, d, 1e-10).rk4_step)
+        rows = []
+        for builder in (_build_eval_scalar, _stage_loop(_build_eval_scalar)):
+            monkeypatch.setattr(pidpbc.sim, "_build_eval_scalar", builder)
+            tr = simulate(plant, g, q0, np.zeros(2), t_end=2.0, dt=1e-3,
+                          controller=controller, disturbance=d, setpoints=steps)
+            rows.append(np.hstack([tr.q_u, tr.q_a, tr.qd_u, tr.qd_a, tr.z1]
+                                  + ([tr.z2] if controller == "approx" else [])))
+        assert np.array_equal(*rows), (plant.name, controller, mode, d is not None)
+
+
 def _rk4_abort_message(plant, g, builder, q0, qd0, n_steps, det_tol=None):
     """The abort message of a closed-loop run driven through ``_rk4``, with
     ``simulate``'s singularity floor unless ``det_tol`` is given."""
@@ -315,7 +347,7 @@ def test_sweep_abort_row_is_the_same_through_both_builders(cart):
         simulate(cart, g, Q0, QD0, t_end=10.0, dt=1e-3,
                  setpoints=[SetpointStep(5.0, np.array([-0.3]))])
     assert str(err.value) == want
-    for builder in (_build_eval_scalar, _build_eval_generic):
+    for builder in (_build_eval_scalar, _stage_loop(_build_eval_scalar), _build_eval_generic):
         assert _rk4_abort_message(cart, g, builder, Q0, QD0, 1000) == want
 
 
@@ -600,10 +632,12 @@ def test_singularity_abort_reports_time_and_configuration(cart, gains_cancel):
     # swinging inward from beyond the zero of the well-posedness factor must
     # cross it; a finite threshold catches the crossing before the forces
     # blow up, and both builders stop with the same abort, carrying the
-    # time, the configuration, |det K| and the floor
+    # time, the configuration, |det K| and the floor; the scalar closure's
+    # own step and the stage loop over it stop alike
     q0, qd0 = [PSI + 0.85, 0.0], [-2.0, 0.0]
     messages = {_rk4_abort_message(cart, gains_cancel, builder, q0, qd0, 2000, 0.5)
-                for builder in (_build_eval_scalar, _build_eval_generic)}
+                for builder in (_build_eval_scalar, _stage_loop(_build_eval_scalar),
+                                _build_eval_generic)}
     assert len(messages) == 1
     message = messages.pop()
     assert message.startswith("well-posedness matrix singular at t=")
