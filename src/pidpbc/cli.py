@@ -14,6 +14,8 @@ or a plant whose coupling potential V_N cannot be computed).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys as _stdsys
 from dataclasses import replace
@@ -233,12 +235,14 @@ def cmd_sweep(args) -> int:
                    dissipated=f"{np.trapezoid(diss, dx=trace.dt):.6g}")
         rows.append(row)
 
-    lines = [",".join(fields)]
-    for row in rows:
-        lines.append(",".join(str(row[f]) for f in fields))
-    table = "\n".join(lines)
-    print(table)
-    (_outdir(args.out) / f"sweep_{args.param}.csv").write_text(table + "\n")
+    # a status may carry commas (a singular-K abort names q_u), so fields are quoted
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    table = buf.getvalue()
+    print(table, end="")
+    (_outdir(args.out) / f"sweep_{args.param}.csv").write_text(table)
     return EXIT_OK
 
 

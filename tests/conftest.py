@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -16,6 +17,17 @@ PSI = np.deg2rad(20.0)
 def bench_gains(mode="cancel_Va", **overrides):
     kw = {**BENCH, **overrides}
     return Gains(q_u_star=[0.0], q_a_star=[0.0], mode=mode, **kw)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process ({f'pid {pid} unreaped' if pid else 'running'})")
 
 
 class PointLoopEntered(AssertionError):

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -486,6 +487,45 @@ def test_bundled_sweep_table_is_pinned(tmp_path, capsys):
                      "--values=-300,-400,-500,-600,-1000", "--out", str(out)]) == 0
     assert capsys.readouterr().out == BUNDLED_SWEEP_TABLE
     assert (out / "sweep_k_u.csv").read_text() == BUNDLED_SWEEP_TABLE
+
+
+def test_sweep_quotes_a_status_that_carries_commas(tmp_path, capsys, monkeypatch):
+    # a singular-K abort names q_u and |det K|, with commas between them
+    from pidpbc import sim
+    from pidpbc.controller import WellPosednessError
+    message = str(WellPosednessError(np.array([0.25]), 1e-12, 1e-9, 0.5))
+    assert "," in message
+
+    def singular(*args, **kwargs):
+        raise sim.SimulationAborted(message)
+
+    monkeypatch.setattr(sim, "simulate", singular)
+    path = write_scenario(tmp_path, builtin_scenario("cart_pendulum"))
+    out = tmp_path / "sw"
+    assert cli_main(["sweep", "--scenario", str(path), "--param", "k_u", "--values=-500",
+                     "--out", str(out)]) == 0
+    table = (out / "sweep_k_u.csv").read_text()
+    assert capsys.readouterr().out == table
+    with open(out / "sweep_k_u.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert len(reader.fieldnames) == 7 and len(rows) == 1 and None not in rows[0]
+    assert rows[0]["value"] == "-500.0" and rows[0]["status"] == f"aborted: {message}"
+
+
+def test_row_workers_do_not_repeat_buffered_stdout(tmp_path):
+    # piped stdout is block-buffered, so the check report printed before the
+    # CSV write still sits in the buffer every row worker inherits; two shares
+    # are forced so that a worker forks on a one-core machine too
+    code = ("import runpy, pidpbc.sim; pidpbc.sim._usable_cores = lambda: 2; "
+            "runpy.run_module('pidpbc.cli', run_name='__main__', alter_sys=True)")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(pidpbc.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, "reproduce", "linear", "--out",
+                           str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("assumption checks (") == 1
+    assert proc.stdout.endswith(f"reproduction OK; artifacts in {tmp_path}\n")
 
 
 @pytest.mark.parametrize("command", [["check"], ["simulate"]])

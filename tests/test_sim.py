@@ -1,5 +1,8 @@
+import errno
 import itertools
-from dataclasses import replace
+import os
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -806,6 +809,95 @@ def test_trace_csv_bytes_are_those_of_savetxt(cart, gains_cancel, tmp_path):
         np.savetxt(want, np.column_stack([col for _, col in layout]), delimiter=",",
                    header=",".join(name for name, _ in layout), comments="", fmt="%.17g")
         assert got.read_bytes() == want.read_bytes(), tr.n_samples
+
+
+def _first_rows(tr, rows: int):
+    """``tr`` cut to its first ``rows`` samples."""
+    return replace(tr, **{f.name: getattr(tr, f.name)[:rows] for f in fields(tr)
+                          if isinstance(getattr(tr, f.name), np.ndarray)})
+
+
+def _savetxt_bytes(tr, path) -> bytes:
+    from pidpbc.sim import _column_layout
+    layout = _column_layout(tr)
+    np.savetxt(path, np.column_stack([col for _, col in layout]), delimiter=",",
+               header=",".join(name for name, _ in layout), comments="", fmt="%.17g")
+    return path.read_bytes()
+
+
+def _force_shares(monkeypatch, cores: int) -> list:
+    """Lets every row start a share on ``cores`` usable cores; returns the
+    list that each fork the writer asks for appends to."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(pidpbc.sim, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(pidpbc.sim, "MIN_SHARE_ROWS", 1)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+def test_trace_csv_bytes_do_not_depend_on_the_share_count(bench_trace, tmp_path, monkeypatch,
+                                                          cores):
+    # shares of fewer rows than a block, of one block, of one block and a
+    # row, and a last share shorter than the others; with one row per share
+    # allowed, every write of r rows forks min(cores, r) - 1 workers
+    forks = _force_shares(monkeypatch, cores)
+    sizes = (2, 127, 128, 129, 1201, 10_001)
+    for rows in sizes:
+        tr = _first_rows(bench_trace, rows)
+        write_trace_csv(tr, tmp_path / "got.csv")
+        want = _savetxt_bytes(tr, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == want, rows
+    assert len(forks) == sum(min(cores, rows) - 1 for rows in sizes)
+    assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]
+
+
+@pytest.mark.parametrize("who", ["worker", "caller"])
+def test_a_failed_share_fails_the_write_after_every_worker_is_reaped(bench_trace, tmp_path,
+                                                                     monkeypatch, who):
+    _force_shares(monkeypatch, 3)
+    caller, write_rows = os.getpid(), pidpbc.sim._write_rows
+
+    def fail_in(fh, data, row_fmt):
+        if (os.getpid() == caller) == (who == "caller"):
+            raise RuntimeError(f"{who} fails")
+        write_rows(fh, data, row_fmt)
+
+    monkeypatch.setattr(pidpbc.sim, "_write_rows", fail_in)
+    path = tmp_path / "trace.csv"
+    expected, match = (OSError, re.escape(f"2 of 2 row workers failed writing {path}")) \
+        if who == "worker" else (RuntimeError, "caller fails")
+    with pytest.raises(expected, match=match):
+        write_trace_csv(bench_trace, path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.listdir(tmp_path) == ["trace.csv"]
+
+
+def test_an_unwritable_path_fails_before_any_worker_starts(bench_trace, tmp_path, monkeypatch):
+    forks = _force_shares(monkeypatch, 3)
+    path = tmp_path / "trace.csv"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_trace_csv(bench_trace, path)
+    assert forks == [] and os.listdir(tmp_path) == ["trace.csv"] and os.listdir(path) == []
+
+
+def test_a_share_whose_fork_fails_is_written_by_the_caller(bench_trace, tmp_path, monkeypatch):
+    # the first of three workers forks, the next two forks fail with EAGAIN
+    forks = _force_shares(monkeypatch, 4)
+    fork = os.fork
+
+    def fork_once():
+        if forks:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    write_trace_csv(bench_trace, tmp_path / "got.csv")
+    assert forks == [1]
+    assert (tmp_path / "got.csv").read_bytes() == _savetxt_bytes(bench_trace, tmp_path / "want.csv")
+    assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]
 
 
 def test_richardson_self_consistency(cart, gains_cancel):
