@@ -8,7 +8,8 @@ Commands:
 
 Exit codes: 0 success, 2 assumption failure, 3 runtime singularity,
 4 acceptance failure, 5 invalid input (a malformed or unreadable scenario or --values,
-or a plant whose coupling potential V_N cannot be computed).
+or a plant whose coupling potential V_N cannot be computed), 6 output could not be
+written (the trace CSV; a failed write leaves no trace.csv).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ EXIT_ASSUMPTION = 2
 EXIT_SINGULARITY = 3
 EXIT_ACCEPTANCE = 4
 EXIT_INPUT = 5
+EXIT_OUTPUT = 6
 
 # `reproduce`: position error and speed bound over the trailing window of
 # every setpoint segment
@@ -147,8 +149,9 @@ def _summarize(sc: scn.Scenario, trace: sim.Trace) -> dict:
 
 def _simulate_and_write(sc: scn.Scenario, out: Path, extra: dict):
     """Run the scenario, then create ``out`` and write the trace, its column
-    map and the summary plus ``extra`` there; ``(trace, summary)``, or
-    ``None`` after an abort, which leaves ``out`` empty."""
+    map and the summary plus ``extra`` there; ``(trace, summary)``, or the
+    exit code after an abort, which leaves ``out`` empty, or after a failed
+    trace write, which leaves no ``trace.csv``."""
     try:
         trace = sim.simulate(sc.system, sc.gains, sc.q0, sc.qd0, sc.t_end, sc.dt,
                              controller=sc.controller, disturbance=sc.disturbance,
@@ -158,8 +161,12 @@ def _simulate_and_write(sc: scn.Scenario, out: Path, extra: dict):
         print(f"simulation aborted: {exc}", file=_stdsys.stderr)
     _outdir(out)
     if trace is None:
-        return None
-    sim.write_trace_csv(trace, out / "trace.csv")
+        return EXIT_SINGULARITY
+    try:
+        sim.write_trace_csv(trace, out / "trace.csv")
+    except OSError as exc:
+        print(f"output could not be written: {out / 'trace.csv'}: {exc}", file=_stdsys.stderr)
+        return EXIT_OUTPUT
     sim.write_column_map(trace, out / "trace.columns")
     summary = {**_summarize(sc, trace), **extra}
     _write_json(out / "summary.json", summary)
@@ -170,8 +177,8 @@ def cmd_simulate(args) -> int:
     sc = _load(args)
     out = Path(args.out)
     run = _simulate_and_write(sc, out, {})
-    if run is None:
-        return EXIT_SINGULARITY
+    if isinstance(run, int):
+        return run
     trace, summary = run
     print(f"wrote {out / 'trace.csv'} ({trace.n_samples} samples)")
     print(json.dumps({k: summary[k] for k in
@@ -276,8 +283,8 @@ def cmd_reproduce(args) -> int:
             "note": "informational; the gating certificate uses the scenario gate grid",
         }
     run = _simulate_and_write(sc, out, extra)
-    if run is None:
-        return EXIT_SINGULARITY
+    if isinstance(run, int):
+        return run
     trace, summary = run
 
     # every setpoint segment ends settled on its own target

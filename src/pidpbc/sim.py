@@ -18,13 +18,15 @@ closed forms of ``K`` and of the feedforward ``S`` live only in
 route to the integrated law.  A scalar form of the same formulas serves an
 ``s = m = 1`` plant whose callbacks carry the float forms it calls (see
 :mod:`.mechanics`); every other plant runs the generic form.  The generic
-form keeps ``M``, the plant-response right-hand side and ``L`` in buffers
-whose constant blocks are filled at build time, takes the Coriolis force
-``Mdot qd - 1/2 d(qd' M qd)/dq`` from one inertia-derivative tensor ``dM``
-(``Mdot = dM qd_u``), and forms the law's right-hand side as one product of
-the stacked gains ``[-K_P, -K_I, c K_D maa^{-1}]`` with ``[y_d; z1;
-act_row]``.  The tests pin the generic form to the reference functions and
-the scalar form to the generic one, at random states and over whole runs.
+form and the open-loop energy audit :func:`simulate_open_loop` (at ``u =
+0``) integrate one :func:`_plant_response`: it keeps ``M`` and its
+right-hand side in buffers whose constant blocks are filled at build time,
+and takes the Coriolis force ``Mdot qd - 1/2 d(qd' M qd)/dq`` from one
+inertia-derivative tensor ``dM`` (``Mdot = dM qd_u``).  The generic law forms
+its right-hand side as one product of the stacked gains ``[-K_P, -K_I, c K_D
+maa^{-1}]`` with ``[y_d; z1; act_row]``.  The tests pin the response to
+``forward_dynamics``, the generic form to the reference functions and the
+scalar form to the generic one, at random states and over whole runs.
 The integrated state is a list of Python floats; the array forms convert at
 their own boundary (``np.asarray`` in, ``tolist`` out).  The scalar form also
 takes the whole RK4 step, its four stages on local floats, bitwise equal to
@@ -39,6 +41,7 @@ caller formats the first, a forked worker each other one into a temporary
 file that the caller appends in order, so the bytes do not depend on ``P``.
 A trace shorter than ``2 * MIN_SHARE_ROWS`` rows, or a machine with one
 usable core or without ``os.fork``, gives ``P = 1`` and starts no worker.
+A failed write removes the file, so it leaves no partial trace.
 """
 
 from __future__ import annotations
@@ -53,9 +56,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .mechanics import (Array, DynamicsError, MechanicalSystem, State, _quad,
-                        assemble_inertia, forward_dynamics, mau_gradient, muu_gradient,
-                        shared_samples)
+from .mechanics import (Array, DynamicsError, MechanicalSystem, SingularInertiaError, State,
+                        mau_gradient, muu_gradient, shared_samples)
 from .controller import (ControllerState, Gains, WellPosednessError, approx_control,
                          check_target, closed_form_z1, det_floor, exact_control,
                          integrator_init, plant_input, wellposedness_matrix_K)
@@ -137,42 +139,31 @@ class SimulationAborted(DynamicsError):
     """Integration stopped before ``t_end`` (singularity or blow-up)."""
 
 
-def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
-                        disturbance, det_tol: float):
-    """Array evaluation for any ``s`` and ``m``.  Each evaluation calls every
-    plant callback it needs once and writes into buffers that keep their
-    constant entries from the build, so one closure serves one run at a time."""
+def _plant_response(sys: MechanicalSystem, drift_Va: bool):
+    """The plant response ``qdd = qdd0 + G (u + d)``, any ``s`` and ``m``.
+    ``response(x)`` on a state list starting with ``(q, qd)`` returns ``(xv,
+    sol, M, mau, act_row)``, ``xv`` the array of ``x``, or raises
+    :class:`ArithmeticError` on a non-finite position before any callback.
+    One solve with ``M(q_u)`` puts the drift ``qdd0`` (with ``-grad V_a`` when
+    ``drift_Va``) in column 0 of ``sol`` and ``G = M^{-1} [0; I]`` in the rest."""
     s, m, n = sys.s, sys.m, sys.n
-    exact, robust = controller == "exact", gains.mode == "robust_A8"
-    c, k_e, K_D, filter_a = gains.k_u - gains.k_a, gains.k_e, gains.K_D, gains.filter_a
     # a plant without an analytic Jacobian gets the fourth-order difference
     muu_jac = sys.muu_jac or (lambda q_u: muu_gradient(sys, q_u))
     mau_jac = sys.mau_jac or (lambda q_u: mau_gradient(sys, q_u))
-    # M with its m_aa block, dM[i, j, k] = d M_ij / d q_u[k], the plant-response
-    # right-hand side [drift | 0; I] and L = [-c maa^{-1} m_au, k_a I]
+    # M with its m_aa block, dM[i, j, k] = d M_ij / d q_u[k] and rhs = [drift | 0; I]
     M, dM = np.zeros((n, n)), np.zeros((n, n, s))
     M[s:, s:] = sys.maa
     rhs = np.zeros((n, 1 + m))
     rhs[s:, 1:] = np.eye(m)
-    L = np.zeros((m, n))
-    L[:, s:] = gains.k_a * np.eye(m)
-    L_u = -c * sys.maa_inv
-    u1 = np.ones(1 + m)  # [1; u], so that qdd = sol @ u1
-    k_eI = k_e * np.eye(m)
-    # the law's right-hand side is one product with [y_d; z1; w]: w is act_row
-    # in the exact law and the filtered derivative in the approximate one
-    pid = np.hstack([-gains.K_P, -gains.K_I, c * K_D @ sys.maa_inv if exact else -K_D])
 
     def read(value, shape: tuple) -> Array:  # a callback result, as floats
         return np.asarray(value, dtype=float).reshape(shape)
 
-    def eval_rhs(t: float, x) -> list:
+    def response(x: list) -> tuple:
         if not all(map(math.isfinite, x[:n])):  # callbacks see finite positions only
             raise ArithmeticError
         xv = np.asarray(x)
         q_u, qd = xv[:s], xv[n:2 * n]
-        qd_u, z1v = qd[:s], xv[2 * n:2 * n + m]
-
         mau = read(sys.mau_fn(q_u), (m, s))
         M[:s, :s] = read(sys.muu_fn(q_u), (s, s))
         M[s:, :s] = mau
@@ -183,15 +174,36 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
         dM[:s, s:] = dmau.transpose(1, 0, 2)
         # Coriolis force Mdot qd - 1/2 d(qd' M qd)/dq, the second term in the
         # unactuated rows only; Mdot qd's actuated rows are act_row
-        mdot_qd = (dM @ qd_u) @ qd
+        mdot_qd = (dM @ qd[:s]) @ qd
         act_row = mdot_qd[s:]
-
-        # plant response qdd = qdd0 + G (u + d): the drift qdd0 in column 0,
-        # the input map G = M^{-1} [0; I] in the others; robust_A8 keeps the
-        # actuated potential slope in the drift
         rhs[:s, 0] = 0.5 * (qd @ (qd @ dM)) - mdot_qd[:s] - read(sys.gradVu_fn(q_u), (s,))
-        rhs[s:, 0] = -act_row - read(sys.gradVa_fn(xv[s:n]), (m,)) if robust else -act_row
-        sol = np.linalg.solve(M, rhs)
+        rhs[s:, 0] = -act_row - read(sys.gradVa_fn(xv[s:n]), (m,)) if drift_Va else -act_row
+        return xv, np.linalg.solve(M, rhs), M, mau, act_row
+
+    return response
+
+
+def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
+                        disturbance, det_tol: float):
+    """Array evaluation for any ``s`` and ``m``: the response of
+    :func:`_plant_response`, whose drift keeps the actuated potential slope
+    in ``robust_A8``, then the law; one closure serves one run at a time."""
+    s, m, n = sys.s, sys.m, sys.n
+    exact = controller == "exact"
+    c, k_e, K_D, filter_a = gains.k_u - gains.k_a, gains.k_e, gains.K_D, gains.filter_a
+    response = _plant_response(sys, drift_Va=gains.mode == "robust_A8")
+    L = np.zeros((m, n))  # [-c maa^{-1} m_au, k_a I]
+    L[:, s:] = gains.k_a * np.eye(m)
+    L_u = -c * sys.maa_inv
+    u1 = np.ones(1 + m)  # [1; u], so that qdd = sol @ u1
+    k_eI = k_e * np.eye(m)
+    # the law's right-hand side is one product with [y_d; z1; w]: w is act_row
+    # in the exact law and the filtered derivative in the approximate one
+    pid = np.hstack([-gains.K_P, -gains.K_I, c * K_D @ sys.maa_inv if exact else -K_D])
+
+    def eval_rhs(t: float, x) -> list:
+        xv, sol, _, mau, act_row = response(x)
+        qd, z1v = xv[n:2 * n], xv[2 * n:2 * n + m]
 
         # y_d = L qd and yd_dot = L qdd - c maa^{-1} act_row
         L[:, :s] = L_u @ mau
@@ -202,7 +214,7 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
             K = k_eI + KD_Lsol[:, 1:]
             detK = float(np.linalg.det(K))
             if abs(detK) < det_tol:
-                raise WellPosednessError(q_u, detK, det_tol, t)
+                raise WellPosednessError(xv[:s], detK, det_tol, t)
             u = np.linalg.solve(K, pid @ np.concatenate((y_d, z1v, act_row)) - KD_Lsol[:, 0])
             tail = (y_d,)
         else:
@@ -341,7 +353,8 @@ def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: flo
     :func:`_rk4_stages`, which every other ``rhs`` takes.  Every early stop
     of a run is the :class:`SimulationAborted` raised here: a new state is
     not finite, a step divides by zero, or ``rhs`` raises
-    :class:`.WellPosednessError` at a stage or at the last state; ``rhs``
+    :class:`.WellPosednessError` or :class:`.SingularInertiaError` at a stage
+    or at the last state; ``rhs``
     raises :class:`ArithmeticError` on a non-finite stage state before any
     plant callback sees it.
     """
@@ -359,7 +372,7 @@ def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: flo
                 if not all(map(math.isfinite, x)):
                     raise ArithmeticError
             rhs(k1 * dt, x)
-        except WellPosednessError as exc:
+        except (WellPosednessError, SingularInertiaError) as exc:
             raise SimulationAborted(str(exc)) from exc
         except (ArithmeticError, np.linalg.LinAlgError):  # a zero divisor is inf/nan in numpy
             raise SimulationAborted(f"state became non-finite at t={t + dt:.6g}s") from None
@@ -494,28 +507,31 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
 
 
 def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float) -> dict:
-    """Integrate the raw plant under zero force.
+    """Integrate the raw plant under zero force: the drift, with ``-grad
+    V_a``, of the :func:`_plant_response` that the generic closed loop runs.
 
     Returns time, positions, velocities and the total energy, which is
     conserved for the unforced plant and serves as the integrator audit.
-    Raises :class:`SimulationAborted` and :class:`ValueError` as :func:`simulate`.
+    Raises as :func:`simulate`, and ends in :class:`SimulationAborted` too
+    where the inertia is not positive definite.
     """
     s, n = sys.s, sys.n
     q0, qd0, n_steps = _check_run(n, q0, qd0, t_end, dt)
+    response = _plant_response(sys, drift_Va=True)
 
     def rhs(t, x):
-        if not all(map(math.isfinite, x)):  # State refuses a non-finite entry
-            raise ArithmeticError
-        xv = np.asarray(x)
-        st = State.from_vectors(xv[:n], xv[n:], s)
-        return np.concatenate([st.qd, forward_dynamics(sys, st, np.zeros(sys.m))]).tolist()
+        try:
+            sol, M = response(x)[1:3]
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise SingularInertiaError(x[:s], f"t={t:.6g}s") from None
+        return x[n:] + sol[:, 0].tolist()
 
     X = np.empty((n_steps + 1, 2 * n))
     X[0, :n], X[0, n:] = q0, qd0
     _rk4(rhs, X, 0, n_steps, dt)
     q, qd = X[:, :n], X[:, n:]
-    energy = 0.5 * _quad(qd, assemble_inertia(sys, q[:, :s])) \
-        + sys.Vu(q[:, :s]) + sys.Va(q[:, s:])
+    energy = storage_functions(sys, State.from_vectors(q, qd, s))[2] + sys.Va(q[:, s:])
     return {"t": np.arange(n_steps + 1) * dt, "q": q, "qd": qd, "energy": energy}
 
 
@@ -714,7 +730,9 @@ def write_trace_csv(trace: Trace, path) -> None:
     leaves through ``os._exit``, so it never unwinds the caller's stack nor
     flushes inherited buffers.  The caller reaps every worker, raises
     :class:`OSError` naming ``path`` if one failed, and appends the shares in
-    order.  A share whose fork fails is formatted by the caller.
+    order.  A share whose fork fails is formatted by the caller.  When any
+    share fails, the caller's or a worker's, ``path`` is removed before the
+    error propagates, so a failed write leaves no partial file.
     """
     layout = _column_layout(trace)
     data = np.column_stack([col for _, col in layout])
@@ -726,35 +744,40 @@ def write_trace_csv(trace: Trace, path) -> None:
     n_blocks = -(-rows // CSV_BLOCK_ROWS)
     starts = [min(rows, -(-n_blocks * i // n_shares) * CSV_BLOCK_ROWS)
               for i in range(n_shares)] + [rows]
-    with open(path, "w") as fh, ExitStack() as files:
-        fh.write(",".join(name for name, _ in layout) + "\n")
-        parts = [files.enter_context(tempfile.TemporaryFile(
-                     "w+", dir=os.path.dirname(os.path.abspath(path))))
-                 for _ in range(n_shares - 1)]
-        pids = []
-        try:
-            for part, lo, hi in zip(parts, starts[1:], starts[2:]):
-                try:
-                    pid = os.fork()
-                except OSError:
-                    _write_rows(part, data[lo:hi], row_fmt)
-                    continue
-                if pid == 0:
+    fh = open(path, "w")  # an unwritable path fails here, before any worker starts
+    try:
+        with fh, ExitStack() as files:
+            fh.write(",".join(name for name, _ in layout) + "\n")
+            parts = [files.enter_context(tempfile.TemporaryFile(
+                         "w+", dir=os.path.dirname(os.path.abspath(path))))
+                     for _ in range(n_shares - 1)]
+            pids = []
+            try:
+                for part, lo, hi in zip(parts, starts[1:], starts[2:]):
                     try:
+                        pid = os.fork()
+                    except OSError:
                         _write_rows(part, data[lo:hi], row_fmt)
-                        part.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                pids.append(pid)
-            _write_rows(fh, data[:starts[1]], row_fmt)
-        finally:
-            failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
-        if failed:
-            raise OSError(f"{failed} of {len(pids)} row workers failed writing {path}")
-        for part in parts:
-            part.seek(0)
-            shutil.copyfileobj(part, fh)
+                        continue
+                    if pid == 0:
+                        try:
+                            _write_rows(part, data[lo:hi], row_fmt)
+                            part.flush()
+                            os._exit(0)
+                        finally:
+                            os._exit(1)
+                    pids.append(pid)
+                _write_rows(fh, data[:starts[1]], row_fmt)
+            finally:
+                failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+            if failed:
+                raise OSError(f"{failed} of {len(pids)} row workers failed writing {path}")
+            for part in parts:
+                part.seek(0)
+                shutil.copyfileobj(part, fh)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def write_column_map(trace: Trace, path) -> None:

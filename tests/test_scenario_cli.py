@@ -1,6 +1,8 @@
 import contextlib
 import copy
 import csv
+import errno
+import hashlib
 import io
 import json
 import os
@@ -248,6 +250,23 @@ def test_simulate_singularity_exit_code(tmp_path):
     path = write_scenario(tmp_path, doc)
     assert cli_main(["simulate", "--scenario", str(path),
                      "--out", str(tmp_path / "s")]) == 3
+
+
+def test_a_failed_trace_write_exits_6_and_leaves_no_trace(tmp_path, capsys, monkeypatch):
+    # the writer fails after the header: one stderr line names the path, and
+    # the output directory keeps no partial trace.csv
+    def full_disk(fh, data, row_fmt):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pidpbc.sim, "_write_rows", full_disk)
+    doc = builtin_scenario("cart_pendulum")
+    doc["run"]["t_end_s"] = 0.5
+    path = write_scenario(tmp_path, doc)
+    out = tmp_path / "o"
+    assert cli_main(["simulate", "--scenario", str(path), "--out", str(out)]) == 6
+    assert capsys.readouterr().err.splitlines() == [
+        f"output could not be written: {out / 'trace.csv'}: [Errno 28] No space left on device"]
+    assert os.listdir(out) == []
 
 
 def _with(section, key, value):
@@ -598,6 +617,30 @@ def test_sweep_dissipation_ordering(tmp_path):
     assert all("simulated" in ln for ln in lines)
 
 
+# SHA-256 of each bundled example's trace.csv, summary.json and check.json;
+# a change that alters one reports the largest deviation per column
+REPRODUCE_DIGESTS = {
+    "cart_pendulum": (
+        "62a612b1a79677bf389b076b7558081545ca0ee65400653aab76f06859ba458a",
+        "4258906016a4cb012b8b8cd9047a0f7d42b73280054dc3d4361fbd9ca8e80ba8",
+        "54ec8e0267707218b71ff95dd59cd773a76e83a698840526288303039aab1856"),
+    "cart_pendulum_ku450": (
+        "11bd058a28672448bb56c64b9f2e4816f366ee80b63f849ef64c97e8aca14352",
+        "837f8e0f0e202783f65197b08233f342f675c2cd8689072d8d610b83ea930653",
+        "06fc6b6ebf1ab42c1c08415339dc200ea824b1f519a1e1019e8b7bc2e99da2cc"),
+    "linear": (
+        "d5960300ca16b45ab1e317614816eab0f38a6d6828a19f0c7699910b2e2c6bab",
+        "2f1ab89bd6c38c88d50e30485c4de723a094c3bdfa612c705aec03637beea7a0",
+        "21dfe38166b92c4c259757e5d565e92c4a27aaca9d5cd737a82120e28d00339a"),
+}
+
+
+def _assert_outputs_pinned(out, example):
+    for name, digest in zip(("trace.csv", "summary.json", "check.json"),
+                            REPRODUCE_DIGESTS[example]):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_reproduce_cart_pendulum(tmp_path):
     out = tmp_path / "rep"
     assert cli_main(["reproduce", "cart_pendulum", "--out", str(out)]) == 0
@@ -610,7 +653,7 @@ def test_reproduce_cart_pendulum(tmp_path):
     assert abs(summary["max_real"] + 2.1705468) < 1e-6
     # the certificate on the symmetric grid is reported, and known indefinite
     assert summary["a7_symmetric_grid"]["pass"] is False
-    assert (out / "trace.csv").exists() and (out / "check.json").exists()
+    _assert_outputs_pinned(out, "cart_pendulum")
 
 
 def test_reproduce_fails_on_an_unsettled_segment(tmp_path, monkeypatch):
@@ -632,6 +675,7 @@ def test_reproduce_fails_on_an_unsettled_segment(tmp_path, monkeypatch):
 def test_reproduce_ku450(tmp_path):
     out = tmp_path / "rep450"
     assert cli_main(["reproduce", "cart_pendulum_ku450", "--out", str(out)]) == 0
+    _assert_outputs_pinned(out, "cart_pendulum_ku450")
 
 
 def test_reproduce_linear(tmp_path):
@@ -639,3 +683,4 @@ def test_reproduce_linear(tmp_path):
     assert cli_main(["reproduce", "linear", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["hurwitz"] and summary["converged"]
+    _assert_outputs_pinned(out, "linear")

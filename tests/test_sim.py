@@ -11,12 +11,13 @@ import pidpbc.sim
 from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted, State,
                     approx_control, detect_convergence, exact_control, forward_dynamics,
                     integrator_init, linear_system, passive_outputs, pi_control,
+                    pinned_linear_2dof,
                     plant_input, read_trace_csv, scan_A5, simulate, verify_l2_gain,
                     verify_lyapunov, verify_passivity, write_column_map,
                     write_trace_csv)
 from pidpbc.controller import MODES, det_floor
-from pidpbc.sim import (CONTROLLERS, _build_eval_generic, _build_eval_scalar, _rk4,
-                        simulate_open_loop)
+from pidpbc.sim import (CONTROLLERS, _build_eval_generic, _build_eval_scalar,
+                        _plant_response, _rk4, simulate_open_loop)
 
 from conftest import PSI, Q0, QD0, bench_gains, random_gains
 from synthetic import make_synthetic, random_state
@@ -276,6 +277,28 @@ def test_open_loop_energy_conservation(cart):
     assert drift <= 1e-6
 
 
+def test_plant_response_matches_forward_dynamics_at_random_states(cart):
+    # the response the generic closed loop and the open-loop audit integrate:
+    # its drift with -grad V_a is the plant under zero force, without it the
+    # plant under +grad V_a, and each input column the response to a unit force
+    rng = np.random.default_rng(12)
+    plants = (cart, pinned_linear_2dof(), make_synthetic(2, 2, seed=41),
+              make_synthetic(1, 1, seed=42))
+    for plant in plants:
+        with_Va, without_Va = _plant_response(plant, True), _plant_response(plant, False)
+        for _ in range(20):
+            st = random_state(plant, rng)
+            x = np.concatenate([st.q, st.qd]).tolist()
+            sol, drift = with_Va(x)[1], forward_dynamics(plant, st, np.zeros(plant.m))
+            pairs = [(sol[:, 0], drift),
+                     (without_Va(x)[1][:, 0], forward_dynamics(plant, st, plant.gradVa(st.q_a)))]
+            pairs += [(sol[:, 1 + j], forward_dynamics(plant, st, e) - drift)
+                      for j, e in enumerate(np.eye(plant.m))]
+            scale = 1.0 + max(np.abs(want).max() for _, want in pairs)
+            for got, want in pairs:
+                assert np.abs(got - want).max() <= 1e-12 * scale, (plant.name, st)
+
+
 @pytest.mark.parametrize("dt", [0.0, np.nan])
 def test_open_loop_rejects_a_bad_step(cart, dt):
     with pytest.raises(ValueError, match="dt"):
@@ -514,8 +537,12 @@ def test_cart_callbacks_agree_with_their_derivatives_and_batches(cart):
 
 
 def test_open_loop_blow_up_aborts_like_the_closed_loop(cart, gains_cancel):
-    # a stage state that is no longer finite ends the run as SimulationAborted,
-    # not as the ValueError State raises on it
+    # a stage state that is no longer finite, or an inertia that is not
+    # positive definite, ends the run as SimulationAborted naming the time
+    flat = replace(cart, muu_fn=lambda q_u: [[0.0]])
+    with pytest.raises(SimulationAborted) as err:
+        simulate_open_loop(flat, [0.3, 0.0], [0.5, 0.1], t_end=0.01, dt=1e-3)
+    assert str(err.value) == "inertia matrix not positive definite at q_u=[0.3] (t=0s)"
     want = "state became non-finite at t=0.001s"
     with pytest.raises(SimulationAborted) as err:
         simulate_open_loop(cart, [0.1, 0.0], [1e200, 0.0], t_end=0.01, dt=1e-3)
@@ -871,7 +898,7 @@ def test_a_failed_share_fails_the_write_after_every_worker_is_reaped(bench_trace
         write_trace_csv(bench_trace, path)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert os.listdir(tmp_path) == ["trace.csv"]
+    assert os.listdir(tmp_path) == []
 
 
 def test_an_unwritable_path_fails_before_any_worker_starts(bench_trace, tmp_path, monkeypatch):
