@@ -9,7 +9,8 @@ Commands:
 Exit codes: 0 success, 2 assumption failure, 3 runtime singularity,
 4 acceptance failure, 5 invalid input (a malformed or unreadable scenario or --values,
 or a plant whose coupling potential V_N cannot be computed), 6 output could not be
-written (the trace CSV; a failed write leaves no trace.csv).
+written (an --out that cannot be a writable directory, found before any run, or a
+failed write; a failed trace write leaves no trace.csv).
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys as _stdsys
+import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +30,7 @@ import numpy as np
 import yaml
 
 from . import analysis, scenario as scn, sim
-from .controller import Gains
+from .controller import Gains, GainSignWarning
 from .passivity import IntegrabilityError, QuadratureError
 from .sim import SimulationAborted
 
@@ -52,14 +56,38 @@ def _load(args) -> scn.Scenario:
     return replace(sc, **overrides) if overrides else sc
 
 
-def _outdir(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class OutputError(Exception):
+    """An output path that cannot be written; the message names it."""
+
+
+@contextmanager
+def _writing(path: Path):
+    """``path``, its directory made; an OSError in the block is an :class:`OutputError`."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield path
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc}") from exc
+
+
+def _usable_out(path) -> Path:
+    """``path`` if its nearest existing ancestor is a writable directory, else
+    :class:`OutputError`; creates nothing, so rejected input leaves no output."""
+    near = Path(path).absolute()
+    while not os.path.exists(near):  # False, not an error, where it cannot look
+        near = near.parent
+    if not (near.is_dir() and os.access(near, os.W_OK | os.X_OK)):
+        raise OutputError(f"{path}: {near} is not a writable directory")
+    return Path(path)
+
+
+def _write(path: Path, text: str):
+    with _writing(path):
+        path.write_text(text)
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, default=float) + "\n")
+    _write(path, json.dumps(payload, indent=2, default=float) + "\n")
 
 
 def _gains_payload(gains: Gains) -> dict:
@@ -106,15 +134,15 @@ def _run_checks(sc: scn.Scenario) -> tuple:
 
 def cmd_check(args) -> int:
     sc = _load(args)
+    out = _usable_out(args.out) if args.out else None
     payload, ok, text = _run_checks(sc)
     if not sc.gains.sign_consistent:
         text += ("\n  note: outer gain signs differ, so the L2 disturbance bound "
                  "does not apply (deliberate for swing-up style shaping)")
     print(text)
-    if args.out:
-        out = _outdir(args.out)
+    if out:
         _write_json(out / "check.json", payload)
-        (out / "check.txt").write_text(text + "\n")
+        _write(out / "check.txt", text + "\n")
     return EXIT_OK if ok else EXIT_ASSUMPTION
 
 
@@ -148,26 +176,16 @@ def _summarize(sc: scn.Scenario, trace: sim.Trace) -> dict:
 
 
 def _simulate_and_write(sc: scn.Scenario, out: Path, extra: dict):
-    """Run the scenario, then create ``out`` and write the trace, its column
-    map and the summary plus ``extra`` there; ``(trace, summary)``, or the
-    exit code after an abort, which leaves ``out`` empty, or after a failed
-    trace write, which leaves no ``trace.csv``."""
-    try:
-        trace = sim.simulate(sc.system, sc.gains, sc.q0, sc.qd0, sc.t_end, sc.dt,
-                             controller=sc.controller, disturbance=sc.disturbance,
-                             setpoints=sc.setpoints)
-    except SimulationAborted as exc:
-        trace = None
-        print(f"simulation aborted: {exc}", file=_stdsys.stderr)
-    _outdir(out)
-    if trace is None:
-        return EXIT_SINGULARITY
-    try:
-        sim.write_trace_csv(trace, out / "trace.csv")
-    except OSError as exc:
-        print(f"output could not be written: {out / 'trace.csv'}: {exc}", file=_stdsys.stderr)
-        return EXIT_OUTPUT
-    sim.write_column_map(trace, out / "trace.columns")
+    """Run the scenario, then write the trace, its column map and the summary
+    plus ``extra`` into ``out``; ``(trace, summary)``.  A failed trace write
+    leaves no ``trace.csv``."""
+    trace = sim.simulate(sc.system, sc.gains, sc.q0, sc.qd0, sc.t_end, sc.dt,
+                         controller=sc.controller, disturbance=sc.disturbance,
+                         setpoints=sc.setpoints)
+    with _writing(out / "trace.csv") as path:
+        sim.write_trace_csv(trace, path)
+    with _writing(out / "trace.columns") as path:
+        sim.write_column_map(trace, path)
     summary = {**_summarize(sc, trace), **extra}
     _write_json(out / "summary.json", summary)
     return trace, summary
@@ -175,11 +193,8 @@ def _simulate_and_write(sc: scn.Scenario, out: Path, extra: dict):
 
 def cmd_simulate(args) -> int:
     sc = _load(args)
-    out = Path(args.out)
-    run = _simulate_and_write(sc, out, {})
-    if isinstance(run, int):
-        return run
-    trace, summary = run
+    out = _usable_out(args.out)
+    trace, summary = _simulate_and_write(sc, out, {})
     print(f"wrote {out / 'trace.csv'} ({trace.n_samples} samples)")
     print(json.dumps({k: summary[k] for k in
                       ("converged", "settle_time", "peak_abs_u", "min_abs_detK",
@@ -202,6 +217,7 @@ def cmd_sweep(args) -> int:
         print(f"invalid --values {args.values!r}: need numbers", file=_stdsys.stderr)
         return EXIT_INPUT
     sc = _load(args)
+    out = _usable_out(args.out)
     fields = ("value", "status", "settle_time", "peak_abs_u", "min_abs_detK", "a7", "dissipated")
     rows = []
     for value in values:
@@ -249,17 +265,17 @@ def cmd_sweep(args) -> int:
     writer.writerows(rows)
     table = buf.getvalue()
     print(table, end="")
-    (_outdir(args.out) / f"sweep_{args.param}.csv").write_text(table)
+    _write(out / f"sweep_{args.param}.csv", table)
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
     name = args.example
-    out = _outdir(args.out)
     failures = []
     doc = scn.builtin_scenario(name)
     sc = scn.scenario_from_dict(doc)
-    (out / "scenario.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
+    out = _usable_out(args.out)
+    _write(out / "scenario.yaml", yaml.safe_dump(doc, sort_keys=False))
 
     payload, checks_ok, text = _run_checks(sc)
     print(text)
@@ -282,10 +298,7 @@ def cmd_reproduce(args) -> int:
             "min_eig_Md": float(a7_sym.min_eig_profile.min()),
             "note": "informational; the gating certificate uses the scenario gate grid",
         }
-    run = _simulate_and_write(sc, out, extra)
-    if isinstance(run, int):
-        return run
-    trace, summary = run
+    trace, summary = _simulate_and_write(sc, out, extra)
 
     # every setpoint segment ends settled on its own target
     q = np.hstack([trace.q_u, trace.q_a])
@@ -316,9 +329,6 @@ def cmd_reproduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    import warnings
-    from .controller import GainSignWarning
-    warnings.filterwarnings("ignore", category=GainSignWarning)
     parser = argparse.ArgumentParser(
         prog="pidpbc",
         description="PID passivity-based control of underactuated mechanical systems")
@@ -357,10 +367,18 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # the caller's filters come back unchanged
+            warnings.simplefilter("ignore", GainSignWarning)
+            return args.func(args)
     except (scn.ScenarioError, IntegrabilityError, QuadratureError) as exc:
         print(f"invalid scenario: {exc}", file=_stdsys.stderr)
         return EXIT_INPUT
+    except SimulationAborted as exc:
+        print(f"simulation aborted: {exc}", file=_stdsys.stderr)
+        return EXIT_SINGULARITY
+    except OutputError as exc:
+        print(f"output could not be written: {exc}", file=_stdsys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -28,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .mechanics import (Array, MechanicalSystem, State, _T, _mv, _points, _solve,
-                        coriolis_decomposition)
+from .mechanics import (Array, MechanicalSystem, State, _T, _as_matrix, _finite, _mv, _points,
+                        _solve, coriolis_decomposition)
 from .passivity import passive_outputs, potential_integral_VN, schur_unactuated
 
 MODES = ("cancel_Va", "robust_A8")
@@ -55,33 +55,17 @@ class WellPosednessError(RuntimeError):
         return type(self), (self.q_u, self.det, self.floor, self.t)
 
 
-def _as_gain_matrix(value, m: int, name: str, *, definite: bool) -> Array:
-    mat = np.asarray(value, dtype=float)
-    if mat.ndim == 0:
-        mat = float(mat) * np.eye(m)
-    mat = np.atleast_2d(mat)
-    if mat.shape != (m, m):
-        raise ValueError(f"{name} must be scalar or {(m, m)}, got {mat.shape}")
-    if not np.allclose(mat, mat.T, atol=1e-12):
-        raise ValueError(f"{name} must be symmetric")
-    eigs = np.linalg.eigvalsh(mat)
-    if definite and eigs.min() <= 0.0:
-        raise ValueError(f"{name} must be positive definite")
-    if not definite and eigs.min() < -1e-12:
-        raise ValueError(f"{name} must be positive semidefinite")
-    return mat
-
-
 @dataclass(frozen=True)
 class Gains:
     """Controller gains, target position, and derivative-filter speed.
 
     ``k_e``, ``k_a``, ``k_u`` are the nonzero outer weights (``k_a != k_u``),
     none so large that a scalar coefficient of ``M_d`` or ``K`` overflows;
-    ``K_P``, ``K_I`` are symmetric positive definite and ``K_D`` positive
-    semidefinite (``K_D = 0`` is the PI law).  ``q_u_star``/``q_a_star`` fix
-    the desired equilibrium; the unactuated part must be a critical point of
-    the unactuated potential.  ``filter_a`` only matters for the filtered law.
+    ``K_P``, ``K_I`` positive definite and ``K_D`` semidefinite (``K_D = 0``
+    is the PI law), each as :func:`.mechanics._as_matrix` reads it.  The finite
+    ``q_u_star``/``q_a_star`` fix the desired equilibrium; the unactuated part
+    must be a critical point of ``V_u``.  ``filter_a`` only matters for the
+    filtered law.
     """
 
     k_e: float
@@ -97,8 +81,7 @@ class Gains:
 
     def __post_init__(self):
         for name in ("k_e", "k_a", "k_u", "filter_a"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            _finite(getattr(self, name), name)
         for name in ("k_e", "k_a", "k_u"):  # one by one: a product of tiny weights underflows
             if getattr(self, name) == 0.0:
                 raise ValueError(f"{name} must be nonzero")
@@ -108,9 +91,9 @@ class Gains:
             raise ValueError(f"mode must be one of {MODES}")
         if self.filter_a <= 0:
             raise ValueError("filter_a must be positive")
-        q_u_star = np.asarray(self.q_u_star, dtype=float).reshape(-1)
-        q_a_star = np.asarray(self.q_a_star, dtype=float).reshape(-1)
-        m = q_a_star.size
+        for name in ("q_u_star", "q_a_star"):
+            object.__setattr__(self, name, _finite(getattr(self, name), name).reshape(-1))
+        m = self.q_a_star.size
         k_e, k_a, k_u = (float(getattr(self, name)) for name in ("k_e", "k_a", "k_u"))
         try:  # the scalar coefficients of M_d, of K and of the floor |k_e|^m
             coefficients = ((k_a - k_u) ** 2, k_a * (k_a - k_u), k_a ** 2, k_e * k_a,
@@ -122,11 +105,8 @@ class Gains:
             raise ValueError(f"k_e={k_e:g} k_a={k_a:g} k_u={k_u:g} overflow a coefficient of "
                              f"the shaped inertia or of K; (k_a - k_u)^2; k_a (k_a - k_u); "
                              f"k_a^2; k_e k_a; k_e k_u and |k_e|^m must be finite")
-        object.__setattr__(self, "q_u_star", q_u_star)
-        object.__setattr__(self, "q_a_star", q_a_star)
-        object.__setattr__(self, "K_P", _as_gain_matrix(self.K_P, m, "K_P", definite=True))
-        object.__setattr__(self, "K_I", _as_gain_matrix(self.K_I, m, "K_I", definite=True))
-        object.__setattr__(self, "K_D", _as_gain_matrix(self.K_D, m, "K_D", definite=False))
+        for name, definite in (("K_P", True), ("K_I", True), ("K_D", False)):
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), m, name, definite))
         if not self.sign_consistent:
             warnings.warn(
                 "sign(k_e), sign(k_a), sign(k_u) differ; the L2 disturbance "

@@ -20,11 +20,14 @@ form* (a Python float in, a float out) and a *batch form* (a ``(..., k)``
 array in, an array that broadcasts to ``(..., *block)`` out, in one numpy
 call).  The ``s = m = 1`` integration steps on Python floats only when every
 callback it calls carries its float form, and on arrays otherwise.
-:func:`_per_point` evaluates a batch through the batch form when there is
-one and loops the callback point by point (:func:`_loop_points`) otherwise.
-The forms travel with the callback object, so replacing a callback in a
-plant (``dataclasses.replace``) drops them with it.  During integration
-callbacks are only called at finite positions.
+:func:`_read` is the one reader of a result at a point; :func:`_per_point`
+takes a batch through the batch form, or point by point (:func:`_loop_points`)
+without one.  :func:`_jacobian` is the one rule for a block's derivative: the
+analytic Jacobian, or the central difference without one.  The forms travel
+with the callback object, so replacing a callback in a plant
+(``dataclasses.replace``) drops them with it.  During integration callbacks
+are only called at finite positions.  Every matrix that enters a plant or
+gains passes the one check :func:`_as_matrix`.
 """
 
 from __future__ import annotations
@@ -152,25 +155,45 @@ def _batch(form: Callable[[Array], Array], q: Array, shape: tuple) -> Array:
     return out
 
 
+def _read(value, shape: tuple) -> Array:
+    """A callback's result at one point, as floats of ``shape``."""
+    return np.asarray(value, dtype=float).reshape(shape)
+
+
 def _per_point(fn: Callable[[Array], Array], q: Array, shape: tuple) -> Array:
     """Plant callback ``fn`` at ``q`` of shape ``(k,)`` or ``(..., k)``, each
     result reshaped to ``shape``; a batch goes through ``fn``'s batch form in
     one call when it has one, and point by point otherwise."""
     q = np.asarray(q, dtype=float)
     if q.ndim <= 1:
-        return np.asarray(fn(q), dtype=float).reshape(shape)
+        return _read(fn(q), shape)
     form = getattr(fn, "batch_form", None)
     if form is None:
         return _reuse(fn, q, lambda: _loop_points(fn, q, shape))
     return _reuse(fn, q, lambda: _batch(form, q, shape))
 
 
-def _as_spd(mat, name: str) -> Array:
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+def _finite(value, name: str) -> Array:
+    """``value`` as floats, or :class:`ValueError` naming ``name`` unless finite."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return arr
+
+
+def _as_matrix(value, n: int, name: str, definite: Optional[bool] = None) -> Array:
+    """``value`` (a scalar means that multiple of ``I``) as an ``(n, n)`` finite,
+    symmetric matrix, positive definite if ``definite``, semidefinite if
+    ``definite is False``; :class:`ValueError` naming ``name`` otherwise."""
+    mat = _finite(value, name)
+    mat = np.atleast_2d(mat * np.eye(n) if mat.ndim == 0 else mat)
+    if mat.shape != (n, n):
+        raise ValueError(f"{name} must be scalar or {(n, n)}, got {mat.shape}")
     if not np.allclose(mat, mat.T, atol=1e-12):
         raise ValueError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(mat).min() <= 0.0:
-        raise ValueError(f"{name} must be positive definite")
+    least = np.inf if definite is None else np.linalg.eigvalsh(mat).min()
+    if (least <= 0.0) if definite else (least < -1e-12):
+        raise ValueError(f"{name} must be positive {'definite' if definite else 'semidefinite'}")
     return mat
 
 
@@ -194,7 +217,8 @@ class MechanicalSystem:
     mau_fn : callable
         ``q_u -> (m, s)`` coupling inertia block.
     maa : array
-        Constant symmetric positive definite ``(m, m)`` actuated block.
+        Constant symmetric positive definite ``(m, m)`` actuated block; a
+        scalar means that multiple of the identity.
     Vu_fn, gradVu_fn : callable
         Unactuated potential ``q_u -> float`` and its gradient ``q_u -> (s,)``.
     Va_fn, gradVa_fn : callable
@@ -230,15 +254,12 @@ class MechanicalSystem:
     maa_inv: Array = field(init=False, repr=False)
 
     def __post_init__(self):
-        maa = _as_spd(self.maa, "maa")
-        if maa.shape != (self.m, self.m):
-            raise ValueError(f"maa must be {(self.m, self.m)}, got {maa.shape}")
-        object.__setattr__(self, "maa", maa)
-        object.__setattr__(self, "maa_inv", np.linalg.inv(maa))
+        object.__setattr__(self, "maa", _as_matrix(self.maa, self.m, "maa", definite=True))
+        object.__setattr__(self, "maa_inv", np.linalg.inv(self.maa))
         if self.affine_Va is not None:
             s_a, c0 = self.affine_Va
-            s_a = np.asarray(s_a, dtype=float).reshape(self.m)
-            object.__setattr__(self, "affine_Va", (s_a, float(c0)))
+            s_a = _finite(s_a, "affine_Va slope").reshape(self.m)
+            object.__setattr__(self, "affine_Va", (s_a, float(_finite(c0, "affine_Va offset"))))
 
     @property
     def n(self) -> int:
@@ -281,10 +302,7 @@ class State:
 
     def __post_init__(self):
         for name in ("q_u", "q_a", "qd_u", "qd_a"):
-            vec = _points(getattr(self, name), -1)
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} has non-finite entries")
-            object.__setattr__(self, name, vec)
+            object.__setattr__(self, name, _points(_finite(getattr(self, name), name), -1))
         if self.q_u.shape != self.qd_u.shape or self.q_a.shape != self.qd_a.shape \
                 or self.q_u.shape[:-1] != self.q_a.shape[:-1]:
             raise ValueError("position/velocity dimensions do not match")
@@ -319,23 +337,24 @@ def _central(v: Array) -> Array:
     return (-v[0] + 8 * v[1] - 8 * v[2] + v[3]) / (12 * FD_STEP)
 
 
-def _block_gradient(block: Callable, jac: Optional[Callable], shape: tuple, q_u: Array) -> Array:
-    """Derivative tensor ``d block[i, j] / d q_u[k]``, of shape (..., *shape): the analytic
-    Jacobian ``jac``, or the fourth-order central difference of ``block`` without one."""
-    if jac is None:
-        def jac(q):
-            return np.moveaxis(_central(_per_point(block, _stencil(q), shape[:2])), 0, -1)
-    return _per_point(jac, q_u, shape)
+def _jacobian(block: Callable, jac: Optional[Callable], shape: tuple) -> Callable:
+    """The callback ``q_u -> d block[i, j] / d q_u[k]`` of the block ``block``
+    with entries of ``shape``: the analytic Jacobian ``jac``, or without one
+    the fourth-order central difference of ``block``."""
+    if jac is not None:
+        return jac
+    return lambda q: np.moveaxis(_central(_per_point(block, _stencil(q), shape)), 0, -1)
 
 
 def muu_gradient(sys: MechanicalSystem, q_u: Array) -> Array:
     """Derivative tensor ``d m_uu[i, j] / d q_u[k]`` of shape (..., s, s, s)."""
-    return _block_gradient(sys.muu_fn, sys.muu_jac, (sys.s, sys.s, sys.s), q_u)
+    return _per_point(_jacobian(sys.muu_fn, sys.muu_jac, (sys.s,) * 2), q_u, (sys.s,) * 3)
 
 
 def mau_gradient(sys: MechanicalSystem, q_u: Array) -> Array:
     """Derivative tensor ``d m_au[i, j] / d q_u[k]`` of shape (..., m, s, s)."""
-    return _block_gradient(sys.mau_fn, sys.mau_jac, (sys.m, sys.s, sys.s), q_u)
+    s, m = sys.s, sys.m
+    return _per_point(_jacobian(sys.mau_fn, sys.mau_jac, (m, s)), q_u, (m, s, s))
 
 
 # ---------------------------------------------------------------------------

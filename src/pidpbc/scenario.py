@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 import yaml
 
-from .mechanics import MechanicalSystem
+from .mechanics import MechanicalSystem, _finite
 from .controller import Gains
 from .sim import SetpointStep, check_closed_loop
 from . import systems
@@ -51,11 +51,9 @@ def _entry(section: dict, name: str, default=None, convert=float):
 
 
 def _vec(section: dict, name: str, default, length: int) -> np.ndarray:
-    arr = _entry(section, name, default, lambda v: _floats(v).reshape(-1))
+    arr = _entry(section, name, default, lambda v: _finite(v, name).reshape(-1))
     if arr.size != length:
         raise ScenarioError(f"{name} must have {length} entries, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ScenarioError(f"{name} has non-finite entries: {arr}")
     return arr
 
 
@@ -212,7 +210,7 @@ def _parse(doc: dict) -> Scenario:
     csec = dict(doc.get("check", {}))
     _require_keys(csec, _CHECK_KEYS, "check")
     box = lambda key, k: _entry(csec, f"check.{key}", [[-1.0, 1.0]] * k,  # noqa: E731
-                                lambda v: _floats(v).reshape(k, 2))
+                                lambda v: _finite(v, f"check.{key}").reshape(k, 2))
     check_box = np.vstack([box("q_u_box", s), box("q_a_box", m)])
     samples = _entry(csec, "check.samples", 400, int)
     points = _entry(csec, "check.gate_points", 121, int)

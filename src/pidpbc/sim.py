@@ -19,10 +19,8 @@ route to the integrated law.  A scalar form of the same formulas serves an
 ``s = m = 1`` plant whose callbacks carry the float forms it calls (see
 :mod:`.mechanics`); every other plant runs the generic form.  The generic
 form and the open-loop energy audit :func:`simulate_open_loop` (at ``u =
-0``) integrate one :func:`_plant_response`: it keeps ``M`` and its
-right-hand side in buffers whose constant blocks are filled at build time,
-and takes the Coriolis force ``Mdot qd - 1/2 d(qd' M qd)/dq`` from one
-inertia-derivative tensor ``dM`` (``Mdot = dM qd_u``).  The generic law forms
+0``) integrate one :func:`_plant_response`, which reads its callbacks and
+their Jacobians by the rules of :mod:`.mechanics`.  The generic law forms
 its right-hand side as one product of the stacked gains ``[-K_P, -K_I, c K_D
 maa^{-1}]`` with ``[y_d; z1; act_row]``.  The tests pin the response to
 ``forward_dynamics``, the generic form to the reference functions and the
@@ -35,13 +33,8 @@ pass evaluates each callback over all samples at once, through its batch
 form when it has one.
 
 :func:`write_trace_csv` writes the bytes of ``np.savetxt`` at 17 significant
-digits.  It splits the rows into ``P = min(usable cores, rows //
-MIN_SHARE_ROWS)`` contiguous shares on its 128-row block boundaries: the
-caller formats the first, a forked worker each other one into a temporary
-file that the caller appends in order, so the bytes do not depend on ``P``.
-A trace shorter than ``2 * MIN_SHARE_ROWS`` rows, or a machine with one
-usable core or without ``os.fork``, gives ``P = 1`` and starts no worker.
-A failed write removes the file, so it leaves no partial trace.
+digits, its row shares formatted on every usable core (see there); a failed
+write leaves no partial trace.
 """
 
 from __future__ import annotations
@@ -57,7 +50,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .mechanics import (Array, DynamicsError, MechanicalSystem, SingularInertiaError, State,
-                        mau_gradient, muu_gradient, shared_samples)
+                        _finite, _jacobian, _read, shared_samples)
 from .controller import (ControllerState, Gains, WellPosednessError, approx_control,
                          check_target, closed_form_z1, det_floor, exact_control,
                          integrator_init, plant_input, wellposedness_matrix_K)
@@ -147,37 +140,33 @@ def _plant_response(sys: MechanicalSystem, drift_Va: bool):
     One solve with ``M(q_u)`` puts the drift ``qdd0`` (with ``-grad V_a`` when
     ``drift_Va``) in column 0 of ``sol`` and ``G = M^{-1} [0; I]`` in the rest."""
     s, m, n = sys.s, sys.m, sys.n
-    # a plant without an analytic Jacobian gets the fourth-order difference
-    muu_jac = sys.muu_jac or (lambda q_u: muu_gradient(sys, q_u))
-    mau_jac = sys.mau_jac or (lambda q_u: mau_gradient(sys, q_u))
+    muu_jac = _jacobian(sys.muu_fn, sys.muu_jac, (s, s))
+    mau_jac = _jacobian(sys.mau_fn, sys.mau_jac, (m, s))
     # M with its m_aa block, dM[i, j, k] = d M_ij / d q_u[k] and rhs = [drift | 0; I]
     M, dM = np.zeros((n, n)), np.zeros((n, n, s))
     M[s:, s:] = sys.maa
     rhs = np.zeros((n, 1 + m))
     rhs[s:, 1:] = np.eye(m)
 
-    def read(value, shape: tuple) -> Array:  # a callback result, as floats
-        return np.asarray(value, dtype=float).reshape(shape)
-
     def response(x: list) -> tuple:
         if not all(map(math.isfinite, x[:n])):  # callbacks see finite positions only
             raise ArithmeticError
         xv = np.asarray(x)
         q_u, qd = xv[:s], xv[n:2 * n]
-        mau = read(sys.mau_fn(q_u), (m, s))
-        M[:s, :s] = read(sys.muu_fn(q_u), (s, s))
+        mau = _read(sys.mau_fn(q_u), (m, s))
+        M[:s, :s] = _read(sys.muu_fn(q_u), (s, s))
         M[s:, :s] = mau
         M[:s, s:] = mau.T
-        dmau = read(mau_jac(q_u), (m, s, s))
-        dM[:s, :s] = read(muu_jac(q_u), (s, s, s))
+        dmau = _read(mau_jac(q_u), (m, s, s))
+        dM[:s, :s] = _read(muu_jac(q_u), (s, s, s))
         dM[s:, :s] = dmau
         dM[:s, s:] = dmau.transpose(1, 0, 2)
         # Coriolis force Mdot qd - 1/2 d(qd' M qd)/dq, the second term in the
         # unactuated rows only; Mdot qd's actuated rows are act_row
         mdot_qd = (dM @ qd[:s]) @ qd
         act_row = mdot_qd[s:]
-        rhs[:s, 0] = 0.5 * (qd @ (qd @ dM)) - mdot_qd[:s] - read(sys.gradVu_fn(q_u), (s,))
-        rhs[s:, 0] = -act_row - read(sys.gradVa_fn(xv[s:n]), (m,)) if drift_Va else -act_row
+        rhs[:s, 0] = 0.5 * (qd @ (qd @ dM)) - mdot_qd[:s] - _read(sys.gradVu_fn(q_u), (s,))
+        rhs[s:, 0] = -act_row - _read(sys.gradVa_fn(xv[s:n]), (m,)) if drift_Va else -act_row
         return xv, np.linalg.solve(M, rhs), M, mau, act_row
 
     return response
@@ -427,9 +416,7 @@ def _grid_index(t: float, dt: float, t_end: float, what: str) -> int:
 
 def _check_run(n: int, q0, qd0, t_end: float, dt: float) -> tuple:
     """``(q0, qd0, n_steps)`` of a run, or :class:`ValueError` on invalid input."""
-    q0, qd0 = (np.asarray(v, dtype=float).reshape(n) for v in (q0, qd0))
-    if not (np.all(np.isfinite(q0)) and np.all(np.isfinite(qd0))):
-        raise ValueError(f"q0 and qd0 must be finite, got {q0} and {qd0}")
+    q0, qd0 = (_finite(v, name).reshape(n) for v, name in ((q0, "q0"), (qd0, "qd0")))
     if not (np.isfinite(dt) and dt > 0.0 and np.isfinite(t_end)):
         raise ValueError(f"dt must be finite and positive and t_end finite, got {dt}, {t_end}")
     return q0, qd0, _grid_index(t_end, dt, t_end, "t_end")
@@ -722,28 +709,26 @@ def _write_rows(fh, data: Array, row_fmt: str) -> None:
 def write_trace_csv(trace: Trace, path) -> None:
     """Write the trace with a single header row and 17 significant digits.
 
-    The bytes are those of ``np.savetxt``, whatever the share count.  The
+    The bytes are those of ``np.savetxt``, whatever the share count: the
     rows split into ``P = min(usable cores, rows // MIN_SHARE_ROWS)``
-    contiguous shares (at least one) that start on block boundaries.  The
-    caller formats the first share into ``path``; a forked worker formats
-    each other share into an anonymous temporary file beside ``path`` and
-    leaves through ``os._exit``, so it never unwinds the caller's stack nor
-    flushes inherited buffers.  The caller reaps every worker, raises
-    :class:`OSError` naming ``path`` if one failed, and appends the shares in
-    order.  A share whose fork fails is formatted by the caller.  When any
-    share fails, the caller's or a worker's, ``path`` is removed before the
-    error propagates, so a failed write leaves no partial file.
+    contiguous shares (at least one) of nearly equal length, and each field
+    is formatted on its own.  The caller formats the first share into
+    ``path``; a forked worker formats each other share into an anonymous
+    temporary file beside ``path`` and leaves through ``os._exit``, so it
+    never unwinds the caller's stack nor flushes inherited buffers.  The
+    caller reaps every worker, raises :class:`OSError` naming ``path`` if one
+    failed, and appends the shares in order.  A share whose fork fails is
+    formatted by the caller.  When any share fails, the caller's or a
+    worker's, ``path`` is removed before the error propagates, so a failed
+    write leaves no partial file.  A trace shorter than ``2 *
+    MIN_SHARE_ROWS`` rows, or one usable core, starts no worker.
     """
     layout = _column_layout(trace)
     data = np.column_stack([col for _, col in layout])
     row_fmt = ",".join(["%.17g"] * data.shape[1]) + "\n"
     rows = len(data)
     n_shares = max(1, min(_usable_cores(), rows // MIN_SHARE_ROWS))
-    # share i starts at block ceil(i n_blocks / n_shares), so every share
-    # formats the blocks the one-share writer would
-    n_blocks = -(-rows // CSV_BLOCK_ROWS)
-    starts = [min(rows, -(-n_blocks * i // n_shares) * CSV_BLOCK_ROWS)
-              for i in range(n_shares)] + [rows]
+    starts = [rows * i // n_shares for i in range(n_shares + 1)]
     fh = open(path, "w")  # an unwritable path fails here, before any worker starts
     try:
         with fh, ExitStack() as files:

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .mechanics import MechanicalSystem, with_forms
+from .mechanics import MechanicalSystem, _as_matrix, with_forms
 
 GRAVITY = 9.81  # m/s^2
 
@@ -63,23 +63,21 @@ def cart_pendulum_incline(pendulum_mass: float = 0.14, cart_mass: float = 0.44,
 def linear_system(M, S_u, S_a=None, name: str = "linear") -> MechanicalSystem:
     """Linear plant with constant inertia ``M`` and block-diagonal stiffness.
 
-    The unactuated dimension is read off ``S_u``.  The coupling potential is
-    exact (``maa^{-1} m_au q_u``), and when the actuated stiffness is zero
-    the actuated potential is the zero affine function, so both controller
-    modes apply.  Each formula is one numpy expression that keeps leading
-    axes, so it is both the point callback and its batch form; with
-    ``s = m = 1`` it also carries a float form over the same matrix entries.
+    ``M`` is symmetric positive semidefinite with a positive definite
+    actuated block; ``S_u`` and ``S_a`` are symmetric, and ``S_u`` sets the
+    unactuated dimension.  The coupling potential is exact (``maa^{-1} m_au
+    q_u``), and when the actuated stiffness is zero the actuated potential is
+    the zero affine function, so both controller modes apply.  Each formula
+    is one numpy expression that keeps leading axes, so it is both the point
+    callback and its batch form; with ``s = m = 1`` it also carries a float
+    form over the same matrix entries.
     """
-    M = np.asarray(M, dtype=float)
-    S_u = np.atleast_2d(np.asarray(S_u, dtype=float))
-    s = S_u.shape[0]
-    m = M.shape[0] - s
-    if S_a is None:
-        S_a = np.zeros((m, m))
-    S_a = np.atleast_2d(np.asarray(S_a, dtype=float))
-    muu = M[:s, :s].copy()
-    mau = M[s:, :s].copy()
-    maa = M[s:, s:].copy()
+    M = _as_matrix(M, len(np.atleast_2d(M)), "M", definite=False)
+    S_u = _as_matrix(S_u, len(np.atleast_2d(S_u)), "S_u")
+    s, m = len(S_u), len(M) - len(S_u)
+    S_a = _as_matrix(0.0 if S_a is None else S_a, m, "S_a")
+    muu, mau = M[:s, :s].copy(), M[s:, :s].copy()
+    maa = _as_matrix(M[s:, s:].copy(), m, "maa", definite=True)  # named before the solve
     maa_inv_mau = np.linalg.solve(maa, mau)
     affine = (np.zeros(m), 0.0) if not np.any(S_a) else None
     zeros_u, zeros_a = np.zeros((s, s, s)), np.zeros((m, s, s))

@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pidpbc import (MechanicalSystem, SingularInertiaError, State,
+from pidpbc import (Gains, MechanicalSystem, SingularInertiaError, State,
                     assemble_inertia, coriolis_decomposition, forward_dynamics,
                     linear_system)
 from pidpbc.mechanics import mau_gradient, muu_gradient
 
-from conftest import PSI
+from conftest import BENCH, PSI
 from oracles import christoffel_coriolis, reduced_unactuated_dynamics
 from synthetic import make_synthetic, random_state
 
@@ -186,3 +188,46 @@ def test_state_validation():
         State([np.nan], [0.0], [0.0], [0.0])
     with pytest.raises(ValueError):
         State([0.0, 1.0], [0.0], [0.0], [0.0])
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("entry", ["K_P", "K_I", "K_D", "q_a_star", "maa", "affine_Va slope"])
+def test_non_finite_gain_and_plant_data_is_refused_naming_the_entry(cart, entry, value):
+    # a non-finite gain, target or plant constant is an input error where it
+    # enters, never a run that ends non-finite or a "singular" verdict
+    if entry == "maa":
+        make = lambda: replace(cart, maa=value)  # noqa: E731
+    elif entry == "affine_Va slope":
+        make = lambda: replace(cart, affine_Va=([value], 0.0))  # noqa: E731
+    else:
+        kwargs = {**BENCH, "q_u_star": [0.0], "q_a_star": [0.0]}
+        kwargs[entry] = [value] if entry == "q_a_star" else value
+        make = lambda: Gains(**kwargs)  # noqa: E731
+    with pytest.raises(ValueError, match=f"^{entry} must be finite"):
+        make()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(M=[[2.0, 5.0], [1.0, 1.0]], S_u=[[1.0]]), "M must be symmetric"),
+    (dict(M=[[1.0, 2.0], [2.0, 1.0]], S_u=[[1.0]]), "M must be positive semidefinite"),
+    (dict(M=np.eye(3), S_u=[[1.0, 2.0], [0.0, 1.0]]), "S_u must be symmetric"),
+    (dict(M=np.eye(4), S_u=np.eye(2), S_a=[[1.0, 0.5], [0.0, 1.0]]), "S_a must be symmetric"),
+    (dict(M=[[2.0, 1.0], [1.0, np.nan]], S_u=[[1.0]]), "M must be finite"),
+    (dict(M=[[1.0, 0.0], [0.0, 0.0]], S_u=[[1.0]]), "maa must be positive definite"),
+], ids=["asymmetric-M", "indefinite-M", "asymmetric-S_u", "asymmetric-S_a", "nan-M",
+        "singular-m_aa"])
+def test_linear_system_refuses_matrices_outside_the_class(kwargs, message):
+    # an asymmetric block would be dropped silently, and an asymmetric
+    # stiffness gives a gradient that is not the one of its potential
+    with pytest.raises(ValueError, match=message):
+        linear_system(**kwargs)
+
+
+def test_singular_semidefinite_inertia_and_scalar_blocks_are_accepted():
+    # semidefinite is the rule for M; a scalar m_aa or S_a means a multiple of I
+    assert linear_system(M=[[1.0, 1.0], [1.0, 1.0]], S_u=[[1.0]]).maa.tolist() == [[1.0]]
+    lin = linear_system(M=np.diag([3.0, 2.0, 2.0]), S_u=[[1.0]], S_a=0.5)
+    assert lin.gradVa(np.array([1.0, -2.0])).tolist() == [0.5, -1.0]
+    assert np.array_equal(replace(lin, maa=2.0).maa, 2.0 * np.eye(2))
+    with pytest.raises(ValueError, match="maa must be positive definite"):
+        replace(lin, maa=[[1.0, 2.0], [2.0, 1.0]])

@@ -10,6 +10,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,7 @@ PACKAGE_ERRORS = [
     pidpbc.IntegrabilityError("coupling rows are not gradient fields"),
     pidpbc.QuadratureError("V_N quadrature did not converge"),
     ScenarioError("gains.k_e is required"),
+    pidpbc.cli.OutputError("out/trace.csv: [Errno 28] No space left on device"),
     pidpbc.GainSignWarning("sign(k_e), sign(k_a), sign(k_u) differ"),
 ]
 
@@ -269,6 +271,68 @@ def test_a_failed_trace_write_exits_6_and_leaves_no_trace(tmp_path, capsys, monk
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("command", [["check"], ["simulate"],
+                                     ["sweep", "--param", "k_e", "--values", "2"],
+                                     ["reproduce", "linear"]],
+                         ids=["check", "simulate", "sweep", "reproduce"])
+def test_an_unusable_out_exits_6_before_any_run(tmp_path, capsys, monkeypatch, command):
+    # --out under a regular file is found once the scenario loads: one
+    # stderr line names it, nothing is simulated and nothing is written
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(pidpbc.sim, "simulate", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "o"
+    argv = command if command[0] == "reproduce" else \
+        [*command, "--scenario", str(write_scenario(tmp_path, builtin_scenario("linear")))]
+    assert cli_main([*argv, "--out", str(out)]) == 6
+    assert capsys.readouterr().err.splitlines() == [
+        f"output could not be written: {out}: {blocker} is not a writable directory"]
+    assert blocker.read_text() == ""
+
+
+def test_main_leaves_the_callers_warning_filters_alone(tmp_path):
+    # the bundled cart's gains are sign-inconsistent on purpose; main silences
+    # that warning for its own run only
+    path = write_scenario(tmp_path, builtin_scenario("cart_pendulum"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        before = list(warnings.filters)
+        assert cli_main(["check", "--scenario", str(path)]) in (0, 2)
+        assert warnings.filters == before
+
+
+def _linear_chain(**entries):
+    def edit(doc):
+        doc["system"].update(entries)
+    return edit
+
+
+@pytest.mark.parametrize("command", [["check"], ["simulate"],
+                                     ["sweep", "--param", "k_e", "--values", "2"]],
+                         ids=["check", "simulate", "sweep"])
+@pytest.mark.parametrize("edit, entry", [
+    (lambda doc: doc["gains"].update(K_P=float("inf")), "K_P must be finite"),
+    (lambda doc: doc["gains"].update(K_I=float("inf")), "K_I must be finite"),
+    (_linear_chain(inertia=[[2.0, 5.0], [1.0, 1.0]]), "M must be symmetric"),
+    (_linear_chain(inertia=[[1.0, 2.0], [2.0, 1.0]]), "M must be positive semidefinite"),
+    (_linear_chain(inertia=np.eye(3).tolist(), stiffness_unactuated=[[1.0, 2.0], [0.0, 1.0]]),
+     "S_u must be symmetric"),
+], ids=["inf-K_P", "inf-K_I", "asymmetric-inertia", "indefinite-inertia",
+        "asymmetric-stiffness"])
+def test_gain_and_plant_matrices_outside_the_class_exit_5(tmp_path, capsys, command, edit,
+                                                          entry):
+    doc = builtin_scenario("linear")
+    edit(doc)
+    path = write_scenario(tmp_path, doc)
+    assert cli_main([*command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario:") and entry in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def _with(section, key, value):
     def edit(doc):
         doc[section][key] = value
@@ -311,6 +375,7 @@ UNASSIGNABLE = {
       for t_s in (float("nan"), float("inf"), float("-inf"))),
     _with("run", "t_end_s", "abc"),
     _with("check", "q_u_box", [1.0]),
+    _with("check", "q_u_box", [[float("-inf"), 1.0]]),
     _top("system", {"kind": "custom", "factory": "no_such_mod:make"}),
     _top("system", {"kind": "custom", "factory": "pidpbc.systems:nope"}),
     _with("check", "samples", 0),
@@ -321,7 +386,7 @@ UNASSIGNABLE = {
     *UNASSIGNABLE.values(),
 ], ids=["unknown-key", "nan-k_e", "zero-dt", "nan-t_end", "nan-q0", "system-scalar",
         "initial-list", "step-scalar", "steps-mapping", "step-t-nan", "step-t-inf",
-        "step-t--inf", "t_end-text", "box-short",
+        "step-t--inf", "t_end-text", "box-short", "box-inf",
         "factory-module", "factory-callable", "zero-samples", "negative-samples",
         "zero-gate-points", "controller-pi", "filter_b", *UNASSIGNABLE])
 def test_malformed_scenario_exit_code(tmp_path, capsys, edit):
