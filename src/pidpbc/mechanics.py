@@ -26,8 +26,10 @@ without one.  :func:`_jacobian` is the one rule for a block's derivative: the
 analytic Jacobian, or the central difference without one.  The forms travel
 with the callback object, so replacing a callback in a plant
 (``dataclasses.replace``) drops them with it.  During integration callbacks
-are only called at finite positions.  Every matrix that enters a plant or
-gains passes the one check :func:`_as_matrix`.
+are only called at finite positions.  A callback is a function of its point
+alone: the simulator's diagnostics reuse the values the integration read at
+each sample.  Every matrix that enters a plant or gains passes the one check
+:func:`_as_matrix`.
 """
 
 from __future__ import annotations
@@ -189,7 +191,8 @@ def _as_matrix(value, n: int, name: str, definite: Optional[bool] = None) -> Arr
     mat = np.atleast_2d(mat * np.eye(n) if mat.ndim == 0 else mat)
     if mat.shape != (n, n):
         raise ValueError(f"{name} must be scalar or {(n, n)}, got {mat.shape}")
-    if not np.allclose(mat, mat.T, atol=1e-12):
+    # |A - A'| <= 1e-12 max(1, max |A|): an absolute bound on A's own scale
+    if np.any(np.abs(mat - mat.T) > 1e-12 * max(1.0, np.abs(mat).max(initial=0.0))):
         raise ValueError(f"{name} must be symmetric")
     least = np.inf if definite is None else np.linalg.eigvalsh(mat).min()
     if (least <= 0.0) if definite else (least < -1e-12):

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 import yaml
 
-from .mechanics import MechanicalSystem, _finite
+from .mechanics import MechanicalSystem, _as_matrix, _finite
 from .controller import Gains
 from .sim import SetpointStep, check_closed_loop
 from . import systems
@@ -37,7 +37,12 @@ def _require_keys(section: dict, allowed: set, name: str):
                             f"allowed: {sorted(allowed)}")
 
 
-def _entry(section: dict, name: str, default=None, convert=float):
+def _number(value) -> float:
+    """``value`` as a float, or :class:`ValueError` unless it is finite."""
+    return float(_finite(float(value), "value"))
+
+
+def _entry(section: dict, name: str, default=None, convert=_number):
     """``convert`` of the entry ``name`` (dotted, its last part the key in
     ``section``), ``default`` when absent; :class:`ScenarioError` naming the
     entry when it does not convert, or is absent and has no default."""
@@ -46,7 +51,7 @@ def _entry(section: dict, name: str, default=None, convert=float):
         raise ScenarioError(f"{name} is required")
     try:
         return convert(section.get(key, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{name}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -85,9 +90,10 @@ class Scenario:
 
 # key -> (argument of systems.cart_pendulum_incline, conversion); an absent
 # key keeps the builder's own default
-_CART_KEYS = {"pendulum_mass_kg": ("pendulum_mass", float), "cart_mass_kg": ("cart_mass", float),
-              "pendulum_length_m": ("length", float), "gravity_mps2": ("gravity", float),
-              "psi_deg": ("psi", lambda v: np.deg2rad(float(v)))}
+_CART_KEYS = {"pendulum_mass_kg": ("pendulum_mass", _number),
+              "cart_mass_kg": ("cart_mass", _number), "pendulum_length_m": ("length", _number),
+              "gravity_mps2": ("gravity", _number),
+              "psi_deg": ("psi", lambda v: np.deg2rad(_number(v)))}
 _SYSTEM_KEYS = {
     "cart_pendulum_incline": {"kind", *_CART_KEYS},
     "linear_chain": {"kind", "inertia", "stiffness_unactuated", "stiffness_actuated"},
@@ -105,10 +111,17 @@ def _build_system(section: dict) -> MechanicalSystem:
             arg: _entry(section, f"system.{key}", convert=convert)
             for key, (arg, convert) in _CART_KEYS.items() if key in section})
     if kind == "linear_chain":
-        M = section.get("inertia", [[2.0, 1.0], [1.0, 1.0]])
-        S_u = section.get("stiffness_unactuated", [[1.0]])
-        S_a = section.get("stiffness_actuated")
-        return systems.linear_system(M, S_u, S_a, name="linear-chain")
+        # each matrix passes the check of linear_system under its own key
+        matrix = lambda key, default, name, n=None, **kw: _entry(  # noqa: E731
+            section, f"system.{key}", default,
+            lambda v: _as_matrix(v, len(np.atleast_2d(v)) if n is None else n, name, **kw))
+        M = matrix("inertia", [[2.0, 1.0], [1.0, 1.0]], "M", definite=False)
+        S_u = matrix("stiffness_unactuated", [[1.0]], "S_u")
+        S_a = matrix("stiffness_actuated", 0.0, "S_a", n=len(M) - len(S_u))
+        try:
+            return systems.linear_system(M, S_u, S_a, name="linear-chain")
+        except ValueError as exc:  # what is left to refuse is the inertia's actuated block
+            raise ScenarioError(f"system.inertia: {type(exc).__name__}: {exc}") from exc
     spec = section.get("factory")
     if not spec or ":" not in spec:
         raise ScenarioError("custom system needs factory: \"module:callable\"")
@@ -174,11 +187,11 @@ def _parse(doc: dict) -> Scenario:
     q_u_star = _vec(tsec, "target.q_u", np.zeros(s), s)
     q_a_star = _vec(tsec, "target.q_a", np.zeros(m), m)
 
-    gain = lambda key, default=None, convert=float: _entry(  # noqa: E731
+    gain = lambda key, default=None, convert=_number: _entry(  # noqa: E731
         gsec, f"gains.{key}", default, convert)
     # mode and filter_a keep the defaults of Gains unless the document sets them
     optional = {key: gain(key, None, convert)
-                for key, convert in (("mode", str), ("filter_a", float)) if key in gsec}
+                for key, convert in (("mode", str), ("filter_a", _number)) if key in gsec}
     gains = Gains(
         k_e=gain("k_e"), k_a=gain("k_a"), k_u=gain("k_u"), K_P=gain("K_P", None, _floats),
         K_I=gain("K_I", None, _floats), K_D=gain("K_D", 0.0, _floats),

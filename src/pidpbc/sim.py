@@ -26,11 +26,13 @@ maa^{-1}]`` with ``[y_d; z1; act_row]``.  The tests pin the response to
 ``forward_dynamics``, the generic form to the reference functions and the
 scalar form to the generic one, at random states and over whole runs.
 The integrated state is a list of Python floats; the array forms convert at
-their own boundary (``np.asarray`` in, ``tolist`` out).  The scalar form also
-takes the whole RK4 step, its four stages on local floats, bitwise equal to
-the stage loop every other right-hand side runs in :func:`_rk4`.  The diagnostics
-pass evaluates each callback over all samples at once, through its batch
-form when it has one.
+their own boundary (``np.asarray`` in, ``tolist`` out).  Both forms take the
+whole RK4 step, bitwise the stage loop of :func:`_rk4`, the scalar one on
+local floats.  The generic step's first stages and a run's last state copy
+its reads of callbacks without a batch form into per-sample rows, which the
+diagnostics pass reuses (a callback is a function of its point alone, see
+:mod:`.mechanics`); it evaluates every other callback over all samples at
+once, through its batch form when it has one.
 
 :func:`write_trace_csv` writes the bytes of ``np.savetxt`` at 17 significant
 digits, its row shares formatted on every usable core (see there); a failed
@@ -50,7 +52,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .mechanics import (Array, DynamicsError, MechanicalSystem, SingularInertiaError, State,
-                        _finite, _jacobian, _read, shared_samples)
+                        _finite, _jacobian, _read, _reuse, shared_samples)
 from .controller import (ControllerState, Gains, WellPosednessError, approx_control,
                          check_target, closed_form_z1, det_floor, exact_control,
                          integrator_init, plant_input, wellposedness_matrix_K)
@@ -61,7 +63,7 @@ CONTROLLERS = ("exact", "approx")  # the PI law is "exact" at K_D = 0
 SWITCH_PAD = 2  # samples on each side of a setpoint switch the rate checks skip
 L2_ESTIMATE_FRACTION = 0.5  # leading share of the trace that sets the L2 offset
 CSV_BLOCK_ROWS = 128  # rows per % operation of the CSV writer
-MIN_SHARE_ROWS = 2048  # fewest CSV rows worth a forked worker (see write_trace_csv)
+MIN_SHARE_VALUES = 16384  # fewest CSV values worth a forked worker (see write_trace_csv)
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,10 @@ class SimulationAborted(DynamicsError):
 def _plant_response(sys: MechanicalSystem, drift_Va: bool):
     """The plant response ``qdd = qdd0 + G (u + d)``, any ``s`` and ``m``.
     ``response(x)`` on a state list starting with ``(q, qd)`` returns ``(xv,
-    sol, M, mau, act_row)``, ``xv`` the array of ``x``, or raises
-    :class:`ArithmeticError` on a non-finite position before any callback.
+    sol, M, act_row, reads)``, ``xv`` the array of ``x`` and ``reads`` the
+    values at ``q_u`` of the callbacks in ``response.reads`` (with their
+    shapes), or raises :class:`ArithmeticError` on a non-finite position
+    before any callback.
     One solve with ``M(q_u)`` puts the drift ``qdd0`` (with ``-grad V_a`` when
     ``drift_Va``) in column 0 of ``sol`` and ``G = M^{-1} [0; I]`` in the rest."""
     s, m, n = sys.s, sys.m, sys.n
@@ -154,21 +158,24 @@ def _plant_response(sys: MechanicalSystem, drift_Va: bool):
         xv = np.asarray(x)
         q_u, qd = xv[:s], xv[n:2 * n]
         mau = _read(sys.mau_fn(q_u), (m, s))
-        M[:s, :s] = _read(sys.muu_fn(q_u), (s, s))
+        M[:s, :s] = muu = _read(sys.muu_fn(q_u), (s, s))
         M[s:, :s] = mau
         M[:s, s:] = mau.T
         dmau = _read(mau_jac(q_u), (m, s, s))
-        dM[:s, :s] = _read(muu_jac(q_u), (s, s, s))
+        dM[:s, :s] = dmuu = _read(muu_jac(q_u), (s, s, s))
         dM[s:, :s] = dmau
         dM[:s, s:] = dmau.transpose(1, 0, 2)
         # Coriolis force Mdot qd - 1/2 d(qd' M qd)/dq, the second term in the
         # unactuated rows only; Mdot qd's actuated rows are act_row
         mdot_qd = (dM @ qd[:s]) @ qd
         act_row = mdot_qd[s:]
-        rhs[:s, 0] = 0.5 * (qd @ (qd @ dM)) - mdot_qd[:s] - _read(sys.gradVu_fn(q_u), (s,))
+        gradVu = _read(sys.gradVu_fn(q_u), (s,))
+        rhs[:s, 0] = 0.5 * (qd @ (qd @ dM)) - mdot_qd[:s] - gradVu
         rhs[s:, 0] = -act_row - _read(sys.gradVa_fn(xv[s:n]), (m,)) if drift_Va else -act_row
-        return xv, np.linalg.solve(M, rhs), M, mau, act_row
+        return xv, np.linalg.solve(M, rhs), M, act_row, (muu, mau, dmuu, dmau, gradVu)
 
+    response.reads = ((sys.muu_fn, (s, s)), (sys.mau_fn, (m, s)), (sys.muu_jac, (s, s, s)),
+                      (sys.mau_jac, (m, s, s)), (sys.gradVu_fn, (s,)))
     return response
 
 
@@ -176,7 +183,12 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
                         disturbance, det_tol: float):
     """Array evaluation for any ``s`` and ``m``: the response of
     :func:`_plant_response`, whose drift keeps the actuated potential slope
-    in ``robust_A8``, then the law; one closure serves one run at a time."""
+    in ``robust_A8``, then the law; one closure serves one run at a time.
+    It carries ``rk4_step(dt)``, the whole RK4 step of :func:`_rk4`, and
+    ``record(n_samples, dt)``, which returns ``(callback, rows)`` pairs, one
+    array of ``n_samples`` rows per callback of ``response.reads`` without a
+    batch form; from then on each call ``sample`` copies its reads into row
+    ``t / dt``: the first stage of each step and the last state of a run."""
     s, m, n = sys.s, sys.m, sys.n
     exact = controller == "exact"
     c, k_e, K_D, filter_a = gains.k_u - gains.k_a, gains.k_e, gains.K_D, gains.filter_a
@@ -189,13 +201,24 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
     # the law's right-hand side is one product with [y_d; z1; w]: w is act_row
     # in the exact law and the filtered derivative in the approximate one
     pid = np.hstack([-gains.K_P, -gains.K_I, c * K_D @ sys.maa_inv if exact else -K_D])
+    kept, sample_dt = [], 0.0  # (index in reads, callback, rows) while a run records
 
-    def eval_rhs(t: float, x) -> list:
-        xv, sol, _, mau, act_row = response(x)
+    def record(n_samples: int, dt: float) -> list:
+        nonlocal sample_dt
+        # a batch form costs the diagnostics pass less than the copy per sample
+        kept[:], sample_dt = [(i, fn, np.empty((n_samples,) + shape))
+                              for i, (fn, shape) in enumerate(response.reads)
+                              if fn is not None and getattr(fn, "batch_form", None) is None], dt
+        return [(fn, rows) for _, fn, rows in kept]
+
+    def eval_rhs(t: float, x, sample: bool = True) -> list:
+        xv, sol, _, act_row, reads = response(x)
+        for i, _, rows in kept if sample else ():
+            rows[round(t / sample_dt)] = reads[i]
         qd, z1v = xv[n:2 * n], xv[2 * n:2 * n + m]
 
         # y_d = L qd and yd_dot = L qdd - c maa^{-1} act_row
-        L[:, :s] = L_u @ mau
+        L[:, :s] = L_u @ reads[1]
         y_d = L @ qd
         if exact:
             # the PID as written, with yd_dot substituted: the matrix on u is K(q_u)
@@ -205,17 +228,32 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
             if abs(detK) < det_tol:
                 raise WellPosednessError(xv[:s], detK, det_tol, t)
             u = np.linalg.solve(K, pid @ np.concatenate((y_d, z1v, act_row)) - KD_Lsol[:, 0])
-            tail = (y_d,)
+            tail = y_d.tolist()
         else:
             z2dot = filter_a * (y_d - xv[2 * n + m:])
             u = (pid @ np.concatenate((y_d, z1v, z2dot))) / k_e
-            tail = (y_d, z2dot)
+            tail = y_d.tolist() + z2dot.tolist()
         # the disturbance enters at the plant input only; the law never sees it
         if disturbance is not None:
             u = u + np.asarray(disturbance(t), dtype=float).reshape(m)
         u1[1:] = u
-        return np.concatenate((qd, sol @ u1) + tail).tolist()
+        return qd.tolist() + (sol @ u1).tolist() + tail
 
+    def rk4_step(dt: float):
+        half, sixth = 0.5 * dt, dt / 6.0
+
+        def step(t: float, x: list) -> list:
+            # _rk4_stages written out, so that only the first stage is a sample
+            r1 = eval_rhs(t, x)
+            r2 = eval_rhs(t + half, [a + half * b for a, b in zip(x, r1)], False)
+            r3 = eval_rhs(t + half, [a + half * b for a, b in zip(x, r2)], False)
+            r4 = eval_rhs(t + dt, [a + dt * b for a, b in zip(x, r3)], False)
+            return [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                    for a, b1, b2, b3, b4 in zip(x, r1, r2, r3, r4)]
+
+        return step
+
+    eval_rhs.rk4_step, eval_rhs.record = rk4_step, record
     return eval_rhs
 
 
@@ -368,9 +406,10 @@ def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: flo
 
 
 def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, disturbance,
-              segments: list) -> dict:
+              segments: list, reads: Sequence = ()) -> dict:
     """Every trace column from the integrated states, in one pass over all
-    samples through the reference functions; ``segments`` as in :class:`Trace`."""
+    samples through the reference functions; ``segments`` as in :class:`Trace`,
+    and ``reads`` ``(callback, values at each sample's q_u)`` pairs to reuse."""
     s, m, n = sys.s, sys.m, sys.n
     N = X.shape[0]
     gains = segments[0][2]
@@ -382,6 +421,8 @@ def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, distu
         np.array([np.asarray(disturbance(tk), dtype=float).reshape(m) for tk in t])
     cols = dict(t=t, q_u=st.q_u, q_a=st.q_a, qd_u=st.qd_u, qd_a=st.qd_a, z1=z1, z2=z2, d=d)
     with shared_samples(st.q_u, st.q_a):
+        for fn, values in reads:  # stored as if the pass had called fn over st.q_u
+            _reuse(fn, st.q_u, lambda values=values: values)
         cs = ControllerState(z1, z2)
         # the integration already judged every sample by det_floor
         u = exact_control(sys, gains, st, cs, det_tol=0.0) if controller == "exact" \
@@ -484,11 +525,12 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
 
     X = np.empty((segments[-1][1] + 1, x.size))
     X[0] = x
+    reads = eval_rhs.record(len(X), dt) if hasattr(eval_rhs, "record") else ()
     for k0, k1, g in segments:
         X[k0, 2 * n: 2 * n + m] = integrator_init(sys, g, X[k0, :n])[0]
         _rk4(eval_rhs, X, k0, k1, dt)
 
-    cols = _diagnose(sys, X, dt, controller, disturbance, segments)
+    cols = _diagnose(sys, X, dt, controller, disturbance, segments, reads)
     return Trace(**cols, dt=dt, controller=controller, system=sys, gains=gains,
                  segments=tuple(segments))
 
@@ -710,24 +752,25 @@ def write_trace_csv(trace: Trace, path) -> None:
     """Write the trace with a single header row and 17 significant digits.
 
     The bytes are those of ``np.savetxt``, whatever the share count: the
-    rows split into ``P = min(usable cores, rows // MIN_SHARE_ROWS)``
+    rows split into ``P = min(usable cores, rows, values // MIN_SHARE_VALUES)``
     contiguous shares (at least one) of nearly equal length, and each field
-    is formatted on its own.  The caller formats the first share into
-    ``path``; a forked worker formats each other share into an anonymous
-    temporary file beside ``path`` and leaves through ``os._exit``, so it
-    never unwinds the caller's stack nor flushes inherited buffers.  The
-    caller reaps every worker, raises :class:`OSError` naming ``path`` if one
-    failed, and appends the shares in order.  A share whose fork fails is
-    formatted by the caller.  When any share fails, the caller's or a
-    worker's, ``path`` is removed before the error propagates, so a failed
-    write leaves no partial file.  A trace shorter than ``2 *
-    MIN_SHARE_ROWS`` rows, or one usable core, starts no worker.
+    is formatted on its own.  One fork and reap costs about as much as
+    formatting 7k values, so the floor counts values, not rows.  The caller
+    formats the first share into ``path``; a forked worker formats each other
+    share into an anonymous temporary file beside ``path`` and leaves through
+    ``os._exit``, so it never unwinds the caller's stack nor flushes inherited
+    buffers.  The caller reaps every worker, raises :class:`OSError` naming
+    ``path`` if one failed, and appends the shares in order.  A share whose
+    fork fails is formatted by the caller.  When any share fails, the
+    caller's or a worker's, ``path`` is removed before the error propagates,
+    so a failed write leaves no partial file.  A trace of fewer than ``2 *
+    MIN_SHARE_VALUES`` values, or one usable core, starts no worker.
     """
     layout = _column_layout(trace)
     data = np.column_stack([col for _, col in layout])
     row_fmt = ",".join(["%.17g"] * data.shape[1]) + "\n"
     rows = len(data)
-    n_shares = max(1, min(_usable_cores(), rows // MIN_SHARE_ROWS))
+    n_shares = max(1, min(_usable_cores(), rows, data.size // MIN_SHARE_VALUES))
     starts = [rows * i // n_shares for i in range(n_shares + 1)]
     fh = open(path, "w")  # an unwritable path fails here, before any worker starts
     try:

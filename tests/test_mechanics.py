@@ -223,6 +223,19 @@ def test_linear_system_refuses_matrices_outside_the_class(kwargs, message):
         linear_system(**kwargs)
 
 
+def test_symmetry_bound_is_absolute_on_the_matrix_scale():
+    # |A - A'| <= 1e-12 max(1, max |A|) with no relative slack per entry: an
+    # off-diagonal pair 1e-5 apart is asymmetric, not a coupling of 1.0;
+    # rounding at the matrix's own scale is not
+    with pytest.raises(ValueError, match="M must be symmetric"):
+        linear_system(M=[[2.0, 1.00001], [1.0, 1.0]], S_u=[[1.0]])
+    with pytest.raises(ValueError, match="S_u must be symmetric"):
+        linear_system(M=np.eye(3), S_u=[[1.0, 2e-12], [0.0, 1.0]])
+    big = 1e6 * np.array([[2.0, 1.0], [1.0, 1.0]])
+    big[0, 1] += 1e-7
+    assert linear_system(M=big, S_u=[[1.0]]).mau(np.zeros(1)).tolist() == [[big[1, 0]]]
+
+
 def test_singular_semidefinite_inertia_and_scalar_blocks_are_accepted():
     # semidefinite is the rule for M; a scalar m_aa or S_a means a multiple of I
     assert linear_system(M=[[1.0, 1.0], [1.0, 1.0]], S_u=[[1.0]]).maa.tolist() == [[1.0]]

@@ -418,6 +418,46 @@ def test_unparsable_entry_is_named(tmp_path, capsys, section, key, value):
     assert err.startswith(f"invalid scenario: {section}.{key}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("example, command, edit, entry", [
+    ("linear", ["check"], _with("check", "gate_pad", float("inf")), "check.gate_pad"),
+    ("linear", ["simulate"], _top("disturbance", {"kind": "sinusoid", "amplitude": [0.1],
+                                                  "frequency_hz": float("inf")}),
+     "disturbance.frequency_hz"),
+    ("cart_pendulum", ["check"], _with("system", "pendulum_mass_kg", float("nan")),
+     "system.pendulum_mass_kg"),
+    ("linear", ["check"], _with("check", "samples", float("inf")), "check.samples"),
+], ids=["inf-gate_pad", "inf-frequency", "nan-pendulum-mass", "inf-samples"])
+def test_a_non_finite_scenario_number_is_refused_where_it_enters(tmp_path, capsys, example,
+                                                                 command, edit, entry):
+    # not a RuntimeWarning, a non-finite state or a refused derived block
+    doc = builtin_scenario(example)
+    edit(doc)
+    path = write_scenario(tmp_path, doc)
+    assert cli_main([*command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid scenario: {entry}: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("edit, entry, message", [
+    (_linear_chain(inertia=[[2.0, 5.0], [1.0, 1.0]]), "inertia", "M must be symmetric"),
+    (_linear_chain(inertia=[[1.0, 0.0], [0.0, 0.0]]), "inertia",
+     "maa must be positive definite"),
+    (_linear_chain(inertia=np.eye(3).tolist(), stiffness_unactuated=[[1.0, 2.0], [0.0, 1.0]]),
+     "stiffness_unactuated", "S_u must be symmetric"),
+    (_linear_chain(inertia=np.eye(3).tolist(), stiffness_actuated=[[1.0, 2.0], [0.0, 1.0]]),
+     "stiffness_actuated", "S_a must be symmetric"),
+], ids=["asymmetric-inertia", "singular-actuated-block", "asymmetric-S_u", "asymmetric-S_a"])
+def test_a_refused_linear_chain_matrix_is_named_by_its_key(tmp_path, capsys, edit, entry,
+                                                           message):
+    doc = builtin_scenario("linear")
+    edit(doc)
+    path = write_scenario(tmp_path, doc)
+    assert cli_main(["check", "--scenario", str(path)]) == 5
+    err = capsys.readouterr().err
+    assert err == f"invalid scenario: system.{entry}: ValueError: {message}\n"
+
+
 @pytest.mark.parametrize("command", [["check"], ["simulate"],
                                      ["sweep", "--param", "k_e", "--values", "2"]],
                          ids=["check", "simulate", "sweep"])

@@ -337,6 +337,128 @@ def test_scalar_rk4_step_is_bitwise_the_stage_loop(cart, monkeypatch):
         assert np.array_equal(*rows), (plant.name, controller, mode, d is not None)
 
 
+def _generic_runs():
+    """(plant, gains, controller, disturbance) of generic-path runs: two
+    plants without batch forms, both laws, both modes, with and without a
+    disturbance."""
+    runs = []
+    for s, m in ((2, 2), (2, 1)):
+        plant = make_synthetic(s, m, seed=80 + m)
+        for controller, mode, d in itertools.product(CONTROLLERS, MODES,
+                                                     (None, _disturbance(m))):
+            g = random_gains(plant, np.random.default_rng(80 + m), mode=mode)
+            runs.append((plant, g, controller, d))
+    return runs
+
+
+def _generic_run(plant, g, controller, d, t_end=0.3):
+    """A run from a rest start off the target, with a setpoint step half way."""
+    m = plant.m
+    steps = [SetpointStep(t_end / 2, np.full(m, 0.1))]
+    return simulate(plant, g, np.linspace(0.2, -0.1, plant.n), np.zeros(plant.n), t_end=t_end,
+                    dt=1e-3, controller=controller, disturbance=d, setpoints=steps)
+
+
+def test_generic_rk4_step_is_bitwise_the_stage_loop(monkeypatch):
+    # the generic closure's own RK4 step against _rk4's stage loop over the
+    # same closure: every integrated row bit for bit, with both laws, both
+    # modes, with and without a disturbance, and a setpoint step
+    for plant, g, controller, d in _generic_runs():
+        assert callable(_build_eval_generic(plant, g, controller, d, 1e-10).rk4_step)
+        rows = []
+        for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
+            monkeypatch.setattr(pidpbc.sim, "_build_eval_generic", builder)
+            tr = _generic_run(plant, g, controller, d)
+            rows.append(np.hstack([tr.q_u, tr.q_a, tr.qd_u, tr.qd_a, tr.z1]
+                                  + ([tr.z2] if controller == "approx" else [])))
+        assert np.array_equal(*rows), (plant.s, plant.m, controller, g.mode, d is not None)
+
+
+def test_reused_reads_give_bitwise_the_trace_of_the_unseeded_pass(monkeypatch):
+    # the stage loop over a closure without record() leaves the diagnostics
+    # pass unseeded: every callback is called again at every sample; the
+    # reads the step copied give every column bit for bit, across a
+    # setpoint step, also where a plant differentiates its inertia blocks
+    runs = _generic_runs()[::3]
+    plant = replace(make_synthetic(2, 2, seed=82), muu_jac=None, mau_jac=None)
+    runs.append((plant, random_gains(plant, np.random.default_rng(82)), "exact", None))
+    for plant, g, controller, d in runs:
+        traces = []
+        for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
+            monkeypatch.setattr(pidpbc.sim, "_build_eval_generic", builder)
+            tr = _generic_run(plant, g, controller, d)
+            traces.append({f.name: getattr(tr, f.name) for f in fields(tr)
+                           if isinstance(getattr(tr, f.name), np.ndarray)})
+        assert traces[0].keys() == traces[1].keys()
+        for name, col in traces[0].items():
+            assert np.array_equal(col, traces[1][name]), (name, controller, g.mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_each_recorded_callback_is_called_once_less_per_sample(monkeypatch, mode):
+    # the first stage's reads of m_uu, m_au, their Jacobians and grad V_u
+    # stand in for the diagnostics pass's calls at every sample; V_u, V_a,
+    # grad V_a and V_N are not read by the step and are called as often as
+    # without the reuse
+    recorded = {"muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn"}
+    plant = make_synthetic(2, 2, seed=83)
+    g = random_gains(plant, np.random.default_rng(83), mode=mode)
+    counts = []
+    for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
+        monkeypatch.setattr(pidpbc.sim, "_build_eval_generic", builder)
+        calls = []
+        n_samples = _generic_run(_counted(plant, calls), g, "exact", None).n_samples
+        counts.append({name: calls.count(name) for name in set(calls)})
+    reused, unseeded = counts
+    assert reused.keys() == unseeded.keys() and recorded <= reused.keys()
+    for name, n_calls in unseeded.items():
+        assert reused[name] == n_calls - (n_samples if name in recorded else 0), name
+
+
+def test_a_plant_with_batch_forms_records_nothing(cart, gains_cancel):
+    # a batch form costs the diagnostics pass less than a copy per sample;
+    # the s = m = 2 chain runs the generic step in simulate
+    chain = linear_system(M=np.diag([3.0, 3.0, 1.0, 1.0]) + 0.5, S_u=np.eye(2))
+    g = Gains(q_u_star=np.zeros(2), q_a_star=np.zeros(2), **TOY_GAINS)
+    for plant, gg in ((cart, gains_cancel), (chain, g)):
+        for controller in CONTROLLERS:
+            rhs = _build_eval_generic(plant, gg, controller, None, 1e-10)
+            assert rhs.record(11, 1e-3) == [], (plant.name, controller)
+    # a callback without one among them is recorded alone
+    point_mau = replace(cart, mau_fn=lambda q_u: cart.mau_fn(q_u))
+    rows = _build_eval_generic(point_mau, gains_cancel, "exact", None, 1e-10).record(11, 1e-3)
+    assert [(fn, arr.shape) for fn, arr in rows] == [(point_mau.mau_fn, (11, 1, 1))]
+
+
+def test_an_aborted_generic_run_keeps_its_message(cart, gains_cancel, monkeypatch):
+    # a cart whose grad V_u has no float form runs the generic step, which
+    # records its reads; its aborts read as those of the stage loop: the
+    # non-finite state of a wide start and of the k_u = -300 sweep row, and
+    # a singular K under a high floor
+    plant = replace(cart, gradVu_fn=lambda q_u: cart.gradVu_fn(q_u))
+    wide = ([PSI + 0.85, -0.6], [-2.0, 0.0])
+    for g, (q0, qd0), t in ((gains_cancel, wide, 0.216),
+                            (bench_gains(k_u=-300.0), (Q0, QD0), 0.617)):
+        messages = []
+        for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
+            monkeypatch.setattr(pidpbc.sim, "_build_eval_generic", builder)
+            with pytest.raises(SimulationAborted) as err:
+                simulate(plant, g, q0, qd0, t_end=1.0, dt=1e-3)
+            messages.append(str(err.value))
+        assert messages == [f"state became non-finite at t={t:.6g}s"] * 2
+    monkeypatch.undo()
+
+    def recording(*args):
+        rhs = _build_eval_generic(*args)
+        rhs.record(2001, 1e-3)
+        return rhs
+
+    q0, qd0 = [PSI + 0.85, 0.0], [-2.0, 0.0]
+    messages = {_rk4_abort_message(plant, gains_cancel, builder, q0, qd0, 2000, 0.5)
+                for builder in (recording, _stage_loop(_build_eval_generic))}
+    assert len(messages) == 1 and messages.pop().startswith("well-posedness matrix singular at t=")
+
+
 def _rk4_abort_message(plant, g, builder, q0, qd0, n_steps, det_tol=None):
     """The abort message of a closed-loop run driven through ``_rk4``, with
     ``simulate``'s singularity floor unless ``det_tol`` is given."""
@@ -857,7 +979,7 @@ def _force_shares(monkeypatch, cores: int) -> list:
     list that each fork the writer asks for appends to."""
     forks, fork = [], os.fork
     monkeypatch.setattr(pidpbc.sim, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(pidpbc.sim, "MIN_SHARE_ROWS", 1)
+    monkeypatch.setattr(pidpbc.sim, "MIN_SHARE_VALUES", 1)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     return forks
 
