@@ -86,8 +86,23 @@ def _write(path: Path, text: str):
         path.write_text(text)
 
 
+def _finite_or_null(value):
+    """``value`` with each non-finite float, at any depth, as ``None``."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, (float, np.floating)) and not np.isfinite(value) else value
+
+
+def _json(payload: dict) -> str:
+    """Strict JSON of ``payload``: a non-finite float (an unsettled run's
+    ``settle_time``, the approximate law's ``min_abs_detK``) is ``null``."""
+    return json.dumps(_finite_or_null(payload), indent=2, default=float, allow_nan=False)
+
+
 def _write_json(path: Path, payload: dict):
-    _write(path, json.dumps(payload, indent=2, default=float) + "\n")
+    _write(path, _json(payload) + "\n")
 
 
 def _gains_payload(gains: Gains) -> dict:
@@ -196,9 +211,8 @@ def cmd_simulate(args) -> int:
     out = _usable_out(args.out)
     trace, summary = _simulate_and_write(sc, out, {})
     print(f"wrote {out / 'trace.csv'} ({trace.n_samples} samples)")
-    print(json.dumps({k: summary[k] for k in
-                      ("converged", "settle_time", "peak_abs_u", "min_abs_detK",
-                       "lyapunov_residual")}, indent=2, default=float))
+    print(_json({k: summary[k] for k in ("converged", "settle_time", "peak_abs_u",
+                                         "min_abs_detK", "lyapunov_residual")}))
     return EXIT_OK
 
 

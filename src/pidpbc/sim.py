@@ -26,11 +26,13 @@ maa^{-1}]`` with ``[y_d; z1; act_row]``.  The tests pin the response to
 ``forward_dynamics``, the generic form to the reference functions and the
 scalar form to the generic one, at random states and over whole runs.
 The integrated state is a list of Python floats; the array forms convert at
-their own boundary (``np.asarray`` in, ``tolist`` out).  Both forms take the
-whole RK4 step, bitwise the stage loop of :func:`_rk4`, the scalar one on
-local floats.  The generic step's first stages and a run's last state copy
-its reads of callbacks without a batch form into per-sample rows, which the
-diagnostics pass reuses (a callback is a function of its point alone, see
+their own boundary (``np.asarray`` in, ``tolist`` out) and call the float64
+gufuncs behind ``np.linalg`` without its wrapper, bitwise alike, so a singular
+matrix is NaN, which :func:`_rk4` aborts on.  Both forms take the whole RK4
+step, bitwise the stage loop of :func:`_rk4`, the scalar one on local floats.
+The generic step's first stages and a run's last state copy its reads of
+callbacks without a batch form into per-sample rows, which the diagnostics
+pass reuses (a callback is a function of its point alone, see
 :mod:`.mechanics`); it evaluates every other callback over all samples at
 once, through its batch form when it has one.
 
@@ -50,6 +52,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 from .mechanics import (Array, DynamicsError, MechanicalSystem, SingularInertiaError, State,
                         _finite, _jacobian, _read, _reuse, shared_samples)
@@ -172,7 +175,7 @@ def _plant_response(sys: MechanicalSystem, drift_Va: bool):
         gradVu = _read(sys.gradVu_fn(q_u), (s,))
         rhs[:s, 0] = 0.5 * (qd @ (qd @ dM)) - mdot_qd[:s] - gradVu
         rhs[s:, 0] = -act_row - _read(sys.gradVa_fn(xv[s:n]), (m,)) if drift_Va else -act_row
-        return xv, np.linalg.solve(M, rhs), M, act_row, (muu, mau, dmuu, dmau, gradVu)
+        return xv, _lapack.solve(M, rhs), M, act_row, (muu, mau, dmuu, dmau, gradVu)
 
     response.reads = ((sys.muu_fn, (s, s)), (sys.mau_fn, (m, s)), (sys.muu_jac, (s, s, s)),
                       (sys.mau_jac, (m, s, s)), (sys.gradVu_fn, (s,)))
@@ -224,10 +227,10 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
             # the PID as written, with yd_dot substituted: the matrix on u is K(q_u)
             KD_Lsol = K_D @ (L @ sol)
             K = k_eI + KD_Lsol[:, 1:]
-            detK = float(np.linalg.det(K))
+            detK = float(_lapack.det(K))  # a NaN (singular M) is left to the non-finite abort
             if abs(detK) < det_tol:
                 raise WellPosednessError(xv[:s], detK, det_tol, t)
-            u = np.linalg.solve(K, pid @ np.concatenate((y_d, z1v, act_row)) - KD_Lsol[:, 0])
+            u = _lapack.solve1(K, pid @ np.concatenate((y_d, z1v, act_row)) - KD_Lsol[:, 0])
             tail = y_d.tolist()
         else:
             z2dot = filter_a * (y_d - xv[2 * n + m:])
@@ -374,23 +377,21 @@ def _rk4_stages(rhs: Callable[[float, list], list], dt: float):
 def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: float) -> None:
     """Classical RK4 steps from row ``k0`` to row ``k1`` of ``X`` in place.
 
-    The state is a list of Python floats.  A step is ``rhs.rk4_step(dt)``
-    when ``rhs`` carries one, as the ``s = m = 1`` closure does: its four
-    stages run on local floats, bitwise equal to the stage loop
-    :func:`_rk4_stages`, which every other ``rhs`` takes.  Every early stop
-    of a run is the :class:`SimulationAborted` raised here: a new state is
-    not finite, a step divides by zero, or ``rhs`` raises
-    :class:`.WellPosednessError` or :class:`.SingularInertiaError` at a stage
-    or at the last state; ``rhs``
-    raises :class:`ArithmeticError` on a non-finite stage state before any
-    plant callback sees it.
+    The state is a list of Python floats.  A step is ``rhs.rk4_step(dt)`` when
+    ``rhs`` carries one (both closed-loop closures), else the stage loop
+    :func:`_rk4_stages` (the open-loop audit), bitwise alike.  The run holds
+    one error state, in which every floating-point error is silent, so that a
+    singular solve is NaN and divergence is caught by the explicit finiteness
+    checks.  Every early stop is the :class:`SimulationAborted` raised here: a
+    new state or the last state's derivative is not finite, or ``rhs`` raises
+    :class:`.WellPosednessError`, :class:`.SingularInertiaError` or
+    :class:`ArithmeticError` (a zero divisor, or a non-finite stage state,
+    which no plant callback sees).
     """
     make_step = getattr(rhs, "rk4_step", None)
     step = make_step(dt) if make_step else _rk4_stages(rhs, dt)
     x = X[k0].tolist()
-    # divergence is detected by the explicit finiteness check, so the
-    # transient inf/nan arithmetic on the way there stays silent
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         try:
             for k in range(k0, k1):
                 t = k * dt
@@ -398,10 +399,11 @@ def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: flo
                 X[k + 1] = x
                 if not all(map(math.isfinite, x)):
                     raise ArithmeticError
-            rhs(k1 * dt, x)
+            if not all(map(math.isfinite, rhs(k1 * dt, x))):
+                raise ArithmeticError
         except (WellPosednessError, SingularInertiaError) as exc:
             raise SimulationAborted(str(exc)) from exc
-        except (ArithmeticError, np.linalg.LinAlgError):  # a zero divisor is inf/nan in numpy
+        except ArithmeticError:
             raise SimulationAborted(f"state became non-finite at t={t + dt:.6g}s") from None
 
 
@@ -542,18 +544,16 @@ def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float) 
     Returns time, positions, velocities and the total energy, which is
     conserved for the unforced plant and serves as the integrator audit.
     Raises as :func:`simulate`, and ends in :class:`SimulationAborted` too
-    where the inertia is not positive definite.
+    where the inertia is not positive definite (its Cholesky factor is not finite).
     """
     s, n = sys.s, sys.n
     q0, qd0, n_steps = _check_run(n, q0, qd0, t_end, dt)
     response = _plant_response(sys, drift_Va=True)
 
     def rhs(t, x):
-        try:
-            sol, M = response(x)[1:3]
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            raise SingularInertiaError(x[:s], f"t={t:.6g}s") from None
+        sol, M = response(x)[1:3]
+        if not np.isfinite(_lapack.cholesky_lo(M)).all():
+            raise SingularInertiaError(x[:s], f"t={t:.6g}s")
         return x[n:] + sol[:, 0].tolist()
 
     X = np.empty((n_steps + 1, 2 * n))

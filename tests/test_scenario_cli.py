@@ -243,6 +243,26 @@ def test_summary_recomputable_from_csv(tmp_path):
     assert summary["min_abs_detK"] == np.abs(cols["detK"]).min()
 
 
+def test_summary_is_strict_json(tmp_path, capsys):
+    # an unsettled run's settle time is inf and the approximate law has no
+    # det K: both are null in summary.json and in the printed summary, which
+    # a strict parser (jq, JSON.parse) reads; NaN and Infinity are not JSON
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    path = write_scenario(tmp_path, builtin_scenario("linear"))
+    out = tmp_path / "o"
+    assert cli_main(["simulate", "--scenario", str(path), "--controller", "approx",
+                     "--t-end", "2", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+    assert summary["settle_time"] is None and summary["min_abs_detK"] is None
+    assert summary["converged"] is False and summary["peak_abs_u"] > 0
+    printed = capsys.readouterr().out
+    shown = json.loads(printed[printed.index("{"):], parse_constant=refuse)
+    assert shown == {k: summary[k] for k in shown}
+    assert shown["settle_time"] is None and shown["min_abs_detK"] is None
+
+
 def test_simulate_singularity_exit_code(tmp_path):
     doc = builtin_scenario("cart_pendulum")
     doc["initial"]["q_u"] = [float(np.deg2rad(20.0) + 0.85)]

@@ -16,7 +16,7 @@ from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted, Sta
                     verify_lyapunov, verify_passivity, write_column_map,
                     write_trace_csv)
 from pidpbc.controller import MODES, det_floor
-from pidpbc.sim import (CONTROLLERS, _build_eval_generic, _build_eval_scalar,
+from pidpbc.sim import (CONTROLLERS, _build_eval_generic, _build_eval_scalar, _lapack,
                         _plant_response, _rk4, simulate_open_loop)
 
 from conftest import PSI, Q0, QD0, bench_gains, random_gains
@@ -675,6 +675,78 @@ def test_open_loop_blow_up_aborts_like_the_closed_loop(cart, gains_cancel):
     for builder in (_build_eval_scalar, _build_eval_generic):
         assert _rk4_abort_message(cart, gains_cancel, builder, [0.1, 0.0], [1e200, 0.0],
                                   10) == want
+
+
+def test_the_step_gufuncs_are_bitwise_np_linalg():
+    # the step calls the gufuncs behind np.linalg without its wrapper: on the
+    # shapes it uses (M with 1 + m columns, K and its right-hand side) each
+    # gives np.linalg's result bit for bit, and NaN where np.linalg raises;
+    # a numpy that moves or changes them fails here, not in a trace
+    rng = np.random.default_rng(90)
+    for n in range(2, 6):
+        for m in range(1, n):
+            A = rng.normal(size=(n, n))
+            M, b = A @ A.T + n * np.eye(n), rng.normal(size=(n, 1 + m))
+            K, v = rng.normal(size=(m, m)), rng.normal(size=m)
+            assert np.array_equal(_lapack.solve(M, b), np.linalg.solve(M, b))
+            assert np.array_equal(_lapack.cholesky_lo(M), np.linalg.cholesky(M))
+            assert np.array_equal(_lapack.det(K), np.linalg.det(K))
+            assert np.array_equal(_lapack.solve1(K, v), np.linalg.solve(K, v))
+            M0, K0 = M.copy(), K.copy()  # singular, with non-zero entries
+            M0[:, -1] = M0[-1, :] = K0[:, -1] = 0.0
+            with np.errstate(all="ignore"):  # the run's error state
+                nans = [_lapack.solve(M0, b), _lapack.solve1(K0, v), _lapack.cholesky_lo(M0),
+                        _lapack.cholesky_lo(-M)]
+            assert all(np.isnan(got).all() for got in nans), (n, m)
+            for call, args in ((np.linalg.solve, (M0, b)), (np.linalg.solve, (K0, v)),
+                               (np.linalg.cholesky, (M0,)), (np.linalg.cholesky, (-M,))):
+                with pytest.raises(np.linalg.LinAlgError):
+                    call(*args)
+            assert _lapack.det(K0) == np.linalg.det(K0) == 0.0
+
+
+def test_a_run_calls_no_np_linalg_wrapper_per_step(monkeypatch):
+    # the generic step and the open-loop audit call the gufuncs directly:
+    # np.linalg's solve, det and cholesky run per run (the diagnostics pass,
+    # the integrator start), never per step, so a run ten times longer
+    # calls them as often
+    plant = make_synthetic(2, 2, seed=91)
+    g = random_gains(plant, np.random.default_rng(91))
+    calls = []
+    for name in ("solve", "det", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, fn=getattr(np.linalg, name), name=name,
+                            **kw: calls.append(name) or fn(*a, **kw))
+    q0, qd0 = np.linspace(0.2, -0.1, plant.n), np.zeros(plant.n)
+    counts = []
+    for t_end in (0.01, 0.1):
+        calls.clear()
+        for controller in CONTROLLERS:
+            simulate(plant, g, q0, qd0, t_end=t_end, dt=1e-3, controller=controller)
+        simulate_open_loop(plant, q0, qd0, t_end=t_end, dt=1e-3)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("controller", CONTROLLERS)
+def test_a_singular_inertia_at_the_last_state_aborts_the_run(controller):
+    # the evaluation at a run's last state is judged like every stage: an
+    # inertia singular there alone gives a NaN response, which ends in the
+    # non-finite abort at t_end, never in a "singularity" exit nor in an
+    # error of the diagnostics pass
+    plant = make_synthetic(2, 2, seed=92)
+    g = random_gains(plant, np.random.default_rng(92))
+    q0, qd0 = np.linspace(0.2, -0.1, plant.n), np.zeros(plant.n)
+    run = dict(t_end=0.05, dt=1e-3, controller=controller)
+    last = simulate(plant, g, q0, qd0, **run).q_u[-1]
+
+    def zero_at_last(fn):
+        return lambda q_u: np.zeros((2, 2)) if np.array_equal(q_u, last) else fn(q_u)
+
+    singular = replace(plant, muu_fn=zero_at_last(plant.muu_fn),
+                       mau_fn=zero_at_last(plant.mau_fn))
+    with pytest.raises(SimulationAborted) as err:
+        simulate(singular, g, q0, qd0, **run)
+    assert str(err.value) == "state became non-finite at t=0.05s"
 
 
 def test_only_a_non_finite_stage_position_is_an_abort(cart, gains_cancel):
