@@ -3,10 +3,11 @@
 For a constant-inertia plant with block-diagonal stiffness the closed loop
 is a quadratic matrix polynomial in the Laplace variable; asymptotic
 stability is equivalent to its determinant being Hurwitz.  The script builds
-the polynomial, takes its poles as the generalized eigenvalues of the
-first-order pencil (QZ), and confirms the predicted decay rate in simulation.  Any plant of the class linearises at
-its target to the same polynomial (inertia and potential Hessian taken at
-the target), so the cart-pendulum gets its local poles too.
+the polynomial, takes its poles from the first-order pencil by
+shift-invert, and confirms the predicted decay rate in simulation.  Any
+plant of the class linearises at its target to the same polynomial (inertia
+and potential Hessian taken at the target), so the cart-pendulum gets its
+local poles too.
 """
 
 import numpy as np

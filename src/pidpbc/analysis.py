@@ -145,24 +145,42 @@ def check_assumptions(sys: MechanicalSystem, sample_box, n_samples: int = 400,
             STATUS_FAIL, residual=float(sigmas.max()), witness=qu_samples[k],
             note=f"rank of the coupling block below {sys.s} at every sample")
     else:
-        grads = sys.gradVu(qu_samples)
-        note = f"worst coupling singular value {sigmas[k]:.3e}"
-        status = STATUS_SAMPLED
-        witness = qu_samples[k]
-        resid = float(sigmas[k])
-        for i in range(n_samples):
-            dq = np.linalg.norm(qu_samples[i + 1:] - qu_samples[i], axis=1)
-            dg = np.linalg.norm(grads[i + 1:] - grads[i], axis=1)
-            bad = (dq > 1e-6) & (dg < 1e-9)
-            if np.any(bad):
-                j = i + 1 + int(np.nonzero(bad)[0][0])
-                status = STATUS_FAIL
-                witness = np.stack([qu_samples[i], qu_samples[j]])
-                note = "gradient of the unactuated potential collides at two samples"
-                break
-        report.checks["A9"] = AssumptionCheck(status, residual=resid,
-                                              witness=witness, note=note)
+        pair = _gradient_collision(qu_samples, sys.gradVu(qu_samples))
+        if pair is None:
+            report.checks["A9"] = AssumptionCheck(
+                STATUS_SAMPLED, residual=float(sigmas[k]), witness=qu_samples[k],
+                note=f"worst coupling singular value {sigmas[k]:.3e}")
+        else:
+            report.checks["A9"] = AssumptionCheck(
+                STATUS_FAIL, residual=float(sigmas[k]), witness=qu_samples[list(pair)],
+                note="gradient of the unactuated potential collides at two samples")
     return report
+
+
+_COLLISION_BLOCK = 1 << 14  # sample pairs per block of the A9 screen
+
+
+def _gradient_collision(q: Array, grads: Array):
+    """First sample pair ``(i, j)``, ``i < j`` in row-major order, that lies
+    apart (``|q_j - q_i| > 1e-6``) but shares its gradient (``|g_j - g_i| <
+    1e-9``), or ``None``.  Distances are taken a block of rows at a time, so
+    no temporary grows to ``n^2``."""
+    n = len(q)
+    rows = max(1, _COLLISION_BLOCK // n)
+    qT, gT = q.T.copy(), grads.T.copy()  # coordinates first: the sums run over rows
+
+    def dist(xT, i0, i1):  # [r, c]: |x_j - x_i| for i = i0 + r, j = i0 + 1 + c
+        d = xT[:, None, i0 + 1:] - xT[:, i0:i1, None]
+        d *= d
+        return np.sqrt(d.sum(axis=0))
+
+    for i0 in range(0, n - 1, rows):
+        i1 = min(i0 + rows, n - 1)
+        bad = np.triu((dist(qT, i0, i1) > 1e-6) & (dist(gT, i0, i1) < 1e-9))
+        if bad.any():
+            r, c = np.unravel_index(np.argmax(bad), bad.shape)
+            return i0 + int(r), i0 + 1 + int(c)
+    return None
 
 
 def scan_A5(sys: MechanicalSystem, gains: Gains, q_u_grid) -> dict:
@@ -318,6 +336,11 @@ def check_A7(sys: MechanicalSystem, gains: Gains, q_u_grid) -> A7Result:
 # Closed loop linearised at the target: polynomial matrix and Hurwitz test
 # ---------------------------------------------------------------------------
 
+# real shifts of linear_closed_loop, the second where the first is a pole; both
+# positive, so a loop with a pole at or near a shift is unstable whatever its roots
+POLE_SHIFTS = (1.0, 2.0 ** 0.5)
+
+
 @dataclass
 class LinearClosedLoop:
     coeff_s2: Array
@@ -340,10 +363,18 @@ def linear_closed_loop(sys: MechanicalSystem, gains: Gains) -> LinearClosedLoop:
     exact closed loop.  The equilibrium is locally exponentially stable
     exactly when the determinant of ``C2 s^2 + C1 s + C0`` is a Hurwitz
     polynomial, and ``max_real`` is then the local decay rate.  The poles
-    are the generalized eigenvalues (QZ) of the first-order pencil
-    ``[[0, I], [-C0, -C1]] - s diag(I, C2)``.  ``C2`` is singular exactly
-    when A5 fails at the target; QZ then returns an infinite pole, so such a
-    loop is never reported Hurwitz.
+    are those of the first-order pencil ``A - s B``, ``A = [[0, I], [-C0,
+    -C1]]``, ``B = diag(I, C2)``, found by shift-invert: each eigenvalue
+    ``mu`` of ``X = (A - sigma B)^{-1} B`` is a pole ``sigma + 1/mu``.  A
+    ``mu`` within numpy's rank tolerance of zero (``2n eps ||X||_2``, as in
+    ``matrix_rank``) is an infinite pole.  ``C2`` is singular exactly when A5
+    fails at the target; the loop then has an infinite pole, ``max_real`` is
+    ``inf`` and it is never reported Hurwitz.  ``sigma`` is the first of
+    :data:`POLE_SHIFTS`, the second only where the first is itself a pole
+    (LAPACK finds ``A - sigma B`` exactly singular).  A pencil singular at
+    both shifts (``det(C2 s^2 + C1 s + C0)`` vanishing identically, as for
+    an unactuated coordinate without inertia) has NaN roots and is not
+    Hurwitz.  The roots come in ``np.sort_complex`` order.
     """
     q_u_star = gains.q_u_star
     M = assemble_inertia(sys, q_u_star)
@@ -368,9 +399,21 @@ def linear_closed_loop(sys: MechanicalSystem, gains: Gains) -> LinearClosedLoop:
     C0[s:, :s] = gains.K_I @ m0 / k_e
     C0[s:, s:] = k_a * gains.K_I / k_e
 
-    from scipy.linalg import eigvals
     I, O = np.eye(n), np.zeros((n, n))
-    roots = eigvals(np.block([[O, I], [-C0, -C1]]), np.block([[I, O], [O, C2]]))
+    A = np.block([[O, I], [-C0, -C1]])
+    B = np.block([[I, O], [O, C2]])
+    roots = np.full(2 * n, complex(np.nan, 0.0))  # a pencil singular at every shift
+    for sigma in POLE_SHIFTS:
+        try:
+            X = np.linalg.solve(A - sigma * B, B)
+        except np.linalg.LinAlgError:  # sigma is a pole
+            continue
+        mu = np.linalg.eigvals(X)
+        finite = np.abs(mu) > 2 * n * np.finfo(float).eps * np.linalg.norm(X, 2)
+        roots[:] = np.inf
+        roots[finite] = sigma + 1.0 / mu[finite]
+        break
+    roots = np.sort_complex(roots)
     max_real = float(roots.real.max())
     return LinearClosedLoop(
         coeff_s2=C2, coeff_s1=C1, coeff_s0=C0, roots=roots, max_real=max_real,

@@ -53,8 +53,9 @@ def pencil_determinant(C2: Array, C1: Array, C0: Array) -> tuple[Array, Array]:
     """Ascending coefficients and roots of ``det(C2 s^2 + C1 s + C0)``.
 
     Expands the 2x2 determinant exactly in polynomial arithmetic, trimming
-    only exactly zero leading coefficients; independent of the QZ route of
-    :func:`linear_closed_loop`, whose finite poles these roots must match.
+    only exactly zero leading coefficients; independent of the shift-invert
+    route of :func:`linear_closed_loop`, whose finite poles these roots must
+    match.
     """
     E = np.stack([C0, C1, C2], axis=-1)  # E[i, j]: ascending entry (i, j)
     assert E.shape == (2, 2, 3)

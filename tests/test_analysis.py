@@ -10,6 +10,7 @@ from pidpbc import (Gains, State, assemble_inertia, check_A7,
                     linear_system, lyapunov_Hd_and_U, passive_outputs,
                     pinned_linear_2dof, simulate, storage_functions,
                     wellposedness_matrix_K)
+from pidpbc import analysis
 from pidpbc.analysis import fd_gradient, scan_A5
 
 from conftest import PSI, bench_gains, random_gains
@@ -54,6 +55,35 @@ def test_assumptions_block_diagonal_fails_a9():
     assert rep.checks["A9"].status == "fail"
     assert rep.checks["A6"].status == "sampled-pass"
     assert not rep.passed
+
+
+def test_assumptions_a9_gradient_collision_fails():
+    # S_u = 0 makes every gradient of V_u zero, so the first two samples,
+    # apart and of equal gradient, are the first colliding pair
+    lin = linear_system(M=[[2.0, 1.0], [1.0, 1.0]], S_u=[[0.0]])
+    rep = check_assumptions(lin, box_for(lin), n_samples=50, seed=4)
+    a9 = rep.checks["A9"]
+    rng = np.random.default_rng(4)
+    qu = rng.uniform(-1.0, 1.0, size=(50, 1))
+    assert a9.status == "fail" and not rep.passed
+    assert np.array_equal(a9.witness, qu[:2])
+    assert a9.note == "gradient of the unactuated potential collides at two samples"
+
+
+def test_gradient_collision_screen_finds_the_first_pair_in_any_block(monkeypatch):
+    rng = np.random.default_rng(5)
+    q = rng.uniform(-1.0, 1.0, size=(40, 2))
+    grads = rng.uniform(-1.0, 1.0, size=(40, 2))
+    grads[33] = grads[17]  # first colliding pair in row-major order
+    grads[25] = grads[20]
+    grads[9], q[9] = grads[5], q[5] + 1e-8  # equal gradients, but no distance apart
+    want = next((i, j) for i in range(40) for j in range(i + 1, 40)
+                if np.linalg.norm(q[j] - q[i]) > 1e-6 and np.linalg.norm(grads[j] - grads[i]) < 1e-9)
+    assert want == (17, 33)
+    for block in (1 << 14, 120, 40, 1):  # all rows at once, 3 rows, 1 row, 1 row
+        monkeypatch.setattr(analysis, "_COLLISION_BLOCK", block)
+        assert analysis._gradient_collision(q, grads) == want
+        assert analysis._gradient_collision(q[:17], grads[:17]) is None
 
 
 def test_assumptions_linear_structural_pass():
@@ -300,6 +330,89 @@ def test_singular_leading_matrix_is_not_hurwitz():
     assert max(np.min(np.abs(oracle - r)) for r in finite) < 1e-8
 
 
+def _qz_poles(lcl):
+    from scipy.linalg import eigvals  # test-only dependency: the package has no QZ
+    n = len(lcl.coeff_s2)
+    I, O = np.eye(n), np.zeros((n, n))
+    return eigvals(np.block([[O, I], [-lcl.coeff_s0, -lcl.coeff_s1]]),
+                   np.block([[I, O], [O, lcl.coeff_s2]]))
+
+
+def _assert_poles_match_qz(lcl):
+    qz = _qz_poles(lcl)
+    assert np.array_equal(lcl.roots, np.sort_complex(lcl.roots))
+    assert np.count_nonzero(np.isinf(lcl.roots)) == np.count_nonzero(~np.isfinite(qz))
+    ours, qz = lcl.roots[np.isfinite(lcl.roots)], qz[np.isfinite(qz)]
+    assert ours.size == qz.size
+    # nearest neighbours both ways: a one-to-one match within 1e-10 relative
+    gap = np.abs(ours[:, None] - qz[None, :])
+    assert np.all(gap.min(axis=1) <= 1e-10 * np.abs(ours))
+    assert np.all(gap.min(axis=0) <= 1e-10 * np.abs(qz))
+
+
+def test_linear_closed_loop_poles_match_qz(cart):
+    lin = pinned_linear_2dof()
+    rng = np.random.default_rng(33)  # the gain sets of test_hurwitz_flag_matches_pencil_spectrum
+    loops = [linear_closed_loop(lin, random_gains(lin, rng)) for _ in range(30)]
+    loops += [linear_closed_loop(cart, bench_gains(k_u=k_u)) for k_u in (-500.0, -450.0)]
+    for s, m, seed in ((1, 2, 60), (2, 1, 61), (2, 2, 62), (3, 2, 63), (2, 3, 64)):
+        plant = make_synthetic(s, m, seed=seed)  # n = 3, 4, 5: beyond the 2x2 oracle
+        rng = np.random.default_rng(seed)
+        loops += [linear_closed_loop(plant, random_gains(plant, rng)) for _ in range(3)]
+    for lcl in loops:
+        _assert_poles_match_qz(lcl)
+
+
+def test_singular_leading_matrix_has_the_infinite_poles_of_qz():
+    lin = linear_system(M=[[2.0, 1.0], [1.0, 1.0]], S_u=[[-1.0]], S_a=[[0.0]])
+    g = Gains(k_e=0.5, k_a=0.5, k_u=-2.5, K_P=0.5, K_I=0.1, K_D=0.25,
+              q_u_star=[0.0], q_a_star=[0.0])
+    lcl = linear_closed_loop(lin, g)
+    assert np.count_nonzero(np.isinf(lcl.roots)) == 1
+    _assert_poles_match_qz(lcl)
+
+
+def test_pole_on_the_first_shift_takes_the_second(monkeypatch):
+    # S_u = 0 leaves s^2 [m_uu, m_au^T] as the unactuated row of the loop, so
+    # s = 0 is an exact double pole: with 0.0 as the first shift LAPACK finds
+    # A - 0 B singular, and the second shift gives the poles
+    lin = linear_system(M=[[2.0, 1.0], [1.0, 1.0]], S_u=[[0.0]])
+    g = Gains(k_e=1.0, k_a=1.0, k_u=0.5, K_P=4.0, K_I=2.0, K_D=1.0,
+              q_u_star=[0.0], q_a_star=[0.0])
+    second = analysis.POLE_SHIFTS[1]
+    monkeypatch.setattr(analysis, "POLE_SHIFTS", (second,))
+    direct = linear_closed_loop(lin, g).roots
+    monkeypatch.setattr(analysis, "POLE_SHIFTS", (0.0, second))
+    lcl = linear_closed_loop(lin, g)
+    assert np.array_equal(lcl.roots, direct)
+    assert not lcl.hurwitz
+    coeffs, _ = pencil_determinant(lcl.coeff_s2, lcl.coeff_s1, lcl.coeff_s0)
+    assert np.allclose(coeffs, [0.0, 0.0, 3.0, 6.0, 2.5], atol=1e-12)
+    # a double root moves by about sqrt(eps) in either method, so the pair at
+    # zero is counted and the other two poles are matched to QZ
+    qz = _qz_poles(lcl)
+    at_zero, qz_at_zero = np.abs(lcl.roots) < 1e-6, np.abs(qz) < 1e-6
+    assert np.count_nonzero(at_zero) == np.count_nonzero(qz_at_zero) == 2
+    rest = lcl.roots[~at_zero]
+    assert np.abs(rest - np.sort_complex(np.roots([2.5, 6.0, 3.0]))).max() < 1e-12
+    gap = np.abs(rest[:, None] - qz[~qz_at_zero][None, :])
+    assert np.all(gap.min(axis=1) <= 1e-10 * np.abs(rest))
+
+
+def test_pole_at_the_first_shift_and_a_pencil_singular_everywhere():
+    g = Gains(k_e=1.0, k_a=1.0, k_u=0.5, K_P=4.0, K_I=2.0, K_D=1.0,
+              q_u_star=[0.0], q_a_star=[0.0])
+    # decoupled with S_u = -m_uu: the unactuated poles are exactly -1 and +1,
+    # the first shift
+    lcl = linear_closed_loop(linear_system(M=np.eye(2), S_u=[[-1.0]]), g)
+    assert lcl.max_real == 1.0 and lcl.hurwitz is False
+    _assert_poles_match_qz(lcl)
+    # no inertia on q_u: det(C2 s^2 + C1 s + C0) vanishes for every s
+    lcl = linear_closed_loop(linear_system(M=[[0.0, 0.0], [0.0, 1.0]], S_u=[[0.0]]), g)
+    assert np.isnan(lcl.roots).all() and np.isnan(lcl.max_real)
+    assert lcl.hurwitz is False
+
+
 # local poles of the cart-pendulum loop linearised at the upright target, for
 # the benchmark gains and the k_u = -450 variant
 CART_ROOTS = {
@@ -313,8 +426,8 @@ CART_ROOTS = {
 @pytest.mark.parametrize("k_u", sorted(CART_ROOTS))
 def test_linear_closed_loop_linearises_cart_at_target(cart, k_u):
     lcl = linear_closed_loop(cart, bench_gains(k_u=k_u))
-    # sort on rounded values: QZ may return a conjugate pair whose real parts
-    # are one ulp apart, which would flip the pair's order
+    # sort on rounded values: the two roots of a conjugate pair may have real
+    # parts one ulp apart, which would order the pair by that ulp
     roots = lcl.roots[np.argsort(np.round(lcl.roots, 9))]
     assert np.abs(roots - CART_ROOTS[k_u]).max() < 1e-6
     _, oracle = pencil_determinant(lcl.coeff_s2, lcl.coeff_s1, lcl.coeff_s0)

@@ -10,6 +10,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -31,13 +32,42 @@ def write_scenario(tmp_path, doc, name="scenario.yaml"):
 
 
 def test_import_loads_no_scipy():
-    # importing scipy costs about 0.3 s; the few functions that need it
-    # import it on first call, so every command starts without it
+    # importing scipy costs about 0.3 s and 26 MB; the package never imports
+    # it, so every command starts without it
     code = "import sys, pidpbc; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     env = dict(os.environ, PYTHONPATH=str(Path(pidpbc.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_command_needs_scipy(tmp_path):
+    # scipy made unimportable: every command still exits 0 on the bundled
+    # scenarios, and no scipy module is loaded
+    code = textwrap.dedent("""\
+        import json, sys
+        sys.modules["scipy"] = None
+        import yaml
+        from pidpbc import scenario
+        from pidpbc.cli import main
+        for name in scenario.EXAMPLES:
+            with open(name + ".yaml", "w") as fh:
+                yaml.safe_dump(scenario.builtin_scenario(name), fh, sort_keys=False)
+        codes = [main(["check", "--scenario", "cart_pendulum.yaml"]),
+                 main(["simulate", "--scenario", "cart_pendulum_ku450.yaml",
+                       "--t-end", "1", "--out", "sim"]),
+                 main(["sweep", "--scenario", "linear.yaml", "--t-end", "1",
+                       "--param", "K_P", "--values", "0.5,1", "--out", "sw"]),
+                 main(["reproduce", "linear", "--out", "rep"])]
+        loaded = [m for m, mod in sys.modules.items()
+                  if m.split(".")[0] == "scipy" and mod is not None]
+        print(json.dumps([codes, loaded]))
+        """)
+    env = dict(os.environ, PYTHONPATH=str(Path(pidpbc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0, 0], []]
 
 
 def test_l2_gain_loads_no_scipy_integrate():
@@ -747,15 +777,15 @@ def test_sweep_dissipation_ordering(tmp_path):
 REPRODUCE_DIGESTS = {
     "cart_pendulum": (
         "62a612b1a79677bf389b076b7558081545ca0ee65400653aab76f06859ba458a",
-        "4258906016a4cb012b8b8cd9047a0f7d42b73280054dc3d4361fbd9ca8e80ba8",
+        "88c2ac125dfcb8d002d2074ac87053eda0ae8dea01fee4374c0f04d227b1eb5e",
         "54ec8e0267707218b71ff95dd59cd773a76e83a698840526288303039aab1856"),
     "cart_pendulum_ku450": (
         "11bd058a28672448bb56c64b9f2e4816f366ee80b63f849ef64c97e8aca14352",
-        "837f8e0f0e202783f65197b08233f342f675c2cd8689072d8d610b83ea930653",
+        "2be290f13180fd153df2fdb14601ca7344cbbd5dea9b653bca5cc61120f2bff0",
         "06fc6b6ebf1ab42c1c08415339dc200ea824b1f519a1e1019e8b7bc2e99da2cc"),
     "linear": (
         "d5960300ca16b45ab1e317614816eab0f38a6d6828a19f0c7699910b2e2c6bab",
-        "2f1ab89bd6c38c88d50e30485c4de723a094c3bdfa612c705aec03637beea7a0",
+        "623cc55000088633e8cad0f8a1d2a1f771099fbadf9e71fc27130b233e75268c",
         "21dfe38166b92c4c259757e5d565e92c4a27aaca9d5cd737a82120e28d00339a"),
 }
 
