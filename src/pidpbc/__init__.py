@@ -61,6 +61,8 @@ from .sim import (
     verify_l2_gain,
     detect_convergence,
     tail_residuals,
+    write_trace,
+    read_trace,
     write_trace_csv,
     write_column_map,
     read_trace_csv,

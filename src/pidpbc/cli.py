@@ -2,7 +2,8 @@
 
 Commands:
   check      assumption report plus gain-certificate scans for a scenario
-  simulate   run the closed loop, write the trace CSV and a summary
+  simulate   run the closed loop, write the trace record (trace.npy) and a summary;
+             --csv also exports trace.csv
   sweep      vary one gain over a list of values and tabulate the outcomes
   reproduce  run a pinned bundled example and assert its expected outcomes
 
@@ -10,7 +11,7 @@ Exit codes: 0 success, 2 assumption failure, 3 runtime singularity,
 4 acceptance failure, 5 invalid input (a malformed or unreadable scenario or --values,
 or a plant whose coupling potential V_N cannot be computed), 6 output could not be
 written (an --out that cannot be a writable directory, found before any run, or a
-failed write; a failed trace write leaves no trace.csv).
+failed write; a failed trace write leaves no partial trace file).
 """
 
 from __future__ import annotations
@@ -190,15 +191,19 @@ def _summarize(sc: scn.Scenario, trace: sim.Trace) -> dict:
     return summary
 
 
-def _simulate_and_write(sc: scn.Scenario, out: Path, extra: dict):
-    """Run the scenario, then write the trace, its column map and the summary
-    plus ``extra`` into ``out``; ``(trace, summary)``.  A failed trace write
-    leaves no ``trace.csv``."""
+def _simulate_and_write(sc: scn.Scenario, out: Path, extra: dict, csv_export: bool):
+    """Run the scenario, then write the trace record, its column map, the
+    summary plus ``extra`` and, with ``csv_export``, the trace CSV into
+    ``out``; ``(trace, summary)``.  A failed trace write leaves no partial
+    trace file."""
     trace = sim.simulate(sc.system, sc.gains, sc.q0, sc.qd0, sc.t_end, sc.dt,
                          controller=sc.controller, disturbance=sc.disturbance,
                          setpoints=sc.setpoints)
-    with _writing(out / "trace.csv") as path:
-        sim.write_trace_csv(trace, path)
+    with _writing(out / "trace.npy") as path:
+        sim.write_trace(trace, path)
+    if csv_export:
+        with _writing(out / "trace.csv") as path:
+            sim.write_trace_csv(trace, path)
     with _writing(out / "trace.columns") as path:
         sim.write_column_map(trace, path)
     summary = {**_summarize(sc, trace), **extra}
@@ -209,8 +214,8 @@ def _simulate_and_write(sc: scn.Scenario, out: Path, extra: dict):
 def cmd_simulate(args) -> int:
     sc = _load(args)
     out = _usable_out(args.out)
-    trace, summary = _simulate_and_write(sc, out, {})
-    print(f"wrote {out / 'trace.csv'} ({trace.n_samples} samples)")
+    trace, summary = _simulate_and_write(sc, out, {}, args.csv)
+    print(f"wrote {out / 'trace.npy'} ({trace.n_samples} samples)")
     print(_json({k: summary[k] for k in ("converged", "settle_time", "peak_abs_u",
                                          "min_abs_detK", "lyapunov_residual")}))
     return EXIT_OK
@@ -312,7 +317,7 @@ def cmd_reproduce(args) -> int:
             "min_eig_Md": float(a7_sym.min_eig_profile.min()),
             "note": "informational; the gating certificate uses the scenario gate grid",
         }
-    trace, summary = _simulate_and_write(sc, out, extra)
+    trace, summary = _simulate_and_write(sc, out, extra, args.csv)
 
     # every setpoint segment ends settled on its own target
     q = np.hstack([trace.q_u, trace.q_a])
@@ -378,6 +383,9 @@ def main(argv=None) -> int:
     p_rep.add_argument("example", choices=scn.EXAMPLES)
     p_rep.add_argument("--out", default="out")
     p_rep.set_defaults(func=cmd_reproduce)
+    for p in (p_sim, p_rep):
+        p.add_argument("--csv", action="store_true",
+                       help="also export the trace as trace.csv (17 significant digits)")
 
     args = parser.parse_args(argv)
     try:

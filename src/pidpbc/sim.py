@@ -36,18 +36,17 @@ pass reuses (a callback is a function of its point alone, see
 :mod:`.mechanics`); it evaluates every other callback over all samples at
 once, through its batch form when it has one.
 
-:func:`write_trace_csv` writes the bytes of ``np.savetxt`` at 17 significant
-digits, its row shares formatted on every usable core (see there); a failed
-write leaves no partial trace.
+:func:`write_trace` writes the run's record, numpy's ``.npy`` format with
+one named float64 field per column, which :func:`read_trace` gives back
+bitwise; :func:`write_trace_csv` exports the same columns serially with the
+bytes of ``np.savetxt`` at 17 significant digits.  A failed write of either
+leaves no partial trace.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import shutil
-import tempfile
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -66,7 +65,6 @@ CONTROLLERS = ("exact", "approx")  # the PI law is "exact" at K_D = 0
 SWITCH_PAD = 2  # samples on each side of a setpoint switch the rate checks skip
 L2_ESTIMATE_FRACTION = 0.5  # leading share of the trace that sets the L2 offset
 CSV_BLOCK_ROWS = 128  # rows per % operation of the CSV writer
-MIN_SHARE_VALUES = 16384  # fewest CSV values worth a forked worker (see write_trace_csv)
 
 
 @dataclass(frozen=True)
@@ -708,10 +706,10 @@ def detect_convergence(trace: Trace, q_star, tol_q: float, tol_v: float,
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization
+# Trace serialization
 # ---------------------------------------------------------------------------
 
-# (Trace field, CSV stem) in column order: a 2-D field numbers its stem per
+# (Trace field, column stem) in column order: a 2-D field numbers its stem per
 # entry, a 1-D field keeps it, and a field the run did not record is left out
 _CSV_COLUMNS = (("t", "t"), ("q_u", "q_u"), ("q_a", "q_a"), ("qd_u", "qd_u"), ("qd_a", "qd_a"),
                 ("z1", "z1_"), ("u", "u"), ("y_u", "y_u"), ("y_a", "y_a"), ("y_d", "y_d"),
@@ -731,13 +729,6 @@ def _column_layout(trace: Trace) -> list:
     return layout
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on; 1 where it cannot fork or ask."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _write_rows(fh, data: Array, row_fmt: str) -> None:
     """The rows of ``data`` as ``np.savetxt`` writes them, one ``%`` operation
     per block of ``CSV_BLOCK_ROWS``; a block's temporary floats and strings
@@ -748,64 +739,59 @@ def _write_rows(fh, data: Array, row_fmt: str) -> None:
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_trace_csv(trace: Trace, path) -> None:
-    """Write the trace with a single header row and 17 significant digits.
-
-    The bytes are those of ``np.savetxt``, whatever the share count: the
-    rows split into ``P = min(usable cores, rows, values // MIN_SHARE_VALUES)``
-    contiguous shares (at least one) of nearly equal length, and each field
-    is formatted on its own.  One fork and reap costs about as much as
-    formatting 7k values, so the floor counts values, not rows.  The caller
-    formats the first share into ``path``; a forked worker formats each other
-    share into an anonymous temporary file beside ``path`` and leaves through
-    ``os._exit``, so it never unwinds the caller's stack nor flushes inherited
-    buffers.  The caller reaps every worker, raises :class:`OSError` naming
-    ``path`` if one failed, and appends the shares in order.  A share whose
-    fork fails is formatted by the caller.  When any share fails, the
-    caller's or a worker's, ``path`` is removed before the error propagates,
-    so a failed write leaves no partial file.  A trace of fewer than ``2 *
-    MIN_SHARE_VALUES`` values, or one usable core, starts no worker.
-    """
-    layout = _column_layout(trace)
-    data = np.column_stack([col for _, col in layout])
-    row_fmt = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    rows = len(data)
-    n_shares = max(1, min(_usable_cores(), rows, data.size // MIN_SHARE_VALUES))
-    starts = [rows * i // n_shares for i in range(n_shares + 1)]
-    fh = open(path, "w")  # an unwritable path fails here, before any worker starts
+def _write_whole(path, mode: str, write: Callable) -> None:
+    """``write(fh)`` into ``path`` opened with ``mode``.  An unwritable path
+    fails at the open and is left as it was; any later failure removes
+    ``path`` before it propagates, so a failed write leaves no partial file."""
+    fh = open(path, mode)
     try:
-        with fh, ExitStack() as files:
-            fh.write(",".join(name for name, _ in layout) + "\n")
-            parts = [files.enter_context(tempfile.TemporaryFile(
-                         "w+", dir=os.path.dirname(os.path.abspath(path))))
-                     for _ in range(n_shares - 1)]
-            pids = []
-            try:
-                for part, lo, hi in zip(parts, starts[1:], starts[2:]):
-                    try:
-                        pid = os.fork()
-                    except OSError:
-                        _write_rows(part, data[lo:hi], row_fmt)
-                        continue
-                    if pid == 0:
-                        try:
-                            _write_rows(part, data[lo:hi], row_fmt)
-                            part.flush()
-                            os._exit(0)
-                        finally:
-                            os._exit(1)
-                    pids.append(pid)
-                _write_rows(fh, data[:starts[1]], row_fmt)
-            finally:
-                failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
-            if failed:
-                raise OSError(f"{failed} of {len(pids)} row workers failed writing {path}")
-            for part in parts:
-                part.seek(0)
-                shutil.copyfileobj(part, fh)
+        with fh:
+            write(fh)
     except BaseException:
         os.remove(path)
         raise
+
+
+def write_trace(trace: Trace, path) -> None:
+    """Write the trace as the run's record: numpy's ``.npy`` format holding a
+    structured array with one ``<f8`` field per column, named and ordered as
+    the CSV header, so the file describes itself.  :func:`read_trace` gives
+    the columns back bitwise."""
+    layout = _column_layout(trace)
+    record = np.empty(trace.n_samples, dtype=[(name, "<f8") for name, _ in layout])
+    for name, col in layout:
+        record[name] = col
+    _write_whole(path, "wb", lambda fh: np.save(fh, record, allow_pickle=False))
+
+
+def read_trace(path) -> dict:
+    """Read a :func:`write_trace` record into a dict of named column arrays,
+    as :func:`read_trace_csv` does; nothing in the file is unpickled.  A file
+    that is not a one-dimensional float64 record array is a ValueError naming
+    ``path``."""
+    try:
+        record = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: not a trace record: {exc}") from exc
+    names = getattr(getattr(record, "dtype", None), "names", None)  # a .npz has no dtype
+    if not (names and record.ndim == 1
+            and all(record.dtype[name] == np.dtype("<f8") for name in names)):
+        raise ValueError(f"{path}: not a trace record: need a 1-D array of <f8 fields")
+    return {name: record[name] for name in names}
+
+
+def write_trace_csv(trace: Trace, path) -> None:
+    """Write the trace with a single header row and 17 significant digits,
+    the bytes of ``np.savetxt``; a failed write leaves no partial file."""
+    layout = _column_layout(trace)
+    data = np.column_stack([col for _, col in layout])
+    row_fmt = ",".join(["%.17g"] * data.shape[1]) + "\n"
+
+    def write(fh):
+        fh.write(",".join(name for name, _ in layout) + "\n")
+        _write_rows(fh, data, row_fmt)
+
+    _write_whole(path, "w", write)
 
 
 def write_column_map(trace: Trace, path) -> None:

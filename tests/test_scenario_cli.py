@@ -20,7 +20,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import pidpbc
-from pidpbc import read_trace_csv, simulate
+from pidpbc import read_trace, read_trace_csv, simulate
 from pidpbc.cli import main as cli_main
 from pidpbc.scenario import ScenarioError, builtin_scenario, scenario_from_dict
 
@@ -244,8 +244,9 @@ def test_simulate_writes_deterministic_artifacts(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert cli_main(["simulate", "--scenario", str(path), "--out", str(out1)]) == 0
     assert cli_main(["simulate", "--scenario", str(path), "--out", str(out2)]) == 0
-    assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
-    assert (out1 / "trace.columns").exists()
+    assert (out1 / "trace.npy").read_bytes() == (out2 / "trace.npy").read_bytes()
+    # the CSV is an export on request only
+    assert sorted(os.listdir(out1)) == ["summary.json", "trace.columns", "trace.npy"]
 
 
 def test_summary_recomputable_from_csv(tmp_path):
@@ -253,24 +254,29 @@ def test_summary_recomputable_from_csv(tmp_path):
     doc["run"]["t_end_s"] = 2.0
     path = write_scenario(tmp_path, doc)
     out = tmp_path / "o"
-    assert cli_main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    assert cli_main(["simulate", "--scenario", str(path), "--out", str(out), "--csv"]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    cols = read_trace_csv(out / "trace.csv")
-    dt = cols["t"][1] - cols["t"][0]
-    assert abs(summary["peak_abs_u"] - np.abs(cols["u0"]).max()) < 1e-15
-    # recompute the storage-rate residual from the CSV columns alone
-    power = (cols["u0"] + cols["d0"]) * cols["y_u0"]
-    dH = np.gradient(cols["H_u"], dt)
-    resid = np.abs(dH[1:-1] - power[1:-1]).max() / np.abs(power).max()
-    assert abs(resid - summary["passivity_residual_u_to_yu"]) < 1e-12
-    # dissipation identity from the CSV columns alone
-    KP = np.asarray(summary["gains"]["K_P"])[0, 0]
-    dU = np.gradient(cols["U"], dt)
-    resid = np.abs(dU[1:-1] + KP * cols["y_d0"][1:-1] ** 2).max() \
-        / (KP * cols["y_d0"] ** 2).max()
-    assert abs(resid - summary["lyapunov_residual"]) < 1e-12
-    # the exact law's min |det K| is taken over the recorded samples
-    assert summary["min_abs_detK"] == np.abs(cols["detK"]).min()
+    # the CSV export within its 17 digits, the binary record exactly
+    for cols, exact in ((read_trace_csv(out / "trace.csv"), False),
+                        (read_trace(out / "trace.npy"), True)):
+        def near(got, want, tol):
+            return got == want if exact else abs(got - want) < tol
+
+        dt = cols["t"][1] - cols["t"][0]
+        assert near(summary["peak_abs_u"], np.abs(cols["u0"]).max(), 1e-15)
+        # recompute the storage-rate residual from the columns alone
+        power = (cols["u0"] + cols["d0"]) * cols["y_u0"]
+        dH = np.gradient(cols["H_u"], dt)
+        resid = np.abs(dH[1:-1] - power[1:-1]).max() / np.abs(power).max()
+        assert near(resid, summary["passivity_residual_u_to_yu"], 1e-12)
+        # dissipation identity from the columns alone
+        KP = np.asarray(summary["gains"]["K_P"])[0, 0]
+        dU = np.gradient(cols["U"], dt)
+        resid = np.abs(dU[1:-1] + KP * cols["y_d0"][1:-1] ** 2).max() \
+            / (KP * cols["y_d0"] ** 2).max()
+        assert near(resid, summary["lyapunov_residual"], 1e-12)
+        # the exact law's min |det K| is taken over the recorded samples
+        assert summary["min_abs_detK"] == np.abs(cols["detK"]).min()
 
 
 def test_summary_is_strict_json(tmp_path, capsys):
@@ -304,21 +310,36 @@ def test_simulate_singularity_exit_code(tmp_path):
                      "--out", str(tmp_path / "s")]) == 3
 
 
-def test_a_failed_trace_write_exits_6_and_leaves_no_trace(tmp_path, capsys, monkeypatch):
-    # the writer fails after the header: one stderr line names the path, and
-    # the output directory keeps no partial trace.csv
-    def full_disk(fh, data, row_fmt):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-    monkeypatch.setattr(pidpbc.sim, "_write_rows", full_disk)
+def _exits_6_leaving_no_trace(tmp_path, capsys, options: list, name: str):
+    """``simulate`` with ``options`` exits 6 with one stderr line that names
+    ``out / name``, and the output directory keeps no partial trace file."""
     doc = builtin_scenario("cart_pendulum")
     doc["run"]["t_end_s"] = 0.5
     path = write_scenario(tmp_path, doc)
     out = tmp_path / "o"
-    assert cli_main(["simulate", "--scenario", str(path), "--out", str(out)]) == 6
+    assert cli_main(["simulate", "--scenario", str(path), "--out", str(out), *options]) == 6
     assert capsys.readouterr().err.splitlines() == [
-        f"output could not be written: {out / 'trace.csv'}: [Errno 28] No space left on device"]
-    assert os.listdir(out) == []
+        f"output could not be written: {out / name}: [Errno 28] No space left on device"]
+    return sorted(os.listdir(out))
+
+
+def test_a_failed_trace_write_exits_6_and_leaves_no_trace(tmp_path, capsys, monkeypatch):
+    # the record's writer fails after part of the file is out
+    def full_disk(fh, record, allow_pickle):
+        fh.write(b"\x93NUMPY")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(np, "save", full_disk)
+    assert _exits_6_leaving_no_trace(tmp_path, capsys, [], "trace.npy") == []
+
+
+def test_a_failed_csv_export_exits_6_and_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    # the CSV writer fails after the header; the record written before it stays
+    def full_disk(fh, data, row_fmt):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pidpbc.sim, "_write_rows", full_disk)
+    assert _exits_6_leaving_no_trace(tmp_path, capsys, ["--csv"], "trace.csv") == ["trace.npy"]
 
 
 @pytest.mark.parametrize("command", [["check"], ["simulate"],
@@ -689,13 +710,12 @@ def test_sweep_quotes_a_status_that_carries_commas(tmp_path, capsys, monkeypatch
 
 def test_row_workers_do_not_repeat_buffered_stdout(tmp_path):
     # piped stdout is block-buffered, so the check report printed before the
-    # CSV write still sits in the buffer every row worker inherits; two shares
-    # are forced so that a worker forks on a one-core machine too
-    code = ("import runpy, pidpbc.sim; pidpbc.sim._usable_cores = lambda: 2; "
-            "runpy.run_module('pidpbc.cli', run_name='__main__', alter_sys=True)")
+    # trace writes still sits in the buffer that any process started during
+    # them would inherit; the report and the verdict appear once each
+    code = "import runpy; runpy.run_module('pidpbc.cli', run_name='__main__', alter_sys=True)"
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(pidpbc.__file__).parents[1])
-    proc = subprocess.run([sys.executable, "-c", code, "reproduce", "linear", "--out",
+    proc = subprocess.run([sys.executable, "-c", code, "reproduce", "linear", "--csv", "--out",
                            str(tmp_path)], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("assumption checks (") == 1
@@ -772,33 +792,36 @@ def test_sweep_dissipation_ordering(tmp_path):
     assert all("simulated" in ln for ln in lines)
 
 
-# SHA-256 of each bundled example's trace.csv, summary.json and check.json;
+# SHA-256 of each bundled example's trace.csv, summary.json, check.json and trace.npy;
 # a change that alters one reports the largest deviation per column
 REPRODUCE_DIGESTS = {
     "cart_pendulum": (
         "62a612b1a79677bf389b076b7558081545ca0ee65400653aab76f06859ba458a",
         "88c2ac125dfcb8d002d2074ac87053eda0ae8dea01fee4374c0f04d227b1eb5e",
-        "54ec8e0267707218b71ff95dd59cd773a76e83a698840526288303039aab1856"),
+        "54ec8e0267707218b71ff95dd59cd773a76e83a698840526288303039aab1856",
+        "10e10b9726c62f295571f9de80dacaef33443a91356fb877d935878f64df035e"),
     "cart_pendulum_ku450": (
         "11bd058a28672448bb56c64b9f2e4816f366ee80b63f849ef64c97e8aca14352",
         "2be290f13180fd153df2fdb14601ca7344cbbd5dea9b653bca5cc61120f2bff0",
-        "06fc6b6ebf1ab42c1c08415339dc200ea824b1f519a1e1019e8b7bc2e99da2cc"),
+        "06fc6b6ebf1ab42c1c08415339dc200ea824b1f519a1e1019e8b7bc2e99da2cc",
+        "1aae4a1746c60af95c189908f504ff2845832e9b7f2242a2a259712c13ddf26e"),
     "linear": (
         "d5960300ca16b45ab1e317614816eab0f38a6d6828a19f0c7699910b2e2c6bab",
         "623cc55000088633e8cad0f8a1d2a1f771099fbadf9e71fc27130b233e75268c",
-        "21dfe38166b92c4c259757e5d565e92c4a27aaca9d5cd737a82120e28d00339a"),
+        "21dfe38166b92c4c259757e5d565e92c4a27aaca9d5cd737a82120e28d00339a",
+        "84e4174636d16aa24a6ecf4c6897f249b06fe91ea272a13b5791b0cdfc7ab73f"),
 }
 
 
 def _assert_outputs_pinned(out, example):
-    for name, digest in zip(("trace.csv", "summary.json", "check.json"),
+    for name, digest in zip(("trace.csv", "summary.json", "check.json", "trace.npy"),
                             REPRODUCE_DIGESTS[example]):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_reproduce_cart_pendulum(tmp_path):
     out = tmp_path / "rep"
-    assert cli_main(["reproduce", "cart_pendulum", "--out", str(out)]) == 0
+    assert cli_main(["reproduce", "cart_pendulum", "--csv", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"]
     assert summary["min_abs_detK"] > 0
@@ -829,13 +852,13 @@ def test_reproduce_fails_on_an_unsettled_segment(tmp_path, monkeypatch):
 
 def test_reproduce_ku450(tmp_path):
     out = tmp_path / "rep450"
-    assert cli_main(["reproduce", "cart_pendulum_ku450", "--out", str(out)]) == 0
+    assert cli_main(["reproduce", "cart_pendulum_ku450", "--csv", "--out", str(out)]) == 0
     _assert_outputs_pinned(out, "cart_pendulum_ku450")
 
 
 def test_reproduce_linear(tmp_path):
     out = tmp_path / "replin"
-    assert cli_main(["reproduce", "linear", "--out", str(out)]) == 0
+    assert cli_main(["reproduce", "linear", "--csv", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["hurwitz"] and summary["converged"]
     _assert_outputs_pinned(out, "linear")

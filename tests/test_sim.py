@@ -1,4 +1,3 @@
-import errno
 import itertools
 import os
 import re
@@ -9,13 +8,14 @@ import pytest
 
 import pidpbc.sim
 from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted, State,
-                    approx_control, detect_convergence, exact_control, forward_dynamics,
-                    integrator_init, linear_system, passive_outputs, pi_control,
-                    pinned_linear_2dof,
-                    plant_input, read_trace_csv, scan_A5, simulate, verify_l2_gain,
-                    verify_lyapunov, verify_passivity, write_column_map,
-                    write_trace_csv)
+                    approx_control, check_A7, detect_convergence, exact_control, forward_dynamics,
+                    integrator_init, linear_closed_loop, linear_system, passive_outputs,
+                    pi_control, pinned_linear_2dof,
+                    plant_input, read_trace, read_trace_csv, scan_A5, simulate,
+                    verify_l2_gain, verify_lyapunov, verify_passivity, write_column_map,
+                    write_trace, write_trace_csv)
 from pidpbc.controller import MODES, det_floor
+from pidpbc.scenario import builtin_scenario, scenario_from_dict
 from pidpbc.sim import (CONTROLLERS, _build_eval_generic, _build_eval_scalar, _lapack,
                         _plant_response, _rk4, simulate_open_loop)
 
@@ -888,6 +888,7 @@ def test_scaling_the_pid_gains_together_changes_neither_run_nor_verdict(cart):
     for plant, g, q0, qd0, t_end, setpoints, grid in cases:
         base = simulate(plant, g, q0, qd0, t_end=t_end, dt=1e-3, setpoints=setpoints)
         scan = scan_A5(plant, g, grid)
+        max_real = linear_closed_loop(plant, g).max_real
         for c in (2.0 ** -40, 2.0 ** 10):
             gc = replace(g, k_e=c * g.k_e, K_P=c * g.K_P, K_I=c * g.K_I, K_D=c * g.K_D)
             tr = simulate(plant, gc, q0, qd0, t_end=t_end, dt=1e-3, setpoints=setpoints)
@@ -898,6 +899,35 @@ def test_scaling_the_pid_gains_together_changes_neither_run_nor_verdict(cart):
             assert (scan_c["pass"], scan_c["sign_change"]) == (scan["pass"], scan["sign_change"])
             want = c ** plant.m * scan["dets"]
             assert np.all(np.abs(scan_c["dets"] - want) <= 1e-14 * np.abs(want))
+            assert linear_closed_loop(plant, gc).max_real == max_real, (plant.name, g.mode, c)
+
+
+def test_scaling_the_passive_output_weights_together_changes_neither_run_nor_verdict(cart):
+    # k_e u = -(K_P y_d + K_I z1 + K_D yd_dot) with y_d linear in (k_e, k_a,
+    # k_u): scaling the three weights by a power of two scales y_d, z1 and
+    # both sides of the law exactly, so q, qd and u are bitwise the same, z1
+    # scales exactly and det K = det(k_e I + K_D L G) scales with c^m
+    grid = scenario_from_dict(builtin_scenario("cart_pendulum")).gate_grid
+    for mode in MODES:
+        g = bench_gains(mode=mode)
+        base = simulate(cart, g, Q0, QD0, t_end=3.0, dt=1e-3)
+        scan, max_real = scan_A5(cart, g, grid), linear_closed_loop(cart, g).max_real
+        for c in (2.0 ** -3, 2.0 ** 4):
+            gc = replace(g, k_e=c * g.k_e, k_a=c * g.k_a, k_u=c * g.k_u)
+            tr = simulate(cart, gc, Q0, QD0, t_end=3.0, dt=1e-3)
+            for name in ("q_u", "q_a", "qd_u", "qd_a", "u"):
+                assert np.array_equal(getattr(tr, name), getattr(base, name)), (mode, c, name)
+            assert np.array_equal(tr.z1, c * base.z1), (mode, c)
+            want = c ** cart.m * base.detK
+            assert np.all(np.abs(tr.detK - want) <= 1e-15 * np.abs(want)), (mode, c)
+            scan_c = scan_A5(cart, gc, grid)
+            assert (scan_c["pass"], scan_c["sign_change"]) == (scan["pass"], scan["sign_change"])
+            assert linear_closed_loop(cart, gc).max_real == max_real, (mode, c)
+        # the A7 verdict is pinned at 2^-3 only: |grad V_d(q*)| scales with
+        # c^2, and at 2^4 it reaches 9.70e-7 against the absolute
+        # A7_GRAD_TOL = 1e-6, so a scale-aware tolerance must come first
+        gc = replace(g, k_e=g.k_e / 8, k_a=g.k_a / 8, k_u=g.k_u / 8)
+        assert check_A7(cart, gc, grid).passed == check_A7(cart, g, grid).passed, mode
 
 
 def test_divergent_gains_do_not_converge(cart):
@@ -1010,28 +1040,6 @@ def test_trace_csv_roundtrip_and_determinism(cart, gains_cancel, tmp_path):
         "H,z2_0,z2_1,Hbar_u,Hbar_a")
 
 
-def test_trace_csv_bytes_are_those_of_savetxt(cart, gains_cancel, tmp_path):
-    # the block-wise writer against np.savetxt, on a cart trace of several
-    # blocks of rows, the last one partial, and an s = m = 2 approx trace of
-    # less than one, with a signed zero, subnormal, tiny and huge values
-    from pidpbc.sim import _column_layout
-    plant = make_synthetic(2, 2, seed=3)
-    g = random_gains(plant, np.random.default_rng(3), mode="robust_A8")
-    traces = [simulate(cart, gains_cancel, Q0, QD0, t_end=1.2, dt=1e-3),
-              simulate(plant, g, [0.1, 0, 0, 0], np.zeros(4), t_end=0.05, dt=1e-3,
-                       controller="approx")]
-    special = [-0.0, 5e-324, -2.5e-310, 1e-300, 1.7976931348623157e308, -1e300, 0.1, 1 / 3]
-    for tr in traces:
-        tr = replace(tr, H=tr.H.copy())
-        tr.H[:len(special)] = special
-        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write_trace_csv(tr, got)
-        layout = _column_layout(tr)
-        np.savetxt(want, np.column_stack([col for _, col in layout]), delimiter=",",
-                   header=",".join(name for name, _ in layout), comments="", fmt="%.17g")
-        assert got.read_bytes() == want.read_bytes(), tr.n_samples
-
-
 def _first_rows(tr, rows: int):
     """``tr`` cut to its first ``rows`` samples."""
     return replace(tr, **{f.name: getattr(tr, f.name)[:rows] for f in fields(tr)
@@ -1046,79 +1054,103 @@ def _savetxt_bytes(tr, path) -> bytes:
     return path.read_bytes()
 
 
-def _force_shares(monkeypatch, cores: int) -> list:
-    """Lets every row start a share on ``cores`` usable cores; returns the
-    list that each fork the writer asks for appends to."""
-    forks, fork = [], os.fork
-    monkeypatch.setattr(pidpbc.sim, "_usable_cores", lambda: cores)
-    monkeypatch.setattr(pidpbc.sim, "MIN_SHARE_VALUES", 1)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    return forks
-
-
-@pytest.mark.parametrize("cores", [1, 2, 3, 4])
-def test_trace_csv_bytes_do_not_depend_on_the_share_count(bench_trace, tmp_path, monkeypatch,
-                                                          cores):
-    # shares of fewer rows than a block, of one block, of one block and a
-    # row, and a last share shorter than the others; with one row per share
-    # allowed, every write of r rows forks min(cores, r) - 1 workers
-    forks = _force_shares(monkeypatch, cores)
-    sizes = (2, 127, 128, 129, 1201, 10_001)
-    for rows in sizes:
-        tr = _first_rows(bench_trace, rows)
+def test_trace_csv_bytes_are_those_of_savetxt(cart, gains_cancel, bench_trace, tmp_path):
+    # the block-wise writer against np.savetxt: on the benchmark run cut to
+    # fewer rows than a block, one block, one block and a row, several blocks
+    # with the last one partial and the whole run, and on an s = m = 2 approx
+    # trace, each with a signed zero, subnormal, tiny and huge values
+    plant = make_synthetic(2, 2, seed=3)
+    g = random_gains(plant, np.random.default_rng(3), mode="robust_A8")
+    traces = [_first_rows(bench_trace, rows) for rows in (2, 127, 128, 129, 1201, 10_001)]
+    traces.append(simulate(plant, g, [0.1, 0, 0, 0], np.zeros(4), t_end=0.05, dt=1e-3,
+                           controller="approx"))
+    special = [-0.0, 5e-324, -2.5e-310, 1e-300, 1.7976931348623157e308, -1e300, 0.1, 1 / 3]
+    for tr in traces:
+        tr = replace(tr, H=tr.H.copy())
+        tr.H[:len(special)] = special[:tr.n_samples]
         write_trace_csv(tr, tmp_path / "got.csv")
         want = _savetxt_bytes(tr, tmp_path / "want.csv")
-        assert (tmp_path / "got.csv").read_bytes() == want, rows
-    assert len(forks) == sum(min(cores, rows) - 1 for rows in sizes)
+        assert (tmp_path / "got.csv").read_bytes() == want, tr.n_samples
     assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]
 
 
-@pytest.mark.parametrize("who", ["worker", "caller"])
-def test_a_failed_share_fails_the_write_after_every_worker_is_reaped(bench_trace, tmp_path,
-                                                                     monkeypatch, who):
-    _force_shares(monkeypatch, 3)
-    caller, write_rows = os.getpid(), pidpbc.sim._write_rows
+def test_trace_record_reads_back_bitwise(cart, gains_cancel, tmp_path):
+    # an s = m = 1 run, and an s = m = 2 approx robust_A8 run with every
+    # column: the record names its fields as the CSV header does, in order
+    from pidpbc.sim import _column_layout
+    plant = make_synthetic(2, 2, seed=3)
+    g = random_gains(plant, np.random.default_rng(3), mode="robust_A8")
+    traces = [simulate(cart, gains_cancel, Q0, QD0, t_end=0.2, dt=1e-3,
+                       disturbance=DISTURBANCES[1]),
+              simulate(plant, g, [0.1, 0, 0, 0], np.zeros(4), t_end=0.05, dt=1e-3,
+                       controller="approx")]
+    assert len(_column_layout(traces[1])) == 35
+    for tr in traces:
+        path = tmp_path / "trace.npy"
+        write_trace(tr, path)
+        cols = read_trace(path)
+        layout = _column_layout(tr)
+        assert list(cols) == [name for name, _ in layout]
+        for name, col in layout:
+            assert cols[name].dtype == np.float64 and cols[name].tobytes() == col.tobytes(), name
+        write_trace_csv(tr, tmp_path / "trace.csv")
+        assert list(read_trace_csv(tmp_path / "trace.csv")) == list(cols)
 
-    def fail_in(fh, data, row_fmt):
-        if (os.getpid() == caller) == (who == "caller"):
-            raise RuntimeError(f"{who} fails")
-        write_rows(fh, data, row_fmt)
 
-    monkeypatch.setattr(pidpbc.sim, "_write_rows", fail_in)
-    path = tmp_path / "trace.csv"
-    expected, match = (OSError, re.escape(f"2 of 2 row workers failed writing {path}")) \
-        if who == "worker" else (RuntimeError, "caller fails")
-    with pytest.raises(expected, match=match):
-        write_trace_csv(bench_trace, path)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert os.listdir(tmp_path) == []
+class _Unpickled:
+    """Makes the directory ``marker`` when unpickled."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return os.mkdir, (str(self.marker),)
 
 
-def test_an_unwritable_path_fails_before_any_worker_starts(bench_trace, tmp_path, monkeypatch):
-    forks = _force_shares(monkeypatch, 3)
-    path = tmp_path / "trace.csv"
+def test_read_trace_refuses_what_is_not_a_float64_record(tmp_path):
+    # a pickle, an object array, a plain float array, an integer field, a
+    # 2-D record, an archive and an empty file: each is a ValueError naming
+    # the path, and nothing in the file is unpickled
+    import pickle
+    marker = tmp_path / "unpickled"
+    payloads = {
+        "pickled.npy": lambda fh: pickle.dump(_Unpickled(marker), fh),
+        "object.npy": lambda fh: np.save(fh, np.array([_Unpickled(marker)]), allow_pickle=True),
+        "plain.npy": lambda fh: np.save(fh, np.zeros(3)),
+        "int_field.npy": lambda fh: np.save(fh, np.zeros(3, dtype=[("t", "<f8"), ("k", "<i8")])),
+        "two_d.npy": lambda fh: np.save(fh, np.zeros((3, 2), dtype=[("t", "<f8")])),
+        "archive.npz": lambda fh: np.savez(fh, t=np.zeros(3)),
+        "empty.npy": lambda fh: None,
+    }
+    for name, write in payloads.items():
+        with open(tmp_path / name, "wb") as fh:
+            write(fh)
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path / name}: not a trace record")):
+            read_trace(tmp_path / name)
+    assert not marker.exists()
+
+
+def test_a_failed_write_leaves_no_file(bench_trace, tmp_path, monkeypatch):
+    # the record's and the CSV's writer each fail after part of the file is out
+    def fail(fh, *args, **kwargs):
+        fh.write(b"\x93NUMPY" if "b" in fh.mode else "t,q_u0")
+        raise RuntimeError("disk fails")
+
+    monkeypatch.setattr(pidpbc.sim, "_write_rows", fail)
+    monkeypatch.setattr(np, "save", fail)
+    for writer in (write_trace, write_trace_csv):
+        with pytest.raises(RuntimeError, match="disk fails"):
+            writer(bench_trace, tmp_path / "trace")
+        assert os.listdir(tmp_path) == [], writer.__name__
+
+
+def test_an_unwritable_path_fails_and_is_left_as_it_was(bench_trace, tmp_path):
+    path = tmp_path / "trace"
     path.mkdir()
-    with pytest.raises(IsADirectoryError):
-        write_trace_csv(bench_trace, path)
-    assert forks == [] and os.listdir(tmp_path) == ["trace.csv"] and os.listdir(path) == []
-
-
-def test_a_share_whose_fork_fails_is_written_by_the_caller(bench_trace, tmp_path, monkeypatch):
-    # the first of three workers forks, the next two forks fail with EAGAIN
-    forks = _force_shares(monkeypatch, 4)
-    fork = os.fork
-
-    def fork_once():
-        if forks:
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", fork_once)
-    write_trace_csv(bench_trace, tmp_path / "got.csv")
-    assert forks == [1]
-    assert (tmp_path / "got.csv").read_bytes() == _savetxt_bytes(bench_trace, tmp_path / "want.csv")
-    assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]
+    for writer in (write_trace, write_trace_csv):
+        with pytest.raises(IsADirectoryError):
+            writer(bench_trace, path)
+    assert os.listdir(tmp_path) == ["trace"] and os.listdir(path) == []
 
 
 def test_richardson_self_consistency(cart, gains_cancel):
