@@ -1055,15 +1055,13 @@ def _savetxt_bytes(tr, path) -> bytes:
 
 
 def test_trace_csv_bytes_are_those_of_savetxt(cart, gains_cancel, bench_trace, tmp_path):
-    # the block-wise writer against np.savetxt: on the benchmark run cut to
-    # fewer rows than a block, one block, one block and a row, several blocks
-    # with the last one partial and the whole run, and on an s = m = 2 approx
-    # trace, each with a signed zero, subnormal, tiny and huge values
+    # the block-wise writer against np.savetxt, on the benchmark run (several
+    # blocks of rows, the last one partial) and an s = m = 2 approx trace of
+    # less than one, with a signed zero, subnormal, tiny and huge values
     plant = make_synthetic(2, 2, seed=3)
     g = random_gains(plant, np.random.default_rng(3), mode="robust_A8")
-    traces = [_first_rows(bench_trace, rows) for rows in (2, 127, 128, 129, 1201, 10_001)]
-    traces.append(simulate(plant, g, [0.1, 0, 0, 0], np.zeros(4), t_end=0.05, dt=1e-3,
-                           controller="approx"))
+    traces = [bench_trace, simulate(plant, g, [0.1, 0, 0, 0], np.zeros(4), t_end=0.05,
+                                    dt=1e-3, controller="approx")]
     special = [-0.0, 5e-324, -2.5e-310, 1e-300, 1.7976931348623157e308, -1e300, 0.1, 1 / 3]
     for tr in traces:
         tr = replace(tr, H=tr.H.copy())
@@ -1071,6 +1069,26 @@ def test_trace_csv_bytes_are_those_of_savetxt(cart, gains_cancel, bench_trace, t
         write_trace_csv(tr, tmp_path / "got.csv")
         want = _savetxt_bytes(tr, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == want, tr.n_samples
+    assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+def test_trace_csv_bytes_do_not_depend_on_the_share_count(bench_trace, tmp_path, monkeypatch,
+                                                          cores):
+    # the writer is serial: on a machine that reports 1-4 cores it forks no
+    # worker, and the benchmark run cut to fewer rows than a block, one block,
+    # one block and a row, several blocks and a partial last one, and the
+    # whole run, each gives the bytes of np.savetxt
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for rows in (2, 127, 128, 129, 1201, 10_001):
+        tr = _first_rows(bench_trace, rows)
+        write_trace_csv(tr, tmp_path / "got.csv")
+        want = _savetxt_bytes(tr, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == want, rows
+    assert forks == []
     assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]
 
 
