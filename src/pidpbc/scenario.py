@@ -115,12 +115,12 @@ def _build_system(section: dict) -> MechanicalSystem:
         matrix = lambda key, default, name, n=None, **kw: _entry(  # noqa: E731
             section, f"system.{key}", default,
             lambda v: _as_matrix(v, len(np.atleast_2d(v)) if n is None else n, name, **kw))
-        M = matrix("inertia", [[2.0, 1.0], [1.0, 1.0]], "M", definite=False)
+        M = matrix("inertia", [[2.0, 1.0], [1.0, 1.0]], "M")
         S_u = matrix("stiffness_unactuated", [[1.0]], "S_u")
         S_a = matrix("stiffness_actuated", 0.0, "S_a", n=len(M) - len(S_u))
         try:
             return systems.linear_system(M, S_u, S_a, name="linear-chain")
-        except ValueError as exc:  # what is left to refuse is the inertia's actuated block
+        except ValueError as exc:  # what is left to refuse is the inertia's definiteness
             raise ScenarioError(f"system.inertia: {type(exc).__name__}: {exc}") from exc
     spec = section.get("factory")
     if not spec or ":" not in spec:

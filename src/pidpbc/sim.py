@@ -19,17 +19,22 @@ route to the integrated law.  A scalar form of the same formulas serves an
 ``s = m = 1`` plant whose callbacks carry the float forms it calls (see
 :mod:`.mechanics`); every other plant runs the generic form.  The generic
 form and the open-loop energy audit :func:`simulate_open_loop` (at ``u =
-0``) integrate one :func:`_plant_response`, which reads its callbacks and
-their Jacobians by the rules of :mod:`.mechanics`.  The generic law forms
-its right-hand side as one product of the stacked gains ``[-K_P, -K_I, c K_D
-maa^{-1}]`` with ``[y_d; z1; act_row]``.  The tests pin the response to
-``forward_dynamics``, the generic form to the reference functions and the
-scalar form to the generic one, at random states and over whole runs.
-The integrated state is a list of Python floats; the array forms convert at
-their own boundary (``np.asarray`` in, ``tolist`` out) and call the float64
-gufuncs behind ``np.linalg`` without its wrapper, bitwise alike, so a singular
-matrix is NaN, which :func:`_rk4` aborts on.  Both forms take the whole RK4
-step, bitwise the stage loop of :func:`_rk4`, the scalar one on local floats.
+0``) integrate the same plant response, which reads its callbacks and their
+Jacobians by the rules of :mod:`.mechanics`.  The generic form is generated
+(:func:`_kernel_code`): for each structure ``(s, m, law, mode)`` one
+straight-line function on local floats, every index resolved and the plant's
+and gains' numbers bound as its globals, so plants and gains of one structure
+share one code object, compiled on first use.  It solves ``M`` by an
+unpivoted ``L D L'``, ``M`` being positive definite: a zero pivot is a
+:class:`ZeroDivisionError`, which :func:`_rk4` aborts on, and the open-loop
+audit (:func:`_plant_response`, the same lines returned as arrays) refuses a
+pivot that is not positive.  ``K`` goes to the float64 gufuncs behind
+``np.linalg`` (``det``, ``solve1``) without its wrapper, where a singular
+``K`` is NaN.  The tests pin the response to ``forward_dynamics``, the
+generic form to the reference functions and the scalar form to the generic
+one, at random states and over whole runs.  The integrated state is a list
+of Python floats, and both forms take the whole RK4 step, bitwise the stage
+loop of :func:`_rk4`.
 The generic step's first stages and a run's last state copy its reads of
 callbacks without a batch form into per-sample rows, which the diagnostics
 pass reuses (a callback is a function of its point alone, see
@@ -45,6 +50,9 @@ leaves no partial trace.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import linecache
 import math
 import os
 from dataclasses import dataclass
@@ -135,126 +143,232 @@ class SimulationAborted(DynamicsError):
     """Integration stopped before ``t_end`` (singularity or blow-up)."""
 
 
+def _read_specs(s: int, m: int) -> tuple:
+    """``(stem, callback name, shape)`` of each read of a generic evaluation at
+    ``q_u``, in the order of ``_plant_response``'s ``reads``."""
+    return (("U", "muu_fn", (s, s)), ("A", "mau_fn", (m, s)), ("dU", "muu_jac", (s, s, s)),
+            ("dA", "mau_jac", (m, s, s)), ("gu", "gradVu_fn", (s,)))
+
+
+def _sum(pairs) -> Optional[str]:
+    """``a * b + ...`` over name pairs, a structural zero (``None``) left out
+    and a structural one (``"1"``) never multiplied; ``None`` if no term is left."""
+    terms = [b if a == "1" else a if b == "1" else f"{a} * {b}"
+             for a, b in pairs if a is not None and b is not None]
+    return " + ".join(terms) or None
+
+
+def _target(stem: str, shape: tuple) -> str:
+    """Nested assignment target ``((stem_0_0, ...), ...)`` of a ``tolist()``."""
+    if not shape:
+        return stem
+    return "(" + "".join(_target(f"{stem}_{i}", shape[1:]) + ", " for i in range(shape[0])) + ")"
+
+
+@functools.cache
+def _kernel_code(s: int, m: int, law: str, mode: str) -> tuple:
+    """``(code, linecache entry)`` of the generated evaluation of one
+    structure, compiled on first use: straight-line code on local floats,
+    every index resolved, plant and gain numbers only as names that
+    :func:`_bind` binds.  ``law`` is ``"exact"``, ``"approx"`` or
+    ``"response"`` (the plant response of :func:`_plant_response` alone); the
+    drift keeps ``-grad V_a`` in ``mode`` ``robust_A8``."""
+    n, closed, robust = s + m, law != "response", mode == "robust_A8"
+    q, v, z, w = ([f"{c}{i}" for i in range(k)] for c, k in zip("qvzw", (n, n, m, m)))
+    reads, rows, X = _read_specs(s, m), range(n), [[None] * (1 + m) for _ in range(n)]
+    lines = ["def kernel(t, x, sample=True):" if closed else "def kernel(x):"]
+
+    def emit(*code):
+        lines.extend("    " + line for line in code)
+
+    state = q + v + (z + (w if law == "approx" else []) if closed else [])
+    emit(f"{', '.join(state)}, = x" + ("" if closed else f"[:{2 * n}]"),
+         f"if not ({' and '.join(f'isfinite({a})' for a in q)}):",  # callbacks see finite q
+         "    raise ArithmeticError", f"qu = array(x[:{s}])")
+    emit(*(f"r{i} = read({fn}(qu), {shape})" for i, (_, fn, shape) in enumerate(reads)))
+    if closed:
+        emit("if sample and kept:", "    store(t, (r0, r1, r2, r3, r4))")
+    emit(*(f"{_target(stem, shape)} = r{i}.tolist()" for i, (stem, _, shape) in enumerate(reads)))
+    if robust:
+        emit(f"{_target('ga', (m,))} = read(gradVa_fn(array(x[{s}:{n}])), ({m},)).tolist()")
+    # the Coriolis force Mdot qd - 1/2 d(qd' M qd)/dq: h = dM_uu qd_u, g and e
+    # the two contractions of dM_au with qd_u, act the actuated rows of Mdot qd
+    for i, k in itertools.product(range(s), range(s)):
+        emit(f"h_{i}_{k} = {_sum((f'dU_{i}_{j}_{k}', v[j]) for j in range(s))}")
+    for a, k in itertools.product(range(m), range(s)):
+        emit(f"g_{a}_{k} = {_sum((f'dA_{a}_{j}_{k}', v[j]) for j in range(s))}",
+             f"e_{a}_{k} = {_sum((f'dA_{a}_{k}_{j}', v[j]) for j in range(s))}")
+    for a in range(m):
+        emit(f"act{a} = {_sum((f'g_{a}_{k}', v[k]) for k in range(s))}",
+             f"f{s + a} = -act{a}" + (f" - ga_{a}" if robust else ""))
+    for k in range(s):
+        emit(f"f{k} = ({_sum((v[i], f'h_{i}_{k}') for i in range(s))}) / 2 - "
+             f"({_sum((f'h_{k}_{j}', v[j]) for j in range(s))}) + "
+             f"{_sum((f'(g_{a}_{k} - e_{a}_{k})', v[s + a]) for a in range(m))} - gu_{k}")
+
+    def entry(i, j):  # M, with its constant m_aa block
+        if max(i, j) < s:
+            return f"U_{i}_{j}"
+        return f"maa_{i - s}_{j - s}" if min(i, j) >= s else f"A_{max(i, j) - s}_{min(i, j)}"
+
+    def combine(name, base, pairs):  # name = base - sum; a structural value stays one
+        terms = _sum(pairs)
+        if terms:
+            emit(f"{name} = {base} - ({terms})" if base else f"{name} = -({terms})")
+        return name if terms else base
+
+    # M = L D L' unpivoted, M being positive definite, with W = L D; the test
+    # a Cholesky factorisation makes of M is the one of the pivots d
+    for j in rows:
+        emit(f"d{j} = {entry(j, j)}" + "".join(f" - W_{j}_{k} * L_{j}_{k}" for k in range(j)))
+        if not closed:
+            emit(f"if not 0 < d{j} < inf:", "    raise SingularInertiaError(qu)")
+        for i in range(j + 1, n):
+            emit(f"W_{i}_{j} = {entry(i, j)}" + "".join(f" - W_{i}_{k} * L_{j}_{k}"
+                                                          for k in range(j)),
+                 f"L_{i}_{j} = W_{i}_{j} / d{j}")
+    # M X = [f | 0; I]: X's column 0 is the drift qdd0, the others G
+    for c in range(1 + m):
+        y = []
+        for i in rows:
+            b = f"f{i}" if c == 0 else "1" if i == s + c - 1 else None
+            y.append(combine(f"p{c}_{i}", b, [(f"L_{i}_{k}", y[k]) for k in range(i)]))
+        for i in reversed(rows):
+            if y[i]:
+                emit(f"X_{i}_{c} = {y[i]} / d{i}")
+            X[i][c] = combine(f"X_{i}_{c}", y[i] and f"X_{i}_{c}",
+                              [(f"L_{k}_{i}", X[k][c]) for k in range(i + 1, n)])
+    if closed:
+        _law_tail(emit, s, m, law, v, X)
+    else:
+        M = itertools.starmap(entry, itertools.product(rows, rows))
+        emit(f"return (r0, r1, r2, r3, r4), ({', '.join(M)}, ), ({', '.join(sum(X, []))}, ), "
+             f"({', '.join(f'act{a}' for a in range(m))}, )")
+    source = "\n".join(lines) + "\n"
+    name = f"<pidpbc kernel s={s} m={m} {law} {mode}>"
+    return compile(source, name, "exec"), (len(source), None, source.splitlines(True), name)
+
+
+def _law_tail(emit: Callable, s: int, m: int, law: str, v: list, X: list) -> None:
+    """Emit the closed-loop law after the plant response ``X`` of
+    :func:`_kernel_code`: ``u``, the disturbance and the returned field."""
+    # y_d = L qd with L = [Lc m_au, k_a I], Lc = -c maa^{-1}
+    for a in range(m):
+        emit(*(f"Lm_{a}_{j} = {_sum((f'Lc_{a}_{b}', f'A_{b}_{j}') for b in range(m))}"
+               for j in range(s)),
+             f"y{a} = {_sum((f'Lm_{a}_{j}', v[j]) for j in range(s))} + ka * {v[s + a]}")
+
+    def pid(a, last):  # row a of K_P y_d + K_I z1 + K_D last
+        return " + ".join(_sum((f"{G}_{a}_{b}", f"{x}{b}") for b in range(m))
+                          for G, x in (("KP", "y"), ("KI", "z"), ("KD", last)))
+
+    if law == "exact":
+        # the PID as written, with yd_dot = L qdd - c maa^{-1} act: the matrix on
+        # u is K(q_u), the rest the derivative at u = 0, yd0 = L qdd0 + Lc act
+        for a in range(m):
+            emit(*(f"Ls_{a}_{c} = {_sum((f'Lm_{a}_{j}', X[j][c]) for j in range(s))}"
+                   f" + ka * {X[s + a][c]}" for c in range(1 + m)),
+                 f"yd{a} = Ls_{a}_0 + {_sum((f'Lc_{a}_{b}', f'act{b}') for b in range(m))}")
+        K = ("(" + ", ".join(("ke + " if a == b else "") + _sum(
+            (f"KD_{a}_{c}", f"Ls_{c}_{b + 1}") for c in range(m)) for b in range(m)) + ", ), "
+             for a in range(m))
+        rhs = "".join(f"-({pid(a, 'yd')}), " for a in range(m))
+        emit(f"K = array(({''.join(K)}))",
+             "detK = float(det(K))  # a NaN is left to the non-finite abort",
+             "if abs(detK) < det_tol:", "    raise WellPosednessError(qu, detK, det_tol, t)",
+             f"{_target('u', (m,))} = solve1(K, array(({rhs}))).tolist()")
+    else:
+        emit(*(f"zd{a} = fa * (y{a} - w{a})" for a in range(m)),
+             *(f"u_{a} = -({pid(a, 'zd')}) / ke" for a in range(m)))
+    # the disturbance enters at the plant input only; the law never sees it
+    emit("if dist is not None:",
+         f"    {_target('dd', (m,))} = read(dist(t), ({m},)).tolist()",
+         *(f"    u_{a} = u_{a} + dd_{a}" for a in range(m)))
+    qdd = (_sum([(X[i][0], "1")] + [(X[i][c + 1], f"u_{c}") for c in range(m)])
+           for i in range(s + m))
+    tail = [f"y{a}" for a in range(m)] + [f"zd{a}" for a in range(m) if law == "approx"]
+    emit(f"return [{', '.join([*v, *qdd, *tail])}]")
+
+
+def _bind(sys: MechanicalSystem, law: str, mode: str, **names) -> Callable:
+    """A new function of the kernel of :func:`_kernel_code` for ``sys``, whose
+    globals bind its callbacks (an inertia block without a Jacobian by the
+    rule of :func:`.mechanics._jacobian`), the entries of ``m_aa`` and ``names``."""
+    s, m = sys.s, sys.m
+    code, entry = _kernel_code(s, m, law, mode)
+    linecache.cache[entry[3]] = entry  # a traceback shows the generated line
+    env = dict(names, **_entries("maa", sys.maa), array=np.array, read=_read,
+               isfinite=math.isfinite, inf=math.inf, det=_lapack.det, solve1=_lapack.solve1,
+               WellPosednessError=WellPosednessError, SingularInertiaError=SingularInertiaError,
+               muu_fn=sys.muu_fn, mau_fn=sys.mau_fn, gradVu_fn=sys.gradVu_fn,
+               gradVa_fn=sys.gradVa_fn, muu_jac=_jacobian(sys.muu_fn, sys.muu_jac, (s, s)),
+               mau_jac=_jacobian(sys.mau_fn, sys.mau_jac, (m, s)))
+    exec(code, env)
+    return env["kernel"]
+
+
+def _entries(stem: str, mat: Array) -> dict:
+    """``{stem_i_j: float}`` of the matrix ``mat``, as a kernel names its entries."""
+    return {f"{stem}_{i}_{j}": float(x) for (i, j), x in np.ndenumerate(mat)}
+
+
 def _plant_response(sys: MechanicalSystem, drift_Va: bool):
     """The plant response ``qdd = qdd0 + G (u + d)``, any ``s`` and ``m``.
     ``response(x)`` on a state list starting with ``(q, qd)`` returns ``(xv,
     sol, M, act_row, reads)``, ``xv`` the array of ``x`` and ``reads`` the
     values at ``q_u`` of the callbacks in ``response.reads`` (with their
     shapes), or raises :class:`ArithmeticError` on a non-finite position
-    before any callback.
-    One solve with ``M(q_u)`` puts the drift ``qdd0`` (with ``-grad V_a`` when
-    ``drift_Va``) in column 0 of ``sol`` and ``G = M^{-1} [0; I]`` in the rest."""
-    s, m, n = sys.s, sys.m, sys.n
-    muu_jac = _jacobian(sys.muu_fn, sys.muu_jac, (s, s))
-    mau_jac = _jacobian(sys.mau_fn, sys.mau_jac, (m, s))
-    # M with its m_aa block, dM[i, j, k] = d M_ij / d q_u[k] and rhs = [drift | 0; I]
-    M, dM = np.zeros((n, n)), np.zeros((n, n, s))
-    M[s:, s:] = sys.maa
-    rhs = np.zeros((n, 1 + m))
-    rhs[s:, 1:] = np.eye(m)
+    before any callback and :class:`.SingularInertiaError` where a pivot of
+    ``M = L D L'`` is not positive and finite.  The lines of the generic
+    closed loop (see :func:`_kernel_code`) solve ``M(q_u)`` once, for the drift
+    ``qdd0`` (with ``-grad V_a`` when ``drift_Va``) in column 0 of ``sol``
+    and for ``G = M^{-1} [0; I]`` in the rest."""
+    n, m = sys.n, sys.m
+    kernel = _bind(sys, "response", "robust_A8" if drift_Va else "cancel_Va")
 
     def response(x: list) -> tuple:
-        if not all(map(math.isfinite, x[:n])):  # callbacks see finite positions only
-            raise ArithmeticError
-        xv = np.asarray(x)
-        q_u, qd = xv[:s], xv[n:2 * n]
-        mau = _read(sys.mau_fn(q_u), (m, s))
-        M[:s, :s] = muu = _read(sys.muu_fn(q_u), (s, s))
-        M[s:, :s] = mau
-        M[:s, s:] = mau.T
-        dmau = _read(mau_jac(q_u), (m, s, s))
-        dM[:s, :s] = dmuu = _read(muu_jac(q_u), (s, s, s))
-        dM[s:, :s] = dmau
-        dM[:s, s:] = dmau.transpose(1, 0, 2)
-        # Coriolis force Mdot qd - 1/2 d(qd' M qd)/dq, the second term in the
-        # unactuated rows only; Mdot qd's actuated rows are act_row
-        mdot_qd = (dM @ qd[:s]) @ qd
-        act_row = mdot_qd[s:]
-        gradVu = _read(sys.gradVu_fn(q_u), (s,))
-        rhs[:s, 0] = 0.5 * (qd @ (qd @ dM)) - mdot_qd[:s] - gradVu
-        rhs[s:, 0] = -act_row - _read(sys.gradVa_fn(xv[s:n]), (m,)) if drift_Va else -act_row
-        return xv, _lapack.solve(M, rhs), M, act_row, (muu, mau, dmuu, dmau, gradVu)
+        reads, M, sol, act_row = kernel(x)
+        return (np.asarray(x), np.reshape(sol, (n, 1 + m)), np.reshape(M, (n, n)),
+                np.array(act_row), reads)
 
-    response.reads = ((sys.muu_fn, (s, s)), (sys.mau_fn, (m, s)), (sys.muu_jac, (s, s, s)),
-                      (sys.mau_jac, (m, s, s)), (sys.gradVu_fn, (s,)))
+    response.reads = tuple((getattr(sys, fn), shape) for _, fn, shape in _read_specs(sys.s, m))
     return response
 
 
 def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
                         disturbance, det_tol: float):
-    """Array evaluation for any ``s`` and ``m``: the response of
-    :func:`_plant_response`, whose drift keeps the actuated potential slope
-    in ``robust_A8``, then the law; one closure serves one run at a time.
+    """Evaluation for any ``s`` and ``m``: the kernel of :func:`_kernel_code`
+    for ``(s, m, controller, gains.mode)`` bound to this plant, these gains,
+    ``disturbance`` and ``det_tol``; one closure serves one run at a time.
     It carries ``rk4_step(dt)``, the whole RK4 step of :func:`_rk4`, and
     ``record(n_samples, dt)``, which returns ``(callback, rows)`` pairs, one
-    array of ``n_samples`` rows per callback of ``response.reads`` without a
-    batch form; from then on each call ``sample`` copies its reads into row
-    ``t / dt``: the first stage of each step and the last state of a run."""
-    s, m, n = sys.s, sys.m, sys.n
-    exact = controller == "exact"
-    c, k_e, K_D, filter_a = gains.k_u - gains.k_a, gains.k_e, gains.K_D, gains.filter_a
-    response = _plant_response(sys, drift_Va=gains.mode == "robust_A8")
-    L = np.zeros((m, n))  # [-c maa^{-1} m_au, k_a I]
-    L[:, s:] = gains.k_a * np.eye(m)
-    L_u = -c * sys.maa_inv
-    u1 = np.ones(1 + m)  # [1; u], so that qdd = sol @ u1
-    k_eI = k_e * np.eye(m)
-    # the law's right-hand side is one product with [y_d; z1; w]: w is act_row
-    # in the exact law and the filtered derivative in the approximate one
-    pid = np.hstack([-gains.K_P, -gains.K_I, c * K_D @ sys.maa_inv if exact else -K_D])
-    kept, sample_dt = [], 0.0  # (index in reads, callback, rows) while a run records
+    array of ``n_samples`` rows per callback of ``_plant_response``'s
+    ``reads`` without a batch form; from then on each call ``sample`` copies
+    its reads into row ``t / dt``: the first stage of each step and the last
+    state of a run."""
+    reads = [(getattr(sys, fn), shape) for _, fn, shape in _read_specs(sys.s, sys.m)]
+    kept, sample_dt = [], 0.0  # (index in reads, rows) while a run records
 
     def record(n_samples: int, dt: float) -> list:
         nonlocal sample_dt
         # a batch form costs the diagnostics pass less than the copy per sample
-        kept[:], sample_dt = [(i, fn, np.empty((n_samples,) + shape))
-                              for i, (fn, shape) in enumerate(response.reads)
+        kept[:], sample_dt = [(i, np.empty((n_samples,) + shape))
+                              for i, (fn, shape) in enumerate(reads)
                               if fn is not None and getattr(fn, "batch_form", None) is None], dt
-        return [(fn, rows) for _, fn, rows in kept]
+        return [(reads[i][0], rows) for i, rows in kept]
 
-    def eval_rhs(t: float, x, sample: bool = True) -> list:
-        xv, sol, _, act_row, reads = response(x)
-        for i, _, rows in kept if sample else ():
-            rows[round(t / sample_dt)] = reads[i]
-        qd, z1v = xv[n:2 * n], xv[2 * n:2 * n + m]
+    def store(t: float, values: tuple) -> None:
+        for i, rows in kept:
+            rows[round(t / sample_dt)] = values[i]
 
-        # y_d = L qd and yd_dot = L qdd - c maa^{-1} act_row
-        L[:, :s] = L_u @ reads[1]
-        y_d = L @ qd
-        if exact:
-            # the PID as written, with yd_dot substituted: the matrix on u is K(q_u)
-            KD_Lsol = K_D @ (L @ sol)
-            K = k_eI + KD_Lsol[:, 1:]
-            detK = float(_lapack.det(K))  # a NaN (singular M) is left to the non-finite abort
-            if abs(detK) < det_tol:
-                raise WellPosednessError(xv[:s], detK, det_tol, t)
-            u = _lapack.solve1(K, pid @ np.concatenate((y_d, z1v, act_row)) - KD_Lsol[:, 0])
-            tail = y_d.tolist()
-        else:
-            z2dot = filter_a * (y_d - xv[2 * n + m:])
-            u = (pid @ np.concatenate((y_d, z1v, z2dot))) / k_e
-            tail = y_d.tolist() + z2dot.tolist()
-        # the disturbance enters at the plant input only; the law never sees it
-        if disturbance is not None:
-            u = u + np.asarray(disturbance(t), dtype=float).reshape(m)
-        u1[1:] = u
-        return qd.tolist() + (sol @ u1).tolist() + tail
-
-    def rk4_step(dt: float):
-        half, sixth = 0.5 * dt, dt / 6.0
-
-        def step(t: float, x: list) -> list:
-            # _rk4_stages written out, so that only the first stage is a sample
-            r1 = eval_rhs(t, x)
-            r2 = eval_rhs(t + half, [a + half * b for a, b in zip(x, r1)], False)
-            r3 = eval_rhs(t + half, [a + half * b for a, b in zip(x, r2)], False)
-            r4 = eval_rhs(t + dt, [a + dt * b for a, b in zip(x, r3)], False)
-            return [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-                    for a, b1, b2, b3, b4 in zip(x, r1, r2, r3, r4)]
-
-        return step
-
-    eval_rhs.rk4_step, eval_rhs.record = rk4_step, record
+    eval_rhs = _bind(sys, controller, gains.mode, kept=kept, store=store, dist=disturbance,
+                     det_tol=det_tol, ke=float(gains.k_e), ka=float(gains.k_a),
+                     fa=float(gains.filter_a), **_entries("KP", gains.K_P),
+                     **_entries("KI", gains.K_I), **_entries("KD", gains.K_D),
+                     **_entries("Lc", -(gains.k_u - gains.k_a) * sys.maa_inv))
+    # the stage loop in which only the first stage of a step is a sample
+    eval_rhs.rk4_step = lambda dt: _rk4_stages(lambda t, x: eval_rhs(t, x, False), dt, eval_rhs)
+    eval_rhs.record = record
     return eval_rhs
 
 
@@ -357,12 +471,13 @@ def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
     return eval_rhs
 
 
-def _rk4_stages(rhs: Callable[[float, list], list], dt: float):
-    """One classical RK4 step of ``rhs``, ``(t, x) -> x`` on lists of floats."""
+def _rk4_stages(rhs: Callable[[float, list], list], dt: float, first: Optional[Callable] = None):
+    """One classical RK4 step of ``rhs``, ``(t, x) -> x`` on lists of floats;
+    ``first``, when given, evaluates the first stage in place of ``rhs``."""
     half, sixth = 0.5 * dt, dt / 6.0
 
     def step(t: float, x: list) -> list:
-        r1 = rhs(t, x)
+        r1 = (first or rhs)(t, x)
         r2 = rhs(t + half, [a + half * b for a, b in zip(x, r1)])
         r3 = rhs(t + half, [a + half * b for a, b in zip(x, r2)])
         r4 = rhs(t + dt, [a + dt * b for a, b in zip(x, r3)])
@@ -542,17 +657,18 @@ def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float) 
     Returns time, positions, velocities and the total energy, which is
     conserved for the unforced plant and serves as the integrator audit.
     Raises as :func:`simulate`, and ends in :class:`SimulationAborted` too
-    where the inertia is not positive definite (its Cholesky factor is not finite).
+    where the inertia is not positive definite (a pivot of its ``L D L'``
+    factors is not positive and finite).
     """
     s, n = sys.s, sys.n
     q0, qd0, n_steps = _check_run(n, q0, qd0, t_end, dt)
     response = _plant_response(sys, drift_Va=True)
 
     def rhs(t, x):
-        sol, M = response(x)[1:3]
-        if not np.isfinite(_lapack.cholesky_lo(M)).all():
-            raise SingularInertiaError(x[:s], f"t={t:.6g}s")
-        return x[n:] + sol[:, 0].tolist()
+        try:
+            return x[n:] + response(x)[1][:, 0].tolist()
+        except SingularInertiaError as exc:
+            raise SingularInertiaError(exc.q_u, f"t={t:.6g}s") from None
 
     X = np.empty((n_steps + 1, 2 * n))
     X[0, :n], X[0, n:] = q0, qd0

@@ -63,8 +63,8 @@ def cart_pendulum_incline(pendulum_mass: float = 0.14, cart_mass: float = 0.44,
 def linear_system(M, S_u, S_a=None, name: str = "linear") -> MechanicalSystem:
     """Linear plant with constant inertia ``M`` and block-diagonal stiffness.
 
-    ``M`` is symmetric positive semidefinite with a positive definite
-    actuated block; ``S_u`` and ``S_a`` are symmetric, and ``S_u`` sets the
+    ``M`` is symmetric positive definite, a singular actuated block refused
+    by that name; ``S_u`` and ``S_a`` are symmetric, and ``S_u`` sets the
     unactuated dimension.  The coupling potential is exact (``maa^{-1} m_au
     q_u``), and when the actuated stiffness is zero the actuated potential is
     the zero affine function, so both controller modes apply.  Each formula
@@ -72,12 +72,13 @@ def linear_system(M, S_u, S_a=None, name: str = "linear") -> MechanicalSystem:
     callback and its batch form; with ``s = m = 1`` it also carries a float
     form over the same matrix entries.
     """
-    M = _as_matrix(M, len(np.atleast_2d(M)), "M", definite=False)
+    M = _as_matrix(M, len(np.atleast_2d(M)), "M")
     S_u = _as_matrix(S_u, len(np.atleast_2d(S_u)), "S_u")
     s, m = len(S_u), len(M) - len(S_u)
     S_a = _as_matrix(0.0 if S_a is None else S_a, m, "S_a")
     muu, mau = M[:s, :s].copy(), M[s:, :s].copy()
-    maa = _as_matrix(M[s:, s:].copy(), m, "maa", definite=True)  # named before the solve
+    maa = _as_matrix(M[s:, s:].copy(), m, "maa", definite=True)  # named before M's own rule
+    _as_matrix(M, s + m, "M", definite=True)
     maa_inv_mau = np.linalg.solve(maa, mau)
     affine = (np.zeros(m), 0.0) if not np.any(S_a) else None
     zeros_u, zeros_a = np.zeros((s, s, s)), np.zeros((m, s, s))

@@ -407,8 +407,11 @@ def test_pole_at_the_first_shift_and_a_pencil_singular_everywhere():
     lcl = linear_closed_loop(linear_system(M=np.eye(2), S_u=[[-1.0]]), g)
     assert lcl.max_real == 1.0 and lcl.hurwitz is False
     _assert_poles_match_qz(lcl)
-    # no inertia on q_u: det(C2 s^2 + C1 s + C0) vanishes for every s
-    lcl = linear_closed_loop(linear_system(M=[[0.0, 0.0], [0.0, 1.0]], S_u=[[0.0]]), g)
+    # no inertia on q_u: det(C2 s^2 + C1 s + C0) vanishes for every s; the
+    # inertia [[0, 0], [0, 1]], which linear_system refuses, is the identity
+    # with its (zero) coupling block in place of m_uu
+    decoupled = linear_system(M=np.eye(2), S_u=[[0.0]])
+    lcl = linear_closed_loop(replace(decoupled, muu_fn=decoupled.mau_fn), g)
     assert np.isnan(lcl.roots).all() and np.isnan(lcl.max_real)
     assert lcl.hurwitz is False
 

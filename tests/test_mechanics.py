@@ -209,7 +209,7 @@ def test_non_finite_gain_and_plant_data_is_refused_naming_the_entry(cart, entry,
 
 @pytest.mark.parametrize("kwargs, message", [
     (dict(M=[[2.0, 5.0], [1.0, 1.0]], S_u=[[1.0]]), "M must be symmetric"),
-    (dict(M=[[1.0, 2.0], [2.0, 1.0]], S_u=[[1.0]]), "M must be positive semidefinite"),
+    (dict(M=[[1.0, 2.0], [2.0, 1.0]], S_u=[[1.0]]), "M must be positive definite"),
     (dict(M=np.eye(3), S_u=[[1.0, 2.0], [0.0, 1.0]]), "S_u must be symmetric"),
     (dict(M=np.eye(4), S_u=np.eye(2), S_a=[[1.0, 0.5], [0.0, 1.0]]), "S_a must be symmetric"),
     (dict(M=[[2.0, 1.0], [1.0, np.nan]], S_u=[[1.0]]), "M must be finite"),
@@ -236,9 +236,13 @@ def test_symmetry_bound_is_absolute_on_the_matrix_scale():
     assert linear_system(M=big, S_u=[[1.0]]).mau(np.zeros(1)).tolist() == [[big[1, 0]]]
 
 
-def test_singular_semidefinite_inertia_and_scalar_blocks_are_accepted():
-    # semidefinite is the rule for M; a scalar m_aa or S_a means a multiple of I
-    assert linear_system(M=[[1.0, 1.0], [1.0, 1.0]], S_u=[[1.0]]).maa.tolist() == [[1.0]]
+def test_singular_inertia_is_refused_and_scalar_blocks_are_accepted():
+    # positive definite is the rule for M, the precondition of the step's
+    # L D L' solve: a singular M with a positive definite m_aa is refused by
+    # name; a scalar m_aa or S_a means a multiple of I
+    for M in ([[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="M must be positive definite"):
+            linear_system(M=M, S_u=[[1.0]])
     lin = linear_system(M=np.diag([3.0, 2.0, 2.0]), S_u=[[1.0]], S_a=0.5)
     assert lin.gradVa(np.array([1.0, -2.0])).tolist() == [0.5, -1.0]
     assert np.array_equal(replace(lin, maa=2.0).maa, 2.0 * np.eye(2))

@@ -388,7 +388,7 @@ def _linear_chain(**entries):
     (lambda doc: doc["gains"].update(K_P=float("inf")), "K_P must be finite"),
     (lambda doc: doc["gains"].update(K_I=float("inf")), "K_I must be finite"),
     (_linear_chain(inertia=[[2.0, 5.0], [1.0, 1.0]]), "M must be symmetric"),
-    (_linear_chain(inertia=[[1.0, 2.0], [2.0, 1.0]]), "M must be positive semidefinite"),
+    (_linear_chain(inertia=[[1.0, 2.0], [2.0, 1.0]]), "M must be positive definite"),
     (_linear_chain(inertia=np.eye(3).tolist(), stiffness_unactuated=[[1.0, 2.0], [0.0, 1.0]]),
      "S_u must be symmetric"),
 ], ids=["inf-K_P", "inf-K_I", "asymmetric-inertia", "indefinite-inertia",
@@ -514,11 +514,13 @@ def test_a_non_finite_scenario_number_is_refused_where_it_enters(tmp_path, capsy
     (_linear_chain(inertia=[[2.0, 5.0], [1.0, 1.0]]), "inertia", "M must be symmetric"),
     (_linear_chain(inertia=[[1.0, 0.0], [0.0, 0.0]]), "inertia",
      "maa must be positive definite"),
+    (_linear_chain(inertia=[[0.0, 0.0], [0.0, 1.0]]), "inertia", "M must be positive definite"),
     (_linear_chain(inertia=np.eye(3).tolist(), stiffness_unactuated=[[1.0, 2.0], [0.0, 1.0]]),
      "stiffness_unactuated", "S_u must be symmetric"),
     (_linear_chain(inertia=np.eye(3).tolist(), stiffness_actuated=[[1.0, 2.0], [0.0, 1.0]]),
      "stiffness_actuated", "S_a must be symmetric"),
-], ids=["asymmetric-inertia", "singular-actuated-block", "asymmetric-S_u", "asymmetric-S_a"])
+], ids=["asymmetric-inertia", "singular-actuated-block", "singular-inertia", "asymmetric-S_u",
+        "asymmetric-S_a"])
 def test_a_refused_linear_chain_matrix_is_named_by_its_key(tmp_path, capsys, edit, entry,
                                                            message):
     doc = builtin_scenario("linear")

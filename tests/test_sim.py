@@ -57,7 +57,7 @@ def test_scalar_closure_matches_generic_at_random_states(cart):
                     (plant.name, controller, mode, dist is not None, x)
 
 
-@pytest.mark.parametrize("s,m", [(2, 2), (2, 1), (1, 2), (3, 2)])
+@pytest.mark.parametrize("s,m", [(2, 2), (2, 1), (1, 2), (3, 2), (3, 3), (4, 1)])
 def test_generic_closure_matches_reference_functions(s, m):
     # the closure solves the plant response and the PID as written; the
     # reference route is the closed-form law K(q_u) u = -K_P y_d - K_I z1 - S
@@ -236,6 +236,94 @@ def test_generic_closure_matches_the_reference_functions_over_whole_runs():
         scale = 1.0 + np.abs(paths[1]).max(axis=0)
         assert np.all(np.abs(paths[0] - paths[1]).max(axis=0) < 1e-11 * scale), \
             (s, m, controller, mode, disturbed)
+
+
+def _permuted(plant, g, pu, pa):
+    """``plant`` and ``g`` in the coordinates ``q_u[pu]`` and ``q_a[pa]``: the
+    callbacks, m_aa, the affine V_a, the gain matrices and the target."""
+    iu, ia = np.argsort(pu), np.argsort(pa)
+
+    def at(fn, inverse, *index):  # fn in the new coordinates, its entries permuted
+        return lambda q: np.asarray(fn(q[inverse]))[np.ix_(*index)] if index else fn(q[inverse])
+
+    s_a, c0 = plant.affine_Va
+    moved = replace(plant, muu_fn=at(plant.muu_fn, iu, pu, pu),
+                    mau_fn=at(plant.mau_fn, iu, pa, pu), muu_jac=at(plant.muu_jac, iu, pu, pu, pu),
+                    mau_jac=at(plant.mau_jac, iu, pa, pu, pu), maa=plant.maa[np.ix_(pa, pa)],
+                    Vu_fn=at(plant.Vu_fn, iu), gradVu_fn=at(plant.gradVu_fn, iu, pu),
+                    Va_fn=at(plant.Va_fn, ia), gradVa_fn=at(plant.gradVa_fn, ia, pa),
+                    VN_fn=at(plant.VN_fn, iu, pa), affine_Va=(s_a[pa], c0))
+    return moved, replace(g, K_P=g.K_P[np.ix_(pa, pa)], K_I=g.K_I[np.ix_(pa, pa)],
+                          K_D=g.K_D[np.ix_(pa, pa)], q_u_star=g.q_u_star[pu],
+                          q_a_star=g.q_a_star[pa])
+
+
+@pytest.mark.parametrize("s,m,seed", [(2, 2, 0), (2, 2, 1), (2, 2, 2), (3, 2, 0)])
+def test_permuting_the_coordinates_permutes_the_trace(s, m, seed):
+    # a metamorphic relation no reference in the step's own index order can
+    # share: permute the unactuated coordinates among themselves and the
+    # actuated ones among themselves, in the callbacks, gains, start and
+    # target, and every trace column comes out permuted (det K, the energies
+    # and the other scalars unchanged), both laws, both modes
+    plant = make_synthetic(s, m, seed=seed)
+    pu, pa = np.roll(np.arange(s), 1), np.arange(m)[::-1]
+    q0 = np.linspace(0.2, -0.1, plant.n)
+    q0_moved = np.concatenate([q0[:s][pu], q0[s:][pa]])
+    for controller, mode in itertools.product(CONTROLLERS, MODES):
+        g = random_gains(plant, np.random.default_rng(seed), mode=mode)
+        moved, g_moved = _permuted(plant, g, pu, pa)
+        run = dict(t_end=0.1, dt=1e-3, controller=controller)
+        want = simulate(plant, g, q0, np.zeros(plant.n), **run)
+        got = simulate(moved, g_moved, q0_moved, np.zeros(plant.n), **run)
+        for f in fields(want):
+            col = getattr(want, f.name)
+            if not isinstance(col, np.ndarray):
+                continue
+            if col.ndim == 2:
+                col = col[:, pu if f.name in ("q_u", "qd_u") else pa]
+            assert np.abs(getattr(got, f.name) - col).max() <= 1e-13 * np.abs(col).max(), \
+                (controller, mode, f.name)
+
+
+def test_one_code_object_serves_a_structure_and_its_source_has_no_number():
+    # plant and gain numbers are the kernel's globals, never its source: two
+    # plants and gain sets of one structure share one code object, and the
+    # source holds no float literal; another law is another structure
+    import ast
+    import linecache
+    built = []
+    for seed in (1, 2):
+        plant = make_synthetic(2, 2, seed=seed)
+        built.append(_build_eval_generic(plant, random_gains(plant, np.random.default_rng(seed)),
+                                         "exact", None, 0.0))
+    assert built[0].__code__ is built[1].__code__
+    assert built[0].__globals__ is not built[1].__globals__
+    approx = _build_eval_generic(plant, random_gains(plant, np.random.default_rng(3)), "approx",
+                                 None, 0.0)
+    assert approx.__code__ is not built[0].__code__
+    for rhs in (built[0], approx):
+        source = "".join(linecache.getlines(rhs.__code__.co_filename))
+        floats = [node.value for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+        assert source.startswith("def kernel(") and floats == [], rhs.__code__.co_filename
+
+
+def test_a_traceback_from_the_kernel_shows_the_generated_line():
+    # the kernel is compiled under a name that gives its structure, and its
+    # source is in linecache: a zero pivot of a singular M (a ZeroDivisionError,
+    # which a run reports as the non-finite abort) points at its line
+    import linecache
+    import traceback
+    plant = make_synthetic(2, 2, seed=93)
+    singular = replace(plant, muu_fn=lambda q_u: np.zeros((2, 2)))
+    g = random_gains(plant, np.random.default_rng(93))
+    rhs = _build_eval_generic(singular, g, "exact", None, 0.0)
+    with pytest.raises(ZeroDivisionError) as err:
+        rhs(0.0, [0.1] * 10)
+    frame = traceback.extract_tb(err.value.__traceback__)[-1]
+    assert frame.filename == "<pidpbc kernel s=2 m=2 exact cancel_Va>"
+    assert frame.line == linecache.getline(frame.filename, frame.lineno).strip() == \
+        "L_1_0 = W_1_0 / d0"
 
 
 def test_robust_start_makes_the_target_an_equilibrium(cart):
@@ -474,7 +562,10 @@ def test_zero_divisor_aborts_like_a_non_finite_state(cart, gains_cancel):
     # Python floats raise on a zero divisor where numpy floats gave inf/nan;
     # both builders must still end in the non-finite abort, never in a
     # ZeroDivisionError or OverflowError
-    singular = linear_system(M=[[1.0, 1.0], [1.0, 1.0]], S_u=[[1.0]], name="singular")
+    # m_uu = m_au = m_aa = 1: the inertia [[1, 1], [1, 1]], which linear_system
+    # refuses, with the float forms of the coupling block in place of m_uu
+    coupled = linear_system(M=[[2.0, 1.0], [1.0, 1.0]], S_u=[[1.0]])
+    singular = replace(coupled, muu_fn=coupled.mau_fn, name="singular")
     g = Gains(q_u_star=[0.0], q_a_star=[0.0], **TOY_GAINS)
     cases = [(singular, g, [0.3, 0.1], [0.0, 0.0], 0.001),
              (cart, gains_cancel, [PSI + 0.85, -0.6], [-2.0, 0.0], 0.216)]
