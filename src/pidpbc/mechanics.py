@@ -18,8 +18,8 @@ order, so a one-entry block may be a plain Python float.  It may carry two
 more forms of the same formula, attached by :func:`with_forms`: a *float
 form* (a Python float in, a float out) and a *batch form* (a ``(..., k)``
 array in, an array that broadcasts to ``(..., *block)`` out, in one numpy
-call).  The ``s = m = 1`` integration steps on Python floats only when every
-callback it calls carries its float form, and on arrays otherwise.
+call).  The integration of an ``s = m = 1`` plant calls the float forms
+when every callback it reads carries one, and reads arrays otherwise.
 :func:`_read` is the one reader of a result at a point; :func:`_per_point`
 takes a batch through the batch form, or point by point (:func:`_loop_points`)
 without one.  :func:`_jacobian` is the one rule for a block's derivative: the

@@ -15,31 +15,31 @@ qd_u``, so the law becomes ``(k_e I + K_D L G) u = -K_P y_d - K_I z1 - K_D
 yd_dot|_{u=0}``, whose matrix is the well-posedness matrix ``K(q_u)``.  The
 closed forms of ``K`` and of the feedforward ``S`` live only in
 :mod:`.controller`; the ``u`` and ``detK`` columns come from them, a second
-route to the integrated law.  A scalar form of the same formulas serves an
-``s = m = 1`` plant whose callbacks carry the float forms it calls (see
-:mod:`.mechanics`); every other plant runs the generic form.  The generic
-form and the open-loop energy audit :func:`simulate_open_loop` (at ``u =
-0``) integrate the same plant response, which reads its callbacks and their
-Jacobians by the rules of :mod:`.mechanics`.  The generic form is generated
-(:func:`_kernel_code`): for each structure ``(s, m, law, mode)`` one
-straight-line function on local floats, every index resolved and the plant's
-and gains' numbers bound as its globals, so plants and gains of one structure
-share one code object, compiled on first use.  It solves ``M`` by an
-unpivoted ``L D L'``, ``M`` being positive definite: a zero pivot is a
-:class:`ZeroDivisionError`, which :func:`_rk4` aborts on, and the open-loop
-audit (:func:`_plant_response`, the same lines returned as arrays) refuses a
-pivot that is not positive.  ``K`` goes to the float64 gufuncs behind
-``np.linalg`` (``det``, ``solve1``) without its wrapper, where a singular
-``K`` is NaN.  The tests pin the response to ``forward_dynamics``, the
-generic form to the reference functions and the scalar form to the generic
-one, at random states and over whole runs.  The integrated state is a list
-of Python floats, and both forms take the whole RK4 step, bitwise the stage
-loop of :func:`_rk4`.
-The generic step's first stages and a run's last state copy its reads of
-callbacks without a batch form into per-sample rows, which the diagnostics
-pass reuses (a callback is a function of its point alone, see
-:mod:`.mechanics`); it evaluates every other callback over all samples at
-once, through its batch form when it has one.
+route to the integrated law.
+
+Every plant runs one generated evaluation (:func:`_kernel_code`): for each
+structure ``(s, m, law, mode)`` one straight-line function on local floats,
+every index resolved and the plant's and gains' numbers bound as its
+globals, so plants and gains of one structure share one code object,
+compiled on first use.  It reads each callback once by the rules of
+:mod:`.mechanics`; an ``s = m = 1`` plant whose callbacks carry their float
+forms gets the variant that calls those on floats and builds no array.  It
+solves ``M`` by an unpivoted ``L D L'``, ``M`` being positive definite: a
+zero pivot is a :class:`ZeroDivisionError`, which :func:`_rk4` aborts on.
+At ``m = 1``, ``K`` is its own determinant and divides; beyond, ``K`` goes
+to the float64 gufuncs behind ``np.linalg`` (``det``, ``solve1``) without
+its wrapper, where a singular ``K`` is NaN.  The same source holds the
+whole RK4 step on local floats, bitwise the stage loop of :func:`_rk4`.  The
+open-loop energy audit :func:`simulate_open_loop` (at ``u = 0``) integrates
+the kernel's plant response alone (:func:`_plant_response`), which refuses
+a pivot that is not positive.  The tests pin the response to
+``forward_dynamics``, the evaluation to the reference functions, and the
+float reads to the array reads, at random states and over whole runs.
+The step's first stages and a run's last state copy its reads of callbacks
+without a batch form into per-sample rows, which the diagnostics pass
+reuses (a callback is a function of its point alone, see :mod:`.mechanics`);
+it evaluates every other callback over all samples at once, through its
+batch form when it has one.
 
 :func:`write_trace` writes the run's record, numpy's ``.npy`` format with
 one named float64 field per column, which :func:`read_trace` gives back
@@ -145,9 +145,18 @@ class SimulationAborted(DynamicsError):
 
 def _read_specs(s: int, m: int) -> tuple:
     """``(stem, callback name, shape)`` of each read of a generic evaluation at
-    ``q_u``, in the order of ``_plant_response``'s ``reads``."""
+    ``q_u``, in the order a kernel stores them."""
     return (("U", "muu_fn", (s, s)), ("A", "mau_fn", (m, s)), ("dU", "muu_jac", (s, s, s)),
             ("dA", "mau_jac", (m, s, s)), ("gu", "gradVu_fn", (s,)))
+
+
+def _float_reads(sys: MechanicalSystem, mode: str) -> bool:
+    """Whether the plant has ``s = m = 1`` and each callback a kernel calls
+    carries its float form (see :mod:`.mechanics`): those of
+    :func:`_read_specs` and, in ``robust_A8`` mode, ``gradVa_fn``."""
+    names = [fn for _, fn, _ in _read_specs(1, 1)] + ["gradVa_fn"] * (mode == "robust_A8")
+    return sys.s == sys.m == 1 and all(getattr(getattr(sys, name), "float_form", None)
+                                       for name in names)
 
 
 def _sum(pairs) -> Optional[str]:
@@ -166,31 +175,51 @@ def _target(stem: str, shape: tuple) -> str:
 
 
 @functools.cache
-def _kernel_code(s: int, m: int, law: str, mode: str) -> tuple:
+def _kernel_code(s: int, m: int, law: str, mode: str, floats: bool) -> tuple:
     """``(code, linecache entry)`` of the generated evaluation of one
     structure, compiled on first use: straight-line code on local floats,
     every index resolved, plant and gain numbers only as names that
     :func:`_bind` binds.  ``law`` is ``"exact"``, ``"approx"`` or
     ``"response"`` (the plant response of :func:`_plant_response` alone); the
-    drift keeps ``-grad V_a`` in ``mode`` ``robust_A8``."""
+    drift keeps ``-grad V_a`` in ``mode`` ``robust_A8``.  With ``floats``
+    (``s = m = 1``, see :func:`_float_reads`) each callback is its float form
+    at the float ``q0``, and ``q_u`` becomes an array only where it is raised.
+    A closed loop's source defines ``field``, which takes the state entries
+    and returns the derivatives of all but the positions, ``kernel(t, x)``
+    over a state list, and ``rk4_step`` (see :func:`_step_lines`)."""
     n, closed, robust = s + m, law != "response", mode == "robust_A8"
     q, v, z, w = ([f"{c}{i}" for i in range(k)] for c, k in zip("qvzw", (n, n, m, m)))
     reads, rows, X = _read_specs(s, m), range(n), [[None] * (1 + m) for _ in range(n)]
-    lines = ["def kernel(t, x, sample=True):" if closed else "def kernel(x):"]
+    state = q + v + (z + (w if law == "approx" else []) if closed else [])
+    lines = ["def kernel(t, x, sample=True):", f"    {', '.join(state)}, = x",
+             f"    return [{', '.join(v)}, *field(t, {', '.join(state)}, sample)]", "",
+             f"def field(t, {', '.join(state)}, sample):"] if closed else ["def kernel(x):"]
 
     def emit(*code):
         lines.extend("    " + line for line in code)
 
-    state = q + v + (z + (w if law == "approx" else []) if closed else [])
-    emit(f"{', '.join(state)}, = x" + ("" if closed else f"[:{2 * n}]"),
-         f"if not ({' and '.join(f'isfinite({a})' for a in q)}):",  # callbacks see finite q
-         "    raise ArithmeticError", f"qu = array(x[:{s}])")
-    emit(*(f"r{i} = read({fn}(qu), {shape})" for i, (_, fn, shape) in enumerate(reads)))
+    def vector(names):
+        return f"array(({''.join(a + ', ' for a in names)}))"
+
+    if not closed:
+        emit(f"{', '.join(state)}, = x[:{2 * n}]")
+    emit(f"if not ({' and '.join(f'isfinite({a})' for a in q)}):",  # callbacks see finite q
+         "    raise ArithmeticError")
+    if floats:
+        qu, values = vector(q[:1]), [stem + "_0" * len(shape) for stem, _, shape in reads]
+        emit(*(f"{name} = {fn}(q0)" for name, (_, fn, _) in zip(values, reads)),
+             *(["ga_0 = gradVa_fn(q1)"] if robust else []))
+    else:
+        qu, values = "qu", [f"r{i}" for i in range(len(reads))]
+        emit(f"qu = {vector(q[:s])}",
+             *(f"r{i} = read({fn}(qu), {shape})" for i, (_, fn, shape) in enumerate(reads)))
     if closed:
-        emit("if sample and kept:", "    store(t, (r0, r1, r2, r3, r4))")
-    emit(*(f"{_target(stem, shape)} = r{i}.tolist()" for i, (stem, _, shape) in enumerate(reads)))
-    if robust:
-        emit(f"{_target('ga', (m,))} = read(gradVa_fn(array(x[{s}:{n}])), ({m},)).tolist()")
+        emit("if sample and kept:", f"    store(t, ({', '.join(values)}))")
+    if not floats:
+        emit(*(f"{_target(stem, shape)} = r{i}.tolist()"
+               for i, (stem, _, shape) in enumerate(reads)))
+        if robust:
+            emit(f"{_target('ga', (m,))} = read(gradVa_fn({vector(q[s:])}), ({m},)).tolist()")
     # the Coriolis force Mdot qd - 1/2 d(qd' M qd)/dq: h = dM_uu qd_u, g and e
     # the two contractions of dM_au with qd_u, act the actuated rows of Mdot qd
     for i, k in itertools.product(range(s), range(s)):
@@ -222,7 +251,7 @@ def _kernel_code(s: int, m: int, law: str, mode: str) -> tuple:
     for j in rows:
         emit(f"d{j} = {entry(j, j)}" + "".join(f" - W_{j}_{k} * L_{j}_{k}" for k in range(j)))
         if not closed:
-            emit(f"if not 0 < d{j} < inf:", "    raise SingularInertiaError(qu)")
+            emit(f"if not 0 < d{j} < inf:", f"    raise SingularInertiaError({qu})")
         for i in range(j + 1, n):
             emit(f"W_{i}_{j} = {entry(i, j)}" + "".join(f" - W_{i}_{k} * L_{j}_{k}"
                                                           for k in range(j)),
@@ -239,17 +268,16 @@ def _kernel_code(s: int, m: int, law: str, mode: str) -> tuple:
             X[i][c] = combine(f"X_{i}_{c}", y[i] and f"X_{i}_{c}",
                               [(f"L_{k}_{i}", X[k][c]) for k in range(i + 1, n)])
     if closed:
-        _law_tail(emit, s, m, law, v, X)
+        _law_tail(emit, s, m, law, v, X, qu)
+        lines += _step_lines(state, n)
     else:
-        M = itertools.starmap(entry, itertools.product(rows, rows))
-        emit(f"return (r0, r1, r2, r3, r4), ({', '.join(M)}, ), ({', '.join(sum(X, []))}, ), "
-             f"({', '.join(f'act{a}' for a in range(m))}, )")
+        emit(f"return [{', '.join(sum(X, []))}]")
     source = "\n".join(lines) + "\n"
-    name = f"<pidpbc kernel s={s} m={m} {law} {mode}>"
+    name = f"<pidpbc kernel s={s} m={m} {law} {mode}{' float reads' if floats else ''}>"
     return compile(source, name, "exec"), (len(source), None, source.splitlines(True), name)
 
 
-def _law_tail(emit: Callable, s: int, m: int, law: str, v: list, X: list) -> None:
+def _law_tail(emit: Callable, s: int, m: int, law: str, v: list, X: list, qu: str) -> None:
     """Emit the closed-loop law after the plant response ``X`` of
     :func:`_kernel_code`: ``u``, the disturbance and the returned field."""
     # y_d = L qd with L = [Lc m_au, k_a I], Lc = -c maa^{-1}
@@ -269,14 +297,20 @@ def _law_tail(emit: Callable, s: int, m: int, law: str, v: list, X: list) -> Non
             emit(*(f"Ls_{a}_{c} = {_sum((f'Lm_{a}_{j}', X[j][c]) for j in range(s))}"
                    f" + ka * {X[s + a][c]}" for c in range(1 + m)),
                  f"yd{a} = Ls_{a}_0 + {_sum((f'Lc_{a}_{b}', f'act{b}') for b in range(m))}")
-        K = ("(" + ", ".join(("ke + " if a == b else "") + _sum(
-            (f"KD_{a}_{c}", f"Ls_{c}_{b + 1}") for c in range(m)) for b in range(m)) + ", ), "
-             for a in range(m))
-        rhs = "".join(f"-({pid(a, 'yd')}), " for a in range(m))
-        emit(f"K = array(({''.join(K)}))",
-             "detK = float(det(K))  # a NaN is left to the non-finite abort",
-             "if abs(detK) < det_tol:", "    raise WellPosednessError(qu, detK, det_tol, t)",
-             f"{_target('u', (m,))} = solve1(K, array(({rhs}))).tolist()")
+        K = [[("ke + " if a == b else "") + _sum((f"KD_{a}_{c}", f"Ls_{c}_{b + 1}")
+                                                 for c in range(m)) for b in range(m)]
+             for a in range(m)]
+        # a NaN det K is left to the non-finite abort; at m = 1, K is its own
+        # det, and an exact zero divides (a ZeroDivisionError, the same abort)
+        floor = ("if abs(detK) < det_tol:",
+                 f"    raise WellPosednessError({qu}, detK, det_tol, t)")
+        if m == 1:
+            emit(f"detK = {K[0][0]}", *floor, f"u_0 = -({pid(0, 'yd')}) / detK")
+        else:
+            rhs = "".join(f"-({pid(a, 'yd')}), " for a in range(m))
+            emit(f"K = array(({''.join('(' + ', '.join(row) + ', ), ' for row in K)}))",
+                 "detK = float(det(K))", *floor,
+                 f"{_target('u', (m,))} = solve1(K, array(({rhs}))).tolist()")
     else:
         emit(*(f"zd{a} = fa * (y{a} - w{a})" for a in range(m)),
              *(f"u_{a} = -({pid(a, 'zd')}) / ke" for a in range(m)))
@@ -287,24 +321,50 @@ def _law_tail(emit: Callable, s: int, m: int, law: str, v: list, X: list) -> Non
     qdd = (_sum([(X[i][0], "1")] + [(X[i][c + 1], f"u_{c}") for c in range(m)])
            for i in range(s + m))
     tail = [f"y{a}" for a in range(m)] + [f"zd{a}" for a in range(m) if law == "approx"]
-    emit(f"return [{', '.join([*v, *qdd, *tail])}]")
+    emit(f"return {', '.join([*qdd, *tail])},")
 
 
-def _bind(sys: MechanicalSystem, law: str, mode: str, **names) -> Callable:
-    """A new function of the kernel of :func:`_kernel_code` for ``sys``, whose
-    globals bind its callbacks (an inertia block without a Jacobian by the
-    rule of :func:`.mechanics._jacobian`), the entries of ``m_aa`` and ``names``."""
-    s, m = sys.s, sys.m
-    code, entry = _kernel_code(s, m, law, mode)
+def _step_lines(state: list, n: int) -> list:
+    """Source of ``rk4_step(dt)``, the whole RK4 step of ``field`` on the
+    state names ``state``, whose first ``n`` are positions: :func:`_rk4_stages`
+    over ``kernel`` written out per entry, each sum in its order, so the step
+    is bitwise the stage loop (a position's derivative is its stage's
+    velocity, which ``kernel`` returns as it is).  Only the first stage is a
+    sample."""
+    xs = [state] + [[f"{a}_{j}" for a in state] for j in (1, 2, 3)]
+    ds = [x[n:2 * n] + [f"k{j}_{i}" for i in range(n, len(state))] for j, x in enumerate(xs)]
+    lines = ["", "def rk4_step(dt):", "    half, sixth = dt / 2, dt / 6", "",
+             "    def step(t, x):", f"        {', '.join(state)}, = x"]
+    for j, (t, h) in enumerate((("t", None), ("t + half", "half"), ("t + half", "half"),
+                                ("t + dt", "dt"))):
+        if h:  # the stage state, a step h along the previous stage's derivative
+            lines += [f"        {b} = {a} + {h} * {d}" for a, b, d in zip(state, xs[j], ds[j - 1])]
+        lines.append(f"        {''.join(k + ', ' for k in ds[j][n:])}= field({t}, "
+                     f"{', '.join(xs[j])}, {not h})")
+    sums = (f"{a} + sixth * ({d0} + 2 * ({d1} + {d2}) + {d3})"
+            for a, d0, d1, d2, d3 in zip(state, *ds))
+    return lines + [f"        return [{', '.join(sums)}]", "", "    return step"]
+
+
+def _bind(sys: MechanicalSystem, law: str, mode: str, **names) -> dict:
+    """The namespace of a new instance of :func:`_kernel_code`'s source for
+    ``sys``, holding ``kernel`` (and ``rk4_step``), whose globals bind its
+    callbacks (their float forms where :func:`_float_reads` holds; an inertia
+    block without a Jacobian by the rule of :func:`.mechanics._jacobian`), the
+    entries of ``m_aa`` and ``names``."""
+    s, m, floats = sys.s, sys.m, _float_reads(sys, mode)
+    code, entry = _kernel_code(s, m, law, mode, floats)
     linecache.cache[entry[3]] = entry  # a traceback shows the generated line
-    env = dict(names, **_entries("maa", sys.maa), array=np.array, read=_read,
-               isfinite=math.isfinite, inf=math.inf, det=_lapack.det, solve1=_lapack.solve1,
-               WellPosednessError=WellPosednessError, SingularInertiaError=SingularInertiaError,
-               muu_fn=sys.muu_fn, mau_fn=sys.mau_fn, gradVu_fn=sys.gradVu_fn,
+    fns = dict(muu_fn=sys.muu_fn, mau_fn=sys.mau_fn, gradVu_fn=sys.gradVu_fn,
                gradVa_fn=sys.gradVa_fn, muu_jac=_jacobian(sys.muu_fn, sys.muu_jac, (s, s)),
                mau_jac=_jacobian(sys.mau_fn, sys.mau_jac, (m, s)))
+    if floats:
+        fns = {name: getattr(fn, "float_form", None) for name, fn in fns.items()}
+    env = dict(names, **fns, **_entries("maa", sys.maa), array=np.array, read=_read,
+               isfinite=math.isfinite, inf=math.inf, det=_lapack.det, solve1=_lapack.solve1,
+               WellPosednessError=WellPosednessError, SingularInertiaError=SingularInertiaError)
     exec(code, env)
-    return env["kernel"]
+    return env
 
 
 def _entries(stem: str, mat: Array) -> dict:
@@ -312,40 +372,29 @@ def _entries(stem: str, mat: Array) -> dict:
     return {f"{stem}_{i}_{j}": float(x) for (i, j), x in np.ndenumerate(mat)}
 
 
-def _plant_response(sys: MechanicalSystem, drift_Va: bool):
-    """The plant response ``qdd = qdd0 + G (u + d)``, any ``s`` and ``m``.
-    ``response(x)`` on a state list starting with ``(q, qd)`` returns ``(xv,
-    sol, M, act_row, reads)``, ``xv`` the array of ``x`` and ``reads`` the
-    values at ``q_u`` of the callbacks in ``response.reads`` (with their
-    shapes), or raises :class:`ArithmeticError` on a non-finite position
-    before any callback and :class:`.SingularInertiaError` where a pivot of
-    ``M = L D L'`` is not positive and finite.  The lines of the generic
-    closed loop (see :func:`_kernel_code`) solve ``M(q_u)`` once, for the drift
-    ``qdd0`` (with ``-grad V_a`` when ``drift_Va``) in column 0 of ``sol``
-    and for ``G = M^{-1} [0; I]`` in the rest."""
-    n, m = sys.n, sys.m
-    kernel = _bind(sys, "response", "robust_A8" if drift_Va else "cancel_Va")
-
-    def response(x: list) -> tuple:
-        reads, M, sol, act_row = kernel(x)
-        return (np.asarray(x), np.reshape(sol, (n, 1 + m)), np.reshape(M, (n, n)),
-                np.array(act_row), reads)
-
-    response.reads = tuple((getattr(sys, fn), shape) for _, fn, shape in _read_specs(sys.s, m))
-    return response
+def _plant_response(sys: MechanicalSystem, drift_Va: bool) -> Callable:
+    """The plant response ``qdd = qdd0 + G (u + d)``, any ``s`` and ``m``:
+    ``response(x)`` on a state list starting with ``(q, qd)`` returns the
+    ``n x (1 + m)`` solution of ``M(q_u)`` as a flat row-major list, the drift
+    ``qdd0`` (with ``-grad V_a`` when ``drift_Va``) in column 0 and ``G = M^{-1}
+    [0; I]`` in the rest.  It raises :class:`ArithmeticError` on a non-finite
+    position before any callback and :class:`.SingularInertiaError` where a
+    pivot of ``M = L D L'`` is not positive and finite.  These are the lines
+    of the generic closed loop (see :func:`_kernel_code`)."""
+    return _bind(sys, "response", "robust_A8" if drift_Va else "cancel_Va")["kernel"]
 
 
 def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
                         disturbance, det_tol: float):
-    """Evaluation for any ``s`` and ``m``: the kernel of :func:`_kernel_code`
-    for ``(s, m, controller, gains.mode)`` bound to this plant, these gains,
-    ``disturbance`` and ``det_tol``; one closure serves one run at a time.
-    It carries ``rk4_step(dt)``, the whole RK4 step of :func:`_rk4`, and
-    ``record(n_samples, dt)``, which returns ``(callback, rows)`` pairs, one
-    array of ``n_samples`` rows per callback of ``_plant_response``'s
-    ``reads`` without a batch form; from then on each call ``sample`` copies
-    its reads into row ``t / dt``: the first stage of each step and the last
-    state of a run."""
+    """The closed-loop evaluation of every plant: the kernel of
+    :func:`_kernel_code` for ``(s, m, controller, gains.mode)`` bound to this
+    plant, these gains, ``disturbance`` and ``det_tol``; one closure serves
+    one run at a time.  It carries ``rk4_step(dt)``, the whole RK4 step of
+    :func:`_rk4`, and ``record(n_samples, dt)``, which returns ``(callback,
+    rows)`` pairs, one array of ``n_samples`` rows per callback of
+    :func:`_read_specs` without a batch form; from then on each call
+    ``sample`` copies its reads into row ``t / dt``: the first stage of each
+    step and the last state of a run."""
     reads = [(getattr(sys, fn), shape) for _, fn, shape in _read_specs(sys.s, sys.m)]
     kept, sample_dt = [], 0.0  # (index in reads, rows) while a run records
 
@@ -361,123 +410,22 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
         for i, rows in kept:
             rows[round(t / sample_dt)] = values[i]
 
-    eval_rhs = _bind(sys, controller, gains.mode, kept=kept, store=store, dist=disturbance,
-                     det_tol=det_tol, ke=float(gains.k_e), ka=float(gains.k_a),
-                     fa=float(gains.filter_a), **_entries("KP", gains.K_P),
-                     **_entries("KI", gains.K_I), **_entries("KD", gains.K_D),
-                     **_entries("Lc", -(gains.k_u - gains.k_a) * sys.maa_inv))
-    # the stage loop in which only the first stage of a step is a sample
-    eval_rhs.rk4_step = lambda dt: _rk4_stages(lambda t, x: eval_rhs(t, x, False), dt, eval_rhs)
-    eval_rhs.record = record
+    env = _bind(sys, controller, gains.mode, kept=kept, store=store, dist=disturbance,
+                det_tol=det_tol, ke=float(gains.k_e), ka=float(gains.k_a),
+                fa=float(gains.filter_a), **_entries("KP", gains.K_P),
+                **_entries("KI", gains.K_I), **_entries("KD", gains.K_D),
+                **_entries("Lc", -(gains.k_u - gains.k_a) * sys.maa_inv))
+    eval_rhs = env["kernel"]
+    eval_rhs.rk4_step, eval_rhs.record = env["rk4_step"], record
     return eval_rhs
 
 
-def _scalar_forms(sys: MechanicalSystem, mode: str) -> Optional[list]:
-    """The float forms of ``muu_fn``, ``mau_fn``, ``gradVu_fn``, ``muu_jac``,
-    ``mau_jac`` and, in ``robust_A8`` mode, ``gradVa_fn``: the callbacks the
-    ``s = m = 1`` step calls.  ``None`` unless the plant has ``s = m = 1`` and
-    each of them carries its float form."""
-    names = ["muu_fn", "mau_fn", "gradVu_fn", "muu_jac", "mau_jac"]
-    if mode == "robust_A8":
-        names.append("gradVa_fn")
-    forms = [getattr(getattr(sys, name), "float_form", None) for name in names]
-    return forms if sys.s == sys.m == 1 and all(forms) else None
-
-
-def _build_eval_scalar(sys: MechanicalSystem, gains: Gains, controller: str,
-                       disturbance, det_tol: float):
-    """Float-only evaluation for s = m = 1; formula-identical to the generic
-    path, with the 2x2 inverse in closed form.  It calls only the float forms
-    of :func:`_scalar_forms`, which the plant must carry, so every evaluation
-    runs on Python floats.  The returned closure carries ``rk4_step(dt)``,
-    the whole RK4 step of :func:`_rk4` on local floats (see there)."""
-    muu_fn, mau_fn, gradVu_fn, dmuu_fn, dmau_fn, *robust = _scalar_forms(sys, gains.mode)
-    gradVa_fn = robust[0] if robust else None
-    use_z2 = controller == "approx"
-    k_e, k_a, filter_a = gains.k_e, gains.k_a, gains.filter_a
-    c = gains.k_u - gains.k_a
-    KP, KI, KD = (float(mat[0, 0]) for mat in (gains.K_P, gains.K_I, gains.K_D))
-    maa = float(sys.maa[0, 0])
-
-    def field(t, q_u, q_a, qd_u, qd_a, z1, z2) -> tuple:
-        """``(qdd_u, qdd_a, y_d, z2dot)``; ``z2dot`` is 0.0 in the exact law,
-        so a ``z2`` slot held at 0.0 serves both laws."""
-        if not (math.isfinite(q_u) and math.isfinite(q_a)):  # callbacks see finite positions only
-            raise ArithmeticError
-        muu = muu_fn(q_u)
-        mau = mau_fn(q_u)
-        act_row = dmau_fn(q_u) * qd_u * qd_u
-
-        # plant response qdd = qdd0 + G (u + d); the velocity cross terms
-        # cancel exactly for s = m = 1; robust_A8 keeps the actuated slope
-        f_u = -(0.5 * dmuu_fn(q_u) * qd_u * qd_u + gradVu_fn(q_u))
-        f_a = -act_row - gradVa_fn(q_a) if gradVa_fn else -act_row
-        det_M = muu * maa - mau * mau
-        qdd0_u = (maa * f_u - mau * f_a) / det_M
-        qdd0_a = (muu * f_a - mau * f_u) / det_M
-        G_u, G_a = -mau / det_M, muu / det_M
-
-        # y_d = L qd with L = [-c m_au / maa, k_a]
-        L_u = -c * mau / maa
-        y_d = L_u * qd_u + k_a * qd_a
-        if use_z2:
-            z2dot = filter_a * (y_d - z2)
-            # (KD filter_a) (y_d - z2), not KD z2dot: a different rounding
-            u = -(KP * y_d + KI * z1 + KD * filter_a * (y_d - z2)) / k_e
-        else:
-            z2dot = 0.0
-            K = k_e + KD * (L_u * G_u + k_a * G_a)
-            if abs(K) < det_tol:
-                raise WellPosednessError(np.array([q_u]), K, det_tol, t)
-            ydot0 = L_u * qdd0_u + k_a * qdd0_a - c * act_row / maa
-            u = (-(KP * y_d) - KI * z1 - KD * ydot0) / K
-        if disturbance is not None:
-            u += np.asarray(disturbance(t), dtype=float).reshape(1).item()
-        return qdd0_u + G_u * u, qdd0_a + G_a * u, y_d, z2dot
-
-    def eval_rhs(t: float, x) -> list:
-        xdot = [x[2], x[3], *field(t, *x[:5], x[5] if use_z2 else 0.0)]
-        return xdot if use_z2 else xdot[:5]
-
-    def rk4_step(dt: float):
-        half, sixth = 0.5 * dt, dt / 6.0
-
-        def step(t: float, x) -> list:
-            # _rk4_stages written out per entry, each sum in its order
-            q_u, q_a, v_u, v_a, z1 = x[0], x[1], x[2], x[3], x[4]
-            z2 = x[5] if use_z2 else 0.0
-            a_u, a_a, y, w = field(t, q_u, q_a, v_u, v_a, z1, z2)
-            v_u2, v_a2 = v_u + half * a_u, v_a + half * a_a
-            a_u2, a_a2, y2, w2 = field(t + half, q_u + half * v_u, q_a + half * v_a,
-                                       v_u2, v_a2, z1 + half * y, z2 + half * w)
-            v_u3, v_a3 = v_u + half * a_u2, v_a + half * a_a2
-            a_u3, a_a3, y3, w3 = field(t + half, q_u + half * v_u2, q_a + half * v_a2,
-                                       v_u3, v_a3, z1 + half * y2, z2 + half * w2)
-            v_u4, v_a4 = v_u + dt * a_u3, v_a + dt * a_a3
-            a_u4, a_a4, y4, w4 = field(t + dt, q_u + dt * v_u3, q_a + dt * v_a3,
-                                       v_u4, v_a4, z1 + dt * y3, z2 + dt * w3)
-            x = [q_u + sixth * (v_u + 2.0 * (v_u2 + v_u3) + v_u4),
-                 q_a + sixth * (v_a + 2.0 * (v_a2 + v_a3) + v_a4),
-                 v_u + sixth * (a_u + 2.0 * (a_u2 + a_u3) + a_u4),
-                 v_a + sixth * (a_a + 2.0 * (a_a2 + a_a3) + a_a4),
-                 z1 + sixth * (y + 2.0 * (y2 + y3) + y4)]
-            if use_z2:
-                x.append(z2 + sixth * (w + 2.0 * (w2 + w3) + w4))
-            return x
-
-        return step
-
-    eval_rhs.rk4_step = rk4_step
-    return eval_rhs
-
-
-def _rk4_stages(rhs: Callable[[float, list], list], dt: float, first: Optional[Callable] = None):
-    """One classical RK4 step of ``rhs``, ``(t, x) -> x`` on lists of floats;
-    ``first``, when given, evaluates the first stage in place of ``rhs``."""
+def _rk4_stages(rhs: Callable[[float, list], list], dt: float):
+    """One classical RK4 step of ``rhs``, ``(t, x) -> x`` on lists of floats."""
     half, sixth = 0.5 * dt, dt / 6.0
 
     def step(t: float, x: list) -> list:
-        r1 = (first or rhs)(t, x)
+        r1 = rhs(t, x)
         r2 = rhs(t + half, [a + half * b for a, b in zip(x, r1)])
         r3 = rhs(t + half, [a + half * b for a, b in zip(x, r2)])
         r4 = rhs(t + dt, [a + dt * b for a, b in zip(x, r3)])
@@ -491,7 +439,7 @@ def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: flo
     """Classical RK4 steps from row ``k0`` to row ``k1`` of ``X`` in place.
 
     The state is a list of Python floats.  A step is ``rhs.rk4_step(dt)`` when
-    ``rhs`` carries one (both closed-loop closures), else the stage loop
+    ``rhs`` carries one (the generated closed-loop step), else the stage loop
     :func:`_rk4_stages` (the open-loop audit), bitwise alike.  The run holds
     one error state, in which every floating-point error is silent, so that a
     singular solve is NaN and divergence is caught by the explicit finiteness
@@ -634,9 +582,7 @@ def simulate(sys: MechanicalSystem, gains: Gains, q0, qd0, t_end: float, dt: flo
     z2 = [passive_outputs(sys, State.from_vectors(q0, qd0, s), gains).y_d] if use_z2 else []
     x = np.concatenate([q0, qd0, np.zeros(m)] + z2)
 
-    builder = _build_eval_generic if _scalar_forms(sys, gains.mode) is None \
-        else _build_eval_scalar
-    eval_rhs = builder(sys, gains, controller, disturbance, det_floor(gains))
+    eval_rhs = _build_eval_generic(sys, gains, controller, disturbance, det_floor(gains))
 
     X = np.empty((segments[-1][1] + 1, x.size))
     X[0] = x
@@ -662,11 +608,11 @@ def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float) 
     """
     s, n = sys.s, sys.n
     q0, qd0, n_steps = _check_run(n, q0, qd0, t_end, dt)
-    response = _plant_response(sys, drift_Va=True)
+    response, width = _plant_response(sys, drift_Va=True), 1 + sys.m
 
     def rhs(t, x):
         try:
-            return x[n:] + response(x)[1][:, 0].tolist()
+            return x[n:] + response(x)[::width]
         except SingularInertiaError as exc:
             raise SingularInertiaError(exc.q_u, f"t={t:.6g}s") from None
 

@@ -798,15 +798,15 @@ def test_sweep_dissipation_ordering(tmp_path):
 # a change that alters one reports the largest deviation per column
 REPRODUCE_DIGESTS = {
     "cart_pendulum": (
-        "62a612b1a79677bf389b076b7558081545ca0ee65400653aab76f06859ba458a",
-        "88c2ac125dfcb8d002d2074ac87053eda0ae8dea01fee4374c0f04d227b1eb5e",
+        "49a571003bfa0e63b6ab4d44b24df9d5b0388088434f92ccec7691c871a3e27e",
+        "430fd99c95863af8b513760af9116cd69401d875d0bcbeebe195b5aedd9958ec",
         "54ec8e0267707218b71ff95dd59cd773a76e83a698840526288303039aab1856",
-        "10e10b9726c62f295571f9de80dacaef33443a91356fb877d935878f64df035e"),
+        "8548befb8161ebf16485edd1d1939ba15751dfc244577fc384dbc9fcbd8a9b42"),
     "cart_pendulum_ku450": (
-        "11bd058a28672448bb56c64b9f2e4816f366ee80b63f849ef64c97e8aca14352",
-        "2be290f13180fd153df2fdb14601ca7344cbbd5dea9b653bca5cc61120f2bff0",
+        "fe80887529fad47563ec99a68107b1d75abbeb4607ee7995d7cfce9312ae7f2b",
+        "d9c3988315a1b708272326ddf104c890a2fe69b34cbe145a1fb060fd1a1d2390",
         "06fc6b6ebf1ab42c1c08415339dc200ea824b1f519a1e1019e8b7bc2e99da2cc",
-        "1aae4a1746c60af95c189908f504ff2845832e9b7f2242a2a259712c13ddf26e"),
+        "6f16667671da1107b4fa27bb4609c3c9683afbaa0736568aa91f08981365fafe"),
     "linear": (
         "d5960300ca16b45ab1e317614816eab0f38a6d6828a19f0c7699910b2e2c6bab",
         "623cc55000088633e8cad0f8a1d2a1f771099fbadf9e71fc27130b233e75268c",

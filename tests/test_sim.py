@@ -1,4 +1,5 @@
 import itertools
+import linecache
 import os
 import re
 from dataclasses import fields, replace
@@ -12,11 +13,11 @@ from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted, Sta
                     integrator_init, linear_closed_loop, linear_system, passive_outputs,
                     pi_control, pinned_linear_2dof,
                     plant_input, read_trace, read_trace_csv, scan_A5, simulate,
-                    verify_l2_gain, verify_lyapunov, verify_passivity, write_column_map,
-                    write_trace, write_trace_csv)
+                    verify_l2_gain, verify_lyapunov, verify_passivity, wellposedness_matrix_K,
+                    write_column_map, write_trace, write_trace_csv)
 from pidpbc.controller import MODES, det_floor
 from pidpbc.scenario import builtin_scenario, scenario_from_dict
-from pidpbc.sim import (CONTROLLERS, _build_eval_generic, _build_eval_scalar, _lapack,
+from pidpbc.sim import (CONTROLLERS, _build_eval_generic, _kernel_code, _lapack,
                         _plant_response, _rk4, simulate_open_loop)
 
 from conftest import PSI, Q0, QD0, bench_gains, random_gains
@@ -31,6 +32,20 @@ def _toy():
     return linear_system(M=[[2.0, 0.5], [0.5, 1.0]], S_u=[[2.0]], name="toy")
 
 
+def _array_reads(plant):
+    """``plant`` with the float forms stripped: each callback a new point
+    callback that keeps only its batch form, so the kernel reads arrays."""
+    from pidpbc.mechanics import with_forms
+    names = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn",
+             "Vu_fn", "Va_fn", "VN_fn")
+    return replace(plant, **{name: with_forms(lambda q, fn=fn: fn(q), batch_form=fn.batch_form)
+                             for name, fn in ((name, getattr(plant, name)) for name in names)})
+
+
+def _is_float_kernel(rhs):
+    return rhs.__code__.co_filename.endswith(" float reads>")
+
+
 def _pin_cases(cart):
     """(plant, gains factory, random-state box for q_u) of the pinned plants:
     the cart inside its well-posedness window and the toy plant, whose
@@ -41,20 +56,50 @@ def _pin_cases(cart):
 
 
 def test_scalar_closure_matches_generic_at_random_states(cart):
+    # the s = m = 1 step, the kernel that reads the float forms, against the
+    # same plant with its float forms stripped, which the array reads serve:
+    # the field bit for bit at random states, with both laws, both modes,
+    # with and without a disturbance
     rng = np.random.default_rng(7)
     for plant, make_gains, (lo, hi) in _pin_cases(cart):
         for controller, mode, dist in itertools.product(CONTROLLERS, MODES, DISTURBANCES):
             g = make_gains(mode)
             use_z2 = controller == "approx"
-            args = (plant, g, controller, dist, 0.0)
-            scalar, generic = _build_eval_scalar(*args), _build_eval_generic(*args)
+            floats, arrays = (_build_eval_generic(p, g, controller, dist, 0.0)
+                              for p in (plant, _array_reads(plant)))
+            assert [_is_float_kernel(rhs) for rhs in (floats, arrays)] == [True, False]
             for _ in range(50):
                 x = rng.uniform(-1.0, 1.0, 6 if use_z2 else 5)
                 x[0] = rng.uniform(lo, hi)
                 t = rng.uniform(0.0, 10.0)
-                a, b = np.array(scalar(t, x.tolist())), np.array(generic(t, x.tolist()))
-                assert np.abs(a - b).max() < 1e-11 * (1.0 + np.abs(b).max()), \
+                assert floats(t, x.tolist()) == arrays(t, x.tolist()), \
                     (plant.name, controller, mode, dist is not None, x)
+
+
+def test_scalar_closure_matches_generic_over_whole_runs(cart):
+    # the s = m = 1 step, the kernel that reads the float forms, against the
+    # same plant with its float forms stripped, which the array reads serve:
+    # every trace column bit for bit, on both built-in plants, with both
+    # laws, both modes, with and without a disturbance, across a setpoint
+    # step; a slow derivative filter keeps the filtered law on the cart finite
+    lin = _linear_example()
+    plants = [(cart, lambda mode: bench_gains(mode=mode, filter_a=5.0), Q0),
+              (lin.system, lambda mode: replace(lin.gains, mode=mode), lin.q0)]
+    steps = [SetpointStep(1.0, np.array([-0.3]))]
+    for (plant, make_gains, q0), controller, mode, d in itertools.product(
+            plants, CONTROLLERS, MODES, DISTURBANCES):
+        g = make_gains(mode)
+        pair = (plant, _array_reads(plant))
+        assert [_is_float_kernel(_build_eval_generic(p, g, controller, d, 1e-10))
+                for p in pair] == [True, False]
+        floats, arrays = (simulate(p, g, q0, np.zeros(2), t_end=2.0, dt=1e-3,
+                                   controller=controller, disturbance=d, setpoints=steps)
+                          for p in pair)
+        for f in fields(floats):
+            col = getattr(floats, f.name)
+            if isinstance(col, np.ndarray):
+                assert np.array_equal(col, getattr(arrays, f.name)), \
+                    (plant.name, controller, mode, d is not None, f.name)
 
 
 @pytest.mark.parametrize("s,m", [(2, 2), (2, 1), (1, 2), (3, 2), (3, 3), (4, 1)])
@@ -90,29 +135,6 @@ def test_generic_closure_matches_reference_functions(s, m):
             got = rhs(t, x)
             assert np.abs(got - want).max() <= 1e-11 * (1.0 + np.abs(want).max()), \
                 (law, mode, d is not None)
-
-
-def test_scalar_closure_matches_generic_over_whole_runs(cart):
-    runs = [(cart, bench_gains(mode=mode), "exact", d, Q0, 500)
-            for mode in MODES for d in DISTURBANCES]
-    toy = _toy()
-    g_toy = Gains(q_u_star=[0.0], q_a_star=[0.0], **TOY_GAINS)
-    runs += [(toy, g, ctl, None, np.array([0.3, 0.1]), 1000)
-             for g, ctl in ((g_toy, "approx"), (replace(g_toy, K_D=0.0), "exact"))]
-    for plant, g, controller, d, q0, n_steps in runs:
-        use_z2 = controller == "approx"
-        x0 = np.concatenate([q0, np.zeros(2), integrator_init(plant, g, q0)[0],
-                             np.zeros(1 if use_z2 else 0)])
-        args = (plant, g, controller, d, 1e-10)
-        paths = []
-        for builder in (_build_eval_scalar, _build_eval_generic):
-            X = np.empty((n_steps + 1, x0.size))
-            X[0] = x0
-            _rk4(builder(*args), X, 0, n_steps, 1e-3)
-            paths.append(X)
-        scale = 1.0 + np.abs(paths[1]).max(axis=0)
-        assert np.all(np.abs(paths[0] - paths[1]).max(axis=0) < 1e-11 * scale), \
-            (plant.name, controller, g.mode, d is not None)
 
 
 def _reference_rhs(plant, g, controller, d):
@@ -212,8 +234,8 @@ def test_generic_step_differentiates_a_plant_without_jacobians():
 
 
 def test_generic_closure_matches_the_reference_functions_over_whole_runs():
-    # the s > 1 counterpart of the scalar pin: whole RK4 runs of the generic
-    # step against the field of the reference functions; each plant runs
+    # whole RK4 runs of the generic step against the field of the reference
+    # functions, beyond s = m = 1; each plant runs
     # both laws, both modes, and with and without a disturbance
     runs = [(2, 2, "exact", "cancel_Va", False), (2, 2, "approx", "robust_A8", True),
             (2, 1, "exact", "robust_A8", True), (2, 1, "approx", "cancel_Va", False)]
@@ -285,12 +307,24 @@ def test_permuting_the_coordinates_permutes_the_trace(s, m, seed):
                 (controller, mode, f.name)
 
 
-def test_one_code_object_serves_a_structure_and_its_source_has_no_number():
+def _calls_outside_branches(source):
+    """The called names and attributes of ``source``, leaving out the branches
+    that raise and the disturbance branch."""
+    import ast
+    tree, skipped = ast.parse(source), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and (isinstance(node.body[0], ast.Raise)
+                                         or "dist" in ast.unparse(node.test)):
+            skipped.update(map(id, ast.walk(node)))
+    return {node.func.id if isinstance(node.func, ast.Name) else "." + node.func.attr
+            for node in ast.walk(tree) if isinstance(node, ast.Call) and id(node) not in skipped}
+
+
+def test_one_code_object_serves_a_structure_and_its_source_has_no_number(cart):
     # plant and gain numbers are the kernel's globals, never its source: two
     # plants and gain sets of one structure share one code object, and the
     # source holds no float literal; another law is another structure
     import ast
-    import linecache
     built = []
     for seed in (1, 2):
         plant = make_synthetic(2, 2, seed=seed)
@@ -306,24 +340,45 @@ def test_one_code_object_serves_a_structure_and_its_source_has_no_number():
         floats = [node.value for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Constant) and isinstance(node.value, float)]
         assert source.startswith("def kernel(") and floats == [], rhs.__code__.co_filename
+    # a timing-free guard of the s = m = 1 fast path: the cart's kernel, named
+    # for its float reads, builds no array and calls no reader, det or solve
+    # outside its raise branches and the disturbance branch; no m = 1 kernel
+    # takes det K or solves with K, which is its own determinant
+    array_calls = {"array", "read", ".tolist", "det", "solve1"}
+    for controller, mode in itertools.product(CONTROLLERS, MODES):
+        name = _build_eval_generic(cart, bench_gains(mode=mode), controller, None,
+                                   1e-10).__code__.co_filename
+        assert name == f"<pidpbc kernel s=1 m=1 {controller} {mode} float reads>"
+        assert not _calls_outside_branches("".join(linecache.getlines(name))) & array_calls
+        for s, floats in ((1, True), (1, False), (2, False), (4, False)):
+            source = "".join(_kernel_code(s, 1, controller, mode, floats)[1][2])
+            assert not _calls_outside_branches(source) & {"det", "solve1"}, (s, floats)
 
 
 def test_a_traceback_from_the_kernel_shows_the_generated_line():
     # the kernel is compiled under a name that gives its structure, and its
     # source is in linecache: a zero pivot of a singular M (a ZeroDivisionError,
-    # which a run reports as the non-finite abort) points at its line
-    import linecache
+    # which a run reports as the non-finite abort) points at its line, also
+    # in the kernel that reads float forms
     import traceback
     plant = make_synthetic(2, 2, seed=93)
     singular = replace(plant, muu_fn=lambda q_u: np.zeros((2, 2)))
     g = random_gains(plant, np.random.default_rng(93))
-    rhs = _build_eval_generic(singular, g, "exact", None, 0.0)
-    with pytest.raises(ZeroDivisionError) as err:
-        rhs(0.0, [0.1] * 10)
-    frame = traceback.extract_tb(err.value.__traceback__)[-1]
-    assert frame.filename == "<pidpbc kernel s=2 m=2 exact cancel_Va>"
-    assert frame.line == linecache.getline(frame.filename, frame.lineno).strip() == \
-        "L_1_0 = W_1_0 / d0"
+    # m_uu = m_au = m_aa = 1, the float forms of the coupling block in place of m_uu
+    coupled = linear_system(M=[[2.0, 1.0], [1.0, 1.0]], S_u=[[1.0]])
+    cases = [(singular, g, [0.1] * 10, "<pidpbc kernel s=2 m=2 exact cancel_Va>",
+              "L_1_0 = W_1_0 / d0"),
+             (replace(coupled, muu_fn=coupled.mau_fn), Gains(q_u_star=[0.0], q_a_star=[0.0],
+                                                            **TOY_GAINS),
+              [0.1] * 5, "<pidpbc kernel s=1 m=1 exact cancel_Va float reads>",
+              "X_1_0 = p0_1 / d1")]
+    for plant, gains, x, filename, line in cases:
+        rhs = _build_eval_generic(plant, gains, "exact", None, 0.0)
+        with pytest.raises(ZeroDivisionError) as err:
+            rhs(0.0, x)
+        frame = traceback.extract_tb(err.value.__traceback__)[-1]
+        assert frame.filename == filename
+        assert frame.line == linecache.getline(frame.filename, frame.lineno).strip() == line
 
 
 def test_robust_start_makes_the_target_an_equilibrium(cart):
@@ -334,14 +389,13 @@ def test_robust_start_makes_the_target_an_equilibrium(cart):
     g2 = random_gains(sys2, np.random.default_rng(3), mode="robust_A8")
     for plant, g in ((cart, bench_gains(mode="robust_A8")), (sys2, g2)):
         n = plant.n
-        builder = _build_eval_scalar if plant.s == plant.m == 1 else _build_eval_generic
         for controller in CONTROLLERS:
             tr = simulate(plant, g, g.q_star, np.zeros(n), t_end=1e-3, dt=1e-3,
                           controller=controller)
             use_z2 = controller == "approx"
             x = np.concatenate([g.q_star, np.zeros(n), tr.z1[0]]
                                + ([tr.z2[0]] if use_z2 else []))
-            rhs = builder(plant, g, controller, None, 1e-10)(0.0, x)
+            rhs = _build_eval_generic(plant, g, controller, None, 1e-10)(0.0, x)
             assert np.abs(rhs).max() <= 1e-12, (plant.name, controller, rhs)
 
 
@@ -377,9 +431,11 @@ def test_plant_response_matches_forward_dynamics_at_random_states(cart):
         for _ in range(20):
             st = random_state(plant, rng)
             x = np.concatenate([st.q, st.qd]).tolist()
-            sol, drift = with_Va(x)[1], forward_dynamics(plant, st, np.zeros(plant.m))
+            sol, without = (np.reshape(response(x), (plant.n, 1 + plant.m))
+                            for response in (with_Va, without_Va))
+            drift = forward_dynamics(plant, st, np.zeros(plant.m))
             pairs = [(sol[:, 0], drift),
-                     (without_Va(x)[1][:, 0], forward_dynamics(plant, st, plant.gradVa(st.q_a)))]
+                     (without[:, 0], forward_dynamics(plant, st, plant.gradVa(st.q_a)))]
             pairs += [(sol[:, 1 + j], forward_dynamics(plant, st, e) - drift)
                       for j, e in enumerate(np.eye(plant.m))]
             scale = 1.0 + max(np.abs(want).max() for _, want in pairs)
@@ -402,29 +458,6 @@ def _stage_loop(builder):
     return build
 
 
-def test_scalar_rk4_step_is_bitwise_the_stage_loop(cart, monkeypatch):
-    # the s = m = 1 closure's own RK4 step against _rk4's stage loop over the
-    # same closure: every integrated row bit for bit, on both built-in plants,
-    # with both laws, both modes, a disturbance and a setpoint step; a slow
-    # derivative filter keeps the filtered law on the cart finite
-    lin = _linear_example()
-    plants = [(cart, lambda mode: bench_gains(mode=mode, filter_a=5.0), Q0),
-              (lin.system, lambda mode: replace(lin.gains, mode=mode), lin.q0)]
-    steps = [SetpointStep(1.0, np.array([-0.3]))]
-    for (plant, make_gains, q0), controller, mode, d in itertools.product(
-            plants, CONTROLLERS, MODES, DISTURBANCES):
-        g = make_gains(mode)
-        assert callable(_build_eval_scalar(plant, g, controller, d, 1e-10).rk4_step)
-        rows = []
-        for builder in (_build_eval_scalar, _stage_loop(_build_eval_scalar)):
-            monkeypatch.setattr(pidpbc.sim, "_build_eval_scalar", builder)
-            tr = simulate(plant, g, q0, np.zeros(2), t_end=2.0, dt=1e-3,
-                          controller=controller, disturbance=d, setpoints=steps)
-            rows.append(np.hstack([tr.q_u, tr.q_a, tr.qd_u, tr.qd_a, tr.z1]
-                                  + ([tr.z2] if controller == "approx" else [])))
-        assert np.array_equal(*rows), (plant.name, controller, mode, d is not None)
-
-
 def _generic_runs():
     """(plant, gains, controller, disturbance) of generic-path runs: two
     plants without batch forms, both laws, both modes, with and without a
@@ -439,18 +472,44 @@ def _generic_runs():
     return runs
 
 
-def _generic_run(plant, g, controller, d, t_end=0.3):
-    """A run from a rest start off the target, with a setpoint step half way."""
-    m = plant.m
-    steps = [SetpointStep(t_end / 2, np.full(m, 0.1))]
-    return simulate(plant, g, np.linspace(0.2, -0.1, plant.n), np.zeros(plant.n), t_end=t_end,
-                    dt=1e-3, controller=controller, disturbance=d, setpoints=steps)
+def _generic_run(plant, g, controller, d, t_end=0.3, q0=None, target=0.1):
+    """A run from a rest start, by default off the target, with a setpoint
+    step to ``target`` half way."""
+    n, m = plant.n, plant.m
+    steps = [SetpointStep(t_end / 2, np.full(m, target))]
+    q0 = np.linspace(0.2, -0.1, n) if q0 is None else q0
+    return simulate(plant, g, q0, np.zeros(n), t_end=t_end, dt=1e-3, controller=controller,
+                    disturbance=d, setpoints=steps)
+
+
+def test_scalar_rk4_step_is_bitwise_the_stage_loop(cart, monkeypatch):
+    # the s = m = 1 step's own generated RK4 step, over the float reads,
+    # against _rk4's stage loop over the same closure: every integrated row
+    # bit for bit, on both built-in plants, with both laws, both modes, a
+    # disturbance and a setpoint step; a slow derivative filter keeps the
+    # filtered law on the cart finite
+    lin = _linear_example()
+    plants = [(cart, lambda mode: bench_gains(mode=mode, filter_a=5.0), Q0),
+              (lin.system, lambda mode: replace(lin.gains, mode=mode), lin.q0)]
+    for (plant, make_gains, q0), controller, mode, d in itertools.product(
+            plants, CONTROLLERS, MODES, DISTURBANCES):
+        g = make_gains(mode)
+        rhs = _build_eval_generic(plant, g, controller, d, 1e-10)
+        assert _is_float_kernel(rhs) and callable(rhs.rk4_step)
+        rows = []
+        for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
+            monkeypatch.setattr(pidpbc.sim, "_build_eval_generic", builder)
+            tr = _generic_run(plant, g, controller, d, t_end=2.0, q0=q0, target=-0.3)
+            rows.append(np.hstack([tr.q_u, tr.q_a, tr.qd_u, tr.qd_a, tr.z1]
+                                  + ([tr.z2] if controller == "approx" else [])))
+        assert np.array_equal(*rows), (plant.name, controller, mode, d is not None)
 
 
 def test_generic_rk4_step_is_bitwise_the_stage_loop(monkeypatch):
-    # the generic closure's own RK4 step against _rk4's stage loop over the
+    # the closure's own generated RK4 step against _rk4's stage loop over the
     # same closure: every integrated row bit for bit, with both laws, both
-    # modes, with and without a disturbance, and a setpoint step
+    # modes, with and without a disturbance, and a setpoint step, on two
+    # plants without batch forms
     for plant, g, controller, d in _generic_runs():
         assert callable(_build_eval_generic(plant, g, controller, d, 1e-10).rk4_step)
         rows = []
@@ -519,8 +578,8 @@ def test_a_plant_with_batch_forms_records_nothing(cart, gains_cancel):
 
 
 def test_an_aborted_generic_run_keeps_its_message(cart, gains_cancel, monkeypatch):
-    # a cart whose grad V_u has no float form runs the generic step, which
-    # records its reads; its aborts read as those of the stage loop: the
+    # a cart whose grad V_u has no float form runs the array reads, which
+    # record their values; its aborts read as those of the stage loop: the
     # non-finite state of a wide start and of the k_u = -300 sweep row, and
     # a singular K under a high floor
     plant = replace(cart, gradVu_fn=lambda q_u: cart.gradVu_fn(q_u))
@@ -560,8 +619,8 @@ def _rk4_abort_message(plant, g, builder, q0, qd0, n_steps, det_tol=None):
 
 def test_zero_divisor_aborts_like_a_non_finite_state(cart, gains_cancel):
     # Python floats raise on a zero divisor where numpy floats gave inf/nan;
-    # both builders must still end in the non-finite abort, never in a
-    # ZeroDivisionError or OverflowError
+    # the generated step and the stage loop must still end in the non-finite
+    # abort, never in a ZeroDivisionError or OverflowError
     # m_uu = m_au = m_aa = 1: the inertia [[1, 1], [1, 1]], which linear_system
     # refuses, with the float forms of the coupling block in place of m_uu
     coupled = linear_system(M=[[2.0, 1.0], [1.0, 1.0]], S_u=[[1.0]])
@@ -574,7 +633,7 @@ def test_zero_divisor_aborts_like_a_non_finite_state(cart, gains_cancel):
         with pytest.raises(SimulationAborted) as err:
             simulate(plant, gg, q0, qd0, t_end=1.0, dt=1e-3)
         assert str(err.value) == want
-        for builder in (_build_eval_scalar, _build_eval_generic):
+        for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
             assert _rk4_abort_message(plant, gg, builder, q0, qd0, 1000, 0.0) == want
 
 
@@ -586,7 +645,7 @@ def test_sweep_abort_row_is_the_same_through_both_builders(cart):
         simulate(cart, g, Q0, QD0, t_end=10.0, dt=1e-3,
                  setpoints=[SetpointStep(5.0, np.array([-0.3]))])
     assert str(err.value) == want
-    for builder in (_build_eval_scalar, _stage_loop(_build_eval_scalar), _build_eval_generic):
+    for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
         assert _rk4_abort_message(cart, g, builder, Q0, QD0, 1000) == want
 
 
@@ -597,10 +656,10 @@ def _linear_example():
 
 @pytest.mark.parametrize("mode,n_calls", [("cancel_Va", 5), ("robust_A8", 6)])
 def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
-    # a timing-free guard of the s = m = 1 fast path on both built-in plants:
-    # one evaluation calls the float form of each plant callback it needs
-    # once, on Python floats, and returns Python floats, and the integration
-    # never calls an accessor
+    # a timing-free guard of the float reads on both built-in plants: one
+    # evaluation calls the float form of each plant callback it needs once,
+    # on Python floats, and returns Python floats, and the integration never
+    # calls an accessor
     import dataclasses
     from pidpbc import mechanics
     names = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn",
@@ -620,10 +679,10 @@ def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
 
         counted_plant = dataclasses.replace(plant, **{k: counted(getattr(plant, k))
                                                       for k in names})
-        out = _build_eval_scalar(counted_plant, g, "exact", None, 1e-10)(0.0, x)
+        out = _build_eval_generic(counted_plant, g, "exact", None, 1e-10)(0.0, x)
         assert calls == [float] * n_calls, plant.name
         assert type(out) is list and all(type(v) is float for v in out)
-        rhs = _build_eval_scalar(plant, g, "exact", None, 1e-10)
+        rhs = _build_eval_generic(plant, g, "exact", None, 1e-10)
         assert out == rhs(0.0, x)
         rhss.append(rhs)
 
@@ -641,7 +700,7 @@ def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
 @pytest.mark.parametrize("bad", [lambda g: [g, 99.0], lambda g: np.array([g, 99.0])],
                          ids=["list", "array"])
 def test_scalar_reader_refuses_a_result_with_two_entries(cart, bad):
-    # a callback without a float form sends the run to the array step, where
+    # a callback without a float form sends the run to the array reads, where
     # a result holding more than one entry is an error, never its first entry
     gradVu = cart.gradVu_fn
     plant = replace(cart, gradVu_fn=lambda q_u: bad(gradVu(q_u)))
@@ -653,43 +712,44 @@ def test_scalar_reader_refuses_a_result_with_two_entries(cart, bad):
 
 def test_simulate_builds_the_scalar_step_only_for_a_plant_with_every_float_form(
         cart, monkeypatch):
-    # the s = m = 1 float step for the built-in plants; the array step for a
-    # plant lacking a float form the step calls (gradVa's only in robust_A8),
-    # whose run is still the float step's within the pinned bound
+    # the kernel that reads float forms for the built-in plants; the array
+    # reads for a plant lacking a float form the step calls (gradVa's only in
+    # robust_A8), whose run is bitwise the float reads' run
     built = []
-    for builder in (_build_eval_scalar, _build_eval_generic):
-        monkeypatch.setattr(pidpbc.sim, builder.__name__,
-                            lambda *args, b=builder: built.append(b) or b(*args))
+    monkeypatch.setattr(pidpbc.sim, "_build_eval_generic",
+                        lambda *args: built.append(_build_eval_generic(*args)) or built[-1])
     lin = _linear_example()
     synthetic = make_synthetic(1, 1, seed=3)
     point_gradVu = replace(cart, gradVu_fn=lambda q_u: cart.gradVu_fn(q_u))
     point_gradVa = replace(cart, gradVa_fn=lambda q_a: cart.gradVa_fn(q_a))
-    cases = [(cart, bench_gains(), Q0, _build_eval_scalar),
-             (lin.system, lin.gains, lin.q0, _build_eval_scalar),
-             (point_gradVu, bench_gains(), Q0, _build_eval_generic),
-             (point_gradVa, bench_gains(), Q0, _build_eval_scalar),
-             (point_gradVa, bench_gains(mode="robust_A8"), Q0, _build_eval_generic),
-             (synthetic, random_gains(synthetic, np.random.default_rng(3)), [0.1, 0.0],
-              _build_eval_generic)]
+    cases = [(cart, bench_gains(), Q0, True),
+             (lin.system, lin.gains, lin.q0, True),
+             (point_gradVu, bench_gains(), Q0, False),
+             (point_gradVa, bench_gains(), Q0, True),
+             (point_gradVa, bench_gains(mode="robust_A8"), Q0, False),
+             (synthetic, random_gains(synthetic, np.random.default_rng(3)), [0.1, 0.0], False)]
     runs = []
-    for plant, g, q0, want in cases:
+    for plant, g, q0, floats in cases:
         built.clear()
         runs.append(simulate(plant, g, q0, np.zeros(2), t_end=0.5, dt=1e-3))
-        assert built == [want], (plant.name, g.mode)
+        assert [_is_float_kernel(rhs) for rhs in built] == [floats], (plant.name, g.mode)
     for tr in runs[2:4]:
-        for col in ("q_u", "q_a", "qd_u", "qd_a", "z1"):
-            a, b = getattr(tr, col), getattr(runs[0], col)
-            assert np.abs(a - b).max() < 1e-11 * (1.0 + np.abs(b).max()), col
+        for f in fields(tr):
+            col = getattr(runs[0], f.name)
+            if isinstance(col, np.ndarray):
+                assert np.array_equal(getattr(tr, f.name), col), f.name
 
 
 def test_both_builders_read_a_disturbance_by_one_rule(cart, gains_cancel):
     # a disturbance with the wrong number of entries is the same error through
-    # both builders, not a plant callback's
+    # the float and the array reads, the step and the stage loop, not a plant
+    # callback's
     x = [0.3, -0.2, 0.1, 0.05, 0.01]
     messages = set()
-    for builder in (_build_eval_scalar, _build_eval_generic):
+    for builder, plant in itertools.product(
+            (_build_eval_generic, _stage_loop(_build_eval_generic)), (cart, _array_reads(cart))):
         with pytest.raises(ValueError) as err:
-            builder(cart, gains_cancel, "exact", lambda t: [0.1, 0.2], 1e-10)(0.0, x)
+            builder(plant, gains_cancel, "exact", lambda t: [0.1, 0.2], 1e-10)(0.0, x)
         messages.add(str(err.value))
     assert messages == {"cannot reshape array of size 2 into shape (1,)"}
 
@@ -763,7 +823,7 @@ def test_open_loop_blow_up_aborts_like_the_closed_loop(cart, gains_cancel):
     with pytest.raises(SimulationAborted) as err:
         simulate(cart, gains_cancel, [0.1, 0.0], [1e200, 0.0], t_end=0.01, dt=1e-3)
     assert str(err.value) == want
-    for builder in (_build_eval_scalar, _build_eval_generic):
+    for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
         assert _rk4_abort_message(cart, gains_cancel, builder, [0.1, 0.0], [1e200, 0.0],
                                   10) == want
 
@@ -844,10 +904,11 @@ def test_only_a_non_finite_stage_position_is_an_abort(cart, gains_cancel):
     # a non-finite position is an ArithmeticError (the abort) before any
     # callback sees it; a ValueError a callback raises at a finite state
     # (here a math domain error) is the plant's own and surfaces unchanged
-    # through both builders
+    # through the generated step and the stage loop
     import dataclasses
     import math
-    for builder, bad, i in itertools.product((_build_eval_scalar, _build_eval_generic),
+    for builder, bad, i in itertools.product((_build_eval_generic,
+                                              _stage_loop(_build_eval_generic)),
                                              (np.inf, -np.inf, np.nan), (0, 1)):
         x = [0.3, -0.2, 0.1, 0.05, 0.01]
         x[i] = bad
@@ -856,7 +917,7 @@ def test_only_a_non_finite_stage_position_is_an_abort(cart, gains_cancel):
     from pidpbc.mechanics import with_forms
     plant = dataclasses.replace(cart, gradVu_fn=with_forms(lambda q_u: math.sqrt(q_u[0]),
                                                            float_form=math.sqrt))
-    for builder in (_build_eval_scalar, _build_eval_generic):
+    for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
         X = np.empty((11, 5))
         X[0] = [-0.3, -0.2, 0.1, 0.05, 0.01]
         with pytest.raises(ValueError, match="math domain error"):
@@ -946,13 +1007,13 @@ def test_simulate_rejects_a_non_finite_initial_state(cart, gains_cancel, which):
 def test_singularity_abort_reports_time_and_configuration(cart, gains_cancel):
     # swinging inward from beyond the zero of the well-posedness factor must
     # cross it; a finite threshold catches the crossing before the forces
-    # blow up, and both builders stop with the same abort, carrying the
-    # time, the configuration, |det K| and the floor; the scalar closure's
-    # own step and the stage loop over it stop alike
+    # blow up, and the generated step and the stage loop over the same
+    # closure, on the float and on the array reads, stop with the same abort,
+    # carrying the time, the configuration, |det K| and the floor
     q0, qd0 = [PSI + 0.85, 0.0], [-2.0, 0.0]
-    messages = {_rk4_abort_message(cart, gains_cancel, builder, q0, qd0, 2000, 0.5)
-                for builder in (_build_eval_scalar, _stage_loop(_build_eval_scalar),
-                                _build_eval_generic)}
+    messages = {_rk4_abort_message(plant, gains_cancel, builder, q0, qd0, 2000, 0.5)
+                for builder in (_build_eval_generic, _stage_loop(_build_eval_generic))
+                for plant in (cart, _array_reads(cart))}
     assert len(messages) == 1
     message = messages.pop()
     assert message.startswith("well-posedness matrix singular at t=")
@@ -997,28 +1058,42 @@ def test_scaling_the_passive_output_weights_together_changes_neither_run_nor_ver
     # k_e u = -(K_P y_d + K_I z1 + K_D yd_dot) with y_d linear in (k_e, k_a,
     # k_u): scaling the three weights by a power of two scales y_d, z1 and
     # both sides of the law exactly, so q, qd and u are bitwise the same, z1
-    # scales exactly and det K = det(k_e I + K_D L G) scales with c^m
+    # scales exactly, and so does K = k_e I + K_D L G, whose det scales with
+    # c^m; on the cart and on an s = m = 2 plant
     grid = scenario_from_dict(builtin_scenario("cart_pendulum")).gate_grid
-    for mode in MODES:
-        g = bench_gains(mode=mode)
-        base = simulate(cart, g, Q0, QD0, t_end=3.0, dt=1e-3)
-        scan, max_real = scan_A5(cart, g, grid), linear_closed_loop(cart, g).max_real
+    synthetic = make_synthetic(2, 2, seed=8)
+    cases = [(cart, bench_gains(mode=mode), Q0, QD0, 3.0, grid) for mode in MODES]
+    cases += [(synthetic, random_gains(synthetic, np.random.default_rng(8), mode=mode),
+               [0.2, -0.1, 0.1, 0.3], np.zeros(4), 0.5,
+               np.stack(np.meshgrid(*2 * [np.linspace(-1.0, 1.0, 11)]), axis=-1))
+              for mode in MODES]
+    for plant, g, q0, qd0, t_end, grid in cases:
+        base = simulate(plant, g, q0, qd0, t_end=t_end, dt=1e-3)
+        scan, max_real = scan_A5(plant, g, grid), linear_closed_loop(plant, g).max_real
         for c in (2.0 ** -3, 2.0 ** 4):
             gc = replace(g, k_e=c * g.k_e, k_a=c * g.k_a, k_u=c * g.k_u)
-            tr = simulate(cart, gc, Q0, QD0, t_end=3.0, dt=1e-3)
+            tr = simulate(plant, gc, q0, qd0, t_end=t_end, dt=1e-3)
             for name in ("q_u", "q_a", "qd_u", "qd_a", "u"):
-                assert np.array_equal(getattr(tr, name), getattr(base, name)), (mode, c, name)
-            assert np.array_equal(tr.z1, c * base.z1), (mode, c)
-            want = c ** cart.m * base.detK
-            assert np.all(np.abs(tr.detK - want) <= 1e-15 * np.abs(want)), (mode, c)
-            scan_c = scan_A5(cart, gc, grid)
+                assert np.array_equal(getattr(tr, name), getattr(base, name)), \
+                    (plant.name, g.mode, c, name)
+            assert np.array_equal(tr.z1, c * base.z1), (plant.name, g.mode, c)
+            assert np.array_equal(wellposedness_matrix_K(plant, gc, tr.q_u),
+                                  c * wellposedness_matrix_K(plant, g, base.q_u)), \
+                (plant.name, g.mode, c)
+            if plant is cart:
+                # np.linalg.det is sign * exp(sum log |u_ii|) of K's LU factors:
+                # at m = 2 the detK column misses c^2 det K by up to 1.03e-15
+                want = c ** cart.m * base.detK
+                assert np.all(np.abs(tr.detK - want) <= 1e-15 * np.abs(want)), (g.mode, c)
+            scan_c = scan_A5(plant, gc, grid)
             assert (scan_c["pass"], scan_c["sign_change"]) == (scan["pass"], scan["sign_change"])
-            assert linear_closed_loop(cart, gc).max_real == max_real, (mode, c)
-        # the A7 verdict is pinned at 2^-3 only: |grad V_d(q*)| scales with
-        # c^2, and at 2^4 it reaches 9.70e-7 against the absolute
-        # A7_GRAD_TOL = 1e-6, so a scale-aware tolerance must come first
-        gc = replace(g, k_e=g.k_e / 8, k_a=g.k_a / 8, k_u=g.k_u / 8)
-        assert check_A7(cart, gc, grid).passed == check_A7(cart, g, grid).passed, mode
+            assert linear_closed_loop(plant, gc).max_real == max_real, (plant.name, g.mode, c)
+        if plant is cart:
+            # the A7 verdict is pinned at 2^-3 only: |grad V_d(q*)| scales
+            # with c^2, and at 2^4 it reaches 9.70e-7 against the absolute
+            # A7_GRAD_TOL = 1e-6, so a scale-aware tolerance must come first
+            gc = replace(g, k_e=g.k_e / 8, k_a=g.k_a / 8, k_u=g.k_u / 8)
+            assert check_A7(cart, gc, grid).passed == check_A7(cart, g, grid).passed, g.mode
 
 
 def test_divergent_gains_do_not_converge(cart):
