@@ -18,8 +18,16 @@ order, so a one-entry block may be a plain Python float.  It may carry two
 more forms of the same formula, attached by :func:`with_forms`: a *float
 form* (a Python float in, a float out) and a *batch form* (a ``(..., k)``
 array in, an array that broadcasts to ``(..., *block)`` out, in one numpy
-call).  The integration of an ``s = m = 1`` plant calls the float forms
-when every callback it reads carries one, and reads arrays otherwise.
+call).  The integration of an ``s = m = 1`` plant uses the float forms
+when every callback it reads carries one, and reads arrays otherwise.  A
+float form written over its argument with the arithmetic operators, unary
+minus and, through a ``lib`` parameter, :mod:`math` functions (as
+``expr(x, lib=math)``) is inlined: it is called once per run on a recorded
+value, and the integration runs the formula it recorded.  That is sound
+because a callback is a function of its point alone.  Any other form is
+called at every read: one that branches on or compares its argument, takes
+``float`` of it, calls :mod:`math` or numpy on it itself, ends in anything
+but a float, or whose recorded formula does not give its own value bitwise.
 :func:`_read` is the one reader of a result at a point; :func:`_per_point`
 takes a batch through the batch form, or point by point (:func:`_loop_points`)
 without one.  :func:`_jacobian` is the one rule for a block's derivative: the

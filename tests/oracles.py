@@ -7,8 +7,9 @@ the package obtains another way, so the two routes can cross-check.
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from pidpbc import MechanicalSystem, SingularInertiaError, State
+from pidpbc import MechanicalSystem, SingularInertiaError, State, storage_functions
 from pidpbc.mechanics import Array, coriolis_decomposition, mau_gradient, muu_gradient
+from pidpbc.sim import _check_run, _plant_response, _rk4
 
 
 def christoffel_coriolis(sys: MechanicalSystem, st: State) -> Array:
@@ -61,3 +62,54 @@ def pencil_determinant(C2: Array, C1: Array, C0: Array) -> tuple[Array, Array]:
     assert E.shape == (2, 2, 3)
     det = P.polysub(P.polymul(E[0, 0], E[1, 1]), P.polymul(E[0, 1], E[1, 0]))
     return det, P.polyroots(det)
+
+
+def rk4_stages(rhs, dt: float):
+    """One classical RK4 step of ``rhs``, ``(t, x) -> x`` on lists of floats:
+    the stage loop that a generated ``rk4_step`` writes out."""
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def step(t: float, x: list) -> list:
+        r1 = rhs(t, x)
+        r2 = rhs(t + half, [a + half * b for a, b in zip(x, r1)])
+        r3 = rhs(t + half, [a + half * b for a, b in zip(x, r2)])
+        r4 = rhs(t + dt, [a + dt * b for a, b in zip(x, r3)])
+        return [a + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+                for a, b1, b2, b3, b4 in zip(x, r1, r2, r3, r4)]
+
+    return step
+
+
+def with_stage_loop(rhs):
+    """``rhs`` carrying the ``rk4_step`` of :func:`rk4_stages`, which ``_rk4`` runs."""
+    rhs.rk4_step = lambda dt: rk4_stages(rhs, dt)
+    return rhs
+
+
+def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float) -> dict:
+    """Integrate the raw plant under zero force: the drift, with ``-grad
+    V_a``, of the ``_plant_response`` that the generic closed loop runs,
+    through the stage loop.
+
+    Returns time, positions, velocities and the total energy, which is
+    conserved for the unforced plant and serves as the integrator audit.
+    Raises as ``simulate``, and ends in ``SimulationAborted`` too where the
+    inertia is not positive definite (a pivot of its ``L D L'`` factors is
+    not positive and finite).
+    """
+    s, n = sys.s, sys.n
+    q0, qd0, n_steps = _check_run(n, q0, qd0, t_end, dt)
+    response, width = _plant_response(sys, drift_Va=True), 1 + sys.m
+
+    def rhs(t, x):
+        try:
+            return x[n:] + response(x)[::width]
+        except SingularInertiaError as exc:
+            raise SingularInertiaError(exc.q_u, f"t={t:.6g}s") from None
+
+    X = np.empty((n_steps + 1, 2 * n))
+    X[0, :n], X[0, n:] = q0, qd0
+    _rk4(with_stage_loop(rhs), X, 0, n_steps, dt)
+    q, qd = X[:, :n], X[:, n:]
+    energy = storage_functions(sys, State.from_vectors(q, qd, s))[2] + sys.Va(q[:, s:])
+    return {"t": np.arange(n_steps + 1) * dt, "q": q, "qd": qd, "energy": energy}

@@ -1,5 +1,6 @@
 import itertools
 import linecache
+import math
 import os
 import re
 from dataclasses import fields, replace
@@ -18,9 +19,10 @@ from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted, Sta
 from pidpbc.controller import MODES, det_floor
 from pidpbc.scenario import builtin_scenario, scenario_from_dict
 from pidpbc.sim import (CONTROLLERS, _build_eval_generic, _kernel_code, _lapack,
-                        _plant_response, _rk4, simulate_open_loop)
+                        _plant_response, _rk4)
 
 from conftest import PSI, Q0, QD0, bench_gains, random_gains
+from oracles import simulate_open_loop, with_stage_loop
 from synthetic import make_synthetic, random_state
 
 
@@ -42,8 +44,40 @@ def _array_reads(plant):
                              for name, fn in ((name, getattr(plant, name)) for name in names)})
 
 
+CALLBACKS = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn")
+
+
+def _called_forms(plant):
+    """``plant`` with each float form wrapped so that the recorder cannot
+    follow it (``float`` of its argument): the kernel calls the float forms,
+    as it calls any form it cannot inline."""
+    from pidpbc.mechanics import with_forms
+    return replace(plant, **{name: with_forms(lambda q, fn=fn: fn(q), batch_form=fn.batch_form,
+                                              float_form=lambda x, f=fn.float_form: f(float(x)))
+                             for name, fn in ((name, getattr(plant, name)) for name in CALLBACKS)})
+
+
 def _is_float_kernel(rhs):
-    return rhs.__code__.co_filename.endswith(" float reads>")
+    return " float reads #" in rhs.__code__.co_filename
+
+
+def _called_callbacks(rhs):
+    """The plant callbacks that the source of the kernel ``rhs`` calls."""
+    import ast
+    tree = ast.parse("".join(linecache.getlines(rhs.__code__.co_filename)))
+    return {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)} & set(CALLBACKS)
+
+
+def _three_read_paths(plant, g, controller, d):
+    """The kernels of ``plant`` with its float forms inlined, with them called
+    and with the array reads, each checked to be what it is."""
+    paths = [_build_eval_generic(p, g, controller, d, 1e-10)
+             for p in (plant, _called_forms(plant), _array_reads(plant))]
+    needed = set(CALLBACKS[:5]) | ({"gradVa_fn"} if g.mode == "robust_A8" else set())
+    assert [_is_float_kernel(rhs) for rhs in paths] == [True, True, False]
+    assert [_called_callbacks(rhs) for rhs in paths[:2]] == [set(), needed]
+    return paths
 
 
 def _pin_cases(cart):
@@ -56,32 +90,32 @@ def _pin_cases(cart):
 
 
 def test_scalar_closure_matches_generic_at_random_states(cart):
-    # the s = m = 1 step, the kernel that reads the float forms, against the
-    # same plant with its float forms stripped, which the array reads serve:
-    # the field bit for bit at random states, with both laws, both modes,
-    # with and without a disturbance
+    # the three read paths of an s = m = 1 plant: its float forms inlined,
+    # the same forms called (wrapped so that they cannot be inlined), and
+    # the same plant with its float forms stripped, which the array reads
+    # serve: the field bit for bit at random states, with both laws, both
+    # modes, with and without a disturbance
     rng = np.random.default_rng(7)
     for plant, make_gains, (lo, hi) in _pin_cases(cart):
         for controller, mode, dist in itertools.product(CONTROLLERS, MODES, DISTURBANCES):
             g = make_gains(mode)
             use_z2 = controller == "approx"
-            floats, arrays = (_build_eval_generic(p, g, controller, dist, 0.0)
-                              for p in (plant, _array_reads(plant)))
-            assert [_is_float_kernel(rhs) for rhs in (floats, arrays)] == [True, False]
+            inlined, called, arrays = _three_read_paths(plant, g, controller, dist)
             for _ in range(50):
                 x = rng.uniform(-1.0, 1.0, 6 if use_z2 else 5)
                 x[0] = rng.uniform(lo, hi)
                 t = rng.uniform(0.0, 10.0)
-                assert floats(t, x.tolist()) == arrays(t, x.tolist()), \
+                want = arrays(t, x.tolist())
+                assert inlined(t, x.tolist()) == called(t, x.tolist()) == want, \
                     (plant.name, controller, mode, dist is not None, x)
 
 
 def test_scalar_closure_matches_generic_over_whole_runs(cart):
-    # the s = m = 1 step, the kernel that reads the float forms, against the
-    # same plant with its float forms stripped, which the array reads serve:
-    # every trace column bit for bit, on both built-in plants, with both
-    # laws, both modes, with and without a disturbance, across a setpoint
-    # step; a slow derivative filter keeps the filtered law on the cart finite
+    # the three read paths of an s = m = 1 plant (float forms inlined, the
+    # same forms called, and the array reads): every trace column bit for
+    # bit, on both built-in plants, with both laws, both modes, with and
+    # without a disturbance, across a setpoint step; a slow derivative
+    # filter keeps the filtered law on the cart finite
     lin = _linear_example()
     plants = [(cart, lambda mode: bench_gains(mode=mode, filter_a=5.0), Q0),
               (lin.system, lambda mode: replace(lin.gains, mode=mode), lin.q0)]
@@ -89,16 +123,14 @@ def test_scalar_closure_matches_generic_over_whole_runs(cart):
     for (plant, make_gains, q0), controller, mode, d in itertools.product(
             plants, CONTROLLERS, MODES, DISTURBANCES):
         g = make_gains(mode)
-        pair = (plant, _array_reads(plant))
-        assert [_is_float_kernel(_build_eval_generic(p, g, controller, d, 1e-10))
-                for p in pair] == [True, False]
-        floats, arrays = (simulate(p, g, q0, np.zeros(2), t_end=2.0, dt=1e-3,
-                                   controller=controller, disturbance=d, setpoints=steps)
-                          for p in pair)
-        for f in fields(floats):
-            col = getattr(floats, f.name)
+        _three_read_paths(plant, g, controller, d)
+        inlined, *others = (simulate(p, g, q0, np.zeros(2), t_end=2.0, dt=1e-3,
+                                     controller=controller, disturbance=d, setpoints=steps)
+                            for p in (plant, _called_forms(plant), _array_reads(plant)))
+        for f, other in itertools.product(fields(inlined), others):
+            col = getattr(inlined, f.name)
             if isinstance(col, np.ndarray):
-                assert np.array_equal(col, getattr(arrays, f.name)), \
+                assert np.array_equal(col, getattr(other, f.name)), \
                     (plant.name, controller, mode, d is not None, f.name)
 
 
@@ -250,7 +282,7 @@ def test_generic_closure_matches_the_reference_functions_over_whole_runs():
                                else []))
         paths = []
         for rhs in (_build_eval_generic(plant, g, controller, d, 0.0),
-                    _reference_rhs(plant, g, controller, d)):
+                    with_stage_loop(_reference_rhs(plant, g, controller, d))):
             X = np.empty((201, x0.size))
             X[0] = x0
             _rk4(rhs, X, 0, 200, 1e-3)
@@ -320,11 +352,19 @@ def _calls_outside_branches(source):
             for node in ast.walk(tree) if isinstance(node, ast.Call) and id(node) not in skipped}
 
 
+def _float_literals(rhs):
+    import ast
+    source = "".join(linecache.getlines(rhs.__code__.co_filename))
+    assert source.startswith("def kernel("), rhs.__code__.co_filename
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)]
+
+
 def test_one_code_object_serves_a_structure_and_its_source_has_no_number(cart):
     # plant and gain numbers are the kernel's globals, never its source: two
     # plants and gain sets of one structure share one code object, and the
     # source holds no float literal; another law is another structure
-    import ast
+    from pidpbc import cart_pendulum_incline
     built = []
     for seed in (1, 2):
         plant = make_synthetic(2, 2, seed=seed)
@@ -335,31 +375,41 @@ def test_one_code_object_serves_a_structure_and_its_source_has_no_number(cart):
     approx = _build_eval_generic(plant, random_gains(plant, np.random.default_rng(3)), "approx",
                                  None, 0.0)
     assert approx.__code__ is not built[0].__code__
-    for rhs in (built[0], approx):
-        source = "".join(linecache.getlines(rhs.__code__.co_filename))
-        floats = [node.value for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Constant) and isinstance(node.value, float)]
-        assert source.startswith("def kernel(") and floats == [], rhs.__code__.co_filename
-    # a timing-free guard of the s = m = 1 fast path: the cart's kernel, named
-    # for its float reads, builds no array and calls no reader, det or solve
-    # outside its raise branches and the disturbance branch; no m = 1 kernel
-    # takes det K or solves with K, which is its own determinant
+    assert _float_literals(built[0]) == _float_literals(approx) == []
+    # the built-in plants' float forms are inlined: two carts with other
+    # masses and inclines share the cart's code object, each traced source
+    # holds no float literal and calls no plant callback, and the linear
+    # chain, of the same structure but other formulas, has its own source
+    # under its own name; a timing-free guard of the s = m = 1 fast path:
+    # it builds no array and calls no reader, det or solve outside its raise
+    # branches and the disturbance branch, and no m = 1 kernel takes det K
+    # or solves with K, which is its own determinant
+    other_cart = cart_pendulum_incline(pendulum_mass=0.2, cart_mass=0.6, psi=np.radians(12.0))
+    lin = _linear_example()
     array_calls = {"array", "read", ".tolist", "det", "solve1"}
     for controller, mode in itertools.product(CONTROLLERS, MODES):
-        name = _build_eval_generic(cart, bench_gains(mode=mode), controller, None,
-                                   1e-10).__code__.co_filename
-        assert name == f"<pidpbc kernel s=1 m=1 {controller} {mode} float reads>"
-        assert not _calls_outside_branches("".join(linecache.getlines(name))) & array_calls
-        for s, floats in ((1, True), (1, False), (2, False), (4, False)):
-            source = "".join(_kernel_code(s, 1, controller, mode, floats)[1][2])
-            assert not _calls_outside_branches(source) & {"det", "solve1"}, (s, floats)
+        carts = [_build_eval_generic(p, bench_gains(mode=mode), controller, None, 1e-10)
+                 for p in (cart, other_cart)]
+        chain = _build_eval_generic(lin.system, replace(lin.gains, mode=mode), controller, None,
+                                    1e-10)
+        assert carts[0].__code__ is carts[1].__code__
+        assert carts[0].__globals__["c0"] != carts[1].__globals__["c0"]
+        names = [rhs.__code__.co_filename for rhs in (carts[0], chain)]
+        assert names[0] != names[1]
+        for name, rhs in zip(names, (carts[0], chain)):
+            assert name.startswith(f"<pidpbc kernel s=1 m=1 {controller} {mode} float reads #")
+            assert _float_literals(rhs) == [] and _called_callbacks(rhs) == set(), name
+            assert not _calls_outside_branches("".join(linecache.getlines(name))) & array_calls
+        for s in (1, 2, 4):
+            source = "".join(_kernel_code(s, 1, controller, mode, None)[1][2])
+            assert not _calls_outside_branches(source) & {"det", "solve1"}, s
 
 
 def test_a_traceback_from_the_kernel_shows_the_generated_line():
     # the kernel is compiled under a name that gives its structure, and its
     # source is in linecache: a zero pivot of a singular M (a ZeroDivisionError,
     # which a run reports as the non-finite abort) points at its line, also
-    # in the kernel that reads float forms
+    # in a kernel with inlined float forms, whose name is its source's own
     import traceback
     plant = make_synthetic(2, 2, seed=93)
     singular = replace(plant, muu_fn=lambda q_u: np.zeros((2, 2)))
@@ -370,14 +420,14 @@ def test_a_traceback_from_the_kernel_shows_the_generated_line():
               "L_1_0 = W_1_0 / d0"),
              (replace(coupled, muu_fn=coupled.mau_fn), Gains(q_u_star=[0.0], q_a_star=[0.0],
                                                             **TOY_GAINS),
-              [0.1] * 5, "<pidpbc kernel s=1 m=1 exact cancel_Va float reads>",
+              [0.1] * 5, "<pidpbc kernel s=1 m=1 exact cancel_Va float reads #",
               "X_1_0 = p0_1 / d1")]
     for plant, gains, x, filename, line in cases:
         rhs = _build_eval_generic(plant, gains, "exact", None, 0.0)
         with pytest.raises(ZeroDivisionError) as err:
             rhs(0.0, x)
         frame = traceback.extract_tb(err.value.__traceback__)[-1]
-        assert frame.filename == filename
+        assert frame.filename == rhs.__code__.co_filename and frame.filename.startswith(filename)
         assert frame.line == linecache.getline(frame.filename, frame.lineno).strip() == line
 
 
@@ -450,11 +500,11 @@ def test_open_loop_rejects_a_bad_step(cart, dt):
 
 
 def _stage_loop(builder):
-    """``builder`` with each closure wrapped so that it carries no
-    ``rk4_step``: :func:`_rk4` then runs its stage loop over it."""
+    """``builder`` with each closure wrapped so that its ``rk4_step`` is the
+    stage loop over it, and it carries no ``record``."""
     def build(*args):
         rhs = builder(*args)
-        return lambda t, x: rhs(t, x)
+        return with_stage_loop(lambda t, x: rhs(t, x))
     return build
 
 
@@ -656,10 +706,11 @@ def _linear_example():
 
 @pytest.mark.parametrize("mode,n_calls", [("cancel_Va", 5), ("robust_A8", 6)])
 def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
-    # a timing-free guard of the float reads on both built-in plants: one
-    # evaluation calls the float form of each plant callback it needs once,
-    # on Python floats, and returns Python floats, and the integration never
-    # calls an accessor
+    # a timing-free guard of the float reads on both built-in plants: the
+    # build records each float form it needs once; where the recorder cannot
+    # follow a form (here it takes float() of its argument), one evaluation
+    # calls it once, on Python floats, and returns Python floats, bitwise the
+    # inlined forms, and the integration never calls an accessor
     import dataclasses
     from pidpbc import mechanics
     names = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn",
@@ -673,13 +724,16 @@ def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
         def counted(fn):
             def form(x):
                 calls.append(type(x))
-                return fn.float_form(x)
+                return fn.float_form(float(x))
             return mechanics.with_forms(lambda q: fn(q), float_form=form,
                                         batch_form=fn.batch_form)
 
         counted_plant = dataclasses.replace(plant, **{k: counted(getattr(plant, k))
                                                       for k in names})
-        out = _build_eval_generic(counted_plant, g, "exact", None, 1e-10)(0.0, x)
+        counted_rhs = _build_eval_generic(counted_plant, g, "exact", None, 1e-10)
+        assert len(calls) == n_calls and float not in calls, plant.name
+        calls.clear()
+        out = counted_rhs(0.0, x)
         assert calls == [float] * n_calls, plant.name
         assert type(out) is list and all(type(v) is float for v in out)
         rhs = _build_eval_generic(plant, g, "exact", None, 1e-10)
@@ -695,6 +749,76 @@ def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
         X[0] = x
         _rk4(rhs, X, 0, 20, 1e-3)
         assert np.all(np.isfinite(X))
+
+
+def test_the_recorder_cannot_be_fooled_silently():
+    # whatever looks at a traced value's own value spoils the recording and
+    # raises; a numpy ufunc refuses it
+    import operator
+    from pidpbc.sim import _Tape, _Traced
+    looks = (bool, float, operator.index, hash, lambda x: x == 0.0, lambda x: x != 0.0,
+             lambda x: x < 0.0, lambda x: x <= 0.0, lambda x: x > 0.0, lambda x: x >= 0.0,
+             lambda x: 0.0 < x, np.cos, np.negative, math.cos)
+    for look in looks:
+        tape = _Tape()
+        with pytest.raises(TypeError):
+            look(_Traced(tape, "q0") * 2.0)
+        assert tape.spoiled or look in (np.cos, np.negative)
+
+
+def test_a_float_form_written_over_its_argument_and_lib_is_inlined(cart):
+    # every operator the recorder follows, reflected too, on float and int
+    # constants, with operations that share an operand: the form is inlined,
+    # and the run is bitwise the run of the same plant that calls the form
+    from pidpbc.mechanics import with_forms
+    grad = cart.gradVu_fn.float_form
+
+    def form(x, lib=math):
+        g = grad(x, lib)
+        return g * 2.0 - g * 1.0 + ((1.0 * x) ** 2 / (3 + lib.cos(x)) - -x / 4 + 2 ** -x - 1) * 1e-3
+
+    plant = replace(cart, gradVu_fn=with_forms(lambda q: form(float(q[0])), float_form=form))
+    assert _called_callbacks(_build_eval_generic(plant, bench_gains(), "exact", None, 1e-10)) \
+        == set()
+    inlined, called = (simulate(p, bench_gains(), Q0, QD0, t_end=1.0, dt=1e-3)
+                       for p in (plant, _called_forms(plant)))
+    for f in fields(inlined):
+        col = getattr(inlined, f.name)
+        if isinstance(col, np.ndarray):
+            assert np.array_equal(getattr(called, f.name), col), f.name
+
+
+def test_a_float_form_the_recorder_cannot_follow_is_called(cart):
+    # a form that branches on its argument, compares it, takes float() of it,
+    # calls math or a numpy ufunc on it itself, ends in an int or gives
+    # another value when it is not traced is called at every read; a refused
+    # recording leaves no line, and the run is bitwise the cart's, whose
+    # forms are inlined
+    from pidpbc.mechanics import with_forms
+    mau, grad = cart.mau_fn.float_form, cart.gradVu_fn.float_form
+    cases = [("gu_0", "gradVu_fn", lambda x: grad(x) if x > 0 else grad(x)),
+             ("gu_0", "gradVu_fn", lambda x: grad(x) if x == 0 else grad(x)),
+             ("gu_0", "gradVu_fn", lambda x: grad(float(x))),
+             ("A_0_0", "mau_fn", lambda x: mau(x, math)),
+             ("gu_0", "gradVu_fn", lambda x: grad(np.positive(x))),
+             ("gu_0", "gradVu_fn", lambda x, lib=math: grad(x, lib) if lib.exp(x) > 0 else 0.0),
+             ("dU_0_0_0", "muu_jac", lambda x: 0),
+             ("A_0_0", "mau_fn", lambda x, lib=math: mau(x, lib) if type(x) is float else 1.0)]
+    run = dict(t_end=1.0, dt=1e-3)
+    want = simulate(cart, bench_gains(), Q0, QD0, **run)
+    for target, name, form in cases:
+        fn = getattr(cart, name)
+        plant = replace(cart, **{name: with_forms(lambda q, fn=fn: fn(q), float_form=form,
+                                                  batch_form=fn.batch_form)})
+        rhs = _build_eval_generic(plant, bench_gains(), "exact", None, 1e-10)
+        source = linecache.getlines(rhs.__code__.co_filename)
+        assert _called_callbacks(rhs) == {name}, target
+        assert f"    {target} = {name}(q0)\n" in source and "math_exp" not in "".join(source)
+        got = simulate(plant, bench_gains(), Q0, QD0, **run)
+        for f in fields(want):
+            col = getattr(want, f.name)
+            if isinstance(col, np.ndarray):
+                assert np.array_equal(getattr(got, f.name), col), (target, f.name)
 
 
 @pytest.mark.parametrize("bad", [lambda g: [g, 99.0], lambda g: np.array([g, 99.0])],
