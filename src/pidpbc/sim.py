@@ -28,20 +28,25 @@ form is called once per run on a recorded value (:func:`_inline`), and the
 formula it records is written into the source in place of the call: its
 constants become globals, an operation repeated on the same operands is
 computed once, and a read that records as the constant ``0.0`` drops out
-of every sum.  A form the recorder cannot follow is called.  A cart RK4
-step calls no plant callback and takes about 5.0–5.3 µs on a 2-core Xeon
-(the linear chain 3.9–5.0 µs), against 6.5–6.8 µs (5.3–6.4 µs) when the
-forms are called.
+of every sum.  A form the recorder cannot follow is called.
 It solves ``M`` by an unpivoted ``L D L'``, ``M`` being positive definite: a
 zero pivot is a :class:`ZeroDivisionError`, which :func:`_rk4` aborts on.
 At ``m = 1``, ``K`` is its own determinant and divides; beyond, ``K`` goes
 to the float64 gufuncs behind ``np.linalg`` (``det``, ``solve1``) without
-its wrapper, where a singular ``K`` is NaN.  The same source holds the
-whole RK4 step on local floats, bitwise the classical stage loop.  The
-kernel's plant response alone (:func:`_plant_response`) refuses a pivot
-that is not positive.  The tests pin the response to ``forward_dynamics``,
-the evaluation to the reference functions, and the inlined, called and
-array reads to each other, at random states and over whole runs.
+its wrapper, where a singular ``K`` is NaN.  The same source holds the RK4
+loop over a whole setpoint segment (:func:`_loop_lines`): per step four
+stages of the evaluation's own lines on local floats, each new state
+stored entry by entry into the trace array, bitwise the classical stage
+loop; lines that read only bound constants (the linear chain's constant
+``L D L'`` of ``M`` and its ``K``) run once before the loop.  A cart RK4
+step then calls only the plant's ``math`` forms and ``isfinite``, and
+takes about 3.8–4.5 µs on a 2-core Xeon (the linear chain 2.3–2.7 µs),
+against 4.9–5.1 µs (4.0–4.7 µs) when each step called the evaluation four
+times.  The kernel's plant response alone (:func:`_plant_response`)
+refuses a pivot that is not positive.  The tests pin the response to
+``forward_dynamics``, the evaluation to the reference functions, the
+inlined, called and array reads to each other, at random states and over
+whole runs, and the loop to the stage loop over whole runs.
 The step's first stages and a run's last state copy its reads of callbacks
 without a batch form into per-sample rows, which the diagnostics pass
 reuses (a callback is a function of its point alone, see :mod:`.mechanics`);
@@ -57,6 +62,8 @@ leaves no partial trace.
 
 from __future__ import annotations
 
+import ast
+import collections
 import functools
 import inspect
 import itertools
@@ -352,25 +359,48 @@ def _kernel_code(s: int, m: int, law: str, mode: str, floats: Optional[tuple]) -
     an array only where it is raised; each such source has its own name.
     A closed loop's source defines ``field``, which takes the state entries
     and returns the derivatives of all but the positions, ``kernel(t, x)``
-    over a state list, and ``rk4_step`` (see :func:`_step_lines`)."""
-    n, closed, robust = s + m, law != "response", mode == "robust_A8"
+    over a state list, and ``rk4_run`` (see :func:`_loop_lines`), whose four
+    stages per step are the lines of ``field``."""
+    n, closed = s + m, law != "response"
     q, v, z, w = ([f"{c}{i}" for i in range(k)] for c, k in zip("qvzw", (n, n, m, m)))
+    stage = functools.partial(_field_lines, s, m, law, mode, floats)
+    if closed:
+        state = q + v + z + (w if law == "approx" else [])
+        body, out = stage(state[n:], "t", True)
+        lines = ["def kernel(t, x):", f"    {', '.join(state)}, = x",
+                 f"    return [{', '.join(v)}, *field(t, {', '.join(state)})]", "",
+                 f"def field(t, {', '.join(state)}):", *("    " + line for line in body),
+                 f"    return {', '.join(out)},", *_loop_lines(stage, state, n)]
+    else:
+        body, out = stage(v, None, False)
+        lines = ["def kernel(x):", f"    {', '.join(q + v)}, = x[:{2 * n}]",
+                 *("    " + line for line in body), f"    return [{', '.join(out)}]"]
+    source = "\n".join(lines) + "\n"
+    reads = f" float reads #{next(_FLOAT_SOURCES)}" if floats else ""
+    name = f"<pidpbc kernel s={s} m={m} {law} {mode}{reads}>"
+    return compile(source, name, "exec"), (len(source), None, source.splitlines(True), name)
+
+
+def _field_lines(s: int, m: int, law: str, mode: str, floats: Optional[tuple], names: list,
+                 t: Optional[str], sample: bool) -> tuple:
+    """``(lines, derivatives)`` of one evaluation of :func:`_kernel_code`'s
+    structure on the positions ``q0, q1, ...`` and the state entries after
+    them, ``names`` (velocities, integrators, filters), at the time ``t``: the
+    statements, each branch's body four spaces in, and the expressions of the
+    derivatives of all but the positions (of a plant response, its flat
+    solution).  Only a ``sample`` evaluation stores its reads."""
+    n, closed, robust = s + m, law != "response", mode == "robust_A8"
+    q, v = [f"q{i}" for i in range(n)], names[:n]
     reads, rows, X = _read_specs(s, m), range(n), [[None] * (1 + m) for _ in range(n)]
-    state = q + v + (z + (w if law == "approx" else []) if closed else [])
-    lines = ["def kernel(t, x, sample=True):", f"    {', '.join(state)}, = x",
-             f"    return [{', '.join(v)}, *field(t, {', '.join(state)}, sample)]", "",
-             f"def field(t, {', '.join(state)}, sample):"] if closed else ["def kernel(x):"]
+    lines = [f"if not ({' and '.join(f'isfinite({a})' for a in q)}):",  # callbacks see finite q
+             "    raise ArithmeticError"]
 
     def emit(*code):
-        lines.extend("    " + line for line in code)
+        lines.extend(code)
 
     def vector(names):
         return f"array(({''.join(a + ', ' for a in names)}))"
 
-    if not closed:
-        emit(f"{', '.join(state)}, = x[:{2 * n}]")
-    emit(f"if not ({' and '.join(f'isfinite({a})' for a in q)}):",  # callbacks see finite q
-         "    raise ArithmeticError")
     if floats:
         qu, values = vector(q[:1]), [stem + "_0" * len(shape) for stem, _, shape in reads]
         emit(*floats[0])
@@ -378,8 +408,8 @@ def _kernel_code(s: int, m: int, law: str, mode: str, floats: Optional[tuple]) -
         qu, values = "qu", [f"r{i}" for i in range(len(reads))]
         emit(f"qu = {vector(q[:s])}",
              *(f"r{i} = read({fn}(qu), {shape})" for i, (_, fn, shape) in enumerate(reads)))
-    if closed:
-        emit("if sample and kept:", f"    store(t, ({', '.join(values)}))")
+    if sample:
+        emit("if kept:", f"    store({t}, ({', '.join(values)}))")
     if not floats:
         emit(*(f"{_target(stem, shape)} = r{i}.tolist()"
                for i, (stem, _, shape) in enumerate(reads)))
@@ -451,22 +481,19 @@ def _kernel_code(s: int, m: int, law: str, mode: str, floats: Optional[tuple]) -
                 emit(f"X_{i}_{c} = {y[i]} / d{i}")
             X[i][c] = combine(f"X_{i}_{c}", y[i] and f"X_{i}_{c}",
                               [(f"L_{k}_{i}", X[k][c]) for k in range(i + 1, n)])
-    if closed:
-        _law_tail(emit, s, m, law, v, X, qu, act)
-        lines += _step_lines(state, n)
-    else:
-        emit(f"return [{', '.join(sum(X, []))}]")
-    source = "\n".join(lines) + "\n"
-    reads = f" float reads #{next(_FLOAT_SOURCES)}" if floats else ""
-    name = f"<pidpbc kernel s={s} m={m} {law} {mode}{reads}>"
-    return compile(source, name, "exec"), (len(source), None, source.splitlines(True), name)
+    if not closed:
+        return lines, sum(X, [])
+    return lines, _law_tail(emit, s, m, law, names, t, X, qu, act)
 
 
-def _law_tail(emit: Callable, s: int, m: int, law: str, v: list, X: list, qu: str,
-              act: list) -> None:
+def _law_tail(emit: Callable, s: int, m: int, law: str, names: list, t: str, X: list, qu: str,
+              act: list) -> list:
     """Emit the closed-loop law after the plant response ``X`` and the
-    actuated Coriolis rows ``act`` of :func:`_kernel_code`: ``u``, the
-    disturbance and the returned field."""
+    actuated Coriolis rows ``act`` of :func:`_field_lines` (``names`` the
+    velocities, integrators and filters): ``u`` and the disturbance; return
+    the derivatives of all but the positions."""
+    n = s + m
+    v, z, w = names[:n], names[n:n + m], names[n + m:]
     # y_d = L qd with L = [Lc m_au, k_a I], Lc = -c maa^{-1}
     for a in range(m):
         emit(*(f"Lm_{a}_{j} = {_sum((f'Lc_{a}_{b}', f'A_{b}_{j}') for b in range(m))}"
@@ -474,8 +501,9 @@ def _law_tail(emit: Callable, s: int, m: int, law: str, v: list, X: list, qu: st
              f"y{a} = {_sum((f'Lm_{a}_{j}', v[j]) for j in range(s))} + ka * {v[s + a]}")
 
     def pid(a, last):  # row a of K_P y_d + K_I z1 + K_D last
-        return " + ".join(_sum((f"{G}_{a}_{b}", f"{x}{b}") for b in range(m))
-                          for G, x in (("KP", "y"), ("KI", "z"), ("KD", last)))
+        return " + ".join(_sum((f"{G}_{a}_{b}", x[b]) for b in range(m))
+                          for G, x in (("KP", [f"y{b}" for b in range(m)]), ("KI", z),
+                                       ("KD", [f"{last}{b}" for b in range(m)])))
 
     if law == "exact":
         # the PID as written, with yd_dot = L qdd - c maa^{-1} act: the matrix on
@@ -491,7 +519,7 @@ def _law_tail(emit: Callable, s: int, m: int, law: str, v: list, X: list, qu: st
         # a NaN det K is left to the non-finite abort; at m = 1, K is its own
         # det, and an exact zero divides (a ZeroDivisionError, the same abort)
         floor = ("if abs(detK) < det_tol:",
-                 f"    raise WellPosednessError({qu}, detK, det_tol, t)")
+                 f"    raise WellPosednessError({qu}, detK, det_tol, {t})")
         if m == 1:
             emit(f"detK = {K[0][0]}", *floor, f"u_0 = -({pid(0, 'yd')}) / detK")
         else:
@@ -500,44 +528,82 @@ def _law_tail(emit: Callable, s: int, m: int, law: str, v: list, X: list, qu: st
                  "detK = float(det(K))", *floor,
                  f"{_target('u', (m,))} = solve1(K, array(({rhs}))).tolist()")
     else:
-        emit(*(f"zd{a} = fa * (y{a} - w{a})" for a in range(m)),
+        emit(*(f"zd{a} = fa * (y{a} - {w[a]})" for a in range(m)),
              *(f"u_{a} = -({pid(a, 'zd')}) / ke" for a in range(m)))
     # the disturbance enters at the plant input only; the law never sees it
     emit("if dist is not None:",
-         f"    {_target('dd', (m,))} = read(dist(t), ({m},)).tolist()",
+         f"    {_target('dd', (m,))} = read(dist({t}), ({m},)).tolist()",
          *(f"    u_{a} = u_{a} + dd_{a}" for a in range(m)))
-    qdd = (_sum([(X[i][0], "1")] + [(X[i][c + 1], f"u_{c}") for c in range(m)])
-           for i in range(s + m))
-    tail = [f"y{a}" for a in range(m)] + [f"zd{a}" for a in range(m) if law == "approx"]
-    emit(f"return {', '.join([*qdd, *tail])},")
+    qdd = [_sum([(X[i][0], "1")] + [(X[i][c + 1], f"u_{c}") for c in range(m)])
+           for i in range(n)]
+    return qdd + [f"y{a}" for a in range(m)] + [f"zd{a}" for a in range(m) if law == "approx"]
 
 
-def _step_lines(state: list, n: int) -> list:
-    """Source of ``rk4_step(dt)``, the whole RK4 step of ``field`` on the
-    state names ``state``, whose first ``n`` are positions: the classical
-    stage loop over ``kernel`` (``x + h k`` per stage, then ``x + dt/6 (k1 + 2
-    (k2 + k3) + k4)``) written out per entry, each sum in its order, so the
-    step is bitwise the stage loop (a position's derivative is its stage's
-    velocity, which ``kernel`` returns as it is).  Only the first stage is a
-    sample."""
-    xs = [state] + [[f"{a}_{j}" for a in state] for j in (1, 2, 3)]
-    ds = [x[n:2 * n] + [f"k{j}_{i}" for i in range(n, len(state))] for j, x in enumerate(xs)]
-    lines = ["", "def rk4_step(dt):", "    half, sixth = dt / 2, dt / 6", "",
-             "    def step(t, x):", f"        {', '.join(state)}, = x"]
-    for j, (t, h) in enumerate((("t", None), ("t + half", "half"), ("t + half", "half"),
-                                ("t + dt", "dt"))):
+def _invariant(lines: list, inputs: set) -> list:
+    """The top-level ``name = expr`` lines among ``lines`` that assign their
+    name once from globals (names that neither ``lines`` assign nor
+    ``inputs`` hold) and names of earlier such lines: what a run computes
+    once.  A name assigned twice, or in a branch, is never one of them."""
+    tree = ast.parse("\n".join(lines))
+    stored = collections.Counter(node.id for node in ast.walk(tree)
+                                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+    known, hoisted = set(), []
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+                and stored[node.targets[0].id] == 1
+                and all(x.id in known or x.id not in stored and x.id not in inputs
+                        for x in ast.walk(node.value) if isinstance(x, ast.Name))):
+            known.add(node.targets[0].id)
+            hoisted.append(lines[node.lineno - 1])
+    return hoisted
+
+
+def _loop_lines(stage: Callable, state: list, n: int) -> list:
+    """Source of ``rk4_run(X, k0, k1, dt)``: classical RK4 steps of the
+    evaluation ``stage`` from row ``k0`` to row ``k1`` of the float64 array
+    ``X`` in place, on the state names ``state``, whose first ``n`` are
+    positions.  ``stage(names, t, sample)`` is :func:`_field_lines` on the
+    positions ``q0, q1, ...`` and ``names``.  The state lives in local
+    floats, the step start's positions as ``q0_0, ...``; each step holds four
+    stages of lines, the first a sample, and the lines :func:`_invariant`
+    finds run once before the loop.  A stage state is ``x + h k`` and the new
+    state ``x + dt/6 (k1 + 2 (k2 + k3) + k4)``, every sum in its order, so
+    each row is bitwise the classical stage loop (a position's derivative is
+    its stage's velocity); it is stored entry by entry into a flat view of
+    ``X``.  It returns the step at which a stage or the new state stopped
+    being finite (a zero divisor too), else ``k1``."""
+    width = len(state)
+    rest = [[a if j == 0 else f"{a}_{j}" for a in state[n:]] for j in range(4)]
+    ds = [r[:n] + [f"k{j}_{i}" for i in range(n, width)] for j, r in enumerate(rest)]
+    x = [f"{a}_0" for a in state[:n]] + state[n:]
+    bodies = [stage(names, t, j == 0)
+              for j, (names, t) in enumerate(zip(rest, ("t", "t + half", "t + half", "t + dt")))]
+    hoisted = _invariant(bodies[0][0], {"t", *state})
+    loop = []
+    for j, (h, (body, out)) in enumerate(zip((None, "half", "half", "dt"), bodies)):
         if h:  # the stage state, a step h along the previous stage's derivative
-            lines += [f"        {b} = {a} + {h} * {d}" for a, b, d in zip(state, xs[j], ds[j - 1])]
-        lines.append(f"        {''.join(k + ', ' for k in ds[j][n:])}= field({t}, "
-                     f"{', '.join(xs[j])}, {not h})")
-    sums = (f"{a} + sixth * ({d0} + 2 * ({d1} + {d2}) + {d3})"
-            for a, d0, d1, d2, d3 in zip(state, *ds))
-    return lines + [f"        return [{', '.join(sums)}]", "", "    return step"]
+            loop += [f"{a} = {b} + {h} * {d}"
+                     for a, b, d in zip(state[:n] + rest[j], x, ds[j - 1])]
+        else:
+            loop += [f"{a} = {b}" for a, b in zip(state[:n], x)]
+        loop += [line for line in body if line not in hoisted]
+        loop += [f"{d} = {expr}" for d, expr in zip(ds[j][n:], out)]
+    loop += [f"{a} = {a} + sixth * ({d0} + 2 * ({d1} + {d2}) + {d3})"
+             for a, d0, d1, d2, d3 in zip(x, *ds)]
+    loop += [f"at += {width}", *(f"flat[at{f' + {i}' if i else ''}] = {a}"
+                                 for i, a in enumerate(x)),
+             f"if not ({' and '.join(f'isfinite({a})' for a in x)}):", "    raise ArithmeticError"]
+    return ["", "def rk4_run(X, k0, k1, dt):", "    half, sixth = dt / 2, dt / 6",
+            '    flat = memoryview(X).cast("B").cast("d")', f"    at = k0 * {width}",
+            f"    {', '.join(x)}, = flat[at:at + {width}]", "    k = k0", "    try:",
+            *("        " + line for line in hoisted), "        for k in range(k0, k1):",
+            "            t = k * dt", *("            " + line for line in loop),
+            "    except ArithmeticError:", "        return k", "    return k1"]
 
 
 def _bind(sys: MechanicalSystem, law: str, mode: str, at: Array, **names) -> dict:
     """The namespace of a new instance of :func:`_kernel_code`'s source for
-    ``sys``, holding ``kernel`` (and ``rk4_step``), whose globals bind its
+    ``sys``, holding ``kernel`` (and ``rk4_run``), whose globals bind its
     callbacks (an inertia block without a Jacobian by the rule of
     :func:`.mechanics._jacobian`), the entries of ``m_aa`` and ``names``.
     Where :func:`_float_reads` holds, the float forms are inlined by
@@ -585,12 +651,12 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
     """The closed-loop evaluation of every plant: the kernel of
     :func:`_kernel_code` for ``(s, m, controller, gains.mode)`` bound to this
     plant, these gains, ``disturbance`` and ``det_tol``; one closure serves
-    one run at a time.  It carries ``rk4_step(dt)``, the whole RK4 step of
-    :func:`_rk4`, and ``record(n_samples, dt)``, which returns ``(callback,
-    rows)`` pairs, one array of ``n_samples`` rows per callback of
-    :func:`_read_specs` without a batch form; from then on each call
-    ``sample`` copies its reads into row ``t / dt``: the first stage of each
-    step and the last state of a run."""
+    one run at a time.  It carries ``rk4_run(X, k0, k1, dt)``, the RK4 loop
+    over a setpoint segment that :func:`_rk4` runs, and ``record(n_samples,
+    dt)``, which returns ``(callback, rows)`` pairs, one array of
+    ``n_samples`` rows per callback of :func:`_read_specs` without a batch
+    form; from then on each step's first stage and each call of the closure
+    (a run's last state) copy their reads into row ``t / dt``."""
     reads = [(getattr(sys, fn), shape) for _, fn, shape in _read_specs(sys.s, sys.m)]
     kept, sample_dt = [], 0.0  # (index in reads, rows) while a run records
 
@@ -612,39 +678,37 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
                 **_entries("KI", gains.K_I), **_entries("KD", gains.K_D),
                 **_entries("Lc", -(gains.k_u - gains.k_a) * sys.maa_inv))
     eval_rhs = env["kernel"]
-    eval_rhs.rk4_step, eval_rhs.record = env["rk4_step"], record
+    eval_rhs.rk4_run, eval_rhs.record = env["rk4_run"], record
     return eval_rhs
 
 
 def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: float) -> None:
     """Classical RK4 steps from row ``k0`` to row ``k1`` of ``X`` in place.
 
-    The state is a list of Python floats, and a step is ``rhs.rk4_step(dt)``,
-    the generated step of :func:`_build_eval_generic`.  The run holds
-    one error state, in which every floating-point error is silent, so that a
-    singular solve is NaN and divergence is caught by the explicit finiteness
-    checks.  Every early stop is the :class:`SimulationAborted` raised here: a
-    new state or the last state's derivative is not finite, or ``rhs`` raises
+    The steps are ``rhs.rk4_run(X, k0, k1, dt)``, the generated loop of
+    :func:`_build_eval_generic`, which returns the step at which the state
+    stopped being finite, or ``k1``; then ``rhs`` checks the last state's
+    derivative.  The run holds one error state, in which every
+    floating-point error is silent, so that a singular solve is NaN and
+    divergence is caught by the explicit finiteness checks.  Every early
+    stop is the :class:`SimulationAborted` raised here: a new state or the
+    last state's derivative is not finite, or ``rhs`` raises
     :class:`.WellPosednessError`, :class:`.SingularInertiaError` or
     :class:`ArithmeticError` (a zero divisor, or a non-finite stage state,
     which no plant callback sees).
     """
-    step = rhs.rk4_step(dt)
-    x = X[k0].tolist()
     with np.errstate(all="ignore"):
         try:
-            for k in range(k0, k1):
-                t = k * dt
-                x = step(t, x)
-                X[k + 1] = x
-                if not all(map(math.isfinite, x)):
-                    raise ArithmeticError
-            if not all(map(math.isfinite, rhs(k1 * dt, x))):
-                raise ArithmeticError
+            k = rhs.rk4_run(X, k0, k1, dt)
+            if k == k1:
+                k -= 1  # the last state's derivative aborts with the last step
+                if all(map(math.isfinite, rhs(k1 * dt, X[k1].tolist()))):
+                    return
         except (WellPosednessError, SingularInertiaError) as exc:
             raise SimulationAborted(str(exc)) from exc
         except ArithmeticError:
-            raise SimulationAborted(f"state became non-finite at t={t + dt:.6g}s") from None
+            pass
+    raise SimulationAborted(f"state became non-finite at t={k * dt + dt:.6g}s")
 
 
 def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, disturbance,

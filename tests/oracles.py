@@ -4,6 +4,8 @@ No function here has a caller in the package: each recomputes a quantity
 the package obtains another way, so the two routes can cross-check.
 """
 
+import math
+
 import numpy as np
 from numpy.polynomial import polynomial as P
 
@@ -66,7 +68,7 @@ def pencil_determinant(C2: Array, C1: Array, C0: Array) -> tuple[Array, Array]:
 
 def rk4_stages(rhs, dt: float):
     """One classical RK4 step of ``rhs``, ``(t, x) -> x`` on lists of floats:
-    the stage loop that a generated ``rk4_step`` writes out."""
+    the stage loop that a generated ``rk4_run`` writes out."""
     half, sixth = 0.5 * dt, dt / 6.0
 
     def step(t: float, x: list) -> list:
@@ -81,8 +83,23 @@ def rk4_stages(rhs, dt: float):
 
 
 def with_stage_loop(rhs):
-    """``rhs`` carrying the ``rk4_step`` of :func:`rk4_stages`, which ``_rk4`` runs."""
-    rhs.rk4_step = lambda dt: rk4_stages(rhs, dt)
+    """``rhs`` carrying an ``rk4_run(X, k0, k1, dt)``, which ``_rk4`` runs:
+    the steps of :func:`rk4_stages` from row ``k0`` to row ``k1`` of ``X``,
+    returning the step at which a stage or the new state stopped being
+    finite, or ``k1``."""
+    def rk4_run(X, k0: int, k1: int, dt: float) -> int:
+        step, x, k = rk4_stages(rhs, dt), X[k0].tolist(), k0
+        try:
+            for k in range(k0, k1):
+                x = step(k * dt, x)
+                X[k + 1] = x
+                if not all(map(math.isfinite, x)):
+                    raise ArithmeticError
+        except ArithmeticError:
+            return k
+        return k1
+
+    rhs.rk4_run = rk4_run
     return rhs
 
 

@@ -360,6 +360,18 @@ def _float_literals(rhs):
             if isinstance(node, ast.Constant) and isinstance(node.value, float)]
 
 
+def _loop_calls(rhs):
+    """The names that the ``for`` body of the kernel's ``rk4_run`` calls,
+    leaving out its raise branches and its disturbance branches, and the
+    names of the functions the source defines."""
+    import ast
+    tree = ast.parse("".join(linecache.getlines(rhs.__code__.co_filename)))
+    run = next(node for node in tree.body if getattr(node, "name", None) == "rk4_run")
+    loop = next(node for node in ast.walk(run) if isinstance(node, ast.For))
+    calls = _calls_outside_branches("\n".join(map(ast.unparse, loop.body)))
+    return calls, [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+
 def test_one_code_object_serves_a_structure_and_its_source_has_no_number(cart):
     # plant and gain numbers are the kernel's globals, never its source: two
     # plants and gain sets of one structure share one code object, and the
@@ -383,7 +395,9 @@ def test_one_code_object_serves_a_structure_and_its_source_has_no_number(cart):
     # under its own name; a timing-free guard of the s = m = 1 fast path:
     # it builds no array and calls no reader, det or solve outside its raise
     # branches and the disturbance branch, and no m = 1 kernel takes det K
-    # or solves with K, which is its own determinant
+    # or solves with K, which is its own determinant; the source holds one
+    # RK4, the segment loop, whose for body calls nothing but the recorded
+    # math forms and store outside those branches
     other_cart = cart_pendulum_incline(pendulum_mass=0.2, cart_mass=0.6, psi=np.radians(12.0))
     lin = _linear_example()
     array_calls = {"array", "read", ".tolist", "det", "solve1"}
@@ -400,6 +414,10 @@ def test_one_code_object_serves_a_structure_and_its_source_has_no_number(cart):
             assert name.startswith(f"<pidpbc kernel s=1 m=1 {controller} {mode} float reads #")
             assert _float_literals(rhs) == [] and _called_callbacks(rhs) == set(), name
             assert not _calls_outside_branches("".join(linecache.getlines(name))) & array_calls
+            calls, defined = _loop_calls(rhs)
+            assert defined == ["kernel", "field", "rk4_run"], name
+            assert {c for c in calls if not c.startswith("math_")} <= {"store"}, (name, calls)
+        assert any(c.startswith("math_") for c in _loop_calls(carts[0])[0])
         for s in (1, 2, 4):
             source = "".join(_kernel_code(s, 1, controller, mode, None)[1][2])
             assert not _calls_outside_branches(source) & {"det", "solve1"}, s
@@ -500,7 +518,7 @@ def test_open_loop_rejects_a_bad_step(cart, dt):
 
 
 def _stage_loop(builder):
-    """``builder`` with each closure wrapped so that its ``rk4_step`` is the
+    """``builder`` with each closure wrapped so that its ``rk4_run`` is the
     stage loop over it, and it carries no ``record``."""
     def build(*args):
         rhs = builder(*args)
@@ -545,7 +563,7 @@ def test_scalar_rk4_step_is_bitwise_the_stage_loop(cart, monkeypatch):
             plants, CONTROLLERS, MODES, DISTURBANCES):
         g = make_gains(mode)
         rhs = _build_eval_generic(plant, g, controller, d, 1e-10)
-        assert _is_float_kernel(rhs) and callable(rhs.rk4_step)
+        assert _is_float_kernel(rhs) and callable(rhs.rk4_run)
         rows = []
         for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
             monkeypatch.setattr(pidpbc.sim, "_build_eval_generic", builder)
@@ -561,7 +579,7 @@ def test_generic_rk4_step_is_bitwise_the_stage_loop(monkeypatch):
     # modes, with and without a disturbance, and a setpoint step, on two
     # plants without batch forms
     for plant, g, controller, d in _generic_runs():
-        assert callable(_build_eval_generic(plant, g, controller, d, 1e-10).rk4_step)
+        assert callable(_build_eval_generic(plant, g, controller, d, 1e-10).rk4_run)
         rows = []
         for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
             monkeypatch.setattr(pidpbc.sim, "_build_eval_generic", builder)
@@ -697,6 +715,74 @@ def test_sweep_abort_row_is_the_same_through_both_builders(cart):
     assert str(err.value) == want
     for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
         assert _rk4_abort_message(cart, g, builder, Q0, QD0, 1000) == want
+
+
+def test_the_segment_loop_aborts_as_the_stage_loop(cart, monkeypatch):
+    # each abort of a whole run through the generated segment loop reads as
+    # the stage loop's, message and time: a state that stops being finite in
+    # the second setpoint segment (the step's absolute offset), the det K
+    # floor there, a zero pivot of the constant inertia [[1, 1], [1, 1]]
+    # (computed before the loop) and the k_u = -300 sweep row
+    coupled = linear_system(M=[[2.0, 1.0], [1.0, 1.0]], S_u=[[1.0]])
+    singular = replace(coupled, muu_fn=coupled.mau_fn, name="singular")
+
+    def floored(builder):  # builder with the det K floor raised to 0.5
+        return lambda *args: builder(*args[:-1], 0.5)
+
+    cases = [(cart, bench_gains(k_u=-500.0), Q0, QD0, 1.0, -0.9, None,
+              "state became non-finite at t=1.351s"),
+             (cart, bench_gains(), [PSI + 0.85, 0.0], [-2.0, 0.0], 0.1, -0.3, floored,
+              "well-posedness matrix singular at t=0.524s"),
+             (singular, Gains(q_u_star=[0.0], q_a_star=[0.0], **TOY_GAINS), [0.3, 0.1],
+              [0.0, 0.0], 0.5, 0.2, None, "state became non-finite at t=0.001s"),
+             (cart, bench_gains(k_u=-300.0), Q0, QD0, 5.0, -0.3, None,
+              "state became non-finite at t=0.617s")]
+    for plant, g, q0, qd0, t_step, target, wrap, want in cases:
+        messages = []
+        for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
+            monkeypatch.setattr(pidpbc.sim, "_build_eval_generic",
+                                wrap(builder) if wrap else builder)
+            with pytest.raises(SimulationAborted) as err:
+                simulate(plant, g, q0, qd0, t_end=10.0, dt=1e-3,
+                         setpoints=[SetpointStep(t_step, np.array([target]))])
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] and messages[0].startswith(want), (plant.name, messages)
+
+
+def test_a_math_domain_error_at_a_finite_state_propagates(cart, monkeypatch):
+    # an inlined math_sqrt of a negative q_u is not an abort: its ValueError
+    # leaves the run as it leaves the stage loop
+    from pidpbc.systems import _formula
+    plant = replace(cart, gradVu_fn=_formula(lambda th, lib=math: -0.3 * lib.sqrt(th), 1))
+    rhs = _build_eval_generic(plant, bench_gains(), "exact", None, 1e-10)
+    assert _is_float_kernel(rhs) and "math_sqrt" in rhs.__globals__
+    for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
+        monkeypatch.setattr(pidpbc.sim, "_build_eval_generic", builder)
+        with pytest.raises(ValueError, match="math domain error"):
+            simulate(plant, bench_gains(), Q0, QD0, t_end=3.0, dt=1e-3)
+
+
+def test_a_run_enters_the_evaluation_once_per_segment(cart, monkeypatch):
+    # a timing-free guard of the segment loop: its stages are inlined, so a
+    # whole run calls the kernel's field only for each segment's last state,
+    # on the cart and on an s = m = 2 plant that reads arrays
+    calls = []
+
+    def counting(*args):
+        rhs = _build_eval_generic(*args)
+        field = rhs.__globals__["field"]
+        rhs.__globals__["field"] = lambda t, *x: calls.append(t) or field(t, *x)
+        return rhs
+
+    monkeypatch.setattr(pidpbc.sim, "_build_eval_generic", counting)
+    synthetic = make_synthetic(2, 2, seed=82)
+    runs = [(cart, bench_gains(), dict(t_end=10.0, q0=Q0, target=-0.3)),
+            (synthetic, random_gains(synthetic, np.random.default_rng(82)), {})]
+    for plant, g, run in runs:
+        calls.clear()
+        tr = _generic_run(plant, g, "exact", None, **run)
+        assert len(tr.segments) == 2 and tr.n_samples > 300, plant.name
+        assert calls == [k1 * 1e-3 for _, k1, _ in tr.segments], plant.name
 
 
 def _linear_example():
