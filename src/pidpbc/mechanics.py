@@ -16,18 +16,19 @@ A plant callback takes one point, a float array of shape ``(s,)`` or
 ``(m,)``, and returns any array-like holding its block's entries in row-major
 order, so a one-entry block may be a plain Python float.  It may carry two
 more forms of the same formula, attached by :func:`with_forms`: a *float
-form* (a Python float in, a float out) and a *batch form* (a ``(..., k)``
-array in, an array that broadcasts to ``(..., *block)`` out, in one numpy
-call).  The integration of an ``s = m = 1`` plant uses the float forms
-when every callback it reads carries one, and reads arrays otherwise.  A
-float form written over its argument with the arithmetic operators, unary
-minus and, through a ``lib`` parameter, :mod:`math` functions (as
-``expr(x, lib=math)``) is inlined: it is called once per run on a recorded
-value, and the integration runs the formula it recorded.  That is sound
-because a callback is a function of its point alone.  Any other form is
-called at every read: one that branches on or compares its argument, takes
-``float`` of it, calls :mod:`math` or numpy on it itself, ends in anything
-but a float, or whose recorded formula does not give its own value bitwise.
+form*, which takes the point's coordinates as Python floats and returns a
+float for a one-entry block and nested tuples of the block's shape
+otherwise, and a *batch form* (a ``(..., k)`` array in, an array that
+broadcasts to ``(..., *block)`` out, in one numpy call).  The integration
+reads each callback through its float form, or through an adapter of the
+point callback without one.  A float form written over its arguments with
+the arithmetic operators, unary minus and, through a ``lib`` parameter,
+:mod:`math` functions (as ``expr(q0, q1, lib=math)``) is inlined: it is
+called once per run on recorded values, and the integration runs the
+formula it recorded.  Any other form is called at every read: one that
+branches on or compares an argument, takes ``float`` of it, calls
+:mod:`math` or numpy on it itself, returns anything but floats nested as
+its block, or whose recorded formula does not give its own value bitwise.
 :func:`_read` is the one reader of a result at a point; :func:`_per_point`
 takes a batch through the batch form, or point by point (:func:`_loop_points`)
 without one.  :func:`_jacobian` is the one rule for a block's derivative: the
@@ -35,9 +36,9 @@ analytic Jacobian, or the central difference without one.  The forms travel
 with the callback object, so replacing a callback in a plant
 (``dataclasses.replace``) drops them with it.  During integration callbacks
 are only called at finite positions.  A callback is a function of its point
-alone: the simulator's diagnostics reuse the values the integration read at
-each sample.  Every matrix that enters a plant or gains passes the one check
-:func:`_as_matrix`.
+alone, so a recorded formula stands for it, and the simulator's diagnostics
+reuse the values the integration read at each sample.  Every matrix that
+enters a plant or gains passes the one check :func:`_as_matrix`.
 """
 
 from __future__ import annotations
@@ -139,9 +140,9 @@ def _reuse(key, q: Array, compute: Callable[[], Array]) -> Array:
 
 def with_forms(point: Callable, *, float_form: Optional[Callable] = None,
                batch_form: Optional[Callable] = None) -> Callable:
-    """``point``, a plant callback, carrying the float and batch forms of its
-    formula (see the module docstring); each form must agree with ``point``
-    bitwise."""
+    """``point``, a plant callback, carrying the float form (coordinates in,
+    the block's floats out) and the batch form of its formula, as the module
+    docstring says; each form must agree with ``point`` bitwise."""
     point.float_form, point.batch_form = float_form, batch_form
     return point
 

@@ -20,38 +20,28 @@ route to the integrated law.
 Every plant runs one generated evaluation (:func:`_kernel_code`): for each
 structure ``(s, m, law, mode)`` one straight-line function on local floats,
 every index resolved and the plant's and gains' numbers bound as its
-globals, so plants and gains of one structure share one code object,
-compiled on first use.  It reads each callback once by the rules of
-:mod:`.mechanics`; an ``s = m = 1`` plant whose callbacks carry their float
-forms gets the variant on floats that builds no array.  There each float
-form is called once per run on a recorded value (:func:`_inline`), and the
-formula it records is written into the source in place of the call: its
-constants become globals, an operation repeated on the same operands is
-computed once, and a read that records as the constant ``0.0`` drops out
-of every sum.  A form the recorder cannot follow is called.
+globals, compiled on first use.  It reads each callback it needs once, in
+one line, through its float form (see :mod:`.mechanics`): the formula the
+form records when called once per run on traced floats (:func:`_inline`),
+its constants bound as globals, an operation repeated on the same operands
+computed once and an entry that records as ``0.0`` left out of every sum;
+or a call of the form where the recorder cannot follow it, and of an
+adapter (:func:`_adapter`) for a callback without one.
 It solves ``M`` by an unpivoted ``L D L'``, ``M`` being positive definite: a
 zero pivot is a :class:`ZeroDivisionError`, which :func:`_rk4` aborts on.
 At ``m = 1``, ``K`` is its own determinant and divides; beyond, ``K`` goes
 to the float64 gufuncs behind ``np.linalg`` (``det``, ``solve1``) without
 its wrapper, where a singular ``K`` is NaN.  The same source holds the RK4
 loop over a whole setpoint segment (:func:`_loop_lines`): per step four
-stages of the evaluation's own lines on local floats, each new state
-stored entry by entry into the trace array, bitwise the classical stage
-loop; lines that read only bound constants (the linear chain's constant
-``L D L'`` of ``M`` and its ``K``) run once before the loop.  A cart RK4
-step then calls only the plant's ``math`` forms and ``isfinite``, and
-takes about 3.8–4.5 µs on a 2-core Xeon (the linear chain 2.3–2.7 µs),
-against 4.9–5.1 µs (4.0–4.7 µs) when each step called the evaluation four
-times.  The kernel's plant response alone (:func:`_plant_response`)
-refuses a pivot that is not positive.  The tests pin the response to
-``forward_dynamics``, the evaluation to the reference functions, the
-inlined, called and array reads to each other, at random states and over
-whole runs, and the loop to the stage loop over whole runs.
-The step's first stages and a run's last state copy its reads of callbacks
-without a batch form into per-sample rows, which the diagnostics pass
-reuses (a callback is a function of its point alone, see :mod:`.mechanics`);
-it evaluates every other callback over all samples at once, through its
-batch form when it has one.
+stages of the evaluation's own lines, each new state stored entry by entry
+into the trace array, bitwise the classical stage loop; lines that read only
+bound constants run once before the loop.  The tests pin the evaluation to
+the reference functions, its inlined, called and adapted reads to each
+other, and the loop to the stage loop.  The step's first stages and a run's
+last state copy the entries of their reads into per-sample rows, which the
+diagnostics pass reuses for each callback without a batch form (a callback
+is a function of its point alone); it evaluates every other callback over
+all samples at once, through its batch form.
 
 :func:`write_trace` writes the run's record, numpy's ``.npy`` format with
 one named float64 field per column, which :func:`read_trace` gives back
@@ -166,13 +156,9 @@ def _read_specs(s: int, m: int) -> tuple:
             ("dA", "mau_jac", (m, s, s)), ("gu", "gradVu_fn", (s,)))
 
 
-def _float_reads(sys: MechanicalSystem, mode: str) -> bool:
-    """Whether the plant has ``s = m = 1`` and each callback a kernel calls
-    carries its float form (see :mod:`.mechanics`): those of
-    :func:`_read_specs` and, in ``robust_A8`` mode, ``gradVa_fn``."""
-    names = [fn for _, fn, _ in _read_specs(1, 1)] + ["gradVa_fn"] * (mode == "robust_A8")
-    return sys.s == sys.m == 1 and all(getattr(getattr(sys, name), "float_form", None)
-                                       for name in names)
+def _names(stem: str, shape: tuple) -> list:
+    """``[stem_0_0, ...]``, the names of a block's entries in row-major order."""
+    return [stem + "".join(f"_{i}" for i in index) for index in np.ndindex(shape)]
 
 
 def _sum(pairs) -> Optional[str]:
@@ -191,10 +177,20 @@ def _signed(terms) -> Optional[str]:
 
 
 def _target(stem: str, shape: tuple) -> str:
-    """Nested assignment target ``((stem_0_0, ...), ...)`` of a ``tolist()``."""
+    """Nested assignment target ``((stem_0_0, ...), ...)`` of nested sequences."""
     if not shape:
         return stem
     return "(" + "".join(_target(f"{stem}_{i}", shape[1:]) + ", " for i in range(shape[0])) + ")"
+
+
+def _entries_of(value, shape: tuple) -> list:
+    """The entries of a float form's ``value``, nested tuples (or lists) of
+    ``shape``, in row-major order; :class:`ValueError` on any other nesting."""
+    if not shape:
+        return [value]
+    if not isinstance(value, (tuple, list)) or len(value) != shape[0]:
+        raise ValueError(f"a float form's result is not nested as {shape}")
+    return [entry for row in value for entry in _entries_of(row, shape[1:])]
 
 
 class _Traced:
@@ -296,44 +292,51 @@ class _Tape:
 
 
 def _inline(reads: list, at: dict) -> tuple:
-    """``((lines, zeros), names)`` of the float reads ``(target, global name,
-    float form, argument name)`` of a kernel: each form called once on a
-    :class:`_Traced` argument (and the recording ``lib`` where it takes one)
-    becomes the recorded lines that assign ``target``, or no line where it
-    returns a constant, which ``names`` binds to ``target`` itself (a
-    structural zero, in ``zeros``, where it is ``+0.0``).  A form whose
-    recording is spoiled, ends in anything but a traced value or a float, or
-    whose lines do not give its own value bitwise with the arguments ``at``
-    is called as ``target = name(argument)``, and its recording leaves no
-    line.  ``names`` binds the constants and the ``math`` functions too."""
+    """``((lines, zeros), names)`` of the reads ``(stem, global name, float
+    form, argument names, shape)`` of a kernel: each form called once on
+    :class:`_Traced` arguments (and the recording ``lib`` where it takes one)
+    becomes the recorded lines that assign its entries' names
+    (:func:`_names`), or no line for a constant entry, which ``names`` binds
+    to its name (a structural zero, in ``zeros``, where it is ``+0.0``).  A
+    form that is ``None`` (an adapter), whose recording is spoiled, whose
+    result is not floats nested as ``shape``, or one of whose entries the
+    lines do not give bitwise with the arguments ``at`` is called, as
+    ``target = name(arguments)``, and its recording leaves no line.
+    ``names`` binds the constants and the ``math`` functions too."""
     tape, items, zeros, names = _Tape(), [], set(), {}
-    for target, name, form, arg in reads:
+    for stem, name, form, args, shape in reads:
         mark = len(tape.ops), len(tape.consts)
         try:  # a form without an inspectable signature is called
-            x = _Traced(tape, arg)
-            out = form(x, lib=_Lib(tape)) if "lib" in inspect.signature(form).parameters \
-                else form(x)
-            if tape.spoiled or not isinstance(out, (_Traced, float)):
+            if form is None:
+                raise TypeError(f"{name} is an adapter")
+            lib = {"lib": _Lib(tape)} if "lib" in inspect.signature(form).parameters else {}
+            out = _entries_of(form(*(_Traced(tape, a) for a in args), **lib), shape)
+            if tape.spoiled or not all(isinstance(v, (_Traced, float)) for v in out):
                 raise TypeError(f"{name} is not traceable")
-            got = tape.replay(at)[out.name] if isinstance(out, _Traced) else out
-            want = form(at[arg])
-            if type(got) is not type(want) or float.hex(got) != float.hex(want):
-                raise ValueError(f"{name} does not replay bitwise")
+            values = tape.replay(at)
+            want = _entries_of(form(*(at[a] for a in args)), shape)
+            for v, w in zip(out, want):
+                got = values[v.name] if isinstance(v, _Traced) else v
+                if type(got) is not type(w) or float.hex(got) != float.hex(w):
+                    raise ValueError(f"{name} does not replay bitwise")
         except Exception:  # whatever a form does with a recorded value, it is then called
             tape.rollback(*mark)
             tape.spoiled = False
-            items.append(f"{target} = {name}({arg})")
+            items.append(f"{_target(stem, shape)} = {name}({', '.join(args)})")
             continue
         new = tape.ops[mark[0]:]
         items += new
-        if isinstance(out, float):  # a constant read binds its own name
-            names[target] = out
-            if out == 0.0 and math.copysign(1.0, out) > 0:
-                zeros.add(target)
-        elif any(op[0] is out for op in new):
-            out.name = target
-        else:  # the argument, or a line of an earlier read
-            items.append(f"{target} = {out.name}")
+        fresh = {id(op[0]) for op in new}
+        for target, v in zip(_names(stem, shape), out):
+            if isinstance(v, float):  # a constant entry binds its own name
+                names[target] = v
+                if v == 0.0 and math.copysign(1.0, v) > 0:
+                    zeros.add(target)
+            elif id(v) in fresh:  # its line assigns the entry
+                fresh.discard(id(v))
+                v.name = target
+            else:  # an argument, another entry or a line of an earlier read
+                items.append(f"{target} = {v.name}")
     names.update((ref.name, value) for ref, value in tape.consts.values())
     names.update((op[2].split("(")[0], op[1]) for op in tape.ops if op[2].startswith("math_"))
     lines = tuple(item if isinstance(item, str) else
@@ -342,28 +345,26 @@ def _inline(reads: list, at: dict) -> tuple:
     return (lines, frozenset(zeros)), names
 
 
-_FLOAT_SOURCES = itertools.count(1)  # numbers the float-read sources in a process
+_SOURCES = itertools.count(1)  # numbers the generated sources in a process
 
 
 @functools.cache
-def _kernel_code(s: int, m: int, law: str, mode: str, floats: Optional[tuple]) -> tuple:
+def _kernel_code(s: int, m: int, law: str, mode: str, reads: tuple) -> tuple:
     """``(code, linecache entry)`` of the generated evaluation of one
-    structure, compiled on first use: straight-line code on local floats,
-    every index resolved, plant and gain numbers only as names that
-    :func:`_bind` binds.  ``law`` is ``"exact"``, ``"approx"`` or
-    ``"response"`` (the plant response of :func:`_plant_response` alone); the
-    drift keeps ``-grad V_a`` in ``mode`` ``robust_A8``.  With ``floats``
-    (``s = m = 1``, see :func:`_float_reads`), the ``(lines, zeros)`` of
-    :func:`_inline`, the reads are those lines on the float ``q0`` (and
-    ``q1``), a read in ``zeros`` is left out of every sum, and ``q_u`` becomes
-    an array only where it is raised; each such source has its own name.
-    A closed loop's source defines ``field``, which takes the state entries
-    and returns the derivatives of all but the positions, ``kernel(t, x)``
-    over a state list, and ``rk4_run`` (see :func:`_loop_lines`), whose four
-    stages per step are the lines of ``field``."""
+    structure, compiled on first use and numbered in its name: straight-line
+    code on local floats, every index resolved, plant and gain numbers only
+    as names that :func:`_bind` binds.  ``law`` is ``"exact"``, ``"approx"``
+    or ``"response"`` (the plant response alone, which the tests' open-loop
+    audit binds); the drift keeps ``-grad V_a`` in ``mode`` ``robust_A8``.
+    The reads are the lines of ``reads``, the ``(lines, zeros)`` of
+    :func:`_inline`, and an entry in ``zeros`` is left out of every sum.  A
+    closed loop's source defines ``field``, which takes the state entries and
+    returns the derivatives of all but the positions, ``kernel(t, x)`` over a
+    state list, and ``rk4_run`` (:func:`_loop_lines`), whose four stages per
+    step are the lines of ``field``."""
     n, closed = s + m, law != "response"
     q, v, z, w = ([f"{c}{i}" for i in range(k)] for c, k in zip("qvzw", (n, n, m, m)))
-    stage = functools.partial(_field_lines, s, m, law, mode, floats)
+    stage = functools.partial(_field_lines, s, m, law, mode, reads)
     if closed:
         state = q + v + z + (w if law == "approx" else [])
         body, out = stage(state[n:], "t", True)
@@ -376,54 +377,39 @@ def _kernel_code(s: int, m: int, law: str, mode: str, floats: Optional[tuple]) -
         lines = ["def kernel(x):", f"    {', '.join(q + v)}, = x[:{2 * n}]",
                  *("    " + line for line in body), f"    return [{', '.join(out)}]"]
     source = "\n".join(lines) + "\n"
-    reads = f" float reads #{next(_FLOAT_SOURCES)}" if floats else ""
-    name = f"<pidpbc kernel s={s} m={m} {law} {mode}{reads}>"
+    name = f"<pidpbc kernel s={s} m={m} {law} {mode} #{next(_SOURCES)}>"
     return compile(source, name, "exec"), (len(source), None, source.splitlines(True), name)
 
 
-def _field_lines(s: int, m: int, law: str, mode: str, floats: Optional[tuple], names: list,
+def _field_lines(s: int, m: int, law: str, mode: str, reads: tuple, names: list,
                  t: Optional[str], sample: bool) -> tuple:
     """``(lines, derivatives)`` of one evaluation of :func:`_kernel_code`'s
     structure on the positions ``q0, q1, ...`` and the state entries after
     them, ``names`` (velocities, integrators, filters), at the time ``t``: the
     statements, each branch's body four spaces in, and the expressions of the
     derivatives of all but the positions (of a plant response, its flat
-    solution).  Only a ``sample`` evaluation stores its reads."""
+    solution).  The first two lines test the positions; only a ``sample``
+    evaluation stores its reads."""
     n, closed, robust = s + m, law != "response", mode == "robust_A8"
     q, v = [f"q{i}" for i in range(n)], names[:n]
-    reads, rows, X = _read_specs(s, m), range(n), [[None] * (1 + m) for _ in range(n)]
+    rows, X = range(n), [[None] * (1 + m) for _ in range(n)]
+    qu = f"array(({''.join(a + ', ' for a in q[:s])}))"  # only where it is raised
     lines = [f"if not ({' and '.join(f'isfinite({a})' for a in q)}):",  # callbacks see finite q
-             "    raise ArithmeticError"]
+             "    raise ArithmeticError", *reads[0]]
+    if sample:
+        stored = [x for stem, _, shape in _read_specs(s, m) for x in _names(stem, shape)]
+        lines += ["if kept:", f"    store({t}, ({', '.join(stored)}))"]
 
     def emit(*code):
         lines.extend(code)
-
-    def vector(names):
-        return f"array(({''.join(a + ', ' for a in names)}))"
-
-    if floats:
-        qu, values = vector(q[:1]), [stem + "_0" * len(shape) for stem, _, shape in reads]
-        emit(*floats[0])
-    else:
-        qu, values = "qu", [f"r{i}" for i in range(len(reads))]
-        emit(f"qu = {vector(q[:s])}",
-             *(f"r{i} = read({fn}(qu), {shape})" for i, (_, fn, shape) in enumerate(reads)))
-    if sample:
-        emit("if kept:", f"    store({t}, ({', '.join(values)}))")
-    if not floats:
-        emit(*(f"{_target(stem, shape)} = r{i}.tolist()"
-               for i, (stem, _, shape) in enumerate(reads)))
-        if robust:
-            emit(f"{_target('ga', (m,))} = read(gradVa_fn({vector(q[s:])}), ({m},)).tolist()")
-    zeros = floats[1] if floats else ()
 
     def define(name, expr):  # name = expr, or None where expr is a structural zero
         if expr:
             emit(f"{name} = {expr}")
         return expr and name
 
-    def read(name):
-        return None if name in zeros else name
+    def read(name):  # a read entry, or None where it is a structural zero
+        return None if name in reads[1] else name
 
     # the Coriolis force Mdot qd - 1/2 d(qd' M qd)/dq: h = dM_uu qd_u, g and e
     # the two contractions of dM_au with qd_u (at s = 1, e is g), act the
@@ -565,13 +551,14 @@ def _loop_lines(stage: Callable, state: list, n: int) -> list:
     positions.  ``stage(names, t, sample)`` is :func:`_field_lines` on the
     positions ``q0, q1, ...`` and ``names``.  The state lives in local
     floats, the step start's positions as ``q0_0, ...``; each step holds four
-    stages of lines, the first a sample, and the lines :func:`_invariant`
-    finds run once before the loop.  A stage state is ``x + h k`` and the new
-    state ``x + dt/6 (k1 + 2 (k2 + k3) + k4)``, every sum in its order, so
-    each row is bitwise the classical stage loop (a position's derivative is
-    its stage's velocity); it is stored entry by entry into a flat view of
-    ``X``.  It returns the step at which a stage or the new state stopped
-    being finite (a zero divisor too), else ``k1``."""
+    stages of lines, the first a sample that does not test its positions
+    again, and the lines :func:`_invariant` finds run once before the loop.
+    A stage state is ``x + h k`` and the new state ``x + dt/6 (k1 + 2 (k2 +
+    k3) + k4)``, every sum in its order, so each row is bitwise the classical
+    stage loop (a position's derivative is its stage's velocity); it is
+    stored entry by entry into a flat view of ``X``.  It returns the step at
+    which a stage or the new state stopped being finite (a zero divisor
+    too), else ``k1``."""
     width = len(state)
     rest = [[a if j == 0 else f"{a}_{j}" for a in state[n:]] for j in range(4)]
     ds = [r[:n] + [f"k{j}_{i}" for i in range(n, width)] for j, r in enumerate(rest)]
@@ -584,8 +571,9 @@ def _loop_lines(stage: Callable, state: list, n: int) -> list:
         if h:  # the stage state, a step h along the previous stage's derivative
             loop += [f"{a} = {b} + {h} * {d}"
                      for a, b, d in zip(state[:n] + rest[j], x, ds[j - 1])]
-        else:
+        else:  # the step's start, whose positions the last new state's test passed
             loop += [f"{a} = {b}" for a, b in zip(state[:n], x)]
+            body = body[2:]
         loop += [line for line in body if line not in hoisted]
         loop += [f"{d} = {expr}" for d, expr in zip(ds[j][n:], out)]
     loop += [f"{a} = {a} + sixth * ({d0} + 2 * ({d1} + {d2}) + {d3})"
@@ -603,47 +591,44 @@ def _loop_lines(stage: Callable, state: list, n: int) -> list:
 
 def _bind(sys: MechanicalSystem, law: str, mode: str, at: Array, **names) -> dict:
     """The namespace of a new instance of :func:`_kernel_code`'s source for
-    ``sys``, holding ``kernel`` (and ``rk4_run``), whose globals bind its
-    callbacks (an inertia block without a Jacobian by the rule of
-    :func:`.mechanics._jacobian`), the entries of ``m_aa`` and ``names``.
-    Where :func:`_float_reads` holds, the float forms are inlined by
-    :func:`_inline`, checked at the position ``at``, or called."""
-    s, m, inline = sys.s, sys.m, None
-    fns = dict(muu_fn=sys.muu_fn, mau_fn=sys.mau_fn, gradVu_fn=sys.gradVu_fn,
-               gradVa_fn=sys.gradVa_fn, muu_jac=_jacobian(sys.muu_fn, sys.muu_jac, (s, s)),
-               mau_jac=_jacobian(sys.mau_fn, sys.mau_jac, (m, s)))
-    if _float_reads(sys, mode):
-        fns = {name: getattr(fn, "float_form", None) for name, fn in fns.items()}
-        reads = [(stem + "_0" * len(shape), fn, "q0") for stem, fn, shape in _read_specs(1, 1)]
-        reads += [("ga_0", "gradVa_fn", "q1")] * (mode == "robust_A8")
-        inline, consts = _inline([(target, fn, fns[fn], arg) for target, fn, arg in reads],
-                                 dict(q0=float(at[0]), q1=float(at[1])))
-        names.update(consts)
-    code, entry = _kernel_code(s, m, law, mode, inline)
+    ``sys``, holding ``kernel`` (and ``rk4_run``), whose globals bind the
+    entries of ``m_aa``, ``names`` and the float form (or :func:`_adapter`)
+    of each callback it reads (an inertia block without a Jacobian by the
+    rule of :func:`.mechanics._jacobian`); :func:`_inline` inlines a float
+    form, checked at the position ``at``, or calls it."""
+    s, m = sys.s, sys.m
+    q = [f"q{i}" for i in range(sys.n)]
+    callbacks = dict(muu_fn=sys.muu_fn, mau_fn=sys.mau_fn, gradVu_fn=sys.gradVu_fn,
+                     gradVa_fn=sys.gradVa_fn, muu_jac=_jacobian(sys.muu_fn, sys.muu_jac, (s, s)),
+                     mau_jac=_jacobian(sys.mau_fn, sys.mau_jac, (m, s)))
+    fns, reads = {}, []
+    specs = _read_specs(s, m) + (("ga", "gradVa_fn", (m,)),) * (mode == "robust_A8")
+    for stem, name, shape in specs:
+        if math.prod(shape) == 1:  # a one-entry block's form returns a float
+            stem, shape = _names(stem, shape)[0], ()
+        form = getattr(callbacks[name], "float_form", None)
+        fns[name] = form or _adapter(callbacks[name], shape)
+        reads.append((stem, name, form, q[s:] if name == "gradVa_fn" else q[:s], shape))
+    lines, consts = _inline(reads, dict(zip(q, map(float, at))))
+    code, entry = _kernel_code(s, m, law, mode, lines)
     linecache.cache[entry[3]] = entry  # a traceback shows the generated line
-    env = dict(names, **fns, **_entries("maa", sys.maa), array=np.array, read=_read,
+    env = dict(names, **consts, **fns, **_entries("maa", sys.maa), array=np.array, read=_read,
                isfinite=math.isfinite, inf=math.inf, det=_lapack.det, solve1=_lapack.solve1,
                WellPosednessError=WellPosednessError, SingularInertiaError=SingularInertiaError)
     exec(code, env)
     return env
 
 
+def _adapter(fn: Callable, shape: tuple) -> Callable:
+    """The float form of the callback ``fn`` that has none: ``fn`` at the
+    array of its coordinates, read by :func:`.mechanics._read` into floats
+    nested as ``shape``."""
+    return lambda *x: _read(fn(np.array(x)), shape).tolist()
+
+
 def _entries(stem: str, mat: Array) -> dict:
     """``{stem_i_j: float}`` of the matrix ``mat``, as a kernel names its entries."""
     return {f"{stem}_{i}_{j}": float(x) for (i, j), x in np.ndenumerate(mat)}
-
-
-def _plant_response(sys: MechanicalSystem, drift_Va: bool) -> Callable:
-    """The plant response ``qdd = qdd0 + G (u + d)``, any ``s`` and ``m``:
-    ``response(x)`` on a state list starting with ``(q, qd)`` returns the
-    ``n x (1 + m)`` solution of ``M(q_u)`` as a flat row-major list, the drift
-    ``qdd0`` (with ``-grad V_a`` when ``drift_Va``) in column 0 and ``G = M^{-1}
-    [0; I]`` in the rest.  It raises :class:`ArithmeticError` on a non-finite
-    position before any callback and :class:`.SingularInertiaError` where a
-    pivot of ``M = L D L'`` is not positive and finite.  These are the lines
-    of the generic closed loop (see :func:`_kernel_code`)."""
-    return _bind(sys, "response", "robust_A8" if drift_Va else "cancel_Va",
-                 np.zeros(sys.n))["kernel"]
 
 
 def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
@@ -653,24 +638,25 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
     plant, these gains, ``disturbance`` and ``det_tol``; one closure serves
     one run at a time.  It carries ``rk4_run(X, k0, k1, dt)``, the RK4 loop
     over a setpoint segment that :func:`_rk4` runs, and ``record(n_samples,
-    dt)``, which returns ``(callback, rows)`` pairs, one array of
-    ``n_samples`` rows per callback of :func:`_read_specs` without a batch
-    form; from then on each step's first stage and each call of the closure
-    (a run's last state) copy their reads into row ``t / dt``."""
+    dt)``, which returns ``(callback, rows)`` pairs for each callback of
+    :func:`_read_specs` without a batch form, its ``n_samples`` rows a view
+    of one array; from then on each step's first stage and each call of the
+    closure (a run's last state) copy every read entry into row ``t / dt``."""
     reads = [(getattr(sys, fn), shape) for _, fn, shape in _read_specs(sys.s, sys.m)]
-    kept, sample_dt = [], 0.0  # (index in reads, rows) while a run records
+    kept, sample_dt = [], 0.0  # [the (n_samples, entries) array] while a run records
 
     def record(n_samples: int, dt: float) -> list:
         nonlocal sample_dt
+        ends = np.cumsum([0] + [math.prod(shape) for _, shape in reads])
         # a batch form costs the diagnostics pass less than the copy per sample
-        kept[:], sample_dt = [(i, np.empty((n_samples,) + shape))
-                              for i, (fn, shape) in enumerate(reads)
-                              if fn is not None and getattr(fn, "batch_form", None) is None], dt
-        return [(reads[i][0], rows) for i, rows in kept]
+        keep = [i for i, (fn, _) in enumerate(reads)
+                if fn is not None and getattr(fn, "batch_form", None) is None]
+        kept[:], sample_dt = [np.empty((n_samples, ends[-1]))] if keep else [], dt
+        return [(reads[i][0], kept[0][:, ends[i]:ends[i + 1]].reshape((n_samples,) + reads[i][1]))
+                for i in keep]
 
     def store(t: float, values: tuple) -> None:
-        for i, rows in kept:
-            rows[round(t / sample_dt)] = values[i]
+        kept[0][round(t / sample_dt)] = values
 
     env = _bind(sys, controller, gains.mode, gains.q_star, kept=kept, store=store,
                 dist=disturbance, det_tol=det_tol, ke=float(gains.k_e), ka=float(gains.k_a),
@@ -728,7 +714,7 @@ def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, distu
     cols = dict(t=t, q_u=st.q_u, q_a=st.q_a, qd_u=st.qd_u, qd_a=st.qd_a, z1=z1, z2=z2, d=d)
     with shared_samples(st.q_u, st.q_a):
         for fn, values in reads:  # stored as if the pass had called fn over st.q_u
-            _reuse(fn, st.q_u, lambda values=values: values)
+            _reuse(fn, st.q_u, lambda values=values: np.ascontiguousarray(values))
         cs = ControllerState(z1, z2)
         # the integration already judged every sample by det_floor
         u = exact_control(sys, gains, st, cs, det_tol=0.0) if controller == "exact" \

@@ -11,7 +11,7 @@ from numpy.polynomial import polynomial as P
 
 from pidpbc import MechanicalSystem, SingularInertiaError, State, storage_functions
 from pidpbc.mechanics import Array, coriolis_decomposition, mau_gradient, muu_gradient
-from pidpbc.sim import _check_run, _plant_response, _rk4
+from pidpbc.sim import _bind, _check_run, _rk4
 
 
 def christoffel_coriolis(sys: MechanicalSystem, st: State) -> Array:
@@ -103,9 +103,22 @@ def with_stage_loop(rhs):
     return rhs
 
 
+def plant_response(sys: MechanicalSystem, drift_Va: bool):
+    """The plant response ``qdd = qdd0 + G (u + d)`` of the generic closed
+    loop, any ``s`` and ``m``: its ``"response"`` kernel, whose
+    ``response(x)`` on a state list starting with ``(q, qd)`` returns the
+    ``n x (1 + m)`` solution of ``M(q_u)`` as a flat row-major list, the
+    drift ``qdd0`` (with ``-grad V_a`` when ``drift_Va``) in column 0 and
+    ``G = M^{-1} [0; I]`` in the rest.  It raises ``ArithmeticError`` on a
+    non-finite position before any callback and ``SingularInertiaError``
+    where a pivot of ``M = L D L'`` is not positive and finite."""
+    return _bind(sys, "response", "robust_A8" if drift_Va else "cancel_Va",
+                 np.zeros(sys.n))["kernel"]
+
+
 def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float) -> dict:
     """Integrate the raw plant under zero force: the drift, with ``-grad
-    V_a``, of the ``_plant_response`` that the generic closed loop runs,
+    V_a``, of the :func:`plant_response` that the generic closed loop runs,
     through the stage loop.
 
     Returns time, positions, velocities and the total energy, which is
@@ -116,7 +129,7 @@ def simulate_open_loop(sys: MechanicalSystem, q0, qd0, t_end: float, dt: float) 
     """
     s, n = sys.s, sys.n
     q0, qd0, n_steps = _check_run(n, q0, qd0, t_end, dt)
-    response, width = _plant_response(sys, drift_Va=True), 1 + sys.m
+    response, width = plant_response(sys, drift_Va=True), 1 + sys.m
 
     def rhs(t, x):
         try:

@@ -18,12 +18,11 @@ from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted, Sta
                     write_column_map, write_trace, write_trace_csv)
 from pidpbc.controller import MODES, det_floor
 from pidpbc.scenario import builtin_scenario, scenario_from_dict
-from pidpbc.sim import (CONTROLLERS, _build_eval_generic, _kernel_code, _lapack,
-                        _plant_response, _rk4)
+from pidpbc.sim import CONTROLLERS, _build_eval_generic, _kernel_code, _lapack, _rk4
 
 from conftest import PSI, Q0, QD0, bench_gains, random_gains
-from oracles import simulate_open_loop, with_stage_loop
-from synthetic import make_synthetic, random_state
+from oracles import plant_response, simulate_open_loop, with_stage_loop
+from synthetic import formula_plant, make_synthetic, random_state
 
 
 TOY_GAINS = dict(k_e=1.0, k_a=2.0, k_u=1.0, K_P=1.0, K_I=1.0, K_D=0.1)
@@ -34,9 +33,10 @@ def _toy():
     return linear_system(M=[[2.0, 0.5], [0.5, 1.0]], S_u=[[2.0]], name="toy")
 
 
-def _array_reads(plant):
+def _adapters(plant):
     """``plant`` with the float forms stripped: each callback a new point
-    callback that keeps only its batch form, so the kernel reads arrays."""
+    callback that keeps only its batch form, so the kernel calls an adapter
+    that reads it."""
     from pidpbc.mechanics import with_forms
     names = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn",
              "Vu_fn", "Va_fn", "VN_fn")
@@ -49,89 +49,97 @@ CALLBACKS = ("muu_fn", "mau_fn", "muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn")
 
 def _called_forms(plant):
     """``plant`` with each float form wrapped so that the recorder cannot
-    follow it (``float`` of its argument): the kernel calls the float forms,
+    follow it (``float`` of its arguments): the kernel calls the float forms,
     as it calls any form it cannot inline."""
     from pidpbc.mechanics import with_forms
     return replace(plant, **{name: with_forms(lambda q, fn=fn: fn(q), batch_form=fn.batch_form,
-                                              float_form=lambda x, f=fn.float_form: f(float(x)))
+                                              float_form=lambda *x, f=fn.float_form:
+                                              f(*map(float, x)))
                              for name, fn in ((name, getattr(plant, name)) for name in CALLBACKS)})
-
-
-def _is_float_kernel(rhs):
-    return " float reads #" in rhs.__code__.co_filename
 
 
 def _called_callbacks(rhs):
     """The plant callbacks that the source of the kernel ``rhs`` calls."""
-    import ast
-    tree = ast.parse("".join(linecache.getlines(rhs.__code__.co_filename)))
-    return {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)} & set(CALLBACKS)
+    source = "".join(linecache.getlines(rhs.__code__.co_filename))
+    return {name for name in CALLBACKS if re.search(rf"\b{name}\(", source)}
 
 
 def _three_read_paths(plant, g, controller, d):
-    """The kernels of ``plant`` with its float forms inlined, with them called
-    and with the array reads, each checked to be what it is."""
-    paths = [_build_eval_generic(p, g, controller, d, 1e-10)
-             for p in (plant, _called_forms(plant), _array_reads(plant))]
+    """The kernels of ``plant``, any s and m, with its float forms inlined,
+    with them called and with adapters of its point callbacks, each checked
+    to be what it is: the first calls no plant callback, the others call
+    every one they read, the second its float forms, the third adapters."""
+    plants = (plant, _called_forms(plant), _adapters(plant))
+    paths = [_build_eval_generic(p, g, controller, d, 1e-10) for p in plants]
     needed = set(CALLBACKS[:5]) | ({"gradVa_fn"} if g.mode == "robust_A8" else set())
-    assert [_is_float_kernel(rhs) for rhs in paths] == [True, True, False]
-    assert [_called_callbacks(rhs) for rhs in paths[:2]] == [set(), needed]
+    assert [_called_callbacks(rhs) for rhs in paths] == [set(), needed, needed]
+    for p, rhs, form in zip(plants[1:], paths[1:], (True, False)):
+        assert all((rhs.__globals__[name] is getattr(p, name).float_form) == form
+                   for name in needed), (plant.name, form)
     return paths
 
 
 def _pin_cases(cart):
-    """(plant, gains factory, random-state box for q_u) of the pinned plants:
-    the cart inside its well-posedness window and the toy plant, whose
-    derivative feedthrough is filter-stable."""
+    """(plant, gains factory, random-state box for q_u, disturbance) of the
+    pinned plants: the cart inside its well-posedness window, the toy plant,
+    whose derivative feedthrough is filter-stable, and an s = m = 2 plant
+    written in formula forms."""
     toy_gains = lambda mode: Gains(q_u_star=[0.0], q_a_star=[0.0], mode=mode, **TOY_GAINS)
-    return [(cart, lambda mode: bench_gains(mode=mode), (-0.3, 0.9)),
-            (_toy(), toy_gains, (-1.0, 1.0))]
+    formula = formula_plant(6)
+    return [(cart, lambda mode: bench_gains(mode=mode), (-0.3, 0.9), DISTURBANCES[1]),
+            (_toy(), toy_gains, (-1.0, 1.0), DISTURBANCES[1]),
+            (formula, lambda mode: random_gains(formula, np.random.default_rng(6), mode=mode),
+             (-1.0, 1.0), _disturbance(2))]
 
 
-def test_scalar_closure_matches_generic_at_random_states(cart):
-    # the three read paths of an s = m = 1 plant: its float forms inlined,
-    # the same forms called (wrapped so that they cannot be inlined), and
-    # the same plant with its float forms stripped, which the array reads
-    # serve: the field bit for bit at random states, with both laws, both
-    # modes, with and without a disturbance
+def test_the_three_read_paths_agree_at_random_states(cart):
+    # the three read paths of a plant: its float forms inlined, the same
+    # forms called (wrapped so that they cannot be inlined), and the same
+    # plant with its float forms stripped, which adapters of its point
+    # callbacks serve: the field bit for bit at random states, with both
+    # laws, both modes, with and without a disturbance, at s = m = 1 and
+    # s = m = 2
     rng = np.random.default_rng(7)
-    for plant, make_gains, (lo, hi) in _pin_cases(cart):
-        for controller, mode, dist in itertools.product(CONTROLLERS, MODES, DISTURBANCES):
+    for plant, make_gains, (lo, hi), dist in _pin_cases(cart):
+        n, m = plant.n, plant.m
+        for controller, mode, d in itertools.product(CONTROLLERS, MODES, (None, dist)):
             g = make_gains(mode)
-            use_z2 = controller == "approx"
-            inlined, called, arrays = _three_read_paths(plant, g, controller, dist)
+            inlined, called, adapters = _three_read_paths(plant, g, controller, d)
             for _ in range(50):
-                x = rng.uniform(-1.0, 1.0, 6 if use_z2 else 5)
-                x[0] = rng.uniform(lo, hi)
+                x = rng.uniform(-1.0, 1.0, 2 * n + m * (2 if controller == "approx" else 1))
+                x[:plant.s] = rng.uniform(lo, hi, plant.s)
                 t = rng.uniform(0.0, 10.0)
-                want = arrays(t, x.tolist())
+                want = adapters(t, x.tolist())
                 assert inlined(t, x.tolist()) == called(t, x.tolist()) == want, \
-                    (plant.name, controller, mode, dist is not None, x)
+                    (plant.name, controller, mode, d is not None, x)
 
 
-def test_scalar_closure_matches_generic_over_whole_runs(cart):
-    # the three read paths of an s = m = 1 plant (float forms inlined, the
-    # same forms called, and the array reads): every trace column bit for
-    # bit, on both built-in plants, with both laws, both modes, with and
-    # without a disturbance, across a setpoint step; a slow derivative
-    # filter keeps the filtered law on the cart finite
+def test_the_three_read_paths_agree_over_whole_runs(cart):
+    # the three read paths of a plant (float forms inlined, the same forms
+    # called, and adapters): every trace column bit for bit, on both
+    # built-in plants and an s = m = 2 plant in formula forms, with both
+    # laws, both modes, with and without a disturbance, across a setpoint
+    # step; a slow derivative filter keeps the filtered law on the cart finite
     lin = _linear_example()
-    plants = [(cart, lambda mode: bench_gains(mode=mode, filter_a=5.0), Q0),
-              (lin.system, lambda mode: replace(lin.gains, mode=mode), lin.q0)]
-    steps = [SetpointStep(1.0, np.array([-0.3]))]
-    for (plant, make_gains, q0), controller, mode, d in itertools.product(
-            plants, CONTROLLERS, MODES, DISTURBANCES):
-        g = make_gains(mode)
-        _three_read_paths(plant, g, controller, d)
-        inlined, *others = (simulate(p, g, q0, np.zeros(2), t_end=2.0, dt=1e-3,
-                                     controller=controller, disturbance=d, setpoints=steps)
-                            for p in (plant, _called_forms(plant), _array_reads(plant)))
-        for f, other in itertools.product(fields(inlined), others):
-            col = getattr(inlined, f.name)
-            if isinstance(col, np.ndarray):
-                assert np.array_equal(col, getattr(other, f.name)), \
-                    (plant.name, controller, mode, d is not None, f.name)
+    formula = formula_plant(6)
+    runs = [(cart, lambda mode: bench_gains(mode=mode, filter_a=5.0),
+             dict(t_end=2.0, q0=Q0, target=-0.3), DISTURBANCES[1]),
+            (lin.system, lambda mode: replace(lin.gains, mode=mode),
+             dict(t_end=2.0, q0=lin.q0, target=-0.3), DISTURBANCES[1]),
+            (formula, lambda mode: random_gains(formula, np.random.default_rng(6), mode=mode),
+             dict(t_end=0.1), _disturbance(2))]
+    for (plant, make_gains, run, dist), controller, mode in itertools.product(
+            runs, CONTROLLERS, MODES):
+        for d in (None, dist):
+            g = make_gains(mode)
+            _three_read_paths(plant, g, controller, d)
+            inlined, *others = (_generic_run(p, g, controller, d, **run)
+                                for p in (plant, _called_forms(plant), _adapters(plant)))
+            for f, other in itertools.product(fields(inlined), others):
+                col = getattr(inlined, f.name)
+                if isinstance(col, np.ndarray):
+                    assert np.array_equal(col, getattr(other, f.name)), \
+                        (plant.name, controller, mode, d is not None, f.name)
 
 
 @pytest.mark.parametrize("s,m", [(2, 2), (2, 1), (1, 2), (3, 2), (3, 3), (4, 1)])
@@ -206,19 +214,26 @@ def _counted(plant, calls):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_generic_step_calls_each_callback_once(mode):
-    # one evaluation reads each callback it needs exactly once: both inertia
-    # blocks, their Jacobians, gradVu and, in robust_A8 only, gradVa
-    plant = make_synthetic(2, 2, seed=5)
-    g = random_gains(plant, np.random.default_rng(5), mode=mode)
-    rng = np.random.default_rng(6)
+    # one evaluation reads each callback it needs exactly once, at its own
+    # coordinates: both inertia blocks, their Jacobians and gradVu at q_u
+    # and, in robust_A8 only, gradVa at q_a, also where gradVa has one entry
     want = ["gradVu_fn", "mau_fn", "mau_jac", "muu_fn", "muu_jac"]
     if mode == "robust_A8":
         want.append("gradVa_fn")
-    for controller in CONTROLLERS:
-        calls = []
-        rhs = _build_eval_generic(_counted(plant, calls), g, controller, None, 0.0)
-        rhs(0.0, rng.normal(size=2 * plant.n + plant.m * (2 if controller == "approx" else 1)))
-        assert sorted(calls) == sorted(want), (controller, calls)
+    for s, m in ((2, 2), (2, 1)):
+        plant = make_synthetic(s, m, seed=5)
+        g = random_gains(plant, np.random.default_rng(5), mode=mode)
+        rng = np.random.default_rng(6)
+        for controller in CONTROLLERS:
+            calls = []
+            watched = replace(plant, **{name: (lambda q, fn=getattr(plant, name), name=name:
+                                               calls.append((name, list(q))) or fn(q))
+                                        for name in CALLBACKS})
+            x = rng.normal(size=2 * plant.n + m * (2 if controller == "approx" else 1))
+            _build_eval_generic(watched, g, controller, None, 0.0)(0.0, x)
+            assert sorted(name for name, _ in calls) == sorted(want), (s, m, controller, calls)
+            for name, q in calls:
+                assert q == list(x[s:plant.n] if name == "gradVa_fn" else x[:s]), (s, m, name)
 
 
 @pytest.mark.parametrize("s,m", [(2, 1), (1, 2)])
@@ -411,7 +426,7 @@ def test_one_code_object_serves_a_structure_and_its_source_has_no_number(cart):
         names = [rhs.__code__.co_filename for rhs in (carts[0], chain)]
         assert names[0] != names[1]
         for name, rhs in zip(names, (carts[0], chain)):
-            assert name.startswith(f"<pidpbc kernel s=1 m=1 {controller} {mode} float reads #")
+            assert name.startswith(f"<pidpbc kernel s=1 m=1 {controller} {mode} #")
             assert _float_literals(rhs) == [] and _called_callbacks(rhs) == set(), name
             assert not _calls_outside_branches("".join(linecache.getlines(name))) & array_calls
             calls, defined = _loop_calls(rhs)
@@ -419,7 +434,7 @@ def test_one_code_object_serves_a_structure_and_its_source_has_no_number(cart):
             assert {c for c in calls if not c.startswith("math_")} <= {"store"}, (name, calls)
         assert any(c.startswith("math_") for c in _loop_calls(carts[0])[0])
         for s in (1, 2, 4):
-            source = "".join(_kernel_code(s, 1, controller, mode, None)[1][2])
+            source = "".join(_kernel_code(s, 1, controller, mode, ((), frozenset()))[1][2])
             assert not _calls_outside_branches(source) & {"det", "solve1"}, s
 
 
@@ -434,11 +449,11 @@ def test_a_traceback_from_the_kernel_shows_the_generated_line():
     g = random_gains(plant, np.random.default_rng(93))
     # m_uu = m_au = m_aa = 1, the float forms of the coupling block in place of m_uu
     coupled = linear_system(M=[[2.0, 1.0], [1.0, 1.0]], S_u=[[1.0]])
-    cases = [(singular, g, [0.1] * 10, "<pidpbc kernel s=2 m=2 exact cancel_Va>",
+    cases = [(singular, g, [0.1] * 10, "<pidpbc kernel s=2 m=2 exact cancel_Va #",
               "L_1_0 = W_1_0 / d0"),
              (replace(coupled, muu_fn=coupled.mau_fn), Gains(q_u_star=[0.0], q_a_star=[0.0],
                                                             **TOY_GAINS),
-              [0.1] * 5, "<pidpbc kernel s=1 m=1 exact cancel_Va float reads #",
+              [0.1] * 5, "<pidpbc kernel s=1 m=1 exact cancel_Va #",
               "X_1_0 = p0_1 / d1")]
     for plant, gains, x, filename, line in cases:
         rhs = _build_eval_generic(plant, gains, "exact", None, 0.0)
@@ -495,7 +510,7 @@ def test_plant_response_matches_forward_dynamics_at_random_states(cart):
     plants = (cart, pinned_linear_2dof(), make_synthetic(2, 2, seed=41),
               make_synthetic(1, 1, seed=42))
     for plant in plants:
-        with_Va, without_Va = _plant_response(plant, True), _plant_response(plant, False)
+        with_Va, without_Va = plant_response(plant, True), plant_response(plant, False)
         for _ in range(20):
             st = random_state(plant, rng)
             x = np.concatenate([st.q, st.qd]).tolist()
@@ -550,24 +565,29 @@ def _generic_run(plant, g, controller, d, t_end=0.3, q0=None, target=0.1):
                     disturbance=d, setpoints=steps)
 
 
-def test_scalar_rk4_step_is_bitwise_the_stage_loop(cart, monkeypatch):
-    # the s = m = 1 step's own generated RK4 step, over the float reads,
+def test_the_inlined_rk4_run_is_bitwise_the_stage_loop(cart, monkeypatch):
+    # the generated RK4 loop of a kernel that calls no plant callback
     # against _rk4's stage loop over the same closure: every integrated row
-    # bit for bit, on both built-in plants, with both laws, both modes, a
-    # disturbance and a setpoint step; a slow derivative filter keeps the
-    # filtered law on the cart finite
+    # bit for bit, on both built-in plants and an s = m = 2 plant in formula
+    # forms, with both laws, both modes, a disturbance and a setpoint step; a
+    # slow derivative filter keeps the filtered law on the cart finite
     lin = _linear_example()
-    plants = [(cart, lambda mode: bench_gains(mode=mode, filter_a=5.0), Q0),
-              (lin.system, lambda mode: replace(lin.gains, mode=mode), lin.q0)]
-    for (plant, make_gains, q0), controller, mode, d in itertools.product(
-            plants, CONTROLLERS, MODES, DISTURBANCES):
-        g = make_gains(mode)
+    formula = formula_plant(6)
+    plants = [(cart, lambda mode: bench_gains(mode=mode, filter_a=5.0),
+               dict(t_end=2.0, q0=Q0, target=-0.3), DISTURBANCES[1]),
+              (lin.system, lambda mode: replace(lin.gains, mode=mode),
+               dict(t_end=2.0, q0=lin.q0, target=-0.3), DISTURBANCES[1]),
+              (formula, lambda mode: random_gains(formula, np.random.default_rng(6), mode=mode),
+               dict(t_end=0.1), _disturbance(2))]
+    for (plant, make_gains, run, dist), controller, mode, disturbed in itertools.product(
+            plants, CONTROLLERS, MODES, (False, True)):
+        g, d = make_gains(mode), dist if disturbed else None
         rhs = _build_eval_generic(plant, g, controller, d, 1e-10)
-        assert _is_float_kernel(rhs) and callable(rhs.rk4_run)
+        assert _called_callbacks(rhs) == set() and callable(rhs.rk4_run)
         rows = []
         for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
             monkeypatch.setattr(pidpbc.sim, "_build_eval_generic", builder)
-            tr = _generic_run(plant, g, controller, d, t_end=2.0, q0=q0, target=-0.3)
+            tr = _generic_run(plant, g, controller, d, **run)
             rows.append(np.hstack([tr.q_u, tr.q_a, tr.qd_u, tr.qd_a, tr.z1]
                                   + ([tr.z2] if controller == "approx" else [])))
         assert np.array_equal(*rows), (plant.name, controller, mode, d is not None)
@@ -646,8 +666,8 @@ def test_a_plant_with_batch_forms_records_nothing(cart, gains_cancel):
 
 
 def test_an_aborted_generic_run_keeps_its_message(cart, gains_cancel, monkeypatch):
-    # a cart whose grad V_u has no float form runs the array reads, which
-    # record their values; its aborts read as those of the stage loop: the
+    # a cart whose grad V_u has no float form calls it through an adapter
+    # and records the reads; its aborts read as those of the stage loop: the
     # non-finite state of a wide start and of the k_u = -300 sweep row, and
     # a singular K under a high floor
     plant = replace(cart, gradVu_fn=lambda q_u: cart.gradVu_fn(q_u))
@@ -755,7 +775,7 @@ def test_a_math_domain_error_at_a_finite_state_propagates(cart, monkeypatch):
     from pidpbc.systems import _formula
     plant = replace(cart, gradVu_fn=_formula(lambda th, lib=math: -0.3 * lib.sqrt(th), 1))
     rhs = _build_eval_generic(plant, bench_gains(), "exact", None, 1e-10)
-    assert _is_float_kernel(rhs) and "math_sqrt" in rhs.__globals__
+    assert _called_callbacks(rhs) == set() and "math_sqrt" in rhs.__globals__
     for builder in (_build_eval_generic, _stage_loop(_build_eval_generic)):
         monkeypatch.setattr(pidpbc.sim, "_build_eval_generic", builder)
         with pytest.raises(ValueError, match="math domain error"):
@@ -765,7 +785,7 @@ def test_a_math_domain_error_at_a_finite_state_propagates(cart, monkeypatch):
 def test_a_run_enters_the_evaluation_once_per_segment(cart, monkeypatch):
     # a timing-free guard of the segment loop: its stages are inlined, so a
     # whole run calls the kernel's field only for each segment's last state,
-    # on the cart and on an s = m = 2 plant that reads arrays
+    # on the cart and on an s = m = 2 plant read through adapters
     calls = []
 
     def counting(*args):
@@ -792,7 +812,7 @@ def _linear_example():
 
 @pytest.mark.parametrize("mode,n_calls", [("cancel_Va", 5), ("robust_A8", 6)])
 def test_scalar_rhs_stays_on_floats(cart, monkeypatch, mode, n_calls):
-    # a timing-free guard of the float reads on both built-in plants: the
+    # a timing-free guard of the float forms of both built-in plants: the
     # build records each float form it needs once; where the recorder cannot
     # follow a form (here it takes float() of its argument), one evaluation
     # calls it once, on Python floats, and returns Python floats, bitwise the
@@ -905,13 +925,43 @@ def test_a_float_form_the_recorder_cannot_follow_is_called(cart):
             col = getattr(want, f.name)
             if isinstance(col, np.ndarray):
                 assert np.array_equal(getattr(got, f.name), col), (target, f.name)
+    # at s = 2 a form nested otherwise than its block (a row short, or flat)
+    # is called, and its read raises ValueError; one whose entry does not
+    # replay bitwise is called, and the run is bitwise the inlined plant's
+    formula = formula_plant(6)
+    g = random_gains(formula, np.random.default_rng(6))
+    muu = formula.muu_fn.float_form
+
+    def odd(q0, q1, lib=math):  # its last entry is another number when traced
+        (a, b), (c, d) = muu(q0, q1, lib)
+        return (a, b), (c, d if type(q0) is float else 1.0)
+
+    cases = [(lambda q0, q1, lib=math: (muu(q0, q1, lib)[0], muu(q0, q1, lib)[1][:1]),
+              "not enough"),
+             (lambda q0, q1, lib=math: sum(muu(q0, q1, lib), ()), "too many"), (odd, None)]
+    want = _generic_run(formula, g, "exact", None)
+    for form, error in cases:
+        plant = replace(formula, muu_fn=with_forms(lambda q: formula.muu_fn(q), float_form=form))
+        rhs = _build_eval_generic(plant, g, "exact", None, 1e-10)
+        assert _called_callbacks(rhs) == {"muu_fn"}, error
+        assert "    ((U_0_0, U_0_1, ), (U_1_0, U_1_1, ), ) = muu_fn(q0, q1)\n" \
+            in linecache.getlines(rhs.__code__.co_filename)
+        if error:
+            with pytest.raises(ValueError, match=f"{error} values to unpack"):
+                _generic_run(plant, g, "exact", None)
+            continue
+        got = _generic_run(plant, g, "exact", None)
+        for f in fields(want):
+            col = getattr(want, f.name)
+            if isinstance(col, np.ndarray):
+                assert np.array_equal(getattr(got, f.name), col), f.name
 
 
 @pytest.mark.parametrize("bad", [lambda g: [g, 99.0], lambda g: np.array([g, 99.0])],
                          ids=["list", "array"])
 def test_scalar_reader_refuses_a_result_with_two_entries(cart, bad):
-    # a callback without a float form sends the run to the array reads, where
-    # a result holding more than one entry is an error, never its first entry
+    # a callback without a float form is read through its adapter, where a
+    # result holding more than one entry is an error, never its first entry
     gradVu = cart.gradVu_fn
     plant = replace(cart, gradVu_fn=lambda q_u: bad(gradVu(q_u)))
     with pytest.raises(ValueError, match="cannot reshape array of size 2"):
@@ -920,11 +970,10 @@ def test_scalar_reader_refuses_a_result_with_two_entries(cart, bad):
         plant.gradVu(np.array([0.3]))
 
 
-def test_simulate_builds_the_scalar_step_only_for_a_plant_with_every_float_form(
-        cart, monkeypatch):
-    # the kernel that reads float forms for the built-in plants; the array
-    # reads for a plant lacking a float form the step calls (gradVa's only in
-    # robust_A8), whose run is bitwise the float reads' run
+def test_simulate_inlines_each_float_form_and_calls_the_rest(cart, monkeypatch):
+    # the kernel inlines the float forms of the built-in plants and calls a
+    # callback without one (gradVa's only in robust_A8) through an adapter,
+    # still inlining the others; each such run is bitwise the inlined run
     built = []
     monkeypatch.setattr(pidpbc.sim, "_build_eval_generic",
                         lambda *args: built.append(_build_eval_generic(*args)) or built[-1])
@@ -932,32 +981,34 @@ def test_simulate_builds_the_scalar_step_only_for_a_plant_with_every_float_form(
     synthetic = make_synthetic(1, 1, seed=3)
     point_gradVu = replace(cart, gradVu_fn=lambda q_u: cart.gradVu_fn(q_u))
     point_gradVa = replace(cart, gradVa_fn=lambda q_a: cart.gradVa_fn(q_a))
-    cases = [(cart, bench_gains(), Q0, True),
-             (lin.system, lin.gains, lin.q0, True),
-             (point_gradVu, bench_gains(), Q0, False),
-             (point_gradVa, bench_gains(), Q0, True),
-             (point_gradVa, bench_gains(mode="robust_A8"), Q0, False),
-             (synthetic, random_gains(synthetic, np.random.default_rng(3)), [0.1, 0.0], False)]
+    cases = [(cart, bench_gains(), Q0, set()),
+             (lin.system, lin.gains, lin.q0, set()),
+             (point_gradVu, bench_gains(), Q0, {"gradVu_fn"}),
+             (point_gradVa, bench_gains(), Q0, set()),
+             (cart, bench_gains(mode="robust_A8"), Q0, set()),
+             (point_gradVa, bench_gains(mode="robust_A8"), Q0, {"gradVa_fn"}),
+             (synthetic, random_gains(synthetic, np.random.default_rng(3)), [0.1, 0.0],
+              set(CALLBACKS[:5]))]
     runs = []
-    for plant, g, q0, floats in cases:
+    for plant, g, q0, called in cases:
         built.clear()
         runs.append(simulate(plant, g, q0, np.zeros(2), t_end=0.5, dt=1e-3))
-        assert [_is_float_kernel(rhs) for rhs in built] == [floats], (plant.name, g.mode)
-    for tr in runs[2:4]:
-        for f in fields(tr):
-            col = getattr(runs[0], f.name)
+        assert [_called_callbacks(rhs) for rhs in built] == [called], (plant.name, g.mode)
+    for want, got in ((0, 2), (0, 3), (4, 5)):
+        for f in fields(runs[want]):
+            col = getattr(runs[want], f.name)
             if isinstance(col, np.ndarray):
-                assert np.array_equal(getattr(tr, f.name), col), f.name
+                assert np.array_equal(getattr(runs[got], f.name), col), (got, f.name)
 
 
 def test_both_builders_read_a_disturbance_by_one_rule(cart, gains_cancel):
     # a disturbance with the wrong number of entries is the same error through
-    # the float and the array reads, the step and the stage loop, not a plant
+    # the float forms and adapters, the step and the stage loop, not a plant
     # callback's
     x = [0.3, -0.2, 0.1, 0.05, 0.01]
     messages = set()
     for builder, plant in itertools.product(
-            (_build_eval_generic, _stage_loop(_build_eval_generic)), (cart, _array_reads(cart))):
+            (_build_eval_generic, _stage_loop(_build_eval_generic)), (cart, _adapters(cart))):
         with pytest.raises(ValueError) as err:
             builder(plant, gains_cancel, "exact", lambda t: [0.1, 0.2], 1e-10)(0.0, x)
         messages.add(str(err.value))
@@ -1218,12 +1269,12 @@ def test_singularity_abort_reports_time_and_configuration(cart, gains_cancel):
     # swinging inward from beyond the zero of the well-posedness factor must
     # cross it; a finite threshold catches the crossing before the forces
     # blow up, and the generated step and the stage loop over the same
-    # closure, on the float and on the array reads, stop with the same abort,
+    # closure, on the float forms and on adapters, stop with the same abort,
     # carrying the time, the configuration, |det K| and the floor
     q0, qd0 = [PSI + 0.85, 0.0], [-2.0, 0.0]
     messages = {_rk4_abort_message(plant, gains_cancel, builder, q0, qd0, 2000, 0.5)
                 for builder in (_build_eval_generic, _stage_loop(_build_eval_generic))
-                for plant in (cart, _array_reads(cart))}
+                for plant in (cart, _adapters(cart))}
     assert len(messages) == 1
     message = messages.pop()
     assert message.startswith("well-posedness matrix singular at t=")
