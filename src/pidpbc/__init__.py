@@ -35,7 +35,6 @@ from .controller import (
     WellPosednessError,
     wellposedness_matrix_K,
     exact_control,
-    approx_control,
     pi_control,
     integrator_init,
     closed_form_z1,

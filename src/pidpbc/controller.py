@@ -7,11 +7,11 @@ The control law is the PID
 around ``y_d = k_a y_a + k_u y_u``.  Because ``yd_dot`` contains the
 accelerations, the law is realised implicitly: substituting the plant
 dynamics turns it into a linear system ``K(q_u) u = -K_P y_d - K_I z1 - S``,
-with no numerical differentiation; at ``K_D = 0`` it is the PI law.  These
-closed forms serve the checks; the simulator solves the defining equations
-instead (:mod:`.sim`).  An explicit variant replaces the derivative with a
-one-speed first-order filter for comparison experiments; it is not adequate
-when fast control action is required.
+with no numerical differentiation; at ``K_D = 0`` it is the PI law.  The
+simulator and its trace's ``u`` and ``det K`` use the defining equations
+(:mod:`.sim`); these closed forms stay for ``scan_A5`` (``K``) and the
+benchmark's probes (:func:`exact_control`, :func:`pi_control`).  The
+simulator's filtered variant is not adequate for fast control action.
 
 Two plant-side modes are supported: ``cancel_Va`` feeds ``tau = u + grad
 V_a(q_a)`` so the actuated potential is cancelled, while ``robust_A8``
@@ -207,21 +207,6 @@ def exact_control(sys: MechanicalSystem, gains: Gains, st: State, cs: Controller
         k = np.unravel_index(np.argmin(np.abs(det)), det.shape)
         raise WellPosednessError(st.q_u[k], det[k], det_tol)
     return _solve(K, rhs)
-
-
-def approx_control(sys: MechanicalSystem, gains: Gains, st: State,
-                   cs: ControllerState) -> tuple[Array, Array, Array]:
-    """Explicit law with a filtered derivative estimate.
-
-    Returns ``(u, z1_dot, z2_dot)`` where the derivative of ``y_d`` is
-    approximated by ``z2' = filter_a * (y_d - z2)``; no matrix solve is
-    involved.
-    """
-    out = passive_outputs(sys, st, gains)
-    z2 = cs.z2 if cs.z2 is not None else np.zeros(out.y_d.shape)
-    deriv = gains.filter_a * (out.y_d - z2)
-    u = -(_mv(gains.K_P, out.y_d) + _mv(gains.K_I, cs.z1) + _mv(gains.K_D, deriv)) / gains.k_e
-    return u, out.y_d, deriv
 
 
 def pi_control(sys: MechanicalSystem, gains: Gains, st: State, cs: ControllerState) -> Array:

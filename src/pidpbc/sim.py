@@ -2,10 +2,11 @@
 
 :func:`simulate` integrates only the state ``(q, qd, z1[, z2])`` with
 fixed-step classical RK4, then builds every other trace column in one pass
-over all samples through the public functions of :mod:`.passivity`,
-:mod:`.controller` and :mod:`.analysis`, the same ones the checks use.  Every
-verification (storage rates, dissipation, disturbance gain, convergence) can
-be recomputed from the recorded trace alone.
+over all samples: the law's ``u`` and ``detK`` through the integrated law's
+own lines, every other one through the public functions of
+:mod:`.passivity`, :mod:`.controller` and :mod:`.analysis`, the same ones the
+checks use.  Every verification (storage rates, dissipation, disturbance
+gain, convergence) can be recomputed from the recorded trace alone.
 
 The right-hand side integrates the PID as written.  One solve with ``M(q_u)``
 gives the plant response ``qdd = qdd0 + G (u + d)``, a drift plus the input
@@ -14,34 +15,24 @@ law.  With ``y_d = L qd``, ``yd_dot = L qdd - (k_u - k_a) maa^{-1} m_au_dot
 qd_u``, so the law becomes ``(k_e I + K_D L G) u = -K_P y_d - K_I z1 - K_D
 yd_dot|_{u=0}``, whose matrix is the well-posedness matrix ``K(q_u)``.  The
 closed forms of ``K`` and of the feedforward ``S`` live only in
-:mod:`.controller`; the ``u`` and ``detK`` columns come from them, a second
-route to the integrated law.
+:mod:`.controller`, for the checks.
 
 Every plant runs one generated evaluation (:func:`_kernel_code`): for each
 structure ``(s, m, law, mode)`` one straight-line function on local floats,
-every index resolved and the plant's and gains' numbers bound as its
-globals, compiled on first use.  It reads each callback it needs once, in
-one line, through its float form (see :mod:`.mechanics`): the formula the
-form records when called once per run on traced floats (:func:`_inline`),
-its constants bound as globals, an operation repeated on the same operands
-computed once and an entry that records as ``0.0`` left out of every sum;
-or a call of the form where the recorder cannot follow it, and of an
-adapter (:func:`_adapter`) for a callback without one.
-It solves ``M`` by an unpivoted ``L D L'``, ``M`` being positive definite: a
-zero pivot is a :class:`ZeroDivisionError`, which :func:`_rk4` aborts on.
-At ``m = 1``, ``K`` is its own determinant and divides; beyond, ``K`` goes
-to the float64 gufuncs behind ``np.linalg`` (``det``, ``solve1``) without
-its wrapper, where a singular ``K`` is NaN.  The same source holds the RK4
-loop over a whole setpoint segment (:func:`_loop_lines`): per step four
-stages of the evaluation's own lines, each new state stored entry by entry
-into the trace array, bitwise the classical stage loop; lines that read only
-bound constants run once before the loop.  The tests pin the evaluation to
-the reference functions, its inlined, called and adapted reads to each
-other, and the loop to the stage loop.  The step's first stages and a run's
-last state copy the entries of their reads into per-sample rows, which the
-diagnostics pass reuses for each callback without a batch form (a callback
-is a function of its point alone); it evaluates every other callback over
-all samples at once, through its batch form.
+the plant's and gains' numbers bound as its globals, compiled on first use.
+It reads each callback once, in one line, through its float form (see
+:mod:`.mechanics`): inlined as the formula the form records on traced floats
+(:func:`_inline`), or called where the recorder cannot follow it, through an
+adapter (:func:`_adapter`) for a callback without one.  It solves ``M`` by
+an unpivoted ``L D L'`` (a zero pivot is a :class:`ZeroDivisionError`, which
+:func:`_rk4` aborts on); at ``m = 1``, ``K`` is its own determinant, beyond
+it goes to the gufuncs behind ``np.linalg``, where a singular ``K`` is NaN.
+The same source holds the RK4 loop over a setpoint segment
+(:func:`_loop_lines`), bitwise the classical stage loop.  The step's first
+stages copy their reads into per-sample rows, which the diagnostics pass
+reuses for each callback without a batch form; it evaluates every other one
+over all samples through its batch form, and takes the ``u`` and ``detK``
+columns from the evaluation's own lines bound to those columns.
 
 :func:`write_trace` writes the run's record, numpy's ``.npy`` format with
 one named float64 field per column, which :func:`read_trace` gives back
@@ -68,10 +59,9 @@ import numpy as np
 from numpy.linalg import _umath_linalg as _lapack
 
 from .mechanics import (Array, DynamicsError, MechanicalSystem, SingularInertiaError, State,
-                        _finite, _jacobian, _read, _reuse, shared_samples)
-from .controller import (ControllerState, Gains, WellPosednessError, approx_control,
-                         check_target, closed_form_z1, det_floor, exact_control,
-                         integrator_init, plant_input, wellposedness_matrix_K)
+                        _finite, _jacobian, _per_point, _read, _reuse, shared_samples)
+from .controller import (Gains, WellPosednessError, check_target, closed_form_z1, det_floor,
+                         integrator_init, plant_input)
 from .passivity import passive_outputs, robust_storage, storage_functions
 from .analysis import lyapunov_Hd_and_U
 
@@ -149,11 +139,19 @@ class SimulationAborted(DynamicsError):
     """Integration stopped before ``t_end`` (singularity or blow-up)."""
 
 
-def _read_specs(s: int, m: int) -> tuple:
-    """``(stem, callback name, shape)`` of each read of a generic evaluation at
-    ``q_u``, in the order a kernel stores them."""
+def _read_specs(s: int, m: int, mode: str = "cancel_Va") -> tuple:
+    """``(stem, callback name, shape)`` of each read of a generic evaluation,
+    those at ``q_u`` in the order a kernel stores them (``ga``, at ``q_a``, never)."""
     return (("U", "muu_fn", (s, s)), ("A", "mau_fn", (m, s)), ("dU", "muu_jac", (s, s, s)),
-            ("dA", "mau_jac", (m, s, s)), ("gu", "gradVu_fn", (s,)))
+            ("dA", "mau_jac", (m, s, s)), ("gu", "gradVu_fn", (s,))) \
+        + (("ga", "gradVa_fn", (m,)),) * (mode == "robust_A8")
+
+
+def _callbacks(sys: MechanicalSystem) -> dict:
+    """Each callback of :func:`_read_specs` by name (see :func:`.mechanics._jacobian`)."""
+    return dict(muu_fn=sys.muu_fn, mau_fn=sys.mau_fn, gradVu_fn=sys.gradVu_fn,
+                gradVa_fn=sys.gradVa_fn, muu_jac=_jacobian(sys.muu_fn, sys.muu_jac, (sys.s,) * 2),
+                mau_jac=_jacobian(sys.mau_fn, sys.mau_jac, (sys.m, sys.s)))
 
 
 def _names(stem: str, shape: tuple) -> list:
@@ -349,7 +347,7 @@ _SOURCES = itertools.count(1)  # numbers the generated sources in a process
 
 
 @functools.cache
-def _kernel_code(s: int, m: int, law: str, mode: str, reads: tuple) -> tuple:
+def _kernel_code(s: int, m: int, law: str, mode: str, reads: Optional[tuple]) -> tuple:
     """``(code, linecache entry)`` of the generated evaluation of one
     structure, compiled on first use and numbered in its name: straight-line
     code on local floats, every index resolved, plant and gain numbers only
@@ -361,11 +359,24 @@ def _kernel_code(s: int, m: int, law: str, mode: str, reads: tuple) -> tuple:
     closed loop's source defines ``field``, which takes the state entries and
     returns the derivatives of all but the positions, ``kernel(t, x)`` over a
     state list, and ``rk4_run`` (:func:`_loop_lines`), whose four stages per
-    step are the lines of ``field``."""
+    step are the lines of ``field``.
+
+    With ``reads`` ``None`` it is the samples evaluation, which
+    :func:`_diagnose` binds to numpy columns: ``samples`` on the velocities,
+    integrators and filters returns ``(u_0, ...), detK`` by the lines of
+    ``field``, ``K`` under either law, every read entry a free name and every
+    branch dropped (guards, ``det K`` floor, disturbance, store): an array has
+    no truth value, and the run took each branch already."""
     n, closed = s + m, law != "response"
     q, v, z, w = ([f"{c}{i}" for i in range(k)] for c, k in zip("qvzw", (n, n, m, m)))
-    stage = functools.partial(_field_lines, s, m, law, mode, reads)
-    if closed:
+    stage = functools.partial(_field_lines, s, m, law, mode, reads or ((), frozenset()))
+    if reads is None:
+        state = v + z + (w if law == "approx" else [])
+        body, _ = stage(state, "t", False, True)
+        lines = [f"def samples({', '.join(state)}):",
+                 *("    " + line for line in body if not line.startswith(("if ", " "))),
+                 f"    return ({''.join(f'u_{a}, ' for a in range(m))}), detK"]
+    elif closed:
         state = q + v + z + (w if law == "approx" else [])
         body, out = stage(state[n:], "t", True)
         lines = ["def kernel(t, x):", f"    {', '.join(state)}, = x",
@@ -377,19 +388,21 @@ def _kernel_code(s: int, m: int, law: str, mode: str, reads: tuple) -> tuple:
         lines = ["def kernel(x):", f"    {', '.join(q + v)}, = x[:{2 * n}]",
                  *("    " + line for line in body), f"    return [{', '.join(out)}]"]
     source = "\n".join(lines) + "\n"
-    name = f"<pidpbc kernel s={s} m={m} {law} {mode} #{next(_SOURCES)}>"
+    kind = "kernel" if reads is not None else "samples"
+    name = f"<pidpbc {kind} s={s} m={m} {law} {mode} #{next(_SOURCES)}>"
     return compile(source, name, "exec"), (len(source), None, source.splitlines(True), name)
 
 
 def _field_lines(s: int, m: int, law: str, mode: str, reads: tuple, names: list,
-                 t: Optional[str], sample: bool) -> tuple:
+                 t: Optional[str], sample: bool, monitor: bool = False) -> tuple:
     """``(lines, derivatives)`` of one evaluation of :func:`_kernel_code`'s
     structure on the positions ``q0, q1, ...`` and the state entries after
     them, ``names`` (velocities, integrators, filters), at the time ``t``: the
     statements, each branch's body four spaces in, and the expressions of the
     derivatives of all but the positions (of a plant response, its flat
     solution).  The first two lines test the positions; only a ``sample``
-    evaluation stores its reads."""
+    evaluation stores its reads, and a ``monitor`` one computes ``det K``
+    under either law."""
     n, closed, robust = s + m, law != "response", mode == "robust_A8"
     q, v = [f"q{i}" for i in range(n)], names[:n]
     rows, X = range(n), [[None] * (1 + m) for _ in range(n)]
@@ -469,15 +482,16 @@ def _field_lines(s: int, m: int, law: str, mode: str, reads: tuple, names: list,
                               [(f"L_{k}_{i}", X[k][c]) for k in range(i + 1, n)])
     if not closed:
         return lines, sum(X, [])
-    return lines, _law_tail(emit, s, m, law, names, t, X, qu, act)
+    return lines, _law_tail(emit, s, m, law, names, t, X, qu, act, monitor)
 
 
 def _law_tail(emit: Callable, s: int, m: int, law: str, names: list, t: str, X: list, qu: str,
-              act: list) -> list:
+              act: list, monitor: bool) -> list:
     """Emit the closed-loop law after the plant response ``X`` and the
     actuated Coriolis rows ``act`` of :func:`_field_lines` (``names`` the
-    velocities, integrators and filters): ``u`` and the disturbance; return
-    the derivatives of all but the positions."""
+    velocities, integrators and filters): ``u``, ``det K`` under the exact
+    law or a ``monitor``, and the disturbance; return the derivatives of all
+    but the positions."""
     n = s + m
     v, z, w = names[:n], names[n:n + m], names[n + m:]
     # y_d = L qd with L = [Lc m_au, k_a I], Lc = -c maa^{-1}
@@ -491,7 +505,7 @@ def _law_tail(emit: Callable, s: int, m: int, law: str, names: list, t: str, X: 
                           for G, x in (("KP", [f"y{b}" for b in range(m)]), ("KI", z),
                                        ("KD", [f"{last}{b}" for b in range(m)])))
 
-    if law == "exact":
+    if law == "exact" or monitor:
         # the PID as written, with yd_dot = L qdd - c maa^{-1} act: the matrix on
         # u is K(q_u), the rest the derivative at u = 0, yd0 = L qdd0 + Lc act
         for a in range(m):
@@ -504,15 +518,14 @@ def _law_tail(emit: Callable, s: int, m: int, law: str, names: list, t: str, X: 
              for a in range(m)]
         # a NaN det K is left to the non-finite abort; at m = 1, K is its own
         # det, and an exact zero divides (a ZeroDivisionError, the same abort)
-        floor = ("if abs(detK) < det_tol:",
-                 f"    raise WellPosednessError({qu}, detK, det_tol, {t})")
-        if m == 1:
-            emit(f"detK = {K[0][0]}", *floor, f"u_0 = -({pid(0, 'yd')}) / detK")
-        else:
-            rhs = "".join(f"-({pid(a, 'yd')}), " for a in range(m))
-            emit(f"K = array(({''.join('(' + ', '.join(row) + ', ), ' for row in K)}))",
-                 "detK = float(det(K))", *floor,
-                 f"{_target('u', (m,))} = solve1(K, array(({rhs}))).tolist()")
+        emit(*((f"detK = {K[0][0]}",) if m == 1 else
+               (f"K = array(({''.join('(' + ', '.join(row) + ', ), ' for row in K)}))",
+                "detK = det(K)")),
+             "if abs(detK) < det_tol:", f"    raise WellPosednessError({qu}, detK, det_tol, {t})")
+    if law == "exact":
+        rhs = [f"-({pid(a, 'yd')})" for a in range(m)]
+        emit(f"u_0 = {rhs[0]} / detK" if m == 1 else
+             f"{_target('u', (m,))} = solve1(K, ({''.join(x + ', ' for x in rhs)}))")
     else:
         emit(*(f"zd{a} = fa * (y{a} - {w[a]})" for a in range(m)),
              *(f"u_{a} = -({pid(a, 'zd')}) / ke" for a in range(m)))
@@ -589,21 +602,24 @@ def _loop_lines(stage: Callable, state: list, n: int) -> list:
             "    except ArithmeticError:", "        return k", "    return k1"]
 
 
+# the K lines' calls at m >= 2 on floats and on columns: the gufuncs of np.linalg
+_FLOAT_K = dict(array=np.array, det=lambda K: float(_lapack.det(K)),
+                solve1=lambda K, b: _lapack.solve1(K, np.array(b)).tolist())
+_COLUMN_K = dict(array=lambda K: np.moveaxis(np.array(K), (0, 1), (-2, -1)), det=_lapack.det,
+                 solve1=lambda K, b: tuple(_lapack.solve1(K, np.stack(b, -1)).T))
+
+
 def _bind(sys: MechanicalSystem, law: str, mode: str, at: Array, **names) -> dict:
     """The namespace of a new instance of :func:`_kernel_code`'s source for
     ``sys``, holding ``kernel`` (and ``rk4_run``), whose globals bind the
     entries of ``m_aa``, ``names`` and the float form (or :func:`_adapter`)
-    of each callback it reads (an inertia block without a Jacobian by the
-    rule of :func:`.mechanics._jacobian`); :func:`_inline` inlines a float
-    form, checked at the position ``at``, or calls it."""
+    of each callback it reads (:func:`_callbacks`); :func:`_inline` inlines a
+    float form, checked at the position ``at``, or calls it."""
     s, m = sys.s, sys.m
     q = [f"q{i}" for i in range(sys.n)]
-    callbacks = dict(muu_fn=sys.muu_fn, mau_fn=sys.mau_fn, gradVu_fn=sys.gradVu_fn,
-                     gradVa_fn=sys.gradVa_fn, muu_jac=_jacobian(sys.muu_fn, sys.muu_jac, (s, s)),
-                     mau_jac=_jacobian(sys.mau_fn, sys.mau_jac, (m, s)))
+    callbacks = _callbacks(sys)
     fns, reads = {}, []
-    specs = _read_specs(s, m) + (("ga", "gradVa_fn", (m,)),) * (mode == "robust_A8")
-    for stem, name, shape in specs:
+    for stem, name, shape in _read_specs(s, m, mode):
         if math.prod(shape) == 1:  # a one-entry block's form returns a float
             stem, shape = _names(stem, shape)[0], ()
         form = getattr(callbacks[name], "float_form", None)
@@ -612,9 +628,9 @@ def _bind(sys: MechanicalSystem, law: str, mode: str, at: Array, **names) -> dic
     lines, consts = _inline(reads, dict(zip(q, map(float, at))))
     code, entry = _kernel_code(s, m, law, mode, lines)
     linecache.cache[entry[3]] = entry  # a traceback shows the generated line
-    env = dict(names, **consts, **fns, **_entries("maa", sys.maa), array=np.array, read=_read,
-               isfinite=math.isfinite, inf=math.inf, det=_lapack.det, solve1=_lapack.solve1,
-               WellPosednessError=WellPosednessError, SingularInertiaError=SingularInertiaError)
+    env = dict(names, **consts, **fns, **_entries("maa", sys.maa), **_FLOAT_K, read=_read,
+               isfinite=math.isfinite, inf=math.inf, WellPosednessError=WellPosednessError,
+               SingularInertiaError=SingularInertiaError)
     exec(code, env)
     return env
 
@@ -629,6 +645,14 @@ def _adapter(fn: Callable, shape: tuple) -> Callable:
 def _entries(stem: str, mat: Array) -> dict:
     """``{stem_i_j: float}`` of the matrix ``mat``, as a kernel names its entries."""
     return {f"{stem}_{i}_{j}": float(x) for (i, j), x in np.ndenumerate(mat)}
+
+
+def _constants(sys: MechanicalSystem, gains: Gains) -> dict:
+    """The law's numbers by the names a kernel and a samples evaluation read."""
+    Lc = -(gains.k_u - gains.k_a) * sys.maa_inv
+    return dict(ke=float(gains.k_e), ka=float(gains.k_a), fa=float(gains.filter_a),
+                **_entries("KP", gains.K_P), **_entries("KI", gains.K_I),
+                **_entries("KD", gains.K_D), **_entries("Lc", Lc))
 
 
 def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
@@ -659,10 +683,7 @@ def _build_eval_generic(sys: MechanicalSystem, gains: Gains, controller: str,
         kept[0][round(t / sample_dt)] = values
 
     env = _bind(sys, controller, gains.mode, gains.q_star, kept=kept, store=store,
-                dist=disturbance, det_tol=det_tol, ke=float(gains.k_e), ka=float(gains.k_a),
-                fa=float(gains.filter_a), **_entries("KP", gains.K_P),
-                **_entries("KI", gains.K_I), **_entries("KD", gains.K_D),
-                **_entries("Lc", -(gains.k_u - gains.k_a) * sys.maa_inv))
+                dist=disturbance, det_tol=det_tol, **_constants(sys, gains))
     eval_rhs = env["kernel"]
     eval_rhs.rk4_run, eval_rhs.record = env["rk4_run"], record
     return eval_rhs
@@ -700,8 +721,11 @@ def _rk4(rhs: Callable[[float, list], list], X: Array, k0: int, k1: int, dt: flo
 def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, disturbance,
               segments: list, reads: Sequence = ()) -> dict:
     """Every trace column from the integrated states, in one pass over all
-    samples through the reference functions; ``segments`` as in :class:`Trace`,
-    and ``reads`` ``(callback, values at each sample's q_u)`` pairs to reuse."""
+    samples; ``segments`` as in :class:`Trace`, and ``reads`` ``(callback,
+    values at each sample's q_u)`` pairs to reuse.  ``u`` and ``detK`` are
+    the samples evaluation of :func:`_kernel_code` bound to numpy: each read
+    entry the column of its callback over the samples, the law's numbers
+    those of the run's kernel (:func:`_constants`)."""
     s, m, n = sys.s, sys.m, sys.n
     N = X.shape[0]
     gains = segments[0][2]
@@ -715,10 +739,16 @@ def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, distu
     with shared_samples(st.q_u, st.q_a):
         for fn, values in reads:  # stored as if the pass had called fn over st.q_u
             _reuse(fn, st.q_u, lambda values=values: np.ascontiguousarray(values))
-        cs = ControllerState(z1, z2)
         # the integration already judged every sample by det_floor
-        u = exact_control(sys, gains, st, cs, det_tol=0.0) if controller == "exact" \
-            else approx_control(sys, gains, st, cs)[0]
+        code, entry = _kernel_code(s, m, controller, gains.mode, None)
+        linecache.cache[entry[3]] = entry
+        env = dict(_constants(sys, gains), **_entries("maa", sys.maa), **_COLUMN_K)
+        for stem, name, shape in _read_specs(s, m, gains.mode):
+            block = _per_point(_callbacks(sys)[name], st.q_a if stem == "ga" else st.q_u, shape)
+            env.update(zip(_names(stem, shape), block.reshape(N, -1).T))
+        exec(code, env)
+        u, cols["detK"] = env["samples"](*X[:, n:].T)
+        u = np.stack(u, axis=-1)
         out = passive_outputs(sys, st, gains)
         cols["H_u"], cols["H_a"], cols["H"] = storage_functions(sys, st)
         if sys.affine_Va is not None:
@@ -733,8 +763,7 @@ def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, distu
         cols.update(
             u=u, tau=plant_input(sys, gains, u + d, st.q_a),
             y_u=out.y_u, y_a=out.y_a, y_d=out.y_d,
-            U=lyapunov_Hd_and_U(sys, gains).U(st, z1),
-            detK=np.linalg.det(wellposedness_matrix_K(sys, gains, st.q_u)))
+            U=lyapunov_Hd_and_U(sys, gains).U(st, z1))
     return cols
 
 
@@ -851,17 +880,12 @@ def verify_passivity(trace: Trace, which: str = "u->y_u") -> float:
     store = getattr(trace, store_name)
     if store is None:
         raise ValueError(f"trace has no {store_name} column (affine potential data missing)")
-    if input_name == "u_total":
-        force = trace.u + trace.d
-    else:
-        force = trace.tau
+    force = trace.u + trace.d if input_name == "u_total" else trace.tau
     power = np.einsum("ij,ij->i", force, getattr(trace, y_name))
     dstore = np.gradient(store, trace.dt)
     mask = _interior_mask(trace)
     resid = np.abs(dstore[mask] - power[mask])
-    denom = np.max(np.abs(power))
-    if denom == 0.0:
-        denom = 1.0
+    denom = np.max(np.abs(power)) or 1.0
     return float(resid.max() / denom)
 
 
@@ -891,11 +915,8 @@ def verify_lyapunov(trace: Trace) -> dict:
         steps_ok[max(0, k - 1): k + 1] = False
     dU_step = np.diff(trace.U)
     monotone = bool(np.all(dU_step[steps_ok] <= 1e-8 * trace.dt))
-    return {
-        "max_residual": float(resid.max() / denom),
-        "monotone": monotone,
-        "dissipation": diss,
-    }
+    return {"max_residual": float(resid.max() / denom), "monotone": monotone,
+            "dissipation": diss}
 
 
 def verify_l2_gain(trace: Trace) -> dict:
@@ -940,11 +961,8 @@ def tail_residuals(trace: Trace) -> dict:
     their final magnitudes are what an invariance argument drives to zero.
     """
     grad = trace.system.gradVu(trace.q_u[-1])
-    return {
-        "y_d": float(np.abs(trace.y_d[-1]).max()),
-        "u": float(np.abs(trace.u[-1]).max()),
-        "gradVu": float(np.abs(grad).max()),
-    }
+    return {"y_d": float(np.abs(trace.y_d[-1]).max()), "u": float(np.abs(trace.u[-1]).max()),
+            "gradVu": float(np.abs(grad).max())}
 
 
 def detect_convergence(trace: Trace, q_star, tol_q: float, tol_v: float,
@@ -994,9 +1012,7 @@ def _column_layout(trace: Trace) -> list:
 
 def _write_rows(fh, data: Array, row_fmt: str) -> None:
     """The rows of ``data`` as ``np.savetxt`` writes them, one ``%`` operation
-    per block of ``CSV_BLOCK_ROWS``; a block's temporary floats and strings
-    add to peak memory, by 2.5 MB at 1024 rows of a 35-column trace and by
-    nothing seen at 128."""
+    per block of ``CSV_BLOCK_ROWS`` rows, which bounds the temporary strings."""
     for i in range(0, len(data), CSV_BLOCK_ROWS):
         block = data[i:i + CSV_BLOCK_ROWS]
         fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))

@@ -9,8 +9,9 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from pidpbc import MechanicalSystem, SingularInertiaError, State, storage_functions
-from pidpbc.mechanics import Array, coriolis_decomposition, mau_gradient, muu_gradient
+from pidpbc import (ControllerState, Gains, MechanicalSystem, SingularInertiaError, State,
+                    passive_outputs, storage_functions)
+from pidpbc.mechanics import Array, _mv, coriolis_decomposition, mau_gradient, muu_gradient
 from pidpbc.sim import _bind, _check_run, _rk4
 
 
@@ -50,6 +51,21 @@ def reduced_unactuated_dynamics(sys: MechanicalSystem, st: State, u: Array) -> A
         return np.linalg.solve(muu_s, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularInertiaError(st.q_u, "singular Schur complement") from exc
+
+
+def approx_control(sys: MechanicalSystem, gains: Gains, st: State,
+                   cs: ControllerState) -> tuple[Array, Array, Array]:
+    """Explicit law with a filtered derivative estimate, in closed form.
+
+    Returns ``(u, z1_dot, z2_dot)`` where the derivative of ``y_d`` is
+    approximated by ``z2' = filter_a * (y_d - z2)``; no matrix solve is
+    involved.  The simulator integrates the generated lines of the same law.
+    """
+    out = passive_outputs(sys, st, gains)
+    z2 = cs.z2 if cs.z2 is not None else np.zeros(out.y_d.shape)
+    deriv = gains.filter_a * (out.y_d - z2)
+    u = -(_mv(gains.K_P, out.y_d) + _mv(gains.K_I, cs.z1) + _mv(gains.K_D, deriv)) / gains.k_e
+    return u, out.y_d, deriv
 
 
 def pencil_determinant(C2: Array, C1: Array, C0: Array) -> tuple[Array, Array]:

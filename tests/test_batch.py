@@ -11,7 +11,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from pidpbc import (ControllerState, State, approx_control, assemble_inertia,
+from pidpbc import (ControllerState, State, assemble_inertia,
                     cart_pendulum_incline, closed_form_z1, coriolis_decomposition,
                     desired_inertia_Md, desired_potential_Vd, exact_control, linear_system,
                     lyapunov_Hd_and_U, passive_outputs, pi_control, pinned_linear_2dof,
@@ -22,6 +22,7 @@ from pidpbc.mechanics import _per_point, _stencil
 from pidpbc.passivity import holding_potential_V0, locked_matrix_Ma, velocity_outputs
 
 from conftest import random_gains
+from oracles import approx_control
 from synthetic import make_synthetic, random_state
 
 N_STATES = 7

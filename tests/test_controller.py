@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from pidpbc import (ControllerState, GainSignWarning, Gains, State,
-                    WellPosednessError, approx_control, closed_form_z1,
+                    WellPosednessError, closed_form_z1,
                     exact_control, forward_dynamics, integrator_init,
                     linear_system, passive_outputs, pi_control, plant_input,
                     wellposedness_matrix_K)
 from pidpbc.controller import feedforward_S
 
 from conftest import PSI, bench_gains
+from oracles import approx_control
 from synthetic import make_synthetic, random_state
 
 M_P, M_C, ELL = 0.14, 0.44, 0.215

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pidpbc import (ControllerState, approx_control, closed_form_z1, coriolis_decomposition,
+from pidpbc import (ControllerState, closed_form_z1, coriolis_decomposition,
                     exact_control, forward_dynamics, integrator_init, lyapunov_Hd_and_U,
                     passive_outputs, pi_control, plant_input, storage_functions)
 from pidpbc.controller import MODES
@@ -18,7 +18,7 @@ from pidpbc.passivity import holding_potential_V0
 from pidpbc.sim import _build_eval_generic
 
 from conftest import random_gains
-from oracles import christoffel_coriolis
+from oracles import approx_control, christoffel_coriolis
 from synthetic import make_synthetic, random_state
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)

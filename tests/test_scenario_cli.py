@@ -798,20 +798,20 @@ def test_sweep_dissipation_ordering(tmp_path):
 # a change that alters one reports the largest deviation per column
 REPRODUCE_DIGESTS = {
     "cart_pendulum": (
-        "49a571003bfa0e63b6ab4d44b24df9d5b0388088434f92ccec7691c871a3e27e",
-        "430fd99c95863af8b513760af9116cd69401d875d0bcbeebe195b5aedd9958ec",
+        "e9bab9d751a62f7baad054e886686c3d76c0dc7f827bff44c1ec97a746e46c69",
+        "c16958ed0864c220de811f714f8b82e2a570a7693d006261d9e27f40cc09e415",
         "54ec8e0267707218b71ff95dd59cd773a76e83a698840526288303039aab1856",
-        "8548befb8161ebf16485edd1d1939ba15751dfc244577fc384dbc9fcbd8a9b42"),
+        "00284b4e31b03a66cd98604031271889f4dd597bc884122429961524ef0b0055"),
     "cart_pendulum_ku450": (
-        "fe80887529fad47563ec99a68107b1d75abbeb4607ee7995d7cfce9312ae7f2b",
-        "d9c3988315a1b708272326ddf104c890a2fe69b34cbe145a1fb060fd1a1d2390",
+        "8f5639cda5450b7eff6ffcef50b521cf3321c1303bc5338b7a0d04c32c342670",
+        "a5de8ca4ea6f70738fe6cc761477067810a8b83e4541f6d5a5322d867bbc933d",
         "06fc6b6ebf1ab42c1c08415339dc200ea824b1f519a1e1019e8b7bc2e99da2cc",
-        "6f16667671da1107b4fa27bb4609c3c9683afbaa0736568aa91f08981365fafe"),
+        "1eb09791c413c0b58390842cf2e16a947bcc8caf941651b8531a71417266f724"),
     "linear": (
-        "d5960300ca16b45ab1e317614816eab0f38a6d6828a19f0c7699910b2e2c6bab",
-        "623cc55000088633e8cad0f8a1d2a1f771099fbadf9e71fc27130b233e75268c",
+        "3b845f0b83ab5993de9426c61492c288fe00088b2d0b05d9d8abd847c8d79ff0",
+        "bb7a97bc46058cbeda48db6f98bcd8e58e0dbc41b0f5ca325391f549cde40a66",
         "21dfe38166b92c4c259757e5d565e92c4a27aaca9d5cd737a82120e28d00339a",
-        "84e4174636d16aa24a6ecf4c6897f249b06fe91ea272a13b5791b0cdfc7ab73f"),
+        "fa32cb3215ca9e268b376eadb0d492b6dcc47bd572408f9b6212c1c00a0c3e7a"),
 }
 
 

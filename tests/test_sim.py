@@ -10,7 +10,7 @@ import pytest
 
 import pidpbc.sim
 from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted, State,
-                    approx_control, check_A7, detect_convergence, exact_control, forward_dynamics,
+                    check_A7, detect_convergence, exact_control, forward_dynamics,
                     integrator_init, linear_closed_loop, linear_system, passive_outputs,
                     pi_control, pinned_linear_2dof,
                     plant_input, read_trace, read_trace_csv, scan_A5, simulate,
@@ -21,7 +21,7 @@ from pidpbc.scenario import builtin_scenario, scenario_from_dict
 from pidpbc.sim import CONTROLLERS, _build_eval_generic, _kernel_code, _lapack, _rk4
 
 from conftest import PSI, Q0, QD0, bench_gains, random_gains
-from oracles import plant_response, simulate_open_loop, with_stage_loop
+from oracles import approx_control, plant_response, simulate_open_loop, with_stage_loop
 from synthetic import formula_plant, make_synthetic, random_state
 
 
@@ -627,6 +627,64 @@ def test_reused_reads_give_bitwise_the_trace_of_the_unseeded_pass(monkeypatch):
         assert traces[0].keys() == traces[1].keys()
         for name, col in traces[0].items():
             assert np.array_equal(col, traces[1][name]), (name, controller, g.mode)
+
+
+def test_a_run_and_its_trace_call_no_closed_form_of_the_law(cart, monkeypatch):
+    # the trace's u and detK come from the integrated law's own lines: with
+    # every closed form of the law raising wherever it is named, runs of both
+    # laws and both modes, disturbed and across a setpoint step, still end
+    # with finite law columns
+    import sys
+    import oracles
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closed form of the law was called")
+
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "pidpbc"]
+    for module, name in itertools.product(modules + [oracles], ("exact_control", "feedforward_S",
+                                                                "approx_control",
+                                                                "wellposedness_matrix_K")):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, refuse)
+    syn = make_synthetic(2, 2, seed=8)
+    for (plant, make_gains), controller, mode in itertools.product(
+            ((cart, lambda mode: bench_gains(mode=mode, filter_a=5.0)),
+             (syn, lambda mode: random_gains(syn, np.random.default_rng(8), mode=mode))),
+            CONTROLLERS, MODES):
+        tr = _generic_run(plant, make_gains(mode), controller, _disturbance(plant.m))
+        assert len(tr.segments) == 2 and np.any(tr.d != 0.0)
+        for col in (tr.u, tr.tau, tr.detK):
+            assert np.all(np.isfinite(col)), (plant.name, controller, mode)
+
+
+def test_law_columns_match_the_closed_forms():
+    # the u, tau and detK columns against the closed forms of the law, the
+    # implicit one of pidpbc.controller and the filtered one of the oracles,
+    # with det K by np.linalg.det: within 1e-13 of each column's largest
+    # entry, on the bundled examples and on s = m = 2 and s = 3, m = 2
+    # plants under both laws and both modes
+    runs = []
+    for example in ("cart_pendulum", "cart_pendulum_ku450", "linear"):
+        sc = scenario_from_dict(builtin_scenario(example))
+        runs.append(simulate(sc.system, sc.gains, sc.q0, sc.qd0, sc.t_end, sc.dt,
+                             controller=sc.controller, disturbance=sc.disturbance,
+                             setpoints=sc.setpoints))
+    for (s, m), controller, mode in itertools.product(((2, 2), (3, 2)), CONTROLLERS, MODES):
+        plant = make_synthetic(s, m, seed=8)
+        runs.append(_generic_run(plant, random_gains(plant, np.random.default_rng(8), mode=mode),
+                                 controller, _disturbance(m)))
+    for tr in runs:
+        plant, g = tr.system, tr.gains
+        st = State(tr.q_u, tr.q_a, tr.qd_u, tr.qd_a)
+        if tr.controller == "exact":
+            u = exact_control(plant, g, st, ControllerState(tr.z1), det_tol=0.0)
+        else:
+            u = approx_control(plant, g, st, ControllerState(tr.z1, tr.z2))[0]
+        want = dict(u=u, tau=plant_input(plant, g, u + tr.d, tr.q_a),
+                    detK=np.linalg.det(wellposedness_matrix_K(plant, g, tr.q_u)))
+        for name, col in want.items():
+            assert np.abs(getattr(tr, name) - col).max() <= 1e-13 * np.abs(col).max(), \
+                (plant.name, tr.controller, g.mode, name)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -1341,10 +1399,13 @@ def test_scaling_the_passive_output_weights_together_changes_neither_run_nor_ver
             assert np.array_equal(wellposedness_matrix_K(plant, gc, tr.q_u),
                                   c * wellposedness_matrix_K(plant, g, base.q_u)), \
                 (plant.name, g.mode, c)
+            # at m = 1 the detK column is K itself, which scales exactly; at
+            # m = 2 it is the det of np.linalg, sign * exp(sum log |u_ii|) of
+            # K's LU factors, which misses c^2 det K by up to 1.03e-15
             if plant is cart:
-                # np.linalg.det is sign * exp(sum log |u_ii|) of K's LU factors:
-                # at m = 2 the detK column misses c^2 det K by up to 1.03e-15
-                want = c ** cart.m * base.detK
+                assert np.array_equal(tr.detK, c * base.detK), (g.mode, c)
+            else:
+                want = c ** plant.m * base.detK
                 assert np.all(np.abs(tr.detK - want) <= 1e-15 * np.abs(want)), (g.mode, c)
             scan_c = scan_A5(plant, gc, grid)
             assert (scan_c["pass"], scan_c["sign_change"]) == (scan["pass"], scan["sign_change"])
