@@ -25,8 +25,8 @@ It reads each callback once, in one line, through its float form (see
 (:func:`_inline`), or called where the recorder cannot follow it, through an
 adapter (:func:`_adapter`) for a callback without one.  It solves ``M`` by
 an unpivoted ``L D L'`` (a zero pivot is a :class:`ZeroDivisionError`, which
-:func:`_rk4` aborts on); at ``m = 1``, ``K`` is its own determinant, beyond
-it goes to the gufuncs behind ``np.linalg``, where a singular ``K`` is NaN.
+:func:`_rk4` aborts on) and ``K`` by Cramer's rule on named minors for every
+``m``, which divides only by ``det K`` (see :func:`_law_tail`).
 The same source holds the RK4 loop over a setpoint segment
 (:func:`_loop_lines`), bitwise the classical stage loop.  The step's first
 stages copy their reads into per-sample rows, which the diagnostics pass
@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.linalg import _umath_linalg as _lapack
 
 from .mechanics import (Array, DynamicsError, MechanicalSystem, SingularInertiaError, State,
                         _finite, _jacobian, _per_point, _read, _reuse, shared_samples)
@@ -406,7 +405,7 @@ def _field_lines(s: int, m: int, law: str, mode: str, reads: tuple, names: list,
     n, closed, robust = s + m, law != "response", mode == "robust_A8"
     q, v = [f"q{i}" for i in range(n)], names[:n]
     rows, X = range(n), [[None] * (1 + m) for _ in range(n)]
-    qu = f"array(({''.join(a + ', ' for a in q[:s])}))"  # only where it is raised
+    qu = f"({''.join(a + ', ' for a in q[:s])})"  # only where it is raised
     lines = [f"if not ({' and '.join(f'isfinite({a})' for a in q)}):",  # callbacks see finite q
              "    raise ArithmeticError", *reads[0]]
     if sample:
@@ -505,6 +504,12 @@ def _law_tail(emit: Callable, s: int, m: int, law: str, names: list, t: str, X: 
                           for G, x in (("KP", [f"y{b}" for b in range(m)]), ("KI", z),
                                        ("KD", [f"{last}{b}" for b in range(m)])))
 
+    def named(stem, shape, exprs):  # the entries of K or b, one line each at m >= 2
+        if m == 1:
+            return exprs
+        emit(*map("{} = {}".format, _names(stem, shape), exprs))
+        return _names(stem, shape)
+
     if law == "exact" or monitor:
         # the PID as written, with yd_dot = L qdd - c maa^{-1} act: the matrix on
         # u is K(q_u), the rest the derivative at u = 0, yd0 = L qdd0 + Lc act
@@ -513,19 +518,31 @@ def _law_tail(emit: Callable, s: int, m: int, law: str, names: list, t: str, X: 
                    f" + ka * {X[s + a][c]}" for c in range(1 + m)),
                  f"yd{a} = "
                  f"{_sum([(f'Ls_{a}_0', '1')] + [(f'Lc_{a}_{b}', act[b]) for b in range(m)])}")
-        K = [[("ke + " if a == b else "") + _sum((f"KD_{a}_{c}", f"Ls_{c}_{b + 1}")
-                                                 for c in range(m)) for b in range(m)]
-             for a in range(m)]
-        # a NaN det K is left to the non-finite abort; at m = 1, K is its own
-        # det, and an exact zero divides (a ZeroDivisionError, the same abort)
-        emit(*((f"detK = {K[0][0]}",) if m == 1 else
-               (f"K = array(({''.join('(' + ', '.join(row) + ', ), ' for row in K)}))",
-                "detK = det(K)")),
-             "if abs(detK) < det_tol:", f"    raise WellPosednessError({qu}, detK, det_tol, {t})")
+        K = named("K", (m, m), [("ke + " if a == b else "")
+                                + _sum((f"KD_{a}_{c}", f"Ls_{c}_{b + 1}") for c in range(m))
+                                for a, b in itertools.product(range(m), range(m))])
+        columns = [K[c::m] for c in range(m)]
+        # K u = b by Cramer's rule for every m: each minor D_cols of [K | b]'s
+        # leading rows, expanded along its last row, is one line (det K the
+        # full one), and u_j = +-D(all columns but j) / det K; an exact zero
+        # det K divides (a ZeroDivisionError), a NaN is left to the same abort
+        @functools.cache
+        def minor(cols):  # D_cols, an entry of the first row, or "1" for no column
+            r, full = len(cols) - 1, cols == tuple(range(m))
+            if r < 1 and not full:
+                return columns[cols[0]][0] if cols else "1"
+            name = "detK" if full else "D_" + "_".join(map(str, cols))
+            terms = [("+-"[(r + k) % 2], _sum([(columns[c][r], minor(cols[:k] + cols[k + 1:]))]))
+                     for k, c in enumerate(cols)]
+            emit(f"{name} = {_signed(terms)}")
+            return name
+
+        minor(tuple(range(m)))
+        emit("if abs(detK) < det_tol:", f"    raise WellPosednessError({qu}, detK, det_tol, {t})")
     if law == "exact":
-        rhs = [f"-({pid(a, 'yd')})" for a in range(m)]
-        emit(f"u_0 = {rhs[0]} / detK" if m == 1 else
-             f"{_target('u', (m,))} = solve1(K, ({''.join(x + ', ' for x in rhs)}))")
+        columns.append(named("b", (m,), [f"-({pid(a, 'yd')})" for a in range(m)]))
+        emit(*(f"u_{j} = {'-' * ((m - 1 - j) % 2)}"
+               f"{minor(tuple(c for c in range(m + 1) if c != j))} / detK" for j in range(m)))
     else:
         emit(*(f"zd{a} = fa * (y{a} - {w[a]})" for a in range(m)),
              *(f"u_{a} = -({pid(a, 'zd')}) / ke" for a in range(m)))
@@ -602,13 +619,6 @@ def _loop_lines(stage: Callable, state: list, n: int) -> list:
             "    except ArithmeticError:", "        return k", "    return k1"]
 
 
-# the K lines' calls at m >= 2 on floats and on columns: the gufuncs of np.linalg
-_FLOAT_K = dict(array=np.array, det=lambda K: float(_lapack.det(K)),
-                solve1=lambda K, b: _lapack.solve1(K, np.array(b)).tolist())
-_COLUMN_K = dict(array=lambda K: np.moveaxis(np.array(K), (0, 1), (-2, -1)), det=_lapack.det,
-                 solve1=lambda K, b: tuple(_lapack.solve1(K, np.stack(b, -1)).T))
-
-
 def _bind(sys: MechanicalSystem, law: str, mode: str, at: Array, **names) -> dict:
     """The namespace of a new instance of :func:`_kernel_code`'s source for
     ``sys``, holding ``kernel`` (and ``rk4_run``), whose globals bind the
@@ -628,7 +638,7 @@ def _bind(sys: MechanicalSystem, law: str, mode: str, at: Array, **names) -> dic
     lines, consts = _inline(reads, dict(zip(q, map(float, at))))
     code, entry = _kernel_code(s, m, law, mode, lines)
     linecache.cache[entry[3]] = entry  # a traceback shows the generated line
-    env = dict(names, **consts, **fns, **_entries("maa", sys.maa), **_FLOAT_K, read=_read,
+    env = dict(names, **consts, **fns, **_entries("maa", sys.maa), read=_read,
                isfinite=math.isfinite, inf=math.inf, WellPosednessError=WellPosednessError,
                SingularInertiaError=SingularInertiaError)
     exec(code, env)
@@ -742,7 +752,7 @@ def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, distu
         # the integration already judged every sample by det_floor
         code, entry = _kernel_code(s, m, controller, gains.mode, None)
         linecache.cache[entry[3]] = entry
-        env = dict(_constants(sys, gains), **_entries("maa", sys.maa), **_COLUMN_K)
+        env = dict(_constants(sys, gains), **_entries("maa", sys.maa))
         for stem, name, shape in _read_specs(s, m, gains.mode):
             block = _per_point(_callbacks(sys)[name], st.q_a if stem == "ga" else st.q_u, shape)
             env.update(zip(_names(stem, shape), block.reshape(N, -1).T))

@@ -41,6 +41,25 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_package_imports_no_private_numpy_name():
+    # a numpy module or name with a part that starts with "_" (such as
+    # numpy.linalg._umath_linalg) is no public API and may move in any
+    # release: no module of the package imports one
+    import ast
+    private = []
+    for path in sorted(Path(pidpbc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                dotted = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            private += [(path.name, name) for name in dotted if name.split(".")[0] == "numpy"
+                        and any(part.startswith("_") for part in name.split("."))]
+    assert private == []
+
+
 def test_no_command_needs_scipy(tmp_path):
     # scipy made unimportable: every command still exits 0 on the bundled
     # scenarios, and no scipy module is loaded

@@ -18,7 +18,7 @@ from pidpbc import (ControllerState, Gains, SetpointStep, SimulationAborted, Sta
                     write_column_map, write_trace, write_trace_csv)
 from pidpbc.controller import MODES, det_floor
 from pidpbc.scenario import builtin_scenario, scenario_from_dict
-from pidpbc.sim import CONTROLLERS, _build_eval_generic, _kernel_code, _lapack, _rk4
+from pidpbc.sim import CONTROLLERS, _build_eval_generic, _kernel_code, _rk4
 
 from conftest import PSI, Q0, QD0, bench_gains, random_gains
 from oracles import approx_control, plant_response, simulate_open_loop, with_stage_loop
@@ -409,13 +409,15 @@ def test_one_code_object_serves_a_structure_and_its_source_has_no_number(cart):
     # chain, of the same structure but other formulas, has its own source
     # under its own name; a timing-free guard of the s = m = 1 fast path:
     # it builds no array and calls no reader, det or solve outside its raise
-    # branches and the disturbance branch, and no m = 1 kernel takes det K
-    # or solves with K, which is its own determinant; the source holds one
-    # RK4, the segment loop, whose for body calls nothing but the recorded
-    # math forms and store outside those branches
+    # branches and the disturbance branch; the source holds one RK4, the
+    # segment loop, whose for body calls nothing but the recorded math forms
+    # and store outside those branches.  No kernel or samples evaluation of
+    # any s and m calls det, solve1 or array there: K is solved by Cramer's
+    # rule in its own lines, and a built kernel binds none of the three
     other_cart = cart_pendulum_incline(pendulum_mass=0.2, cart_mass=0.6, psi=np.radians(12.0))
     lin = _linear_example()
-    array_calls = {"array", "read", ".tolist", "det", "solve1"}
+    solves = {"array", "det", "solve1"}
+    array_calls = solves | {"read", ".tolist"}
     for controller, mode in itertools.product(CONTROLLERS, MODES):
         carts = [_build_eval_generic(p, bench_gains(mode=mode), controller, None, 1e-10)
                  for p in (cart, other_cart)]
@@ -433,9 +435,15 @@ def test_one_code_object_serves_a_structure_and_its_source_has_no_number(cart):
             assert defined == ["kernel", "field", "rk4_run"], name
             assert {c for c in calls if not c.startswith("math_")} <= {"store"}, (name, calls)
         assert any(c.startswith("math_") for c in _loop_calls(carts[0])[0])
-        for s in (1, 2, 4):
-            source = "".join(_kernel_code(s, 1, controller, mode, ((), frozenset()))[1][2])
-            assert not _calls_outside_branches(source) & {"det", "solve1"}, s
+        for s, m in itertools.product((1, 2, 3), repeat=2):
+            for reads in (((), frozenset()), None):
+                source = "".join(_kernel_code(s, m, controller, mode, reads)[1][2])
+                assert not _calls_outside_branches(source) & solves, (s, m, reads)
+    for s, m in itertools.product((1, 2, 3), repeat=2):
+        plant = make_synthetic(s, m, seed=10 * s + m)
+        rhs = _build_eval_generic(plant, random_gains(plant, np.random.default_rng(s)), "exact",
+                                  None, 1e-10)
+        assert not solves & set(rhs.__globals__), (s, m)
 
 
 def test_a_traceback_from_the_kernel_shows_the_generated_line():
@@ -685,6 +693,24 @@ def test_law_columns_match_the_closed_forms():
         for name, col in want.items():
             assert np.abs(getattr(tr, name) - col).max() <= 1e-13 * np.abs(col).max(), \
                 (plant.name, tr.controller, g.mode, name)
+
+
+def test_a_K_with_a_zero_leading_entry_is_solved():
+    # K = k_e I + K_D L G = [[0, 5], [-1, 6]] is nonsingular with a zero
+    # leading entry, which an unpivoted elimination divides by: the run needs
+    # only det K = 5 (A5), its loop is Hurwitz, and the detK and u columns
+    # are the implicit law's within 1e-13 of their largest entries
+    plant = linear_system(M=[[6.0, 1.0, -2.0], [1.0, 1.0, 0.0], [-2.0, 0.0, 1.0]], S_u=[[1.0]],
+                          S_a=np.zeros((2, 2)))
+    g = Gains(k_e=1.0, k_a=1.0, k_u=2.0, K_P=np.eye(2), K_I=0.5 * np.eye(2),
+              K_D=np.ones((2, 2)), q_u_star=[0.0], q_a_star=[0.0, 0.0])
+    assert np.array_equal(wellposedness_matrix_K(plant, g, np.zeros(1)), [[0.0, 5.0], [-1.0, 6.0]])
+    assert linear_closed_loop(plant, g).max_real < 0.0
+    tr = simulate(plant, g, [0.1, -0.1, 0.2], np.zeros(3), t_end=0.5, dt=1e-3)
+    assert np.abs(tr.detK - 5.0).max() <= 5e-13
+    u = exact_control(plant, g, State(tr.q_u, tr.q_a, tr.qd_u, tr.qd_a), ControllerState(tr.z1),
+                      det_tol=0.0)
+    assert np.abs(tr.u - u).max() <= 1e-13 * np.abs(u).max()
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -1147,39 +1173,11 @@ def test_open_loop_blow_up_aborts_like_the_closed_loop(cart, gains_cancel):
                                   10) == want
 
 
-def test_the_step_gufuncs_are_bitwise_np_linalg():
-    # the step calls the gufuncs behind np.linalg without its wrapper: on the
-    # shapes it uses (M with 1 + m columns, K and its right-hand side) each
-    # gives np.linalg's result bit for bit, and NaN where np.linalg raises;
-    # a numpy that moves or changes them fails here, not in a trace
-    rng = np.random.default_rng(90)
-    for n in range(2, 6):
-        for m in range(1, n):
-            A = rng.normal(size=(n, n))
-            M, b = A @ A.T + n * np.eye(n), rng.normal(size=(n, 1 + m))
-            K, v = rng.normal(size=(m, m)), rng.normal(size=m)
-            assert np.array_equal(_lapack.solve(M, b), np.linalg.solve(M, b))
-            assert np.array_equal(_lapack.cholesky_lo(M), np.linalg.cholesky(M))
-            assert np.array_equal(_lapack.det(K), np.linalg.det(K))
-            assert np.array_equal(_lapack.solve1(K, v), np.linalg.solve(K, v))
-            M0, K0 = M.copy(), K.copy()  # singular, with non-zero entries
-            M0[:, -1] = M0[-1, :] = K0[:, -1] = 0.0
-            with np.errstate(all="ignore"):  # the run's error state
-                nans = [_lapack.solve(M0, b), _lapack.solve1(K0, v), _lapack.cholesky_lo(M0),
-                        _lapack.cholesky_lo(-M)]
-            assert all(np.isnan(got).all() for got in nans), (n, m)
-            for call, args in ((np.linalg.solve, (M0, b)), (np.linalg.solve, (K0, v)),
-                               (np.linalg.cholesky, (M0,)), (np.linalg.cholesky, (-M,))):
-                with pytest.raises(np.linalg.LinAlgError):
-                    call(*args)
-            assert _lapack.det(K0) == np.linalg.det(K0) == 0.0
-
-
 def test_a_run_calls_no_np_linalg_wrapper_per_step(monkeypatch):
-    # the generic step and the open-loop audit call the gufuncs directly:
-    # np.linalg's solve, det and cholesky run per run (the diagnostics pass,
-    # the integrator start), never per step, so a run ten times longer
-    # calls them as often
+    # the generic step and the open-loop audit solve M and K in their own
+    # lines: np.linalg's solve, det and cholesky run per run (the
+    # diagnostics pass, the integrator start), never per step, so a run ten
+    # times longer calls them as often
     plant = make_synthetic(2, 2, seed=91)
     g = random_gains(plant, np.random.default_rng(91))
     calls = []
@@ -1399,14 +1397,9 @@ def test_scaling_the_passive_output_weights_together_changes_neither_run_nor_ver
             assert np.array_equal(wellposedness_matrix_K(plant, gc, tr.q_u),
                                   c * wellposedness_matrix_K(plant, g, base.q_u)), \
                 (plant.name, g.mode, c)
-            # at m = 1 the detK column is K itself, which scales exactly; at
-            # m = 2 it is the det of np.linalg, sign * exp(sum log |u_ii|) of
-            # K's LU factors, which misses c^2 det K by up to 1.03e-15
-            if plant is cart:
-                assert np.array_equal(tr.detK, c * base.detK), (g.mode, c)
-            else:
-                want = c ** plant.m * base.detK
-                assert np.all(np.abs(tr.detK - want) <= 1e-15 * np.abs(want)), (g.mode, c)
+            # the detK column is K's full minor, sums of products of m
+            # entries, each scaled exactly by c
+            assert np.array_equal(tr.detK, c ** plant.m * base.detK), (plant.name, g.mode, c)
             scan_c = scan_A5(plant, gc, grid)
             assert (scan_c["pass"], scan_c["sign_change"]) == (scan["pass"], scan["sign_change"])
             assert linear_closed_loop(plant, gc).max_real == max_real, (plant.name, g.mode, c)
