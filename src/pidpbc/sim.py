@@ -52,6 +52,7 @@ import linecache
 import math
 import operator
 import os
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -365,16 +366,22 @@ def _kernel_code(s: int, m: int, law: str, mode: str, reads: Optional[tuple]) ->
     integrators and filters returns ``(u_0, ...), detK`` by the lines of
     ``field``, ``K`` under either law, every read entry a free name and every
     branch dropped (guards, ``det K`` floor, disturbance, store): an array has
-    no truth value, and the run took each branch already."""
+    no truth value, and the run took each branch already.  A backward pass
+    drops each line that ``u`` and ``det K`` do not need (under the approx
+    law, the drift and its reads)."""
     n, closed = s + m, law != "response"
     q, v, z, w = ([f"{c}{i}" for i in range(k)] for c, k in zip("qvzw", (n, n, m, m)))
     stage = functools.partial(_field_lines, s, m, law, mode, reads or ((), frozenset()))
     if reads is None:
         state = v + z + (w if law == "approx" else [])
         body, _ = stage(state, "t", False, True)
-        lines = [f"def samples({', '.join(state)}):",
-                 *("    " + line for line in body if not line.startswith(("if ", " "))),
-                 f"    return ({''.join(f'u_{a}, ' for a in range(m))}), detK"]
+        out = f"return ({''.join(f'u_{a}, ' for a in range(m))}), detK"
+        live, kept = set(re.findall(r"\w+", out)), [out]
+        for line in reversed([line for line in body if not line.startswith(("if ", " "))]):
+            if line.split(" = ")[0] in live:  # one backward pass drops the dead lines
+                live.update(re.findall(r"\w+", line))
+                kept.insert(0, line)
+        lines = [f"def samples({', '.join(state)}):", *("    " + line for line in kept)]
     elif closed:
         state = q + v + z + (w if law == "approx" else [])
         body, out = stage(state[n:], "t", True)
@@ -734,8 +741,8 @@ def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, distu
     samples; ``segments`` as in :class:`Trace`, and ``reads`` ``(callback,
     values at each sample's q_u)`` pairs to reuse.  ``u`` and ``detK`` are
     the samples evaluation of :func:`_kernel_code` bound to numpy: each read
-    entry the column of its callback over the samples, the law's numbers
-    those of the run's kernel (:func:`_constants`)."""
+    entry it uses the column of its callback over the samples, the law's
+    numbers those of the run's kernel (:func:`_constants`)."""
     s, m, n = sys.s, sys.m, sys.n
     N = X.shape[0]
     gains = segments[0][2]
@@ -753,10 +760,13 @@ def _diagnose(sys: MechanicalSystem, X: Array, dt: float, controller: str, distu
         code, entry = _kernel_code(s, m, controller, gains.mode, None)
         linecache.cache[entry[3]] = entry
         env = dict(_constants(sys, gains), **_entries("maa", sys.maa))
-        for stem, name, shape in _read_specs(s, m, gains.mode):
-            block = _per_point(_callbacks(sys)[name], st.q_a if stem == "ga" else st.q_u, shape)
-            env.update(zip(_names(stem, shape), block.reshape(N, -1).T))
         exec(code, env)
+        used = set(env["samples"].__code__.co_names)
+        for stem, name, shape in _read_specs(s, m, gains.mode):
+            if used.intersection(_names(stem, shape)):  # the blocks its live lines read
+                block = _per_point(_callbacks(sys)[name], st.q_a if stem == "ga" else st.q_u,
+                                   shape)
+                env.update(zip(_names(stem, shape), block.reshape(N, -1).T))
         u, cols["detK"] = env["samples"](*X[:, n:].T)
         u = np.stack(u, axis=-1)
         out = passive_outputs(sys, st, gains)

@@ -8,7 +8,8 @@ from pidpbc import (IntegrabilityError, MechanicalSystem, QuadratureError, State
                     potential_integral_VN, power_balance_residual,
                     robust_storage, schur_unactuated, simulate,
                     storage_functions)
-from pidpbc.passivity import holding_potential_V0, locked_matrix_Ma, velocity_outputs
+from pidpbc.passivity import (_GK15, holding_potential_V0, locked_matrix_Ma,
+                              velocity_outputs)
 
 from conftest import PSI, bench_gains
 from synthetic import make_synthetic, random_state
@@ -175,12 +176,45 @@ def test_coupling_potential_quadrature_cost_and_accuracy(s, m, seed):
     vn = potential_integral_VN(counted, q)
     exact = np.array([sys_.VN_fn(p) for p in q])
     assert np.abs(vn - exact).max() <= 1e-13
-    if s == 2:
-        assert len(calls) <= 32 * len(q)
+    # one Gauss-Kronrod (7, 15) panel settles every sample at s = 2
+    assert len(calls) <= (15 if s == 2 else 32) * len(q)
+
+
+def test_coupling_potential_quadrature_doubles_the_panels():
+    # a field one (7, 15) panel cannot resolve: the doubling branch, against
+    # the closed form sin(40 q) / 40
+    wavy = MechanicalSystem(
+        s=1, m=1, muu_fn=lambda q: [[2.0]], mau_fn=lambda q: [[np.cos(40.0 * q[0])]],
+        maa=[[1.0]], Vu_fn=lambda q: 0.0, gradVu_fn=lambda q: [0.0],
+        Va_fn=lambda q: 0.0, gradVa_fn=lambda q: [0.0])
+    calls = []
+    counted = dataclasses.replace(wavy, mau_fn=lambda q: calls.append(1) or wavy.mau_fn(q))
+    for q in (1.0, -0.7, 2.3):
+        calls.clear()
+        vn = potential_integral_VN(counted, [q])
+        assert len(calls) > 15
+        assert abs(vn[0] - np.sin(40.0 * q) / 40.0) <= 1e-12
+
+
+def test_coupling_potential_rule_is_qk15():
+    # the Gauss nodes are every other Kronrod node; a one-digit slip in the
+    # table breaks the exactness on monomials
+    x, wk, wg = _GK15.T
+    gauss = wg != 0
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.abs(np.sort(x[gauss]) - nodes).max() <= 3e-16
+    assert np.abs(wg[gauss][np.argsort(x[gauss])] - weights).max() <= 3e-16
+    assert np.array_equal(np.sort(x), x)
+    assert np.array_equal(np.flatnonzero(gauss), np.arange(1, 15, 2))
+    for d in range(24):
+        exact = (1.0 + (-1.0) ** d) / (d + 1)
+        assert abs(wk @ x ** d - exact) <= 1e-15, d
+        if d <= 13:
+            assert abs(wg @ x ** d - exact) <= 1e-15, d
 
 
 def test_coupling_potential_quadrature_refuses_to_guess():
-    # a gradient field too oscillatory for the finest rule (4096 nodes)
+    # a gradient field too oscillatory for the finest rule (512 panels, 7680 nodes)
     wild = MechanicalSystem(
         s=1, m=1, muu_fn=lambda q: [[2.0]], mau_fn=lambda q: [[np.cos(1e4 * q[0])]],
         maa=[[1.0]], Vu_fn=lambda q: 0.0, gradVu_fn=lambda q: [0.0],

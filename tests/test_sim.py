@@ -734,6 +734,29 @@ def test_each_recorded_callback_is_called_once_less_per_sample(monkeypatch, mode
         assert reused[name] == n_calls - (n_samples if name in recorded else 0), name
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_the_approx_trace_reads_no_derivative(monkeypatch, mode):
+    # with nothing recorded, the diagnostics pass calls each read that the
+    # samples evaluation uses once per sample: under the approx law u and
+    # det K need m_uu and m_au alone, so the pass calls no Jacobian, grad V_u
+    # only at the two integrator starts and grad V_a only for the plant input
+    # that cancels it
+    derivatives = ("muu_jac", "mau_jac", "gradVu_fn", "gradVa_fn")
+    plant = make_synthetic(2, 2, seed=83)
+    g = random_gains(plant, np.random.default_rng(83), mode=mode)
+    calls, diagnose = [], pidpbc.sim._diagnose
+    monkeypatch.setattr(pidpbc.sim, "_build_eval_generic", _stage_loop(_build_eval_generic))
+    monkeypatch.setattr(pidpbc.sim, "_diagnose", lambda *a: calls.clear() or diagnose(*a))
+    for controller in CONTROLLERS:
+        n_samples = _generic_run(_counted(plant, calls), g, controller, None).n_samples
+        counts = {name: calls.count(name) for name in derivatives}
+        if controller == "exact":
+            assert counts["muu_jac"] == counts["mau_jac"] == n_samples
+        else:
+            assert counts == dict(muu_jac=0, mau_jac=0, gradVu_fn=2,
+                                  gradVa_fn=n_samples if mode == "cancel_Va" else 0), mode
+
+
 def test_a_plant_with_batch_forms_records_nothing(cart, gains_cancel):
     # a batch form costs the diagnostics pass less than a copy per sample;
     # the s = m = 2 chain runs the generic step in simulate
